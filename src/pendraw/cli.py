@@ -4,7 +4,8 @@ Subcommands: ``mortality`` (hazard path dump), ``coeffs`` (affine coefficient
 curves), ``policy`` (one policy decision), ``simulate`` (base scenario),
 ``compare`` (hedged vs unhedged), ``sweep`` (sensitivity in theta1 or phi).
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,24 @@ from .numerics import NumericalFailure, TimeGrid
 from .pricing import coeffs_single, coeffs_two_pop
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); argparse would exit 2,
+    the code reserved for numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _join_values(argv: list) -> list:
+    """Bind the operand of ``--values`` to the flag: argparse takes a negative
+    list such as ``-0.0015,-0.003`` for an option, ``--values=...`` it parses."""
+    if "--values" in argv[:-1]:
+        i = argv.index("--values")
+        argv = argv[:i] + [f"--values={argv[i + 1]}"] + argv[i + 2:]
+    return argv
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="experiment config file (default: shipped table1.cfg)")
@@ -33,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pendraw",
         description="Stochastic-mortality pension drawdown with a rolling "
                     "longevity bond")
@@ -165,8 +184,9 @@ def _cmd_experiment(args, kind: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(_join_values(argv))
         if args.command == "mortality":
             return _cmd_mortality(args)
         if args.command == "coeffs":

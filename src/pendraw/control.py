@@ -21,15 +21,13 @@ with the rolling longevity bond through the first hazard factor's loading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
 from .mortality import Model, SinglePopModel, OU
 from .numerics import Tolerance
-from .pricing import (CoefficientTable, MarketParams, a1_cir, a1_ou,
-                      build_coefficient_table)
+from .pricing import MarketParams, a1_cir, a1_ou, build_coefficient_table
 
 LATTICE_STEP = 0.05
 
@@ -83,11 +81,6 @@ class PolicyDecision:
     cash_weight: float
 
 
-@lru_cache(maxsize=512)
-def _table(model: Model, t: float, t_max: float, step: float) -> CoefficientTable:
-    return build_coefficient_table(model, t, t_max, step=step)
-
-
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
     w = np.full(n_nodes, 2.0)
     w[1::2] = 4.0
@@ -108,7 +101,8 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
     if t >= scenario.t_max:
         return np.zeros(n_states), np.zeros((n_states, n_fac))
 
-    tab = _table(model, round(float(t), 9), scenario.t_max, LATTICE_STEP)
+    tab = build_coefficient_table(model, round(float(t), 9), scenario.t_max,
+                                  LATTICE_STEP)
     # nodes past the survival underflow point contribute < 1e-30 of G;
     # keep an even interval count for the Simpson weights
     n_keep = tab.s.size

@@ -9,19 +9,32 @@ with coefficients solving Riccati-type ODEs in t, terminal value zero at
 t = s. Single-population models use (A0, A1); two-population models use
 (C0, C1, C2). The rolling zero-coupon longevity bond keeps a constant time to
 maturity and its volatility loading is -A1(t, t+T)*sigma1 (times
-sqrt(lambda1) under CIR dynamics).
-
-The module exposes scalar functions that follow the defining integrals and ODE
-systems directly (adaptive Simpson, backward RK4), plus vectorised
-coefficient tables on an s-lattice used by the annuity evaluator. The
-measure-changed hazard means E~ needed by the annuity value come from a
-hazard-proportional drift adjustment and stay affine in the current hazard:
+sqrt(lambda1) under CIR dynamics). The measure-changed hazard means E~ needed
+by the annuity value come from a hazard-proportional drift adjustment and
+stay affine in the current hazard:
 
     E~_t[lambda(s)] = J(t,s) * lambda(t) + psi(t,s).
+
+Two routes compute these. The scalar functions (``coeffs_single``,
+``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
+systems at one (t, s) with closed forms, adaptive Simpson and RK4; they are
+the oracles. The coefficient tables behind the annuity evaluator use the
+affine structure: mean reversion and volatilities are constant, so K1, K2
+and J are functions of tau = s - t alone, and the Gompertz-Makeham drift
+a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 and psi only through
+
+    int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
+                               + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
+
+One cached RK4 pass in tau per model and lattice step gives the Riccati
+coefficients C, the members' row p of the mean transition (J = p) and the
+cumulative Simpson integrals above; the table at any anchor on that lattice
+is slices of the pass plus a Gompertz-weighted sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -358,7 +371,7 @@ def tilde_mean(model: Model, t: float, s: float, lam,
 
 
 # ---------------------------------------------------------------------------
-# vectorised coefficient tables on an s-lattice (annuity evaluator backend)
+# coefficient tables: one tau pass per model, sliced per anchor
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -381,101 +394,130 @@ class CoefficientTable:
     psi: np.ndarray
 
 
-def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson integral at coarse nodes from values on the
-    half-step lattice (2n+1 values -> n+1 cumulatives)."""
-    seg = (h / 6.0) * (f_fine[0:-2:2] + 4.0 * f_fine[1::2] + f_fine[2::2])
-    out = np.empty(seg.size + 1)
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
-    return out
+@dataclass(frozen=True)
+class _TauTable:
+    """Anchor-free curves on the tau-lattice j*h, j = 0..n (read-only).
 
+    ``m``/``delta`` are the factors' Gompertz parameters; ``c``/``p`` hold
+    C_k(tau) and the members' row p_k(tau) of the mean transition, one row
+    per factor k. An anchor t with s = t + tau reads
 
-def _simpson_conv(a_fine: np.ndarray, g_fine: np.ndarray, h: float,
-                  n: int) -> np.ndarray:
-    """out[j] = Simpson_{u in [t, s_j]} a(u) * g(s_j - u) on the shared
-    lattice; used where g has no exponential-sum form (CIR kernels).
-
-    The Simpson node weights depend only on index parity, so the whole
-    family of integrals is two discrete convolutions.
+        k0  = k0_level(tau)  + sum_k e^{(s - m_k)/delta_k} k0_gompertz_k(tau),
+        psi = psi_level(tau) + sum_k e^{(s - m_k)/delta_k} psi_gompertz_k(tau).
     """
-    a_even = a_fine.copy()
-    a_even[1::2] = 0.0
-    a_odd = a_fine - a_even
-    conv_even = np.convolve(a_even, g_fine)[0:2 * n + 1:2]
-    conv_odd = np.convolve(a_odd, g_fine)[0:2 * n + 1:2]
-    out = (h / 6.0) * (4.0 * conv_odd + 2.0 * conv_even
-                       - a_fine[0] * g_fine[0:2 * n + 1:2]
-                       - a_fine[0:2 * n + 1:2] * g_fine[0])
+
+    m: np.ndarray
+    delta: np.ndarray
+    c: np.ndarray
+    p: np.ndarray
+    k0_level: np.ndarray
+    k0_gompertz: np.ndarray
+    psi_level: np.ndarray
+    psi_gompertz: np.ndarray
+
+
+def _factor_structure(model: Model):
+    """(B, S, Gompertz curves) of the hazard vector lam, members last:
+
+        d lam = (a(t) - B lam) dt + S diag(v) dW,  v_k = 1 (OU), sqrt(lam_k) (CIR),
+
+    factor k's drift level being drift_a(t, gm_k, B[k, k])."""
+    if isinstance(model, SinglePopModel):
+        return np.array([[model.b]]), np.array([[model.sigma]]), (model.gm,)
+    return (np.array([[model.b1, 0.0], [model.b21, model.b22]]),
+            np.array([[model.sigma1, 0.0], [model.sigma21, model.sigma22]]),
+            (model.gm1, model.gm2))
+
+
+def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative Simpson integrals along axis 0 at coarse nodes from values
+    on the half-step lattice (2n+1 rows -> n+1 rows)."""
+    seg = (h / 6.0) * (f_fine[0:-2:2] + 4.0 * f_fine[1::2] + f_fine[2::2])
+    out = np.empty((seg.shape[0] + 1,) + seg.shape[1:])
     out[0] = 0.0
+    np.cumsum(seg, axis=0, out=out[1:])
     return out
 
 
-def _moment_sweep(coeff_rows, inh_rows, h: float, n: int, two_pop: bool):
-    """March the shifted-mean transition J and offset psi over all columns.
+@lru_cache(maxsize=16)
+def _tau_table(model: Model, h: float, n: int) -> _TauTable:
+    """One RK4 pass in tau, step h/2, for C and p, then cumulative Simpson.
 
-    Column j accumulates the linear mean ODE from t to s_j; coefficients are
-    read off the fine tau-lattice slices supplied by ``coeff_rows`` and the
-    inhomogeneous terms by ``inh_rows`` (stage-indexed)."""
-    if two_pop:
-        j11 = np.ones(n + 1)
-        j21 = np.zeros(n + 1)
-        j22 = np.ones(n + 1)
-        p1 = np.zeros(n + 1)
-        p2 = np.zeros(n + 1)
-        for k in range(n):
-            live = slice(k + 1, n + 1)
-            m = n - k
-            stages = coeff_rows(k, m)
-            inh = inh_rows(k)
-            y = (j11[live], j21[live], j22[live], p1[live], p2[live])
+    dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR], and the members' row
+    of the mean transition obeys dp/dtau = -p M(tau), p(0) = e_m, where
+    M = B (OU) or B + S diag(S^T C) (CIR, hazard-proportional measure
+    change). OU's noise enters additively instead: +|S^T C|^2 / 2 in k0 and
+    the drift shift -S S^T C in psi. No step divides by b1 - b22.
+    """
+    big_b, big_s, gms = _factor_structure(model)
+    nf = big_b.shape[0]
+    cir = model.kind == CIR
+    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
+    # y = (C, p) as a row: dy = (e_m, 0) - y L [- CIR terms], L = blockdiag(B, B)
+    base, y0 = np.concatenate((e_m, zero)), np.concatenate((zero, e_m))
+    lin = np.kron(np.eye(2), big_b)
+    if cir:
+        # one product gives y L, z = (S^T C, S^T p) and (S^T C, S^T C); the
+        # CIR terms are (1/2, 1) * z * (S^T C, S^T C)
+        lin = np.hstack((lin, np.kron(np.eye(2), big_s),
+                         np.kron([[1.0, 1.0], [0.0, 0.0]], big_s)))
+        weight = np.repeat([0.5, 1.0], nf)
+        nn = 2 * nf
 
-            def f(y_, st, a1v, a2v):
-                m11, m21, m22 = st
-                return (-m11 * y_[0],
-                        -m21 * y_[0] - m22 * y_[1],
-                        -m22 * y_[2],
-                        a1v - m11 * y_[3],
-                        a2v - m21 * y_[3] - m22 * y_[4])
+        def rhs(_tau, y):
+            r = y @ lin
+            return base - r[:nn] - weight * r[nn:2 * nn] * r[2 * nn:]
 
-            k1 = f(y, stages[0], inh[0][0], inh[0][1])
-            y2 = tuple(y[i] + 0.5 * h * k1[i] for i in range(5))
-            k2 = f(y2, stages[1], inh[1][0], inh[1][1])
-            y3 = tuple(y[i] + 0.5 * h * k2[i] for i in range(5))
-            k3 = f(y3, stages[1], inh[1][0], inh[1][1])
-            y4 = tuple(y[i] + h * k3[i] for i in range(5))
-            k4 = f(y4, stages[2], inh[2][0], inh[2][1])
-            for i, arr in enumerate((j11, j21, j22, p1, p2)):
-                arr[live] += (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-        return j21, j22, p2
-    j = np.ones(n + 1)
-    p = np.zeros(n + 1)
-    for k in range(n):
-        live = slice(k + 1, n + 1)
-        m = n - k
-        c0, cm, c1 = coeff_rows(k, m)
-        a0, am, a1v = inh_rows(k)
-        y_j, y_p = j[live], p[live]
-        k1j, k1p = -c0 * y_j, a0 - c0 * y_p
-        k2j = -cm * (y_j + 0.5 * h * k1j)
-        k2p = am - cm * (y_p + 0.5 * h * k1p)
-        k3j = -cm * (y_j + 0.5 * h * k2j)
-        k3p = am - cm * (y_p + 0.5 * h * k2p)
-        k4j = -c1 * (y_j + h * k3j)
-        k4p = a1v - c1 * (y_p + h * k3p)
-        j[live] += (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-        p[live] += (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return j, None, p
+        w, y = solve_ode(rhs, 0.0, n * h, y0, step=0.5 * h)
+        noise = np.zeros((w.size, 2))
+    else:
+        # affine right-hand side: an RK4 step of size h/2 is the fixed map
+        # y -> y (I - hL Q) + h (e_m, 0) Q, Q = I - hL/2 + (hL)^2/6 - (hL)^3/24
+        hl = 0.5 * h * lin
+        q = np.eye(2 * nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
+        step_map, offset = np.eye(2 * nf) - hl @ q, 0.5 * h * base @ q
+        w = 0.5 * h * np.arange(2 * n + 1)
+        y = np.empty((w.size, 2 * nf))
+        y[0] = y0
+        # m steps map y_j to y_j R^m + c_m: doubling m fills every row
+        m = 1
+        while m < w.size:
+            y[m:2 * m] = y[:min(m, w.size - m)] @ step_map + offset
+            offset = offset @ step_map + offset
+            step_map, m = step_map @ step_map, 2 * m
+        qc, qp = y[:, :nf] @ big_s, y[:, nf:] @ big_s
+        noise = np.column_stack((0.5 * np.sum(qc * qc, axis=1),
+                                 -np.sum(qp * qc, axis=1)))
+    c, p = y[:, :nf], y[:, nf:]
+    deltas = np.array([gm.delta for gm in gms])
+    decay = np.exp(-w[:, None] / deltas)
+    # one row per curve from here on, so that anchors read contiguous rows
+    cum = _cum_simpson(np.hstack((c, c * decay, p, p * decay, noise)), h).T
+    ic, ice, ip, ipe = (cum[i * nf:(i + 1) * nf] for i in range(4))
+    level = np.array([big_b[k, k] * gm.nu for k, gm in enumerate(gms)])
+    gompertz = np.array([[float(drift_a(gm.m, gm, big_b[k, k])) - level[k]]
+                         for k, gm in enumerate(gms)])
+    tab = _TauTable(m=np.array([gm.m for gm in gms]), delta=deltas,
+                    c=np.ascontiguousarray(c[::2].T),
+                    p=np.ascontiguousarray(p[::2].T),
+                    k0_level=cum[-2] - level @ ic,
+                    k0_gompertz=-gompertz * ice,
+                    psi_level=cum[-1] + level @ ip,
+                    psi_gompertz=gompertz * ipe)
+    for arr in vars(tab).values():
+        arr.setflags(write=False)
+    return tab
 
 
 def build_coefficient_table(model: Model, t: float, t_max: float,
                             step: float = 0.05) -> CoefficientTable:
     """Coefficient curves for every lattice node s in [t, t_max].
 
-    The lattice has an even number of intervals so composite Simpson weights
-    apply directly to the outer integral. Integrals of the drift level are
-    cumulative Simpson sums on a half-step refinement; pure functions of
-    s - u use closed forms or one shared tau-integration.
+    The lattice has an even number n of intervals of h = (t_max - t)/n, so
+    composite Simpson weights apply directly to the outer integral. The
+    curves are slices and Gompertz-weighted sums of one cached tau pass:
+    anchors whose h equals ``step`` share the pass reaching tau = t_max;
+    any other anchor gets a pass of its own.
     """
     if t_max <= t:
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")
@@ -484,104 +526,18 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
         n += 1
     n = max(n, 2)
     h = (t_max - t) / n
-    hf = 0.5 * h
     s = t + h * np.arange(n + 1)
-    tau = s - t
-    u_fine = t + hf * np.arange(2 * n + 1)
-    tau_fine = hf * np.arange(2 * n + 1)
-
-    if isinstance(model, SinglePopModel):
-        b, sig, gm = model.b, model.sigma, model.gm
-        a_fine = drift_a(u_fine, gm, b)
-        if model.kind == OU:
-            k1 = a1_ou(b, tau)
-            decay = np.exp(-b * tau)
-            f0 = _cum_simpson(a_fine, h)
-            eb = decay * _cum_simpson(a_fine * np.exp(b * (u_fine - t)), h)
-            em2 = -np.expm1(-2.0 * b * tau) / (2.0 * b)
-            ia1sq = (tau - 2.0 * k1 + em2) / (b * b)
-            k0 = -((f0 - eb) / b - 0.5 * sig * sig * ia1sq)
-            psi = eb - sig * sig * (k1 - em2) / b
-            return CoefficientTable(t, s, tau, k0, k1, None, decay, None, psi)
-
-        a1f = a1_cir(b, sig, tau_fine)
-        k1 = a1f[::2]
-        k0 = -_simpson_conv(a_fine, a1f, h, n)
-        cf = b + sig * sig * a1f
-
-        def coeff_rows(k, m):
-            return (cf[2::2][:m], cf[1::2][:m], cf[0::2][:m])
-
-        def inh_rows(k):
-            u = t + k * h
-            return (drift_a(u, gm, b), drift_a(u + hf, gm, b),
-                    drift_a(u + h, gm, b))
-
-        j1, _, psi = _moment_sweep(coeff_rows, inh_rows, h, n, two_pop=False)
-        return CoefficientTable(t, s, tau, k0, k1, None, j1, None, psi)
-
-    b1, b21, b22 = model.b1, model.b21, model.b22
-    s1, s21, s22 = model.sigma1, model.sigma21, model.sigma22
-    a1_fine = drift_a(u_fine, model.gm1, b1)
-    a2_fine = drift_a(u_fine, model.gm2, b22)
-
-    if model.kind == OU:
-        kap = b21 / (b1 - b22)
-        d1 = np.exp(-b1 * tau)
-        d22 = np.exp(-b22 * tau)
-        k1 = c1_ou(model, tau)
-        k2 = c2_ou(b22, tau)
-
-        f1_0 = _cum_simpson(a1_fine, h)
-        f1_b1 = _cum_simpson(a1_fine * np.exp(b1 * (u_fine - t)), h)
-        f1_b22 = _cum_simpson(a1_fine * np.exp(b22 * (u_fine - t)), h)
-        f2_0 = _cum_simpson(a2_fine, h)
-        f2_b22 = _cum_simpson(a2_fine * np.exp(b22 * (u_fine - t)), h)
-
-        g0, g1, g2 = _c1_ou_parts(model)
-        t_a1c1 = g0 * f1_0 + g1 * d1 * f1_b1 + g2 * d22 * f1_b22
-        t_a2c2 = (f2_0 - d22 * f2_b22) / b22
-
-        c1f = c1_ou(model, tau_fine)
-        c2f = c2_ou(b22, tau_fine)
-        q11 = _cum_simpson(c1f * c1f, h)
-        q22 = _cum_simpson(c2f * c2f, h)
-        q12 = _cum_simpson(c1f * c2f, h)
-        k0 = -(t_a1c1 + t_a2c2 - 0.5 * s1 * s1 * q11
-               - 0.5 * (s21 * s21 + s22 * s22) * q22 - s1 * s21 * q12)
-
-        r11 = _cum_simpson(np.exp(-b1 * tau_fine) * c1f, h)
-        r12 = _cum_simpson(np.exp(-b1 * tau_fine) * c2f, h)
-        r21 = _cum_simpson(np.exp(-b22 * tau_fine) * c1f, h)
-        r22 = _cum_simpson(np.exp(-b22 * tau_fine) * c2f, h)
-        gam2 = d1 * f1_b1 - s1 * s1 * r11 - s1 * s21 * r12
-        chi = s21 * s21 + s22 * s22 - kap * s1 * s21
-        gam1 = d22 * (kap * f1_b22 - f2_b22) + s1 * s21 * r21 + chi * r22
-
-        j1 = kap * (d1 - d22)
-        j2 = d22
-        psi = kap * gam2 - gam1
-        return CoefficientTable(t, s, tau, k0, k1, k2, j1, j2, psi)
-
-    _, c1f, c2f = cir2_coefficient_path(model, tau[-1], step=hf)
-    k1 = c1f[::2]
-    k2 = c2f[::2]
-    k0 = -(_simpson_conv(a1_fine, c1f, h, n) + _simpson_conv(a2_fine, c2f, h, n))
-
-    m11f = b1 + s1 * s1 * c1f + s1 * s21 * c2f
-    m21f = b21 + s1 * s21 * c1f + s21 * s21 * c2f
-    m22f = b22 + s22 * s22 * c2f
-
-    def coeff_rows(k, m):
-        return ((m11f[2::2][:m], m21f[2::2][:m], m22f[2::2][:m]),
-                (m11f[1::2][:m], m21f[1::2][:m], m22f[1::2][:m]),
-                (m11f[0::2][:m], m21f[0::2][:m], m22f[0::2][:m]))
-
-    def inh_rows(k):
-        u = t + k * h
-        return ((drift_a(u, model.gm1, b1), drift_a(u, model.gm2, b22)),
-                (drift_a(u + hf, model.gm1, b1), drift_a(u + hf, model.gm2, b22)),
-                (drift_a(u + h, model.gm1, b1), drift_a(u + h, model.gm2, b22)))
-
-    j1, j2, psi = _moment_sweep(coeff_rows, inh_rows, h, n, two_pop=True)
-    return CoefficientTable(t, s, tau, k0, k1, k2, j1, j2, psi)
+    if math.isclose(h, step, rel_tol=1e-12):
+        tt = _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
+    else:
+        tt = _tau_table(model, h, n)
+    nodes = slice(0, n + 1)
+    k0, psi = tt.k0_level[nodes].copy(), tt.psi_level[nodes].copy()
+    for m, delta, k0_g, psi_g in zip(tt.m, tt.delta, tt.k0_gompertz,
+                                     tt.psi_gompertz):
+        growth = np.exp((s - m) / delta)
+        k0 += growth * k0_g[nodes]
+        psi += growth * psi_g[nodes]
+    k2, j2 = (tt.c[1, nodes], tt.p[1, nodes]) if tt.m.size == 2 else (None, None)
+    return CoefficientTable(t, s, s - t, k0, tt.c[0, nodes], k2,
+                            tt.p[0, nodes], j2, psi)

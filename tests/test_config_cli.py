@@ -291,6 +291,29 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "s" / "sweep_phi_summary.csv").exists()
 
+    def test_sweep_negative_values_both_forms(self, tmp_path, monkeypatch):
+        import pendraw.cli as cli
+
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg.sweep_values)
+            return type("Result", (), {"summary": ""})
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        for values in (["--values", "-0.0015,-0.003"],
+                       ["--values=-0.0015,-0.003"]):
+            assert main(["sweep", "--config", str(small_config(tmp_path)),
+                         "--var", "theta1", *values]) == 0
+        assert seen == [(-0.0015, -0.003)] * 2
+
+    @pytest.mark.parametrize("argv", [[], ["sweep", "--var", "kappa"],
+                                      ["simulate", "--paths", "many"],
+                                      ["policy", "--bogus"]])
+    def test_usage_error_exit_code(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         from pendraw.numerics import NumericalFailure
         import pendraw.cli as cli

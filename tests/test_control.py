@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,25 @@ class TestAnnuityG:
             g200 = annuity_G(model, SchemeScenario(phi=0.8, t_max=200.0),
                              MARKET, 0.0, lam)
             assert abs(g200 - g120) / g120 < 1e-4
+
+    @pytest.mark.parametrize("t", [0.0, 20.0])
+    def test_near_equal_mean_reversion_speeds(self, t):
+        # b22 -> b1: G and its gradient are smooth in b22, so across
+        # b22 = b1 (1 + eps) they may move by about eps relative (measured
+        # <= 0.88 eps from eps = 1e-13 to 1e-4) and never blow up
+        base = ou_two()
+        lam = np.array([[initial_hazard(POP1), initial_hazard(POP2)]])
+        values = {}
+        for eps in (1e-4, 1e-8, 1e-11, 1e-13):
+            model = dataclasses.replace(base, b22=base.b1 * (1.0 + eps))
+            g, grad = g_and_gradient(model, SCEN, MARKET, t, lam)
+            assert np.all(np.isfinite(g)) and g[0] > 0.0
+            # lambda1 lowers the members' drift (b21 > 0); lambda2 shortens life
+            assert grad[0, 0] > 0.0 and grad[0, 1] < 0.0
+            values[eps] = np.concatenate((g, grad[0]))
+        ref = values[1e-13]
+        for eps, v in values.items():
+            assert np.all(np.abs(v / ref - 1.0) <= eps + 1e-12), (eps, v, ref)
 
     def test_batch_matches_scalar(self):
         model = ou_two()

@@ -5,6 +5,7 @@ from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, drift_a,
                                initial_hazard, simulate_paths)
 from pendraw.numerics import TimeGrid, integrate, solve_ode
+from pendraw import pricing
 from pendraw.pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                              a1_cir, a1_ou, build_coefficient_table, c1_ou,
                              c2_ou, coeffs_single, coeffs_two_pop,
@@ -321,6 +322,41 @@ class TestCoefficientTable:
                 assert tab.k2[idx] == pytest.approx(c.c2, abs=5e-7)
                 eng = tab.j1[idx] * lam[0] + tab.j2[idx] * lam[1] + tab.psi[idx]
                 ref = tilde_mean(model, t, s, lam)[1]
+            assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
+
+    def test_anchors_on_the_lattice_share_one_tau_pass(self):
+        model = cir_two()
+        pricing._tau_table.cache_clear()
+        tables = [build_coefficient_table(model, t, 120.0, step=0.05)
+                  for t in (0.0, 10.0, 20.0, 30.0)]
+        info = pricing._tau_table.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        # a later anchor's curves are the leading slice of an earlier one's
+        assert np.array_equal(tables[3].k1, tables[0].k1[:tables[3].s.size])
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
+    @pytest.mark.parametrize("t, t_max, nodes", [
+        (12.34, 80.0, (10, 180, 700, 1300)),   # h != step: a pass of its own
+        (2.0, 35.3, (10, 180, 400, 666)),      # t_max = horizon + 0.3
+    ])
+    def test_off_lattice_and_short_tables_match_scalar_routes(
+            self, model, t, t_max, nodes):
+        tab = build_coefficient_table(model, t, t_max, step=0.05)
+        assert tab.s[-1] == pytest.approx(t_max, abs=1e-12)
+        lam = np.array([0.016, 0.014])[: model.n_factors]
+        for idx in nodes:
+            s = float(tab.s[idx])
+            if model.n_factors == 1:
+                c = coeffs_single(model, t, s)
+                got, want = (tab.k0[idx], tab.k1[idx]), (c.a0, c.a1)
+                eng = tab.j1[idx] * lam[0] + tab.psi[idx]
+            else:
+                c = coeffs_two_pop(model, t, s)
+                got = (tab.k0[idx], tab.k1[idx], tab.k2[idx])
+                want = (c.c0, c.c1, c.c2)
+                eng = tab.j1[idx] * lam[0] + tab.j2[idx] * lam[1] + tab.psi[idx]
+            assert got == pytest.approx(want, abs=5e-7)
+            ref = tilde_mean(model, t, s, lam)[-1]
             assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
 
     def test_a1_flow_property(self):

@@ -13,9 +13,25 @@ hazard) the integrand is known in closed form given the coefficient curves:
         * (1 + phi * E~_t[lambda_members(s)]) ds.
 
 The hazard gradient differentiates under the integral sign: each factor is
-either exponential-affine or linear in the current hazard. The optimal policy
-withdraws wealth/G, holds theta_s/sigma_s of wealth in the stock, and hedges
-with the rolling longevity bond through the first hazard factor's loading.
+either exponential-affine or linear in the current hazard. On the Simpson
+lattice s_n (weights w_n e^{-r(s_n - t)}) the integrand is surv * lift with
+
+    surv = exp(k0 - sum_i lam_i k_i),   lift = 1 + phi (psi + sum_m lam_m j_m),
+
+so G and every gradient component are linear in the moments
+S[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, psi, j_i, k_i,
+k_i psi, k_i j_m}:
+
+    G          = S[1] + phi (S[psi] + sum_m lam_m S[j_m]),
+    dG/dlam_i  = phi S[j_i] - S[k_i] - phi (S[k_i psi] + sum_m lam_m S[k_i j_m]).
+
+A batch of states then costs one exp of the (states x nodes) exponent and
+one product with the (nodes x moments) matrix: 6 moments for one hazard
+factor, 12 for two.
+
+The optimal policy withdraws wealth/G, holds theta_s/sigma_s of wealth in the
+stock, and hedges with the rolling longevity bond through the first hazard
+factor's loading.
 """
 
 from __future__ import annotations
@@ -114,24 +130,23 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
     w = _simpson_weights(n_keep, tab.s[1] - tab.s[0])
     base = w * np.exp(-market.r * tab.tau[sl])
 
-    k1 = tab.k1[sl]
-    j1 = tab.j1[sl]
-    expo = tab.k0[None, sl] - np.outer(lam[:, 0], k1)
-    etil = np.outer(lam[:, 0], j1) + tab.psi[None, sl]
-    if n_fac == 2:
-        k2 = tab.k2[sl]
-        j2 = tab.j2[sl]
-        expo -= np.outer(lam[:, 1], k2)
-        etil += np.outer(lam[:, 1], j2)
-    surv = np.exp(expo)
-    lift = 1.0 + scenario.phi * etil
+    k = np.array([c[sl] for c in (tab.k1, tab.k2)[:n_fac]])    # (n_fac, nodes)
+    j = np.array([c[sl] for c in (tab.j1, tab.j2)[:n_fac]])
+    psi = tab.psi[sl]
+    # moment columns: 1, psi, j_i, k_i, k_i psi, k_i j_m (row-major in i, m)
+    moments = np.concatenate((np.ones((1, n_keep)), psi[None, :], j, k,
+                              k * psi, (k[:, None, :] * j[None, :, :])
+                              .reshape(n_fac * n_fac, n_keep))) * base
+    s = np.exp(tab.k0[sl] - lam @ k) @ moments.T      # (n, 2 + n_fac*(3+n_fac))
+    s_j = s[:, 2:2 + n_fac]
+    s_k = s[:, 2 + n_fac:2 + 2 * n_fac]
+    s_kpsi = s[:, 2 + 2 * n_fac:2 + 3 * n_fac]
+    s_kj = s[:, 2 + 3 * n_fac:].reshape(n_states, n_fac, n_fac)
 
-    g = (surv * lift) @ base
-    grad = np.empty((n_states, n_fac))
-    grad[:, 0] = (surv * (-k1[None, :] * lift + scenario.phi * j1[None, :])) @ base
-    if n_fac == 2:
-        grad[:, 1] = (surv * (-k2[None, :] * lift
-                              + scenario.phi * j2[None, :])) @ base
+    phi = scenario.phi
+    g = s[:, 0] + phi * (s[:, 1] + np.sum(lam * s_j, axis=1))
+    grad = phi * s_j - s_k - phi * (s_kpsi + np.sum(s_kj * lam[:, None, :],
+                                                    axis=2))
     return g, grad
 
 

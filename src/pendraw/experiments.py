@@ -18,8 +18,9 @@ import numpy as np
 from .config import ExperimentConfig, build_model
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
-from .scheme import (NO_BOND, OPTIMAL, SchemeTrajectory, compare_strategies,
-                     discounted_totals, simulate_scheme)
+from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, SchemeTrajectory,
+                     compare_strategies, discounted_totals, g_surface,
+                     simulate_scheme)
 
 _N_SAMPLE_PATHS = 3
 
@@ -153,20 +154,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     elif cfg.experiment == "sweep":
         if cfg.sweep_var is None or not cfg.sweep_values:
             raise ConfigError("sweep requires sweep_var and sweep_values")
+        # every arm is compared with one reference arm, simulated once: the
+        # no-bond policy (theta1) or no risk sharing (phi)
+        if cfg.sweep_var == "theta1":
+            surface = g_surface(model, scenario, market, paths)
+            ref = simulate_scheme(model, scenario, market, NO_BOND, paths,
+                                  surface=surface)
+        else:
+            ref = simulate_scheme(model, replace(scenario, phi=0.0), market,
+                                  OPTIMAL, paths)
+        floor_hits = ref.floor_hits
         summary_rows = []
         for i, value in enumerate(cfg.sweep_values):
             if cfg.sweep_var == "theta1":
-                market_i = replace(market, theta_1=value)
-                report = compare_strategies(model, scenario, market, NO_BOND,
-                                            OPTIMAL, market_b=market_i,
-                                            paths=paths)
+                traj = simulate_scheme(model, scenario,
+                                       replace(market, theta_1=value), OPTIMAL,
+                                       paths, surface=surface)
             else:
-                scenario_ref = replace(scenario, phi=0.0)
-                scenario_i = replace(scenario, phi=value)
-                report = compare_strategies(model, scenario_ref, market, OPTIMAL,
-                                            OPTIMAL, scenario_b=scenario_i,
-                                            paths=paths)
-            traj = report.traj_b
+                traj = simulate_scheme(model, replace(scenario, phi=value),
+                                       market, OPTIMAL, paths)
+            report = ComparisonReport.of(ref, market.r, traj, market.r)
             floor_hits += traj.floor_hits
 
             def rows():

@@ -12,6 +12,12 @@ volatility loading and theta_1_eff is theta_1 (OU) or theta_1*sqrt(lambda1)
 (CIR). W_1 reuses the Brownian increments retained by the mortality paths;
 W_S comes from a dedicated stream offset, so paired comparisons see identical
 noise (common random numbers).
+
+The optimal and no-bond policies withdraw Y/G and hedge through dG/dlambda1.
+G depends on the hazard paths and on (model, phi, t_max, r) only, not on
+wealth, theta_1 or the policy kind, so it is computed for the whole grid
+before the wealth loop (``g_surface``), and arms that agree on those inputs
+share one surface.
 """
 
 from __future__ import annotations
@@ -62,10 +68,55 @@ class SchemeTrajectory:
         return int(self.floor_hit.sum())
 
 
+@dataclass(frozen=True)
+class GSurface:
+    """G and dG/dlambda1 at every (path, grid node) of one set of paths.
+
+    ``key`` holds the inputs G depends on besides the paths:
+    (model, phi, t_max, r).
+    """
+
+    key: tuple
+    paths: MortalityPaths
+    g: np.ndarray               # (n_paths, n_nodes)
+    grad1: np.ndarray           # (n_paths, n_nodes)
+
+
+def _surface_key(model: Model, scenario: SchemeScenario,
+                 market: MarketParams) -> tuple:
+    return (model, scenario.phi, scenario.t_max, market.r)
+
+
+def _hazard_state(paths: MortalityPaths, k: int) -> np.ndarray:
+    """(n_paths, n_factors) hazards at grid node k, the policy's state."""
+    if paths.lambda2 is None:
+        return paths.lambda1[:, k][:, None]
+    return np.column_stack([paths.lambda1[:, k], paths.members_hazard[:, k]])
+
+
+def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
+              paths: MortalityPaths) -> GSurface:
+    """G and dG/dlambda1 on the whole grid, one ``g_and_gradient`` call per
+    node."""
+    shape = (paths.n_paths, paths.grid.n_steps + 1)
+    g, grad1 = np.empty(shape), np.empty(shape)
+    for k, t in enumerate(paths.grid.nodes):
+        g_k, grad_k = g_and_gradient(model, scenario, market, t,
+                                     _hazard_state(paths, k))
+        g[:, k] = g_k
+        grad1[:, k] = grad_k[:, 0]
+    return GSurface(_surface_key(model, scenario, market), paths, g, grad1)
+
+
 def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,
                     policy_kind: str, paths: MortalityPaths,
-                    policy_fn: Optional[PolicyFn] = None) -> SchemeTrajectory:
+                    policy_fn: Optional[PolicyFn] = None,
+                    surface: Optional[GSurface] = None) -> SchemeTrajectory:
     """Euler-Maruyama wealth paths with the policy re-evaluated every step.
+
+    The optimal and no-bond policies read G from ``surface`` when it is given
+    (built by ``g_surface`` for this model, these paths and the same phi,
+    t_max and r; anything else is rejected) and compute it otherwise.
 
     Paths whose wealth falls to the floor (1e-9 of initial wealth) are frozen
     there and flagged: with log-utility controls the exact dynamics keep
@@ -95,47 +146,43 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     xi_s = normal_block(paths.seed, WS_STREAM_OFFSET + paths.path_offset,
                         n_paths, n)
     lam1 = paths.lambda1
-    members = paths.members_hazard
-    two_pop = paths.lambda2 is not None
 
     is_cir = model.kind == CIR
     a1_t = _a1_maturity(model, market)
     sigma1, _ = _hedge_loadings(model)
-    w_stock_const = market.theta_s / market.sigma_s
 
     wealth = np.empty((n_paths, n + 1))
     withdraw = np.empty((n_paths, n + 1))
-    w_stock = np.empty((n_paths, n + 1))
-    w_bond = np.empty((n_paths, n + 1))
+    if policy_kind == CUSTOM:
+        w_stock = np.empty((n_paths, n + 1))
+        w_bond = np.empty((n_paths, n + 1))
+    else:
+        if surface is None:
+            surface = g_surface(model, scenario, market, paths)
+        elif (surface.paths is not paths
+              or surface.key != _surface_key(model, scenario, market)):
+            raise ConfigError("G surface was built for other paths or another "
+                              "(model, phi, t_max, r)")
+        w_stock = np.full((n_paths, n + 1), market.theta_s / market.sigma_s)
+        if policy_kind == OPTIMAL:
+            w_bond = bond_weight_arrays(model, scenario, market, surface.g,
+                                        surface.grad1)
+        else:
+            w_bond = np.zeros((n_paths, n + 1))
     floor = WEALTH_FLOOR_FRACTION * scenario.y0
     frozen = np.zeros(n_paths, dtype=bool)
     wealth[:, 0] = scenario.y0
 
     for k in range(n + 1):
-        t = times[k]
         y = wealth[:, k]
-        if two_pop:
-            lam_k = np.column_stack([lam1[:, k], members[:, k]])
-        else:
-            lam_k = lam1[:, k][:, None]
-
         if policy_kind == CUSTOM:
-            beta, ws, wb = policy_fn(t, lam_k, y)
-            beta = np.broadcast_to(np.asarray(beta, dtype=float), y.shape).copy()
-            ws = np.broadcast_to(np.asarray(ws, dtype=float), y.shape).copy()
-            wb = np.broadcast_to(np.asarray(wb, dtype=float), y.shape).copy()
+            withdraw[:, k], w_stock[:, k], w_bond[:, k] = policy_fn(
+                times[k], _hazard_state(paths, k), y)
         else:
-            g, grad = g_and_gradient(model, scenario, market, t, lam_k)
-            beta = y / g
-            ws = np.full(n_paths, w_stock_const)
-            if policy_kind == OPTIMAL:
-                wb = bond_weight_arrays(model, scenario, market, g, grad[:, 0])
-            else:
-                wb = np.zeros(n_paths)
-
-        withdraw[:, k] = beta
-        w_stock[:, k] = ws
-        w_bond[:, k] = wb
+            withdraw[:, k] = y / surface.g[:, k]
+        beta = withdraw[:, k]
+        ws = w_stock[:, k]
+        wb = w_bond[:, k]
 
         if k == n:
             break
@@ -158,7 +205,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
         y_next[frozen] = floor
         wealth[:, k + 1] = y_next
 
-    compensation = members * wealth
+    compensation = paths.members_hazard * wealth
     # cash = 1 - (stock + bond): the sum then closes to exactly one
     return SchemeTrajectory(grid=grid, policy_kind=policy_kind, wealth=wealth,
                             withdraw=withdraw, compensation=compensation,
@@ -203,6 +250,17 @@ class ComparisonReport:
     totals_a: DiscountedTotals
     totals_b: DiscountedTotals
 
+    @classmethod
+    def of(cls, traj_a: SchemeTrajectory, r_a: float, traj_b: SchemeTrajectory,
+           r_b: float) -> "ComparisonReport":
+        """Report on two arms simulated on the same paths; each arm's totals
+        are discounted at its own rate."""
+        return cls(times=traj_a.grid.nodes, traj_a=traj_a, traj_b=traj_b,
+                   withdraw_gain=traj_b.withdraw - traj_a.withdraw,
+                   compensation_gain=traj_b.compensation - traj_a.compensation,
+                   totals_a=discounted_totals(traj_a, r_a),
+                   totals_b=discounted_totals(traj_b, r_b))
+
     @property
     def mean_withdraw_gain(self) -> np.ndarray:
         return self.withdraw_gain.mean(axis=0)
@@ -243,7 +301,8 @@ def compare_strategies(model: Model, scenario: SchemeScenario,
 
     The arms may differ in policy kind or in a scenario/market scalar
     (risk-sharing weight, longevity risk price); the time grid, path count and
-    seed must coincide so the comparison is paired.
+    seed must coincide so the comparison is paired. Arms that agree on phi,
+    t_max and r share one G surface.
     """
     scen_b = scenario_b if scenario_b is not None else scenario
     mkt_b = market_b if market_b is not None else market
@@ -255,13 +314,12 @@ def compare_strategies(model: Model, scenario: SchemeScenario,
         grid = TimeGrid(0.0, scenario.horizon, scenario.dt)
         paths = simulate_paths(model, grid, scenario.n_paths, scenario.seed)
 
+    shared = None
+    if (CUSTOM not in (arm_a, arm_b) and _surface_key(model, scenario, market)
+            == _surface_key(model, scen_b, mkt_b)):
+        shared = g_surface(model, scenario, market, paths)
     traj_a = simulate_scheme(model, scenario, market, arm_a, paths,
-                             policy_fn=policy_fn_a)
+                             policy_fn=policy_fn_a, surface=shared)
     traj_b = simulate_scheme(model, scen_b, mkt_b, arm_b, paths,
-                             policy_fn=policy_fn_b)
-    return ComparisonReport(
-        times=paths.grid.nodes, traj_a=traj_a, traj_b=traj_b,
-        withdraw_gain=traj_b.withdraw - traj_a.withdraw,
-        compensation_gain=traj_b.compensation - traj_a.compensation,
-        totals_a=discounted_totals(traj_a, market.r),
-        totals_b=discounted_totals(traj_b, mkt_b.r))
+                             policy_fn=policy_fn_b, surface=shared)
+    return ComparisonReport.of(traj_a, market.r, traj_b, mkt_b.r)

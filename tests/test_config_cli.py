@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
+from pendraw import experiments, scheme
 from pendraw.cli import main
 from pendraw.config import (build_model, default_config_path, dumps_config,
                             load_config, loads_config, with_overrides)
 from pendraw.experiments import format_number, run_experiment, write_csv
-from pendraw.mortality import ConfigError, SinglePopModel, TwoPopModel
+from pendraw.mortality import (ConfigError, SinglePopModel, TwoPopModel,
+                               simulate_paths)
+from pendraw.numerics import TimeGrid
 
 MINIMAL = """
 [model]
@@ -227,6 +232,89 @@ class TestRunExperiment:
         improvements = [float(r.split(",")[4]) for r in rows]
         assert improvements[0] == pytest.approx(0.0, abs=1e-12)
         assert improvements[0] < improvements[1] < improvements[2]
+
+    @pytest.mark.parametrize("var", ["theta1", "phi"])
+    def test_sweep_simulates_reference_arm_once(self, tmp_path, monkeypatch,
+                                                var):
+        values = (0.0, -0.003) if var == "theta1" else (0.5, 1.0)
+        cfg = with_overrides(load_config(small_config(tmp_path)),
+                             experiment="sweep", sweep_var=var,
+                             sweep_values=values, n_paths=3,
+                             out_dir=str(tmp_path / "sw"))
+        g_calls, arms = [], []
+        g_and_gradient = scheme.g_and_gradient
+        simulate_scheme = experiments.simulate_scheme
+
+        def counted_g(*args, **kwargs):
+            g_calls.append(args[3])
+            return g_and_gradient(*args, **kwargs)
+
+        def counted_arm(*args, **kwargs):
+            traj = simulate_scheme(*args, **kwargs)
+            arms.append(traj)
+            # every path of every arm reports a floor hit
+            traj.floor_hit[:] = True
+            return traj
+
+        monkeypatch.setattr(scheme, "g_and_gradient", counted_g)
+        monkeypatch.setattr(experiments, "simulate_scheme", counted_arm)
+        result = run_experiment(cfg)
+        n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
+        assert len(arms) == len(values) + 1
+        # theta1 arms share one G surface; each phi is a surface of its own
+        shared = 1 if var == "theta1" else len(values) + 1
+        assert len(g_calls) == shared * n_nodes
+        # the reference arm's floor hits count once
+        assert f"floor hits: {3 * (len(values) + 1)}" in result.summary
+
+    @pytest.mark.parametrize("var", ["theta1", "phi"])
+    def test_sweep_matches_independent_arms(self, tmp_path, var):
+        values = (0.0, -0.003) if var == "theta1" else (0.5, 1.0)
+        cfg = with_overrides(load_config(small_config(tmp_path)),
+                             experiment="sweep", sweep_var=var,
+                             sweep_values=values, n_paths=3,
+                             out_dir=str(tmp_path / "sw"))
+        run_experiment(cfg)
+        model, sc, market = build_model(cfg), cfg.scenario, cfg.market
+        paths = simulate_paths(model, TimeGrid(0.0, sc.horizon, sc.dt),
+                               sc.n_paths, sc.seed)
+        if var == "theta1":
+            ref = scheme.simulate_scheme(model, sc, market, scheme.NO_BOND,
+                                         paths)
+        else:
+            ref = scheme.simulate_scheme(model, replace(sc, phi=0.0), market,
+                                         scheme.OPTIMAL, paths)
+        summary = []
+        for i, value in enumerate(values):
+            if var == "theta1":
+                arm = (sc, replace(market, theta_1=value))
+            else:
+                arm = (replace(sc, phi=value), market)
+            traj = scheme.simulate_scheme(model, *arm, scheme.OPTIMAL, paths)
+            report = scheme.ComparisonReport.of(ref, market.r, traj, market.r)
+            rows = zip(paths.grid.nodes, [value] * paths.grid.nodes.size,
+                       traj.stock_weight.mean(axis=0),
+                       traj.bond_weight.mean(axis=0),
+                       traj.cash_weight.mean(axis=0),
+                       report.mean_withdraw_gain,
+                       report.mean_compensation_gain)
+            name = f"sweep_{var}_{i}.csv"
+            write_csv(rows, ["time", "value", "w_stock", "w_bond", "w_cash",
+                             "mean_withdraw_gain", "mean_compensation_gain"],
+                      tmp_path / name)
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / "sw" / name).read_bytes()
+            summary.append((value, report.totals_b.mean_benefit,
+                            report.totals_b.mean_compensation,
+                            report.benefit_improvement,
+                            report.compensation_improvement))
+        name = f"sweep_{var}_summary.csv"
+        write_csv(summary, ["value", "mean_discounted_benefit",
+                            "mean_discounted_compensation",
+                            "benefit_improvement", "compensation_improvement"],
+                  tmp_path / name)
+        assert (tmp_path / name).read_bytes() == \
+            (tmp_path / "sw" / name).read_bytes()
 
 
 class TestCli:

@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pendraw.control import (PolicyDecision, SchemeScenario,
+from pendraw.control import (LATTICE_STEP, PolicyDecision, SchemeScenario,
                              UnsupportedConfiguration, annuity_G,
                              annuity_G_gradient, g_and_gradient,
                              no_bond_policy, optimal_policy)
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, initial_hazard)
 from pendraw.numerics import integrate
-from pendraw.pricing import MarketParams, coeffs_two_pop, survival_expectation
+from pendraw.pricing import (MarketParams, build_coefficient_table,
+                             coeffs_two_pop, survival_expectation)
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
 POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
@@ -135,6 +136,71 @@ class TestAnnuityG:
                 annuity_G(model, SCEN, MARKET, 3.0, lam[i]), rel=1e-13)
             assert grad[i] == pytest.approx(
                 annuity_G_gradient(model, SCEN, MARKET, 3.0, lam[i]), rel=1e-12)
+
+
+def _kept_nodes(tab) -> int:
+    """Lattice nodes before the survival-underflow cut (k0 < -80), kept at an
+    odd count of at least 3 for Simpson's rule."""
+    dead = np.nonzero(tab.k0 < -80.0)[0]
+    if not dead.size:
+        return tab.s.size
+    cut = int(dead[0])
+    return min(tab.s.size, max(3, cut + 1 + cut % 2))
+
+
+def reference_g_and_gradient(model, scenario, market, t, lam):
+    """G and its gradient node by node from the survival factor
+    surv = exp(k0 - sum_i lam_i k_i) and the lift 1 + phi E~, on the lattice
+    and underflow cut of ``g_and_gradient``."""
+    tab = build_coefficient_table(model, t, scenario.t_max, LATTICE_STEP)
+    n_keep = _kept_nodes(tab)
+    sl = slice(0, n_keep)
+    w = np.full(n_keep, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    base = w * (tab.s[1] - tab.s[0]) / 3.0 * np.exp(-market.r * tab.tau[sl])
+    ks = [k[sl] for k in (tab.k1, tab.k2)[:model.n_factors]]
+    js = [j[sl] for j in (tab.j1, tab.j2)[:model.n_factors]]
+    g = np.empty(lam.shape[0])
+    grad = np.empty(lam.shape)
+    for i, state in enumerate(lam):
+        expo = tab.k0[sl] - sum(l * k for l, k in zip(state, ks))
+        etil = tab.psi[sl] + sum(l * j for l, j in zip(state, js))
+        surv = np.exp(expo)
+        lift = 1.0 + scenario.phi * etil
+        g[i] = (surv * lift) @ base
+        for f, (k, j) in enumerate(zip(ks, js)):
+            grad[i, f] = (surv * (-k * lift + scenario.phi * j)) @ base
+    return g, grad
+
+
+class TestMomentForm:
+    """``g_and_gradient`` sums moments of the survival factor; the reference
+    sums the integrand node by node."""
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    @pytest.mark.parametrize("phi", [0.0, 0.8, 5.0])
+    def test_matches_per_node_reference(self, make_model, phi):
+        model = make_model()
+        gms = ([model.gm] if model.n_factors == 1 else [model.gm1, model.gm2])
+        cases = [(120.0, t) for t in (0.0, 17.3, 119.85)]
+        # at t_max = 190, t = 187.5 the underflow cut keeps 3 of 51 nodes
+        cases.append((190.0, 187.5))
+        tab = build_coefficient_table(model, 187.5, 190.0, LATTICE_STEP)
+        assert _kept_nodes(tab) == 3 and tab.s.size == 51
+        for t_max, t in cases:
+            scen = SchemeScenario(phi=phi, t_max=t_max)
+            base = np.array([initial_hazard(gm) for gm in gms])
+            lam = base * np.array([[1.0], [0.3], [2.5]])
+            if model.kind == "ou":
+                lam[1, 0] = -0.004      # an OU hazard below zero
+            g, grad = g_and_gradient(model, scen, MARKET, t, lam)
+            g_ref, grad_ref = reference_g_and_gradient(model, scen, MARKET, t,
+                                                       lam)
+            assert g == pytest.approx(g_ref, rel=1e-13), (t_max, t)
+            assert grad.ravel() == pytest.approx(grad_ref.ravel(),
+                                                 rel=1e-12), (t_max, t)
 
 
 class TestPolicies:

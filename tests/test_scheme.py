@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pendraw import scheme
 from pendraw.control import (MarketParams, SchemeScenario,
                              UnsupportedConfiguration, g_and_gradient)
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
@@ -8,7 +11,7 @@ from pendraw.mortality import (ConfigError, GompertzMakehamParams,
 from pendraw.numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from pendraw.pricing import a1_ou
 from pendraw.scheme import (CUSTOM, NO_BOND, OPTIMAL, compare_strategies,
-                            discounted_totals, simulate_scheme)
+                            discounted_totals, g_surface, simulate_scheme)
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
 POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
@@ -111,6 +114,24 @@ class TestSimulateScheme:
         a = simulate_scheme(model, scen, MARKET, OPTIMAL, make_paths(model, scen))
         b = simulate_scheme(model, scen, MARKET, OPTIMAL, make_paths(model, scen))
         assert np.array_equal(a.wealth, b.wealth)
+
+    @pytest.mark.parametrize("change", [
+        dict(scenario=scenario(n_paths=3, horizon=2.0, phi=1.5)),
+        dict(scenario=scenario(n_paths=3, horizon=2.0, t_max=150.0)),
+        dict(market=dataclasses.replace(MARKET, r=0.03)),
+        dict(model=ou_model(sigma=0.004)),
+        dict(paths=make_paths(ou_model(), scenario(n_paths=3, horizon=2.0))),
+    ])
+    def test_surface_for_other_inputs_rejected(self, change):
+        model = ou_model()
+        scen = scenario(n_paths=3, horizon=2.0)
+        paths = make_paths(model, scen)
+        surface = g_surface(model, scen, MARKET, paths)
+        args = dict(model=model, scenario=scen, market=MARKET, paths=paths)
+        args.update(change)
+        with pytest.raises(ConfigError):
+            simulate_scheme(args["model"], args["scenario"], args["market"],
+                            OPTIMAL, args["paths"], surface=surface)
 
     def test_floor_freezing(self):
         model = ou_model()
@@ -238,6 +259,40 @@ class TestCompareStrategies:
         assert positive > 0.6 * report.mean_withdraw_gain.size
         positive_c = np.count_nonzero(report.mean_compensation_gain > 0)
         assert positive_c > 0.6 * report.mean_compensation_gain.size
+
+    @pytest.mark.parametrize("scen_b, market_b, shared", [
+        (scenario(n_paths=4, horizon=3.0), dataclasses.replace(
+            MARKET, theta_1=-0.003), True),
+        (scenario(n_paths=4, horizon=3.0, phi=1.5), MARKET, False),
+        (scenario(n_paths=4, horizon=3.0), dataclasses.replace(MARKET, r=0.03),
+         False),
+    ])
+    def test_surface_shared_only_when_g_inputs_agree(self, monkeypatch, scen_b,
+                                                     market_b, shared):
+        # G depends on phi, t_max and r but not on theta_1 or the policy
+        model = ou_model()
+        scen_a = scenario(n_paths=4, horizon=3.0)
+        paths = make_paths(model, scen_a)
+        alone_a = simulate_scheme(model, scen_a, MARKET, NO_BOND, paths)
+        alone_b = simulate_scheme(model, scen_b, market_b, OPTIMAL, paths)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return g_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "g_and_gradient", counted)
+        report = compare_strategies(model, scen_a, MARKET, NO_BOND, OPTIMAL,
+                                    scenario_b=scen_b, market_b=market_b,
+                                    paths=paths)
+        n_nodes = paths.grid.n_steps + 1
+        assert len(calls) == (1 if shared else 2) * n_nodes
+        for got, alone in ((report.traj_a, alone_a), (report.traj_b, alone_b)):
+            for name in ("wealth", "withdraw", "compensation", "stock_weight",
+                         "bond_weight", "cash_weight", "floor_hit"):
+                assert np.array_equal(getattr(got, name), getattr(alone, name))
+        assert report.totals_b.mean_benefit == \
+            discounted_totals(alone_b, market_b.r).mean_benefit
 
     def test_mismatched_grids_rejected(self):
         model = ou_model()

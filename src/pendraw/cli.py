@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .config import (ExperimentConfig, build_model, default_config_path,
                      load_config, with_overrides)
 from .control import annuity_G, optimal_policy
 from .experiments import run_experiment, write_csv
-from .mortality import ConfigError, paths_to_rows, simulate_paths
+from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
 from .pricing import coeffs_single, coeffs_two_pop
 
@@ -104,7 +105,12 @@ def _cmd_mortality(args) -> int:
     paths = simulate_paths(model, grid, sc.n_paths, sc.seed, keep_shocks=False)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = write_csv(paths_to_rows(paths),
+    # one row per (path, time), path-major
+    times = grid.nodes
+    lam2 = "" if paths.lambda2 is None else paths.lambda2.ravel()
+    path = write_csv([np.tile(times, sc.n_paths),
+                      np.repeat(np.arange(sc.n_paths), times.size),
+                      paths.lambda1.ravel(), lam2, paths.survival.ravel()],
                      ["time", "path_id", "lambda1", "lambda2", "survival"],
                      out / "paths.csv")
     print(f"wrote {path}")
@@ -115,23 +121,24 @@ def _cmd_coeffs(args) -> int:
     cfg = _load(args)
     model = build_model(cfg)
     s_max = args.s_max if args.s_max is not None else cfg.scenario.horizon
-    if s_max < args.t:
+    if not args.t <= s_max:
         raise ConfigError(f"--s-max ({s_max}) must be >= --t ({args.t})")
+    if not args.s_step > 0:
+        raise ConfigError(f"--s-step must be > 0, got {args.s_step}")
+    coeffs = coeffs_two_pop if cfg.is_two_pop else coeffs_single
+    maturities, values = [], []
+    s = args.t
+    while s <= s_max + 1e-9:
+        maturities.append(s)
+        values.append(astuple(coeffs(model, args.t, min(s, s_max))))
+        # the printed s is the repeated sum, rounding and all
+        s += args.s_step
+    columns = [[args.t] * len(maturities), maturities, *zip(*values)]
+    if not cfg.is_two_pop:
+        columns.append("")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def rows():
-        s = args.t
-        while s <= s_max + 1e-9:
-            if cfg.is_two_pop:
-                c = coeffs_two_pop(model, args.t, min(s, s_max))
-                yield (args.t, s, c.c0, c.c1, c.c2)
-            else:
-                c = coeffs_single(model, args.t, min(s, s_max))
-                yield (args.t, s, c.a0, c.a1, "")
-            s += args.s_step
-
-    path = write_csv(rows(), ["t", "s", "A0_or_C0", "A1_or_C1", "C2"],
+    path = write_csv(columns, ["t", "s", "A0_or_C0", "A1_or_C1", "C2"],
                      out / "coeffs.csv")
     print(f"wrote {path}")
     return 0

@@ -36,13 +36,12 @@ factor's loading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .mortality import Model, SinglePopModel, OU
-from .numerics import Tolerance
 from .pricing import MarketParams, a1_cir, a1_ou, build_coefficient_table
 
 LATTICE_STEP = 0.05
@@ -69,7 +68,6 @@ class SchemeScenario:
     n_paths: int = 100
     seed: int = 42
     t_max: float = 120.0
-    tol: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self):
         if self.phi < 0:

@@ -1,9 +1,16 @@
 """Experiment suites: base scenario, hedging comparison, sensitivity sweeps.
 
-Every suite writes CSV files with a fixed 9-significant-digit decimal format
-and LF line endings, so identical inputs produce byte-identical outputs. The
-printed summary (seed, runtimes, floor-hit diagnostics) is not part of the
-CSV contract.
+Every CSV is written by ``write_csv`` from columns, not rows. A column is
+either an equal-length 1-D array or list, or a ``str`` constant repeated on
+every row (the blank ``lambda2`` of a single-population dump). One format
+rule, ``_code``, maps a column's numpy dtype kind to its ``%``-code: floats
+``%.9g`` (9 significant digits), integers and bools ``%d``, strings ``%s``;
+``format_number`` applies the same rule to one value. The file's row format
+is built once, and rows are formatted and written in blocks of
+``_BLOCK_ROWS``, so memory stays bounded however long the file is. Lines end
+in LF, so identical inputs produce byte-identical outputs. The printed
+summary (seed, runtimes, floor-hit diagnostics) is not part of the CSV
+contract.
 """
 
 from __future__ import annotations
@@ -11,59 +18,90 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .config import ExperimentConfig, build_model
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
-from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, SchemeTrajectory,
-                     compare_strategies, discounted_totals, g_surface,
-                     simulate_scheme)
+from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, compare_strategies,
+                     discounted_totals, g_surface, simulate_scheme)
 
 _N_SAMPLE_PATHS = 3
 
+# rows formatted per write: a block's Python floats and strings (about 0.3 MB
+# at 1 024 rows) stay small next to the arrays they are read from, so a long
+# file costs no more memory than a short one
+_BLOCK_ROWS = 1024
+
+def _code(kind: str) -> str:
+    """The ``%``-code for values of numpy dtype kind ``kind``."""
+    if kind == "f":
+        return "%.9g"
+    if kind in "iub":
+        return "%d"
+    if kind in "US":
+        return "%s"
+    raise ConfigError(f"cannot write values of dtype kind {kind!r} to CSV")
+
 
 def format_number(value) -> str:
-    """Fixed CSV number formatting: 9 significant digits for floats."""
+    """One value formatted as ``write_csv`` formats it in a column."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".9g")
+    return _code(np.asarray(value).dtype.kind) % value
 
 
-def write_csv(rows: Iterable[Sequence], schema: Sequence[str], path) -> Path:
-    """Comma-separated output with a header row and LF endings."""
+def write_csv(columns: Sequence[Union[np.ndarray, Sequence, str]],
+              schema: Sequence[str], path) -> Path:
+    """Comma-separated output with a header row and LF endings.
+
+    ``columns[j]`` fills field ``schema[j]``: an array or list gives one value
+    per row, a ``str`` is written verbatim on every row. Every array or list
+    must have the same length, and at least one must be given.
+    """
+    if len(columns) != len(schema):
+        raise ConfigError(f"{len(columns)} columns do not match schema "
+                          f"of length {len(schema)}")
+    codes, arrays = [], []
+    for col in columns:
+        if isinstance(col, str):
+            codes.append(col.replace("%", "%%"))
+            continue
+        arr = np.asarray(col)
+        if arr.ndim != 1:
+            raise ConfigError(f"a column must be 1-D, got shape {arr.shape}")
+        codes.append(_code(arr.dtype.kind))
+        arrays.append(arr)
+    if not arrays:
+        raise ConfigError("at least one column must be an array or list")
+    lengths = {arr.shape[0] for arr in arrays}
+    if len(lengths) != 1:
+        raise ConfigError(f"columns must have one common length, got "
+                          f"{sorted(lengths)}")
+    n_rows = lengths.pop()
+    row = ",".join(codes) + "\n"
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(schema) + "\n")
-        for row in rows:
-            if len(row) != len(schema):
-                raise ConfigError(
-                    f"row of length {len(row)} does not match schema "
-                    f"of length {len(schema)}")
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [arr[start:start + _BLOCK_ROWS].tolist() for arr in arrays]
+            fh.write("".join(map(row.__mod__, zip(*block))))
     return path
+
+
+def _column_means(a: np.ndarray) -> np.ndarray:
+    """``a[:, k].mean()`` for every k, bit for bit: each mean reduces one
+    contiguous row of the transpose, as the strided column would be reduced
+    (``a.mean(axis=0)`` sums in another order)."""
+    return np.ascontiguousarray(a.T).mean(axis=1)
 
 
 @dataclass
 class ExperimentResult:
     files: List[Path]
     summary: str
-
-
-def _mortality_rows(paths, dist):
-    times = paths.grid.nodes
-    n_sample = min(_N_SAMPLE_PATHS, paths.n_paths)
-    for k, t in enumerate(times):
-        sample = [paths.survival[i, k] for i in range(n_sample)]
-        sample += [""] * (_N_SAMPLE_PATHS - n_sample)
-        yield (t, *sample, paths.survival[:, k].mean(),
-               dist.mean_cdf[k], dist.mean_density[k])
 
 
 _MORTALITY_SCHEMA = ["time", "survival_path1", "survival_path2", "survival_path3",
@@ -73,20 +111,9 @@ _TRAJECTORY_SCHEMA = ["time", "mean_wealth", "mean_withdraw", "mean_compensation
                       "w_stock", "w_bond", "w_cash", "mean_survival"]
 
 
-def _trajectory_rows(traj: SchemeTrajectory):
-    times = traj.grid.nodes
-    for k, t in enumerate(times):
-        yield (t, traj.wealth[:, k].mean(), traj.withdraw[:, k].mean(),
-               traj.compensation[:, k].mean(), traj.stock_weight[:, k].mean(),
-               traj.bond_weight[:, k].mean(), traj.cash_weight[:, k].mean(),
-               traj.survival[:, k].mean())
-
-
-def _weights_rows(traj: SchemeTrajectory):
-    times = traj.grid.nodes
-    for k, t in enumerate(times):
-        yield (t, traj.stock_weight[:, k].mean(), traj.bond_weight[:, k].mean(),
-               traj.cash_weight[:, k].mean())
+def _weight_columns(traj) -> list:
+    return [_column_means(traj.stock_weight), _column_means(traj.bond_weight),
+            _column_means(traj.cash_weight)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -108,15 +135,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     if cfg.experiment == "base":
         dist = death_time_distribution(paths)
-        files.append(write_csv(_mortality_rows(paths, dist), _MORTALITY_SCHEMA,
-                               out / "mortality.csv"))
+        n_sample = min(_N_SAMPLE_PATHS, paths.n_paths)
+        blanks = [""] * (_N_SAMPLE_PATHS - n_sample)
+        files.append(write_csv(
+            [grid.nodes, *paths.survival[:n_sample], *blanks,
+             _column_means(paths.survival), dist.mean_cdf, dist.mean_density],
+            _MORTALITY_SCHEMA, out / "mortality.csv"))
         traj = simulate_scheme(model, scenario, market, OPTIMAL, paths)
         floor_hits = traj.floor_hits
-        files.append(write_csv(_weights_rows(traj), ["time", "w_stock", "w_bond",
-                                                     "w_cash"],
+        weights = _weight_columns(traj)
+        files.append(write_csv([grid.nodes, *weights],
+                               ["time", "w_stock", "w_bond", "w_cash"],
                                out / "weights.csv"))
-        files.append(write_csv(_trajectory_rows(traj), _TRAJECTORY_SCHEMA,
-                               out / "trajectory.csv"))
+        files.append(write_csv(
+            [grid.nodes, _column_means(traj.wealth),
+             _column_means(traj.withdraw), _column_means(traj.compensation),
+             *weights, _column_means(traj.survival)],
+            _TRAJECTORY_SCHEMA, out / "trajectory.csv"))
         totals = discounted_totals(traj, market.r)
         lines.append(f"mean discounted benefit: {totals.mean_benefit:.6g}")
         lines.append(f"mean discounted compensation: {totals.mean_compensation:.6g}")
@@ -126,24 +161,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                     paths=paths)
         floor_hits = report.traj_a.floor_hits + report.traj_b.floor_hits
         n_sample = min(_N_SAMPLE_PATHS, scenario.n_paths)
-
-        def rows():
-            for k, t in enumerate(report.times):
-                per_path = [report.withdraw_gain[i, k] for i in range(n_sample)]
-                per_path += [report.compensation_gain[i, k] for i in range(n_sample)]
-                yield (t, *per_path, report.mean_withdraw_gain[k],
-                       report.mean_compensation_gain[k])
-
         schema = (["time"]
                   + [f"withdraw_gain_path{i+1}" for i in range(n_sample)]
                   + [f"compensation_gain_path{i+1}" for i in range(n_sample)]
                   + ["mean_withdraw_gain", "mean_compensation_gain"])
-        files.append(write_csv(rows(), schema, out / "comparison.csv"))
         files.append(write_csv(
-            [("no_bond", report.totals_a.mean_benefit,
-              report.totals_a.mean_compensation),
-             ("optimal", report.totals_b.mean_benefit,
-              report.totals_b.mean_compensation)],
+            [report.times, *report.withdraw_gain[:n_sample],
+             *report.compensation_gain[:n_sample], report.mean_withdraw_gain,
+             report.mean_compensation_gain],
+            schema, out / "comparison.csv"))
+        totals = (report.totals_a, report.totals_b)
+        files.append(write_csv(
+            [["no_bond", "optimal"], [t.mean_benefit for t in totals],
+             [t.mean_compensation for t in totals]],
             ["arm", "mean_discounted_benefit", "mean_discounted_compensation"],
             out / "totals.csv"))
         lines.append(f"discounted benefit improvement: "
@@ -175,17 +205,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                        market, OPTIMAL, paths)
             report = ComparisonReport.of(ref, market.r, traj, market.r)
             floor_hits += traj.floor_hits
-
-            def rows():
-                for k, t in enumerate(report.times):
-                    yield (t, value, traj.stock_weight[:, k].mean(),
-                           traj.bond_weight[:, k].mean(),
-                           traj.cash_weight[:, k].mean(),
-                           report.mean_withdraw_gain[k],
-                           report.mean_compensation_gain[k])
-
             files.append(write_csv(
-                rows(),
+                [report.times, format_number(value), *_weight_columns(traj),
+                 report.mean_withdraw_gain, report.mean_compensation_gain],
                 ["time", "value", "w_stock", "w_bond", "w_cash",
                  "mean_withdraw_gain", "mean_compensation_gain"],
                 out / f"sweep_{cfg.sweep_var}_{i}.csv"))
@@ -197,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                          f"{report.benefit_improvement:+.4%}, compensation "
                          f"improvement {report.compensation_improvement:+.4%}")
         files.append(write_csv(
-            summary_rows,
+            list(zip(*summary_rows)),
             ["value", "mean_discounted_benefit", "mean_discounted_compensation",
              "benefit_improvement", "compensation_improvement"],
             out / f"sweep_{cfg.sweep_var}_summary.csv"))

@@ -280,13 +280,3 @@ def death_time_distribution(paths: MortalityPaths) -> DeathTimeDistribution:
     return DeathTimeDistribution(times=paths.grid.nodes, cdf=cdf, density=density,
                                  mean_cdf=cdf.mean(axis=0),
                                  mean_density=density.mean(axis=0))
-
-
-def paths_to_rows(paths: MortalityPaths):
-    """Rows for the CSV dump: time, path_id, lambda1, lambda2 (blank if absent),
-    survival."""
-    times = paths.grid.nodes
-    for i in range(paths.n_paths):
-        for k, t in enumerate(times):
-            lam2 = "" if paths.lambda2 is None else paths.lambda2[i, k]
-            yield (t, i, paths.lambda1[i, k], lam2, paths.survival[i, k])

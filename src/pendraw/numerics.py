@@ -181,8 +181,20 @@ def gaussian_stream(seed: int, stream_index: int) -> np.random.Generator:
 def normal_block(seed: int, first_index: int, n_streams: int,
                  n_draws: int) -> np.ndarray:
     """Matrix of draws, row ``i`` being the first ``n_draws`` of stream
-    ``first_index + i``. Shape ``(n_streams, n_draws)``."""
+    ``first_index + i``. Shape ``(n_streams, n_draws)``.
+
+    One Philox bit generator serves every row: before each stream it is
+    re-keyed to ``(seed, stream_index)`` with its counter and buffer reset,
+    the state ``gaussian_stream`` starts from, so the rows equal those
+    streams' draws without building a generator per stream.
+    """
     out = np.empty((n_streams, n_draws))
+    bitgen = np.random.Philox(key=np.array([seed & _U64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     for i in range(n_streams):
-        out[i] = gaussian_stream(seed, first_index + i).standard_normal(n_draws)
+        key[1] = (first_index + i) & _U64
+        bitgen.state = fresh
+        gen.standard_normal(out=out[i])
     return out

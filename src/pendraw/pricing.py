@@ -229,10 +229,9 @@ def coeffs_two_pop(model: TwoPopModel, t: float, s: float,
 def survival_expectation(coeffs: Union[AffineCoeffs1, AffineCoeffs2],
                          lam) -> float:
     """exp(A0 - A1*lam) or exp(C0 - C1*lam1 - C2*lam2); strictly positive."""
-    if isinstance(coeffs, AffineCoeffs1):
-        lam = np.asarray(lam, dtype=float).reshape(-1)
-        return float(np.exp(coeffs.a0 - coeffs.a1 * lam[0]))
     lam = np.asarray(lam, dtype=float).reshape(-1)
+    if isinstance(coeffs, AffineCoeffs1):
+        return float(np.exp(coeffs.a0 - coeffs.a1 * lam[0]))
     return float(np.exp(coeffs.c0 - coeffs.c1 * lam[0] - coeffs.c2 * lam[1]))
 
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pendraw import experiments, scheme
@@ -129,24 +130,103 @@ sigma22 = 0.005
 
 class TestWriteCsv:
     def test_header_only(self, tmp_path):
-        path = write_csv([], ["a", "b"], tmp_path / "empty.csv")
+        path = write_csv([[], []], ["a", "b"], tmp_path / "empty.csv")
         assert path.read_bytes() == b"a,b\n"
 
     def test_byte_identical(self, tmp_path):
-        rows = [(0.1, 1, "x"), (2.5, 3, "y")]
-        p1 = write_csv(rows, ["t", "n", "tag"], tmp_path / "a.csv")
-        p2 = write_csv(rows, ["t", "n", "tag"], tmp_path / "b.csv")
+        columns = [[0.1, 2.5], [1, 3], ["x", "y"]]
+        p1 = write_csv(columns, ["t", "n", "tag"], tmp_path / "a.csv")
+        p2 = write_csv(columns, ["t", "n", "tag"], tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes() == b"t,n,tag\n0.1,1,x\n2.5,3,y\n"
 
     def test_nine_significant_digits(self, tmp_path):
         assert format_number(1.0 / 3.0) == "0.333333333"
         assert format_number(1) == "1"
-        path = write_csv([(1.0 / 3.0,)], ["x"], tmp_path / "c.csv")
+        path = write_csv([[1.0 / 3.0]], ["x"], tmp_path / "c.csv")
         assert path.read_text() == "x\n0.333333333\n"
 
-    def test_row_length_checked(self, tmp_path):
+    def test_format_number_edge_values(self):
+        expected = [(-0.0, "-0"), (float("nan"), "nan"), (float("inf"), "inf"),
+                    (-float("inf"), "-inf"), (5e-324, "4.94065646e-324"),
+                    (1e300, "1e+300"), (2**63 - 1, "9223372036854775807"),
+                    (np.int64(-3), "-3"), (np.bool_(True), "1"), (False, "0"),
+                    (np.float32(0.1), "0.100000001"), ("", "")]
+        for value, text in expected:
+            assert format_number(value) == text
+
+    def test_column_kinds_match_format_number(self, tmp_path):
+        floats = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
+                           1.0 / 3.0, 2.5])
+        ints = np.array([2**63 - 1, -2**63, 0, 1, -1, 7, 10**12, 3],
+                        dtype=np.int64)
+        columns = [floats, ints, ints.astype(np.int32), ints.view(np.uint64),
+                   np.arange(8) % 3 == 0, list(floats), list(ints),
+                   [np.bool_(k % 2) for k in range(8)],
+                   [f"tag{k}" for k in range(8)], "", "50%,x"]
+        schema = [f"c{j}" for j in range(len(columns))]
+        path = write_csv(columns, schema, tmp_path / "kinds.csv")
+        lines = [",".join(schema)]
+        for k in range(8):
+            lines.append(",".join(col if isinstance(col, str)
+                                  else format_number(col[k])
+                                  for col in columns))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_column_count_checked(self, tmp_path):
         with pytest.raises(ConfigError):
-            write_csv([(1.0, 2.0)], ["x"], tmp_path / "d.csv")
+            write_csv([[1.0], [2.0]], ["x"], tmp_path / "d.csv")
+        with pytest.raises(ConfigError):
+            write_csv([[1.0]], ["x", "y"], tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]],
+                                         [np.zeros(3), np.zeros(4), ""],
+                                         ["", "only constants"],
+                                         [np.zeros((2, 2)), np.zeros(2)],
+                                         [[1.0, None], [2.0, 3.0]]])
+    def test_bad_columns_rejected(self, tmp_path, columns):
+        with pytest.raises(ConfigError):
+            write_csv(columns, [f"c{j}" for j in range(len(columns))],
+                      tmp_path / "e.csv")
+
+
+def _reference_field(value) -> str:
+    """The per-field rule the columnar writer must reproduce."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".9g")
+
+
+def _reference_dump_rows(paths):
+    """The hazard dump written one field at a time."""
+    for i in range(paths.n_paths):
+        for k, t in enumerate(paths.grid.nodes):
+            lam2 = "" if paths.lambda2 is None else paths.lambda2[i, k]
+            yield (t, i, paths.lambda1[i, k], lam2, paths.survival[i, k])
+
+
+class TestMortalityDumpBytes:
+    @pytest.mark.parametrize("kind", ["ou-single", "ou-sub"])
+    def test_dump_over_several_blocks_matches_per_field(self, tmp_path, kind):
+        cfg_path = tmp_path / "kind.cfg"
+        cfg_path.write_text(default_config_path().read_text()
+                            .replace("kind = ou-single", f"kind = {kind}"))
+        n_paths = 13
+        assert main(["mortality", "--config", str(cfg_path), "--paths",
+                     str(n_paths), "--seed", "5",
+                     "--out", str(tmp_path / "m")]) == 0
+        cfg = load_config(cfg_path)
+        sc = cfg.scenario
+        paths = simulate_paths(build_model(cfg),
+                               TimeGrid(0.0, sc.horizon, sc.dt), n_paths, 5)
+        lines = ["time,path_id,lambda1,lambda2,survival"]
+        lines += [",".join(map(_reference_field, row))
+                  for row in _reference_dump_rows(paths)]
+        assert len(lines) - 1 > experiments._BLOCK_ROWS
+        assert (tmp_path / "m" / "paths.csv").read_text() == \
+            "\n".join(lines) + "\n"
 
 
 def small_config(tmp_path, extra=""):
@@ -292,14 +372,14 @@ class TestRunExperiment:
                 arm = (replace(sc, phi=value), market)
             traj = scheme.simulate_scheme(model, *arm, scheme.OPTIMAL, paths)
             report = scheme.ComparisonReport.of(ref, market.r, traj, market.r)
-            rows = zip(paths.grid.nodes, [value] * paths.grid.nodes.size,
+            columns = [paths.grid.nodes, [value] * paths.grid.nodes.size,
                        traj.stock_weight.mean(axis=0),
                        traj.bond_weight.mean(axis=0),
                        traj.cash_weight.mean(axis=0),
                        report.mean_withdraw_gain,
-                       report.mean_compensation_gain)
+                       report.mean_compensation_gain]
             name = f"sweep_{var}_{i}.csv"
-            write_csv(rows, ["time", "value", "w_stock", "w_bond", "w_cash",
+            write_csv(columns, ["time", "value", "w_stock", "w_bond", "w_cash",
                              "mean_withdraw_gain", "mean_compensation_gain"],
                       tmp_path / name)
             assert (tmp_path / name).read_bytes() == \
@@ -309,7 +389,7 @@ class TestRunExperiment:
                             report.benefit_improvement,
                             report.compensation_improvement))
         name = f"sweep_{var}_summary.csv"
-        write_csv(summary, ["value", "mean_discounted_benefit",
+        write_csv(list(zip(*summary)), ["value", "mean_discounted_benefit",
                             "mean_discounted_compensation",
                             "benefit_improvement", "compensation_improvement"],
                   tmp_path / name)
@@ -347,6 +427,15 @@ class TestCli:
         assert len(lines) == 7  # header + s in {0..5}
         # terminal condition on the first row
         assert [float(x) for x in lines[1].split(",")[:4]] == [0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_coeffs_rejects_non_positive_step(self, tmp_path, capsys, step):
+        out = tmp_path / "c"
+        code = main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--s-max", "5", "--s-step", step])
+        assert code == 1
+        assert "--s-step" in capsys.readouterr().err
+        assert not (out / "coeffs.csv").exists()
 
     def test_coeffs_csv_two_population(self, tmp_path, capsys):
         text = default_config_path().read_text() \

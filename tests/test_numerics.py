@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pendraw.numerics import (NumericalFailure, TimeGrid, Tolerance,
+from pendraw.numerics import (W2_STREAM_OFFSET, WS_STREAM_OFFSET,
+                              NumericalFailure, TimeGrid, Tolerance,
                               gaussian_stream, integrate, normal_block,
                               solve_ode)
 
@@ -166,7 +167,11 @@ class TestGaussianStream:
         assert np.array_equal(chunked, whole)
 
     def test_normal_block_matches_streams(self):
-        block = normal_block(13, 4, 3, 25)
-        for i in range(3):
-            assert np.array_equal(block[i],
-                                  gaussian_stream(13, 4 + i).standard_normal(25))
+        # ordinary indices, both sides of the stream-region offsets, and the
+        # top of the 64-bit index space
+        for first in (4, W2_STREAM_OFFSET - 2, WS_STREAM_OFFSET - 2,
+                      2**64 - 3):
+            block = normal_block(13, first, 3, 25)
+            for i in range(3):
+                assert np.array_equal(
+                    block[i], gaussian_stream(13, first + i).standard_normal(25))

@@ -25,6 +25,9 @@ from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
 from .pricing import coeffs_single, coeffs_two_pop
 
+# each ``coeffs`` row is one scalar-oracle evaluation, milliseconds or more
+MAX_COEFF_ROWS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are configuration errors (exit 1); argparse would exit 2,
@@ -67,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0, help="anchor time (years)")
     p.add_argument("--s-max", type=float, default=None,
                    help="last maturity (default: horizon)")
-    p.add_argument("--s-step", type=float, default=1.0)
+    p.add_argument("--s-step", type=float, default=1.0,
+                   help="maturity spacing (years); (s_max - t) / s_step may "
+                        f"be at most {MAX_COEFF_ROWS}")
 
     p = sub.add_parser("policy", help="print one policy decision as CSV")
     _add_common(p)
@@ -125,6 +130,10 @@ def _cmd_coeffs(args) -> int:
         raise ConfigError(f"--s-max ({s_max}) must be >= --t ({args.t})")
     if not args.s_step > 0:
         raise ConfigError(f"--s-step must be > 0, got {args.s_step}")
+    rows = (s_max - args.t) / args.s_step
+    if not rows <= MAX_COEFF_ROWS:
+        raise ConfigError(f"--s-step {args.s_step} gives (s_max - t) / s_step"
+                          f" = {rows:g} rows, more than {MAX_COEFF_ROWS}")
     coeffs = coeffs_two_pop if cfg.is_two_pop else coeffs_single
     maturities, values = [], []
     s = args.t

@@ -42,7 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .mortality import (CIR, OU, Model, SinglePopModel, TwoPopModel, drift_a)
-from .numerics import DEFAULT_TOLERANCE, Tolerance, integrate, solve_ode
+from .numerics import (DEFAULT_TOLERANCE, NumericalFailure, Tolerance,
+                       integrate, solve_ode)
 
 
 @dataclass(frozen=True)
@@ -438,6 +439,56 @@ def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float,
+                  n: int) -> np.ndarray:
+    """RK4 in tau, 2n steps of h/2, on Python floats: rows (C1, C2, p1, p2).
+
+    The lower-triangular two-factor system, members as factor 2, is
+
+        dC = e_2 - B^T C - (S^T C)^2 / 2,   dp = -B^T p - (S^T p)(S^T C),
+
+    from C = 0, p = e_2; a single-population model is factor 2 with factor 1
+    zeroed. Raises NumericalFailure at the first node whose state is not
+    finite (inf and nan propagate through +, -, *, so the check runs once).
+    """
+    pad = 2 - big_b.shape[0]
+    (b1, _), (b21, b22) = np.pad(big_b, (pad, 0)).tolist()
+    (s1, _), (s21, s22) = np.pad(big_s, (pad, 0)).tolist()
+
+    def rhs(c1, c2, p1, p2):
+        q1, q2 = s1 * c1 + s21 * c2, s22 * c2
+        return (-(b1 * c1 + b21 * c2) - 0.5 * q1 * q1,
+                1.0 - b22 * c2 - 0.5 * q2 * q2,
+                -(b1 * p1 + b21 * p2) - (s1 * p1 + s21 * p2) * q1,
+                -b22 * p2 - s22 * p2 * q2)
+
+    dt = 0.5 * h
+    half, sixth = 0.5 * dt, dt / 6.0
+    y = np.empty((2 * n + 1, 4))
+    c1 = c2 = p1 = 0.0
+    p2 = 1.0
+    y[0] = c1, c2, p1, p2
+    for k in range(1, 2 * n + 1):
+        # the four stage slopes u, v, w, z of (C1, C2, p1, p2)
+        u1, u2, u3, u4 = rhs(c1, c2, p1, p2)
+        v1, v2, v3, v4 = rhs(c1 + half * u1, c2 + half * u2,
+                             p1 + half * u3, p2 + half * u4)
+        w1, w2, w3, w4 = rhs(c1 + half * v1, c2 + half * v2,
+                             p1 + half * v3, p2 + half * v4)
+        z1, z2, z3, z4 = rhs(c1 + dt * w1, c2 + dt * w2,
+                             p1 + dt * w3, p2 + dt * w4)
+        c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
+        c2 += sixth * (u2 + 2.0 * v2 + 2.0 * w2 + z2)
+        p1 += sixth * (u3 + 2.0 * v3 + 2.0 * w3 + z3)
+        p2 += sixth * (u4 + 2.0 * v4 + 2.0 * w4 + z4)
+        y[k] = c1, c2, p1, p2
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        at = dt * float(np.argmax(bad))
+        raise NumericalFailure(f"non-finite ODE state at tau={at}", at_time=at)
+    return y
+
+
 @lru_cache(maxsize=16)
 def _tau_table(model: Model, h: float, n: int) -> _TauTable:
     """One RK4 pass in tau, step h/2, for C and p, then cumulative Simpson.
@@ -447,35 +498,27 @@ def _tau_table(model: Model, h: float, n: int) -> _TauTable:
     M = B (OU) or B + S diag(S^T C) (CIR, hazard-proportional measure
     change). OU's noise enters additively instead: +|S^T C|^2 / 2 in k0 and
     the drift shift -S S^T C in psi. No step divides by b1 - b22.
+
+    The OU pass is affine, so its RK4 step is one fixed matrix map; the CIR
+    pass is a loop on Python floats (``_cir_tau_pass``). Neither calls
+    ``solve_ode``, which integrates the scalar oracles only.
     """
     big_b, big_s, gms = _factor_structure(model)
     nf = big_b.shape[0]
-    cir = model.kind == CIR
-    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
-    # y = (C, p) as a row: dy = (e_m, 0) - y L [- CIR terms], L = blockdiag(B, B)
-    base, y0 = np.concatenate((e_m, zero)), np.concatenate((zero, e_m))
-    lin = np.kron(np.eye(2), big_b)
-    if cir:
-        # one product gives y L, z = (S^T C, S^T p) and (S^T C, S^T C); the
-        # CIR terms are (1/2, 1) * z * (S^T C, S^T C)
-        lin = np.hstack((lin, np.kron(np.eye(2), big_s),
-                         np.kron([[1.0, 1.0], [0.0, 0.0]], big_s)))
-        weight = np.repeat([0.5, 1.0], nf)
-        nn = 2 * nf
-
-        def rhs(_tau, y):
-            r = y @ lin
-            return base - r[:nn] - weight * r[nn:2 * nn] * r[2 * nn:]
-
-        w, y = solve_ode(rhs, 0.0, n * h, y0, step=0.5 * h)
+    w = 0.5 * h * np.arange(2 * n + 1)
+    if model.kind == CIR:
+        y = _cir_tau_pass(big_b, big_s, h, n)
+        c, p = y[:, 2 - nf:2], y[:, 4 - nf:]
         noise = np.zeros((w.size, 2))
     else:
-        # affine right-hand side: an RK4 step of size h/2 is the fixed map
+        # y = (C, p) as a row obeys the affine dy = (e_m, 0) - y L,
+        # L = blockdiag(B, B): an RK4 step of size h/2 is the fixed map
         # y -> y (I - hL Q) + h (e_m, 0) Q, Q = I - hL/2 + (hL)^2/6 - (hL)^3/24
-        hl = 0.5 * h * lin
+        e_m, zero = np.eye(nf)[-1], np.zeros(nf)
+        base, y0 = np.concatenate((e_m, zero)), np.concatenate((zero, e_m))
+        hl = 0.5 * h * np.kron(np.eye(2), big_b)
         q = np.eye(2 * nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
         step_map, offset = np.eye(2 * nf) - hl @ q, 0.5 * h * base @ q
-        w = 0.5 * h * np.arange(2 * n + 1)
         y = np.empty((w.size, 2 * nf))
         y[0] = y0
         # m steps map y_j to y_j R^m + c_m: doubling m fills every row
@@ -484,10 +527,10 @@ def _tau_table(model: Model, h: float, n: int) -> _TauTable:
             y[m:2 * m] = y[:min(m, w.size - m)] @ step_map + offset
             offset = offset @ step_map + offset
             step_map, m = step_map @ step_map, 2 * m
-        qc, qp = y[:, :nf] @ big_s, y[:, nf:] @ big_s
+        c, p = y[:, :nf], y[:, nf:]
+        qc, qp = c @ big_s, p @ big_s
         noise = np.column_stack((0.5 * np.sum(qc * qc, axis=1),
                                  -np.sum(qp * qc, axis=1)))
-    c, p = y[:, :nf], y[:, nf:]
     deltas = np.array([gm.delta for gm in gms])
     decay = np.exp(-w[:, None] / deltas)
     # one row per curve from here on, so that anchors read contiguous rows

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -436,6 +437,16 @@ class TestCli:
         assert code == 1
         assert "--s-step" in capsys.readouterr().err
         assert not (out / "coeffs.csv").exists()
+
+    def test_coeffs_rejects_row_count_over_limit(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        start = time.perf_counter()
+        code = main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--s-step", "1e-300"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "--s-step" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coeffs_csv_two_population(self, tmp_path, capsys):
         text = default_config_path().read_text() \

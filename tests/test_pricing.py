@@ -4,7 +4,7 @@ import pytest
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, drift_a,
                                initial_hazard, simulate_paths)
-from pendraw.numerics import TimeGrid, integrate, solve_ode
+from pendraw.numerics import NumericalFailure, TimeGrid, integrate, solve_ode
 from pendraw import pricing
 from pendraw.pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                              a1_cir, a1_ou, build_coefficient_table, c1_ou,
@@ -359,6 +359,16 @@ class TestCoefficientTable:
             ref = tilde_mean(model, t, s, lam)[-1]
             assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
+    def test_cold_table_does_not_call_solve_ode(self, model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ode serves the scalar oracles only")
+
+        pricing._tau_table.cache_clear()
+        monkeypatch.setattr(pricing, "solve_ode", refuse)
+        tab = build_coefficient_table(model, 0.0, 120.0)
+        assert np.all(np.isfinite(tab.k0)) and np.all(np.isfinite(tab.psi))
+
     def test_a1_flow_property(self):
         # A1(t,s) = A1(t,u) + e^{-b(u-t)} A1(u,s) for time-homogeneous b
         b = 0.561
@@ -366,3 +376,61 @@ class TestCoefficientTable:
         lhs = float(a1_ou(b, s - t))
         rhs = float(a1_ou(b, u - t)) + np.exp(-b * (u - t)) * float(a1_ou(b, s - u))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _lin_matrix_cir_pass(big_b, big_s, h, n):
+    """Reference for ``pricing._cir_tau_pass``: the (C, p) row under the
+    matrix right-hand side dy = (e_m, 0) - y L - (1/2, 1) z (S^T C, S^T C),
+    z = (S^T C, S^T p), stepped by ``solve_ode``; rows padded to
+    (C1, C2, p1, p2) with a single population as factor 2."""
+    nf = big_b.shape[0]
+    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
+    base, y0 = np.concatenate((e_m, zero)), np.concatenate((zero, e_m))
+    lin = np.hstack((np.kron(np.eye(2), big_b), np.kron(np.eye(2), big_s),
+                     np.kron([[1.0, 1.0], [0.0, 0.0]], big_s)))
+    weight = np.repeat([0.5, 1.0], nf)
+    nn = 2 * nf
+
+    def rhs(_tau, y):
+        r = y @ lin
+        return base - r[:nn] - weight * r[nn:2 * nn] * r[2 * nn:]
+
+    _, y = solve_ode(rhs, 0.0, n * h, y0, step=0.5 * h)
+    out = np.zeros((y.shape[0], 4))
+    out[:, 2 - nf:2], out[:, 4 - nf:] = y[:, :nf], y[:, nf:]
+    return out
+
+
+CIR_MODELS = [cir_single(), cir_two()]
+
+
+class TestCirTauPass:
+    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
+    @pytest.mark.parametrize("h, n", [(0.05, 2400), (67.66 / 1354, 1354)],
+                             ids=["lattice", "off-lattice"])
+    def test_float_kernel_matches_matrix_reference(self, model, h, n,
+                                                   monkeypatch):
+        got = pricing._tau_table.__wrapped__(model, h, n)
+        monkeypatch.setattr(pricing, "_cir_tau_pass", _lin_matrix_cir_pass)
+        want = pricing._tau_table.__wrapped__(model, h, n)
+        # C, p and every cumulative curve built from them
+        for name, ref in vars(want).items():
+            np.testing.assert_allclose(getattr(got, name), ref, rtol=0,
+                                       atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
+    def test_members_c_matches_closed_form(self, model):
+        # C (single) and C2 (two-population) solve the one-factor Riccati
+        # equation; 1e-9 bounds RK4's global error at step 0.025
+        b, sigma = ((model.b, model.sigma) if model.n_factors == 1
+                    else (model.b22, model.sigma22))
+        tt = pricing._tau_table.__wrapped__(model, 0.05, 2400)
+        tau = 0.05 * np.arange(2401)
+        np.testing.assert_allclose(tt.c[-1], a1_cir(b, sigma, tau), rtol=0,
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
+    def test_blow_up_reports_first_non_finite_node(self, model):
+        with pytest.raises(NumericalFailure) as err:
+            pricing._tau_table(model, 50.0, 40)
+        assert err.value.at_time == 100.0

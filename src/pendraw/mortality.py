@@ -261,15 +261,19 @@ def death_time_distribution(paths: MortalityPaths) -> DeathTimeDistribution:
 
     The CDF is 1 minus the survival index rebuilt from the hazard floored at
     zero, which guarantees a valid (non-decreasing) CDF even when OU paths dip
-    negative; for CIR paths this is the stored index exactly. The density uses
-    centered differences inside the grid and one-sided differences at the ends.
+    negative. Without a negative hazard the floor changes nothing, so the
+    stored index is that survival exactly and is used as it is (always so for
+    CIR paths). The density uses centered differences inside the grid and
+    one-sided differences at the ends.
     """
     dt = paths.grid.step
-    hz = np.maximum(paths.members_hazard, 0.0)
-    increments = 0.5 * dt * (hz[:, :-1] + hz[:, 1:])
-    p = np.empty_like(hz)
-    p[:, 0] = 1.0
-    p[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
+    p = paths.survival
+    if paths.members_hazard.min() < 0.0:
+        hz = np.maximum(paths.members_hazard, 0.0)
+        increments = 0.5 * dt * (hz[:, :-1] + hz[:, 1:])
+        p = np.empty_like(hz)
+        p[:, 0] = 1.0
+        p[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
     cdf = 1.0 - p
 
     density = np.empty_like(cdf)

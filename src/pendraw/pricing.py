@@ -26,10 +26,12 @@ a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 and psi only through
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
                                + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
 
-One cached RK4 pass in tau per model and lattice step gives the Riccati
-coefficients C, the members' row p of the mean transition (J = p) and the
-cumulative Simpson integrals above; the table at any anchor on that lattice
-is slices of the pass plus a Gompertz-weighted sum.
+One cached RK4 pass in tau per model and t_max, at the lattice step
+``LATTICE_STEP``, gives the Riccati coefficients C, the members' row p of the
+mean transition (J = p) and the cumulative Simpson integrals above. The table
+at any anchor t is slices of that pass at the nodes t + j*step plus a
+Gompertz-weighted sum; when t_max - t is not a whole number of steps, one
+more RK4 step resumed from the last node gives the values at t_max.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ import numpy as np
 from .mortality import (CIR, OU, Model, SinglePopModel, TwoPopModel, drift_a)
 from .numerics import (DEFAULT_TOLERANCE, NumericalFailure, Tolerance,
                        integrate, solve_ode)
+
+# spacing in s of the coefficient tables, and the step of their tau pass
+LATTICE_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -439,17 +444,18 @@ def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float,
-                  n: int) -> np.ndarray:
+def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
+                  y0: np.ndarray) -> np.ndarray:
     """RK4 in tau, 2n steps of h/2, on Python floats: rows (C1, C2, p1, p2).
 
     The lower-triangular two-factor system, members as factor 2, is
 
         dC = e_2 - B^T C - (S^T C)^2 / 2,   dp = -B^T p - (S^T p)(S^T C),
 
-    from C = 0, p = e_2; a single-population model is factor 2 with factor 1
-    zeroed. Raises NumericalFailure at the first node whose state is not
-    finite (inf and nan propagate through +, -, *, so the check runs once).
+    from ``y0`` (C = 0, p = e_2 at tau = 0); a single-population model is
+    factor 2 with factor 1 zeroed. Raises NumericalFailure at the first node
+    whose state is not finite (inf and nan propagate through +, -, *, so the
+    check runs once).
     """
     pad = 2 - big_b.shape[0]
     (b1, _), (b21, b22) = np.pad(big_b, (pad, 0)).tolist()
@@ -465,8 +471,7 @@ def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float,
     dt = 0.5 * h
     half, sixth = 0.5 * dt, dt / 6.0
     y = np.empty((2 * n + 1, 4))
-    c1 = c2 = p1 = 0.0
-    p2 = 1.0
+    c1, c2, p1, p2 = map(float, y0)
     y[0] = c1, c2, p1, p2
     for k in range(1, 2 * n + 1):
         # the four stage slopes u, v, w, z of (C1, C2, p1, p2)
@@ -489,9 +494,10 @@ def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float,
     return y
 
 
-@lru_cache(maxsize=16)
-def _tau_table(model: Model, h: float, n: int) -> _TauTable:
-    """One RK4 pass in tau, step h/2, for C and p, then cumulative Simpson.
+def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
+                y0: Optional[np.ndarray] = None) -> _TauTable:
+    """RK4 in tau from tau0, 2n steps of h/2, for C and p, then cumulative
+    Simpson on the n panels of h.
 
     dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR], and the members' row
     of the mean transition obeys dp/dtau = -p M(tau), p(0) = e_m, where
@@ -499,23 +505,29 @@ def _tau_table(model: Model, h: float, n: int) -> _TauTable:
     change). OU's noise enters additively instead: +|S^T C|^2 / 2 in k0 and
     the drift shift -S S^T C in psi. No step divides by b1 - b22.
 
-    The OU pass is affine, so its RK4 step is one fixed matrix map; the CIR
-    pass is a loop on Python floats (``_cir_tau_pass``). Neither calls
+    ``y0`` = (C, p) at tau0 resumes a pass (default: the origin C = 0,
+    p = e_m at tau0 = 0); the k0/psi curves then hold the increments from
+    tau0. The OU pass is affine, so its RK4 step is one fixed matrix map; the
+    CIR pass is a loop on Python floats (``_cir_tau_pass``). Neither calls
     ``solve_ode``, which integrates the scalar oracles only.
     """
     big_b, big_s, gms = _factor_structure(model)
     nf = big_b.shape[0]
-    w = 0.5 * h * np.arange(2 * n + 1)
+    w = tau0 + 0.5 * h * np.arange(2 * n + 1)
+    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
+    if y0 is None:
+        y0 = np.concatenate((zero, e_m))
     if model.kind == CIR:
-        y = _cir_tau_pass(big_b, big_s, h, n)
+        padded = np.zeros(4)
+        padded[2 - nf:2], padded[4 - nf:] = y0[:nf], y0[nf:]
+        y = _cir_tau_pass(big_b, big_s, h, n, padded)
         c, p = y[:, 2 - nf:2], y[:, 4 - nf:]
         noise = np.zeros((w.size, 2))
     else:
         # y = (C, p) as a row obeys the affine dy = (e_m, 0) - y L,
         # L = blockdiag(B, B): an RK4 step of size h/2 is the fixed map
         # y -> y (I - hL Q) + h (e_m, 0) Q, Q = I - hL/2 + (hL)^2/6 - (hL)^3/24
-        e_m, zero = np.eye(nf)[-1], np.zeros(nf)
-        base, y0 = np.concatenate((e_m, zero)), np.concatenate((zero, e_m))
+        base = np.concatenate((e_m, zero))
         hl = 0.5 * h * np.kron(np.eye(2), big_b)
         q = np.eye(2 * nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
         step_map, offset = np.eye(2 * nf) - hl @ q, 0.5 * h * base @ q
@@ -539,47 +551,68 @@ def _tau_table(model: Model, h: float, n: int) -> _TauTable:
     level = np.array([big_b[k, k] * gm.nu for k, gm in enumerate(gms)])
     gompertz = np.array([[float(drift_a(gm.m, gm, big_b[k, k])) - level[k]]
                          for k, gm in enumerate(gms)])
-    tab = _TauTable(m=np.array([gm.m for gm in gms]), delta=deltas,
-                    c=np.ascontiguousarray(c[::2].T),
-                    p=np.ascontiguousarray(p[::2].T),
-                    k0_level=cum[-2] - level @ ic,
-                    k0_gompertz=-gompertz * ice,
-                    psi_level=cum[-1] + level @ ip,
-                    psi_gompertz=gompertz * ipe)
+    return _TauTable(m=np.array([gm.m for gm in gms]), delta=deltas,
+                     c=np.ascontiguousarray(c[::2].T),
+                     p=np.ascontiguousarray(p[::2].T),
+                     k0_level=cum[-2] - level @ ic,
+                     k0_gompertz=-gompertz * ice,
+                     psi_level=cum[-1] + level @ ip,
+                     psi_gompertz=gompertz * ipe)
+
+
+@lru_cache(maxsize=16)
+def _tau_table(model: Model, h: float, n: int) -> _TauTable:
+    """The pass of ``_tau_curves`` from the origin, cached and read-only."""
+    tab = _tau_curves(model, h, n)
     for arr in vars(tab).values():
         arr.setflags(write=False)
     return tab
 
 
-def build_coefficient_table(model: Model, t: float, t_max: float,
-                            step: float = 0.05) -> CoefficientTable:
-    """Coefficient curves for every lattice node s in [t, t_max].
+def _lattice_span(t: float, t_max: float, step: float = LATTICE_STEP):
+    """(n, partial): the lattice t + j*step reaches t_max after n whole steps,
+    and ``partial`` says whether a last step shorter than ``step`` is left.
+    Remainders below 1e-9 steps count as none, except that a table always
+    has a step."""
+    ratio = (t_max - t) / step
+    n = int(math.floor(ratio + 1e-9))
+    return n, n == 0 or ratio - n > 1e-9
 
-    The lattice has an even number n of intervals of h = (t_max - t)/n, so
-    composite Simpson weights apply directly to the outer integral. The
-    curves are slices and Gompertz-weighted sums of one cached tau pass:
-    anchors whose h equals ``step`` share the pass reaching tau = t_max;
-    any other anchor gets a pass of its own.
+
+def build_coefficient_table(model: Model, t: float, t_max: float,
+                            step: float = LATTICE_STEP) -> CoefficientTable:
+    """Coefficient curves at the lattice nodes s = t + j*step in [t, t_max]
+    and at t_max, the last node.
+
+    Every anchor reads the one cached tau pass of this step that reaches
+    tau = t_max from t = 0. When t_max - t is not a whole number n of steps,
+    the node at t_max comes from one more RK4 step of that pass, resumed at
+    lattice node n.
     """
     if t_max <= t:
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")
-    n = int(np.ceil((t_max - t) / step - 1e-12))
-    if n % 2:
-        n += 1
-    n = max(n, 2)
-    h = (t_max - t) / n
-    s = t + h * np.arange(n + 1)
-    if math.isclose(h, step, rel_tol=1e-12):
-        tt = _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
-    else:
-        tt = _tau_table(model, h, n)
+    n, partial = _lattice_span(t, t_max, step)
+    tt = _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
     nodes = slice(0, n + 1)
-    k0, psi = tt.k0_level[nodes].copy(), tt.psi_level[nodes].copy()
-    for m, delta, k0_g, psi_g in zip(tt.m, tt.delta, tt.k0_gompertz,
-                                     tt.psi_gompertz):
+    c, p = tt.c[:, nodes], tt.p[:, nodes]
+    k0_level, psi_level = tt.k0_level[nodes], tt.psi_level[nodes]
+    k0_g, psi_g = tt.k0_gompertz[:, nodes], tt.psi_gompertz[:, nodes]
+    s = t + step * np.arange(n + 1)
+    if partial:
+        tail = _tau_curves(model, t_max - s[-1], 1, n * step,
+                           np.concatenate((c[:, -1], p[:, -1])))
+        c, p = np.hstack((c, tail.c[:, 1:])), np.hstack((p, tail.p[:, 1:]))
+        k0_level = np.append(k0_level, k0_level[-1] + tail.k0_level[1])
+        psi_level = np.append(psi_level, psi_level[-1] + tail.psi_level[1])
+        k0_g = np.hstack((k0_g, k0_g[:, -1:] + tail.k0_gompertz[:, 1:]))
+        psi_g = np.hstack((psi_g, psi_g[:, -1:] + tail.psi_gompertz[:, 1:]))
+        s = np.append(s, t_max)
+    else:
+        s[-1] = t_max
+    k0, psi = k0_level.copy(), psi_level.copy()
+    for m, delta, k0_gm, psi_gm in zip(tt.m, tt.delta, k0_g, psi_g):
         growth = np.exp((s - m) / delta)
-        k0 += growth * k0_g[nodes]
-        psi += growth * psi_g[nodes]
-    k2, j2 = (tt.c[1, nodes], tt.p[1, nodes]) if tt.m.size == 2 else (None, None)
-    return CoefficientTable(t, s, s - t, k0, tt.c[0, nodes], k2,
-                            tt.p[0, nodes], j2, psi)
+        k0 += growth * k0_gm
+        psi += growth * psi_gm
+    k2, j2 = (c[1], p[1]) if tt.m.size == 2 else (None, None)
+    return CoefficientTable(t, s, s - t, k0, c[0], k2, p[0], j2, psi)

@@ -1,17 +1,21 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pendraw import control
 from pendraw.control import (LATTICE_STEP, PolicyDecision, SchemeScenario,
                              UnsupportedConfiguration, annuity_G,
                              annuity_G_gradient, g_and_gradient,
                              no_bond_policy, optimal_policy)
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, initial_hazard)
-from pendraw.numerics import integrate
+from pendraw.numerics import Tolerance, integrate
 from pendraw.pricing import (MarketParams, build_coefficient_table,
-                             coeffs_two_pop, survival_expectation)
+                             coeffs_single, coeffs_two_pop,
+                             survival_expectation, tilde_mean)
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
 POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
@@ -138,40 +142,114 @@ class TestAnnuityG:
                 annuity_G_gradient(model, SCEN, MARKET, 3.0, lam[i]), rel=1e-12)
 
 
-def _kept_nodes(tab) -> int:
-    """Lattice nodes before the survival-underflow cut (k0 < -80), kept at an
-    odd count of at least 3 for Simpson's rule."""
-    dead = np.nonzero(tab.k0 < -80.0)[0]
-    if not dead.size:
-        return tab.s.size
-    cut = int(dead[0])
-    return min(tab.s.size, max(3, cut + 1 + cut % 2))
+# Gregory's coefficients: the trapezoid rule's left end is corrected by
+# sum_m (-1)^(m+1) GREGORY[m-1] * (forward difference)^m f_0 (Press et al.,
+# Numerical Recipes, section 4.1; Fornberg, SIAM Review 63(1), 2021)
+GREGORY = (Fraction(1, 12), Fraction(1, 24), Fraction(19, 720),
+           Fraction(3, 160), Fraction(863, 60480), Fraction(275, 24192),
+           Fraction(33953, 3628800))
+STRIDE, ORDER = 4, 8
 
 
-def reference_g_and_gradient(model, scenario, market, t, lam):
-    """G and its gradient node by node from the survival factor
-    surv = exp(k0 - sum_i lam_i k_i) and the lift 1 + phi E~, on the lattice
-    and underflow cut of ``g_and_gradient``."""
-    tab = build_coefficient_table(model, t, scenario.t_max, LATTICE_STEP)
-    n_keep = _kept_nodes(tab)
-    sl = slice(0, n_keep)
-    w = np.full(n_keep, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    base = w * (tab.s[1] - tab.s[0]) / 3.0 * np.exp(-market.r * tab.tau[sl])
-    ks = [k[sl] for k in (tab.k1, tab.k2)[:model.n_factors]]
-    js = [j[sl] for j in (tab.j1, tab.j2)[:model.n_factors]]
+def _exact_solve(a, b):
+    """Gauss-Jordan elimination on Fractions."""
+    a = [row[:] + [v] for row, v in zip(a, b)]
+    n = len(a)
+    for i in range(n):
+        piv = next(r for r in range(i, n) if a[r][i] != 0)
+        a[i], a[piv] = a[piv], a[i]
+        for r in range(n):
+            if r != i and a[r][i] != 0:
+                f = a[r][i] / a[i][i]
+                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def _rule_weights(m, delta):
+    """Unit-spacing weights on nodes 0..m [and m + delta] from the
+    difference form of Gregory's rule; the end panel's weights integrate the
+    polynomial through the last q nodes and m + delta, solved exactly."""
+    q = min(ORDER, m + 1)
+    w = [Fraction(0)] * (m + 1 + (delta > 0))
+    for j in range(m + 1):
+        w[j] += Fraction(1, 2) if j in (0, m) and m else (1 if m else 0)
+    for order in range(1, q):
+        sign = (-1) ** (order + 1) * GREGORY[order - 1]
+        for i in range(order + 1):
+            coef = sign * (-1) ** (order - i) * math.comb(order, i)
+            w[i] += coef
+            w[m - i] += coef          # the mirrored backward differences
+    if delta > 0:
+        d = Fraction(delta)
+        v = [Fraction(i) for i in range(1 - q, 1)] + [d]
+        e = _exact_solve([[x ** p for x in v] for p in range(q + 1)],
+                         [d ** (p + 1) / (p + 1) for p in range(q + 1)])
+        for i, ei in enumerate(e):
+            w[m + 1 - q + i] += ei
+    return np.array([float(x) for x in w])
+
+
+def _rule_rows(tab, rate=MARKET.r):
+    """Rows and weights of G's outer rule on a coefficient table: every
+    stride-th lattice node up to the first one past the k0 < -80 cut, or to
+    t_max with a short end panel. The stride keeps rate * spacing <= 0.06
+    and gives at least ORDER - 1 strides where it can."""
+    h = LATTICE_STEP
+    partial = abs(tab.tau[-1] - (tab.s.size - 1) * h) > 1e-9
+    n = tab.s.size - 1 - partial
+    dead = np.nonzero(tab.k0[:n + 1] < -80.0)[0]
+    last = int(dead[0]) if dead.size else n
+    stride = STRIDE
+    while stride > 1 and (stride * h * rate > 0.06
+                          or last < (ORDER - 1) * stride):
+        stride -= 1
+    m = math.ceil(last / stride)
+    if m * stride <= n and (dead.size or not partial):
+        return stride * np.arange(m + 1), _rule_weights(m, 0.0) * stride * h
+    m = n // stride
+    rows = np.append(stride * np.arange(m + 1), tab.s.size - 1)
+    delta = (tab.tau[-1] - m * stride * h) / (stride * h)
+    return rows, _rule_weights(m, delta) * stride * h
+
+
+def _node_by_node(model, phi, market, tab, rows, w, lam):
+    """G and its gradient summed node by node from the survival factor
+    surv = exp(k0 - sum_i lam_i k_i) and the lift 1 + phi E~."""
+    base = w * np.exp(-market.r * tab.tau[rows])
+    ks = [k[rows] for k in (tab.k1, tab.k2)[:model.n_factors]]
+    js = [j[rows] for j in (tab.j1, tab.j2)[:model.n_factors]]
     g = np.empty(lam.shape[0])
     grad = np.empty(lam.shape)
     for i, state in enumerate(lam):
-        expo = tab.k0[sl] - sum(l * k for l, k in zip(state, ks))
-        etil = tab.psi[sl] + sum(l * j for l, j in zip(state, js))
+        expo = tab.k0[rows] - sum(l * k for l, k in zip(state, ks))
+        etil = tab.psi[rows] + sum(l * j for l, j in zip(state, js))
         surv = np.exp(expo)
-        lift = 1.0 + scenario.phi * etil
+        lift = 1.0 + phi * etil
         g[i] = (surv * lift) @ base
         for f, (k, j) in enumerate(zip(ks, js)):
-            grad[i, f] = (surv * (-k * lift + scenario.phi * j)) @ base
+            grad[i, f] = (surv * (-k * lift + phi * j)) @ base
     return g, grad
+
+
+def reference_g_and_gradient(model, scenario, market, t, lam):
+    """G and its gradient node by node on the lattice, rule and underflow
+    cut of ``g_and_gradient``."""
+    tab = build_coefficient_table(model, t, scenario.t_max, LATTICE_STEP)
+    gm = model.gm if model.n_factors == 1 else model.gm2
+    rows, w = _rule_rows(tab, market.r + baseline_hazard(t, gm))
+    return _node_by_node(model, scenario.phi, market, tab, rows, w, lam)
+
+
+def simpson_g_and_gradient(model, scenario, market, t, lam, step=0.0125):
+    """Composite Simpson on every node of a finer lattice, no cut."""
+    tab = build_coefficient_table(model, t, scenario.t_max, step)
+    n = tab.s.size - 1
+    assert n % 2 == 0 and abs(tab.tau[-1] - n * step) < 1e-9
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return _node_by_node(model, scenario.phi, market, tab, np.arange(n + 1),
+                         w * step / 3.0, lam)
 
 
 class TestMomentForm:
@@ -185,10 +263,18 @@ class TestMomentForm:
         model = make_model()
         gms = ([model.gm] if model.n_factors == 1 else [model.gm1, model.gm2])
         cases = [(120.0, t) for t in (0.0, 17.3, 119.85)]
-        # at t_max = 190, t = 187.5 the underflow cut keeps 3 of 51 nodes
+        # at t_max = 190, t = 187.5 the underflow cut keeps the 2 or 3 of 51
+        # nodes up to the first one with k0 < -80
         cases.append((190.0, 187.5))
         tab = build_coefficient_table(model, 187.5, 190.0, LATTICE_STEP)
-        assert _kept_nodes(tab) == 3 and tab.s.size == 51
+        dead = int(np.nonzero(tab.k0 < -80.0)[0][0])
+        assert dead <= 2 and tab.s.size == 51
+        assert _rule_rows(tab)[0].tolist() == list(range(dead + 1))
+        # end panels: 1.3 years at stride 3 end 2 steps past the last
+        # stride; 33.33 years end 0.03 past the last lattice node
+        cases += [(35.3, 34.0), (35.33, 2.0)]
+        # a high hazard shortens the stride: 1 (single), 2 (two-population)
+        cases.append((120.0, 45.0))
         for t_max, t in cases:
             scen = SchemeScenario(phi=phi, t_max=t_max)
             base = np.array([initial_hazard(gm) for gm in gms])
@@ -201,6 +287,133 @@ class TestMomentForm:
             assert g == pytest.approx(g_ref, rel=1e-13), (t_max, t)
             assert grad.ravel() == pytest.approx(grad_ref.ravel(),
                                                  rel=1e-12), (t_max, t)
+
+
+def _rule_errors(model, t, phi):
+    """Largest relative G error and gradient error (relative to the largest
+    component) of ``g_and_gradient`` against composite Simpson on the 0.0125
+    lattice, over hazards of 0.5 to 1.5 times the baseline."""
+    gms = [model.gm] if model.n_factors == 1 else [model.gm1, model.gm2]
+    base = np.array([baseline_hazard(t, gm) for gm in gms])
+    mult = [[0.5], [1.0], [1.5]] + ([[0.5, 1.5], [1.5, 0.5]]
+                                     if model.n_factors == 2 else [])
+    lam = np.vstack([base * np.array(m) for m in mult])
+    scen = SchemeScenario(phi=phi)
+    g, grad = g_and_gradient(model, scen, MARKET, t, lam)
+    g_ref, grad_ref = simpson_g_and_gradient(model, scen, MARKET, t, lam)
+    grad_err = (np.abs(grad - grad_ref).max(axis=1)
+                / np.abs(grad_ref).max(axis=1))
+    return float(np.max(np.abs(g / g_ref - 1.0))), float(grad_err.max())
+
+
+class TestOuterRule:
+    """Trapezoid rule with Gregory end corrections on every 4th lattice node."""
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    def test_within_stated_tolerance_of_fine_simpson(self, make_model):
+        model = make_model()
+        for t in (0.0, 17.3, 34.0):
+            for phi in (0.0, 0.8, 5.0):
+                g_err, grad_err = _rule_errors(model, t, phi)
+                assert g_err <= control.G_REL_TOL, (t, phi, g_err)
+                assert grad_err <= control.GRAD_REL_TOL, (t, phi, grad_err)
+
+    @pytest.mark.parametrize("name, value, make_model, t", [
+        ("GREGORY_STRIDE", 5, cir_two, 34.0),
+        ("GREGORY_RATE_STEP", 0.07, ou_two, 42.0)])
+    def test_coarser_strides_miss_the_tolerance(self, name, value, make_model,
+                                                t, monkeypatch):
+        monkeypatch.setattr(control, name, value)
+        errors = np.array([_rule_errors(make_model(), t, phi)
+                           for phi in (0.0, 0.8, 5.0)])
+        assert (errors[:, 0].max() > control.G_REL_TOL
+                or errors[:, 1].max() > control.GRAD_REL_TOL)
+
+    @pytest.mark.parametrize("make_model", [ou_single, ou_two])
+    @pytest.mark.parametrize("t", [45.0, 60.0])
+    def test_late_anchors_beat_simpson_on_every_node(self, make_model, t):
+        model = make_model()
+        gms = [model.gm] if model.n_factors == 1 else [model.gm1, model.gm2]
+        lam = np.array([[baseline_hazard(t, gm) for gm in gms]])
+        scen = SchemeScenario(phi=0.8)
+        g, grad = g_and_gradient(model, scen, MARKET, t, lam)
+        g_ref, grad_ref = simpson_g_and_gradient(model, scen, MARKET, t, lam)
+        g_simp, grad_simp = simpson_g_and_gradient(model, scen, MARKET, t, lam,
+                                                   step=LATTICE_STEP)
+        assert abs(g[0] - g_ref[0]) < abs(g_simp[0] - g_ref[0])
+        assert (np.abs(grad - grad_ref).max()
+                < np.abs(grad_simp - grad_ref).max())
+
+    def test_stride_follows_the_hazard(self):
+        # rate * spacing <= GREGORY_RATE_STEP with rate = r + baseline hazard
+        model = ou_single()
+        strides = [control._max_stride(model, MARKET, t)
+                   for t in (0.0, 32.0, 34.0, 38.0, 44.0, 90.0)]
+        assert strides == [4, 4, 3, 2, 1, 1]
+
+    def test_order_8_is_the_highest_with_positive_weights(self, monkeypatch):
+        assert np.all(control._gregory_weights(30, 0.0) > 0.0)
+        monkeypatch.setattr(control, "GREGORY_ORDER", 9)
+        assert np.any(control._gregory_weights(30, 0.0) < 0.0)
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_two])
+    def test_stride_shrinks_on_short_spans(self, make_model):
+        # 1.3 years: 26 lattice steps give stride 3 (7 strides of 8 nodes)
+        tab = build_coefficient_table(make_model(), 34.0, 35.3, LATTICE_STEP)
+        rows, w = _rule_rows(tab)
+        assert rows.tolist() == list(range(0, 25, 3)) + [26]
+        assert w.sum() == pytest.approx(1.3, rel=1e-14)
+
+
+class TestEndPanel:
+    """Anchors whose G integral reaches t_max: the table's last node sits at
+    t_max and comes from one RK4 step resumed at the last lattice node."""
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    @pytest.mark.parametrize("t, t_max", [(119.85, 120.0), (187.5, 190.0),
+                                          (35.0, 35.3), (34.97, 35.3),
+                                          (2.0, 35.33)])
+    def test_last_node_matches_scalar_routes(self, make_model, t, t_max):
+        model = make_model()
+        tab = build_coefficient_table(model, t, t_max, LATTICE_STEP)
+        assert tab.s[-1] == t_max
+        lam = np.array([0.016, 0.014])[:model.n_factors]
+        if model.n_factors == 1:
+            c = coeffs_single(model, t, t_max)
+            got, want = (tab.k0[-1], tab.k1[-1]), (c.a0, c.a1)
+            eng = tab.j1[-1] * lam[0] + tab.psi[-1]
+        else:
+            c = coeffs_two_pop(model, t, t_max)
+            got = (tab.k0[-1], tab.k1[-1], tab.k2[-1])
+            want = (c.c0, c.c1, c.c2)
+            eng = tab.j1[-1] * lam[0] + tab.j2[-1] * lam[1] + tab.psi[-1]
+        assert got == pytest.approx(want, rel=1e-7, abs=5e-9)
+        assert eng == pytest.approx(tilde_mean(model, t, t_max, lam)[-1],
+                                    rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    @pytest.mark.parametrize("t", [34.0, 34.97, 35.0])
+    def test_g_matches_defining_integral(self, make_model, t):
+        # t_max = 35.3: 1.3, 0.33 and 0.3 years of integrand, all of them
+        # before the survival-underflow cut
+        model = make_model()
+        scen = SchemeScenario(phi=0.8, t_max=35.3)
+        gms = [model.gm] if model.n_factors == 1 else [model.gm1, model.gm2]
+        lam = np.array([baseline_hazard(t, gm) for gm in gms])
+
+        def integrand(s):
+            c = (coeffs_single(model, t, s) if model.n_factors == 1
+                 else coeffs_two_pop(model, t, s, ode_step=0.005))
+            mean = tilde_mean(model, t, s, lam, ode_step=0.005)[-1]
+            return (np.exp(-MARKET.r * (s - t)) * survival_expectation(c, lam)
+                    * (1.0 + scen.phi * mean))
+
+        direct = integrate(integrand, t, scen.t_max, Tolerance(1e-11))
+        g = annuity_G(model, scen, MARKET, t, lam)
+        assert g == pytest.approx(direct, rel=1e-8)
 
 
 class TestPolicies:

@@ -31,6 +31,11 @@ def ou_two(gm1=POP1, gm2=POP2, sigma21=SIGMA21):
     return TwoPopModel("ou", gm1, gm2, B1, B21, B22, SIGMA1, sigma21, SIGMA22)
 
 
+def cir_two():
+    return TwoPopModel("cir", POP1, POP2, B1, B21, B22, SIGMA1, SIGMA21,
+                       SIGMA22)
+
+
 class TestGompertzMakeham:
     def test_initial_hazard_population1(self):
         expected = POP1_AGE.nu + np.exp(-POP1_AGE.m / POP1_AGE.delta) / POP1_AGE.delta
@@ -181,6 +186,23 @@ class TestSimulatePaths:
             simulate_paths(ou_single(), TimeGrid(0.0, 1.0, 0.1), 0, seed=1)
 
 
+def _floored_death_time(paths):
+    """Death-time CDF and density from the survival index rebuilt on every
+    path from the members' hazard floored at zero."""
+    dt = paths.grid.step
+    hz = np.maximum(paths.members_hazard, 0.0)
+    increments = 0.5 * dt * (hz[:, :-1] + hz[:, 1:])
+    p = np.empty_like(hz)
+    p[:, 0] = 1.0
+    p[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
+    cdf = 1.0 - p
+    density = np.empty_like(cdf)
+    density[:, 1:-1] = (cdf[:, 2:] - cdf[:, :-2]) / (2.0 * dt)
+    density[:, 0] = (cdf[:, 1] - cdf[:, 0]) / dt
+    density[:, -1] = (cdf[:, -1] - cdf[:, -2]) / dt
+    return cdf, density
+
+
 class TestDeathTimeDistribution:
     def test_cdf_properties(self):
         grid = TimeGrid(0.0, 35.0, 0.1)
@@ -198,6 +220,22 @@ class TestDeathTimeDistribution:
         dist = death_time_distribution(paths)
         peak = dist.times[np.argmax(dist.mean_density)]
         assert 15.0 <= peak <= 25.0
+
+    @pytest.mark.parametrize("model, dips", [
+        (cir_two(), False),
+        (ou_single(), False),
+        (ou_single(sigma=0.02), True),      # OU excursions below zero
+    ], ids=["cir-sub", "ou-no-dip", "ou-dip"])
+    def test_matches_floored_rebuild(self, model, dips):
+        grid = TimeGrid(0.0, 35.0, 0.1)
+        paths = simulate_paths(model, grid, 200, seed=43, keep_shocks=False)
+        assert bool((paths.members_hazard < 0.0).any()) == dips
+        dist = death_time_distribution(paths)
+        cdf, density = _floored_death_time(paths)
+        assert np.array_equal(dist.cdf, cdf)
+        assert np.array_equal(dist.density, density)
+        assert np.array_equal(dist.mean_cdf, cdf.mean(axis=0))
+        assert np.array_equal(dist.mean_density, density.mean(axis=0))
 
     def test_matches_survival_for_cir(self):
         grid = TimeGrid(0.0, 20.0, 0.1)

@@ -336,7 +336,7 @@ class TestCoefficientTable:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     @pytest.mark.parametrize("t, t_max, nodes", [
-        (12.34, 80.0, (10, 180, 700, 1300)),   # h != step: a pass of its own
+        (12.34, 80.0, (10, 180, 700, 1300)),   # off the lattice: end node at t_max
         (2.0, 35.3, (10, 180, 400, 666)),      # t_max = horizon + 0.3
     ])
     def test_off_lattice_and_short_tables_match_scalar_routes(
@@ -360,6 +360,23 @@ class TestCoefficientTable:
             assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
+    def test_resumed_pass_continues_the_pass(self, model):
+        # the end node at t_max resumes the pass from a lattice node; from
+        # node 30 of a 40-step pass, 10 more steps must retrace it
+        full = pricing._tau_curves(model, 0.05, 40)
+        start = np.concatenate((full.c[:, 30], full.p[:, 30]))
+        tail = pricing._tau_curves(model, 0.05, 10, 30 * 0.05, start)
+        for name in ("c", "p"):
+            np.testing.assert_allclose(getattr(tail, name),
+                                       getattr(full, name)[:, 30:], rtol=0,
+                                       atol=1e-15, err_msg=name)
+        for name in ("k0_level", "psi_level", "k0_gompertz", "psi_gompertz"):
+            whole = getattr(full, name)
+            np.testing.assert_allclose(whole[..., 30:31] + getattr(tail, name),
+                                       whole[..., 30:], rtol=0, atol=1e-14,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     def test_cold_table_does_not_call_solve_ode(self, model, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("solve_ode serves the scalar oracles only")
@@ -378,14 +395,15 @@ class TestCoefficientTable:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _lin_matrix_cir_pass(big_b, big_s, h, n):
+def _lin_matrix_cir_pass(big_b, big_s, h, n, start):
     """Reference for ``pricing._cir_tau_pass``: the (C, p) row under the
     matrix right-hand side dy = (e_m, 0) - y L - (1/2, 1) z (S^T C, S^T C),
-    z = (S^T C, S^T p), stepped by ``solve_ode``; rows padded to
-    (C1, C2, p1, p2) with a single population as factor 2."""
+    z = (S^T C, S^T p), stepped by ``solve_ode`` from ``start``; rows padded
+    to (C1, C2, p1, p2) with a single population as factor 2."""
     nf = big_b.shape[0]
-    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
-    base, y0 = np.concatenate((e_m, zero)), np.concatenate((zero, e_m))
+    e_m = np.eye(nf)[-1]
+    base = np.concatenate((e_m, np.zeros(nf)))
+    y0 = np.concatenate((start[2 - nf:2], start[4 - nf:]))
     lin = np.hstack((np.kron(np.eye(2), big_b), np.kron(np.eye(2), big_s),
                      np.kron([[1.0, 1.0], [0.0, 0.0]], big_s)))
     weight = np.repeat([0.5, 1.0], nf)

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pendraw import scheme
+from pendraw import pricing, scheme
 from pendraw.control import (MarketParams, SchemeScenario,
-                             UnsupportedConfiguration, g_and_gradient)
+                             UnsupportedConfiguration, g_and_gradient,
+                             optimal_policy)
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, simulate_paths)
 from pendraw.numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
@@ -206,6 +207,30 @@ class TestSimulateScheme:
                          * np.sqrt(dt) * paths.shocks1[:, k])
             resid = traj.wealth[:, k + 1] - y - drift * dt - diffusion
             assert np.all(np.abs(resid) <= 1e-10 * np.maximum(y, 1.0))
+
+
+class TestOneTauPass:
+    """Every anchor's coefficient table reads the one cached tau pass of its
+    model and t_max."""
+
+    def test_cold_cir_sub_simulation_at_dt_025(self):
+        model = TwoPopModel("cir", POP1, POP2, 0.561, 0.0028, 0.65, 0.0035,
+                            0.004, 0.005)
+        scen = scenario(n_paths=20, dt=0.25)
+        paths = make_paths(model, scen)
+        pricing._tau_table.cache_clear()
+        simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        info = pricing._tau_table.cache_info()
+        assert (info.misses, info.hits) == (1, paths.grid.n_steps)
+
+    def test_off_lattice_policy_reads_the_pass_of_t0(self):
+        model = SinglePopModel("cir", POP1, 0.561, 0.0035)
+        scen = scenario()
+        pricing._tau_table.cache_clear()
+        optimal_policy(model, scen, MARKET, 0.0, 0.0144, 100.0)
+        optimal_policy(model, scen, MARKET, 12.34, 0.05, 100.0)
+        info = pricing._tau_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestDiscountedTotals:

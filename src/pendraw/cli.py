@@ -158,14 +158,9 @@ def _cmd_policy(args) -> int:
 
     cfg = _load(args)
     model = build_model(cfg)
-    if cfg.is_two_pop:
-        lam = [args.lambda1 if args.lambda1 is not None
-               else initial_hazard(model.gm1),
-               args.lambda2 if args.lambda2 is not None
-               else initial_hazard(model.gm2)]
-    else:
-        lam = [args.lambda1 if args.lambda1 is not None
-               else initial_hazard(model.gm)]
+    # one hazard per factor: its initial value unless --lambda<k> gives it
+    lam = [initial_hazard(gm) if given is None else given
+           for gm, given in zip(model.factors[2], (args.lambda1, args.lambda2))]
     wealth = args.wealth if args.wealth is not None else cfg.scenario.y0
     decision = optimal_policy(model, cfg.scenario, cfg.market, args.t,
                               np.array(lam), wealth)

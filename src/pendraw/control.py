@@ -38,19 +38,22 @@ factor, 12 for two.
 
 The optimal policy withdraws wealth/G, holds theta_s/sigma_s of wealth in the
 stock, and hedges with the rolling longevity bond through the first hazard
-factor's loading.
+factor's loading. Everything model-specific here is read off the model's
+``factors`` (B, S, gms): the bond's sigma1 = S[0, 0] and A1 (``pricing``), the
+hazards' loading on W1 (S's first column) and the members' curve gms[-1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .mortality import Model, SinglePopModel, OU, baseline_hazard
-from .pricing import (LATTICE_STEP, MarketParams, _lattice_span, a1_cir, a1_ou,
+from .mortality import Model, baseline_hazard
+from .pricing import (LATTICE_STEP, MarketParams, _a1_factor1, _lattice_span,
                       build_coefficient_table)
 
 # G's outer integral is the trapezoid rule on every GREGORY_STRIDE-th node of
@@ -210,8 +213,7 @@ def _max_stride(model: Model, market: MarketParams, t: float) -> int:
     """GREGORY_STRIDE, or fewer lattice steps where the integrand's initial
     decay rate r + (members' baseline hazard at t) makes rate * spacing
     exceed GREGORY_RATE_STEP."""
-    gm = model.gm if isinstance(model, SinglePopModel) else model.gm2
-    rate = market.r + float(baseline_hazard(t, gm))
+    rate = market.r + float(baseline_hazard(t, model.factors[2][-1]))
     return max(1, min(GREGORY_STRIDE,
                       int(GREGORY_RATE_STEP / (rate * LATTICE_STEP))))
 
@@ -236,8 +238,8 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
     n_keep = rows.size
     base = w * np.exp(-market.r * tab.tau[rows])
 
-    k = np.array([c[rows] for c in (tab.k1, tab.k2)[:n_fac]])    # (n_fac, nodes)
-    j = np.array([c[rows] for c in (tab.j1, tab.j2)[:n_fac]])
+    # (n_fac, nodes), row-major: tab.k[:, rows] would be column-major
+    k, j = tab.k.take(rows, axis=1), tab.j.take(rows, axis=1)
     psi = tab.psi[rows]
     # moment columns: 1, psi, j_i, k_i, k_i psi, k_i j_m (row-major in i, m)
     moments = np.concatenate((np.ones((1, n_keep)), psi[None, :], j, k,
@@ -272,23 +274,6 @@ def annuity_G_gradient(model: Model, scenario: SchemeScenario,
     return grad[0]
 
 
-def _hedge_loadings(model: Model) -> Tuple[float, float]:
-    """(sigma1, hedgeable loading sigma1 [+ sigma21]) of the first factor."""
-    if isinstance(model, SinglePopModel):
-        return model.sigma, model.sigma
-    return model.sigma1, model.sigma1 + model.sigma21
-
-
-def _a1_maturity(model: Model, market: MarketParams) -> float:
-    if isinstance(model, SinglePopModel):
-        b, sig = model.b, model.sigma
-    else:
-        b, sig = model.b1, model.sigma1
-    if model.kind == OU:
-        return float(a1_ou(b, market.maturity))
-    return float(a1_cir(b, sig, market.maturity))
-
-
 def bond_weight_arrays(model: Model, scenario: SchemeScenario,
                        market: MarketParams, g: np.ndarray,
                        grad1: np.ndarray) -> np.ndarray:
@@ -298,31 +283,43 @@ def bond_weight_arrays(model: Model, scenario: SchemeScenario,
     sqrt(lambda1) factor as the bond volatility under CIR dynamics, so those
     factors cancel and one expression serves both kinds:
 
-        w_L = -(theta_1 + loading * G_l1 / G) / (A1(T) * sigma1).
+        w_L = -(theta_1 + loading * G_l1 / G) / (A1(T) * sigma1),
+
+    with sigma1 = S[0, 0] and the loading the hazards' total exposure to W1,
+    the sum of S's first column (sigma1 [+ sigma21]).
     """
-    sigma1, loading = _hedge_loadings(model)
+    big_s = model.factors[1]
+    sigma1, loading = float(big_s[0, 0]), float(big_s[:, 0].sum())
     if sigma1 == 0.0:
         if market.theta_1 == 0.0:
             return np.zeros_like(g)
         raise ValueError("sigma1 = 0 leaves no bond volatility to carry the "
                          "longevity risk premium")
-    a1_t = _a1_maturity(model, market)
+    a1_t = float(_a1_factor1(model, market.maturity))
     return -(market.theta_1 + loading * grad1 / g) / (a1_t * sigma1)
 
 
-def _check_policy_inputs(scenario: SchemeScenario, wealth: float) -> None:
+def _check_policy_inputs(scenario: SchemeScenario, t: float, lam,
+                         wealth: float) -> None:
+    """The policy needs pi = 1, a finite t before t_max (where G > 0), finite
+    hazards and finite positive wealth."""
     if scenario.pi != 1.0:
         raise UnsupportedConfiguration(
             f"the optimal policy is derived for pi = 1 only, got pi = {scenario.pi}")
-    if wealth <= 0:
-        raise ValueError(f"wealth must be > 0, got {wealth}")
+    if not (math.isfinite(t) and t < scenario.t_max):
+        raise ValueError(f"t must be finite and below t_max = {scenario.t_max},"
+                         f" got {t}")
+    if not np.isfinite(lam).all():
+        raise ValueError(f"hazards must be finite, got {lam}")
+    if not 0 < wealth < math.inf:
+        raise ValueError(f"wealth must be finite and > 0, got {wealth}")
 
 
 def optimal_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
                    t: float, lam, wealth: float) -> PolicyDecision:
     """Optimal withdrawal rate and portfolio weights at one state."""
-    _check_policy_inputs(scenario, wealth)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    _check_policy_inputs(scenario, t, lam, wealth)
     g, grad = g_and_gradient(model, scenario, market, t, lam[None, :])
     w_bond = float(bond_weight_arrays(model, scenario, market, g, grad[:, 0])[0])
     w_stock = market.theta_s / market.sigma_s
@@ -335,8 +332,8 @@ def optimal_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
 def no_bond_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
                    t: float, lam, wealth: float) -> PolicyDecision:
     """Policy when the bond is excluded: same withdrawal, zero bond weight."""
-    _check_policy_inputs(scenario, wealth)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    _check_policy_inputs(scenario, t, lam, wealth)
     g, _ = g_and_gradient(model, scenario, market, t, lam[None, :])
     w_stock = market.theta_s / market.sigma_s
     return PolicyDecision(withdraw_rate=wealth / float(g[0]),

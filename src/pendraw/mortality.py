@@ -23,6 +23,15 @@ the bond's reference population (population 1):
     d lambda1 = (a1(t) - b1*lambda1) dt + sigma1 [sqrt(lambda1)] dW1
     d lambda2 = (a2(t) - b21*lambda1 - b22*lambda2) dt
                 + sigma21 [sqrt(lambda1)] dW1 + sigma22 [sqrt(lambda2)] dW2
+
+Both are one affine model of dimension 1 or 2 in the hazard vector lam, the
+bond's reference population first and the members last:
+
+    d lam = (a(t) - B lam) dt + S diag(v) dW,  v_k = 1 (OU), sqrt(lam_k) (CIR),
+
+with B and S lower-triangular and factor k's drift level
+drift_a(t, gms[k], B[k, k]). Each model states (B, S, gms) once, as its
+``factors``; simulation, pricing and control read that instead of the class.
 """
 
 from __future__ import annotations
@@ -104,6 +113,11 @@ class SinglePopModel:
     def n_factors(self) -> int:
         return 1
 
+    @property
+    def factors(self):
+        """(B, S, gms) of the one-factor model (see the module docstring)."""
+        return np.array([[self.b]]), np.array([[self.sigma]]), (self.gm,)
+
 
 @dataclass(frozen=True)
 class TwoPopModel:
@@ -136,6 +150,13 @@ class TwoPopModel:
     @property
     def n_factors(self) -> int:
         return 2
+
+    @property
+    def factors(self):
+        """(B, S, gms) with population 1 first, the members last."""
+        return (np.array([[self.b1, 0.0], [self.b21, self.b22]]),
+                np.array([[self.sigma1, 0.0], [self.sigma21, self.sigma22]]),
+                (self.gm1, self.gm2))
 
 
 Model = Union[SinglePopModel, TwoPopModel]
@@ -175,11 +196,16 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
                    path_offset: int = 0, keep_shocks: bool = True) -> MortalityPaths:
     """Euler-Maruyama hazard paths on ``grid`` with keyed noise streams.
 
-    CIR dynamics use the full-truncation scheme: the negative part of the
-    state is clamped to zero inside every drift and diffusion evaluation, and
-    the emitted hazard is the clamped state. Stream ``path_offset + i`` drives
-    factor 1 of path ``i``; factor 2 uses the same index shifted by
-    ``W2_STREAM_OFFSET``, so blocks of paths can be simulated independently.
+    One step of factor f, with xp the clamped state and dw_i = sqrt(dt) xi_i:
+
+        x_f += (drift_a(t, gms[f], B[f, f]) - sum_{i<=f} B[f, i] xp_i) dt
+               + sum_{i<=f} S[f, i] v(xp_i) dw_i,
+
+    the sums taken in the order i = 0..f. CIR dynamics use the
+    full-truncation scheme: the negative part of the state is clamped to zero
+    inside every drift and diffusion evaluation, and the emitted hazard is the
+    clamped state. Stream ``f * W2_STREAM_OFFSET + path_offset + p`` drives
+    factor f of path ``p``, so blocks of paths can be simulated independently.
     """
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
@@ -188,61 +214,49 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
     sqdt = np.sqrt(dt)
     times = grid.nodes
     is_cir = model.kind == CIR
-
-    xi1 = normal_block(seed, path_offset, n_paths, n)
-    if isinstance(model, TwoPopModel):
-        xi2 = normal_block(seed, W2_STREAM_OFFSET + path_offset, n_paths, n)
-    else:
-        xi2 = None
+    big_b, big_s, gms = model.factors
+    big_b, big_s = big_b.tolist(), big_s.tolist()
 
     def clamp(x):
         return np.maximum(x, 0.0) if is_cir else x
 
     def vol(sig, x):
-        return sig * np.sqrt(np.maximum(x, 0.0)) if is_cir else sig
+        return sig * np.sqrt(x) if is_cir else sig
 
-    if isinstance(model, SinglePopModel):
-        lam1 = np.empty((n_paths, n + 1))
-        x = np.full(n_paths, initial_hazard(model.gm))
-        lam1[:, 0] = clamp(x)
-        for k in range(n):
-            xp = clamp(x)
-            x = x + (drift_a(times[k], model.gm, model.b) - model.b * xp) * dt \
-                + vol(model.sigma, x) * sqdt * xi1[:, k]
-            lam1[:, k + 1] = clamp(x)
-        lam2 = None
-        members = lam1
-    else:
-        lam1 = np.empty((n_paths, n + 1))
-        lam2 = np.empty((n_paths, n + 1))
-        x1 = np.full(n_paths, initial_hazard(model.gm1))
-        x2 = np.full(n_paths, initial_hazard(model.gm2))
-        lam1[:, 0] = clamp(x1)
-        lam2[:, 0] = clamp(x2)
-        for k in range(n):
-            x1p, x2p = clamp(x1), clamp(x2)
-            dw1 = sqdt * xi1[:, k]
-            dw2 = sqdt * xi2[:, k]
-            x1 = x1 + (drift_a(times[k], model.gm1, model.b1) - model.b1 * x1p) * dt \
-                + vol(model.sigma1, x1p) * dw1
-            x2 = x2 + (drift_a(times[k], model.gm2, model.b22)
-                       - model.b21 * x1p - model.b22 * x2p) * dt \
-                + vol(model.sigma21, x1p) * dw1 + vol(model.sigma22, x2p) * dw2
-            lam1[:, k + 1] = clamp(x1)
-            lam2[:, k + 1] = clamp(x2)
-        members = lam2
+    xi = [normal_block(seed, f * W2_STREAM_OFFSET + path_offset, n_paths, n)
+          for f in range(len(gms))]
+    lam = [np.empty((n_paths, n + 1)) for _ in gms]
+    x = [np.full(n_paths, initial_hazard(gm)) for gm in gms]
+    xp = [clamp(v) for v in x]
+    for f, v in enumerate(xp):
+        lam[f][:, 0] = v
+    for k in range(n):
+        dw = [sqdt * z[:, k] for z in xi]
+        for f, (b_row, s_row) in enumerate(zip(big_b, big_s)):
+            drift = drift_a(times[k], gms[f], b_row[f])
+            for i in range(f + 1):
+                drift = drift - b_row[i] * xp[i]
+            x[f] = x[f] + drift * dt
+            for i in range(f + 1):
+                x[f] = x[f] + vol(s_row[i], xp[i]) * dw[i]
+        xp = [clamp(v) for v in x]
+        for f, v in enumerate(xp):
+            lam[f][:, k + 1] = v
 
     # survival index of the members' population, trapezoid on the grid
+    members = lam[-1]
     survival = np.empty((n_paths, n + 1))
     survival[:, 0] = 1.0
     increments = 0.5 * dt * (members[:, :-1] + members[:, 1:])
     survival[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
 
-    return MortalityPaths(grid=grid, lambda1=lam1, lambda2=lam2,
-                          survival=survival,
-                          shocks1=xi1 if keep_shocks else None,
-                          shocks2=xi2 if keep_shocks else None,
-                          seed=seed, path_offset=path_offset)
+    # the second hazard and shock slots stay None for a one-factor model
+    shocks = xi + [None] if keep_shocks else [None, None]
+    return MortalityPaths(grid=grid, lambda1=lam[0],
+                          lambda2=lam[1] if len(lam) > 1 else None,
+                          survival=survival, shocks1=shocks[0],
+                          shocks2=shocks[1], seed=seed,
+                          path_offset=path_offset)
 
 
 @dataclass

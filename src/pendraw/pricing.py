@@ -9,9 +9,11 @@ with coefficients solving Riccati-type ODEs in t, terminal value zero at
 t = s. Single-population models use (A0, A1); two-population models use
 (C0, C1, C2). The rolling zero-coupon longevity bond keeps a constant time to
 maturity and its volatility loading is -A1(t, t+T)*sigma1 (times
-sqrt(lambda1) under CIR dynamics). The measure-changed hazard means E~ needed
-by the annuity value come from a hazard-proportional drift adjustment and
-stay affine in the current hazard:
+sqrt(lambda1) under CIR dynamics); A1 and sigma1 = S[0, 0] are those of
+factor 1, the bond's reference population, in the model's ``factors``
+(B, S, gms) (``_a1_factor1``). The measure-changed hazard means E~ needed by
+the annuity value come from a hazard-proportional drift adjustment and stay
+affine in the current hazard:
 
     E~_t[lambda(s)] = J(t,s) * lambda(t) + psi(t,s).
 
@@ -19,9 +21,10 @@ Two routes compute these. The scalar functions (``coeffs_single``,
 ``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
 systems at one (t, s) with closed forms, adaptive Simpson and RK4; they are
 the oracles. The coefficient tables behind the annuity evaluator use the
-affine structure: mean reversion and volatilities are constant, so K1, K2
-and J are functions of tau = s - t alone, and the Gompertz-Makeham drift
-a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 and psi only through
+affine structure of the model's ``factors``: mean reversion and volatilities
+are constant, so K1, K2 and J are functions of tau = s - t alone, and the
+Gompertz-Makeham drift a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters
+K0 and psi only through
 
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
                                + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
@@ -245,25 +248,21 @@ def survival_expectation(coeffs: Union[AffineCoeffs1, AffineCoeffs2],
 # rolling bond
 # ---------------------------------------------------------------------------
 
-def _pop1(model: Model):
-    if isinstance(model, SinglePopModel):
-        return model.b, model.sigma
-    return model.b1, model.sigma1
-
-
-def _a1_pop1(model: Model, tau):
-    b, sig = _pop1(model)
+def _a1_factor1(model: Model, tau):
+    """A1 at tau of factor 1, the bond's reference population: the closed
+    form of its kind with b = B[0, 0] and sigma = S[0, 0]."""
+    big_b, big_s, _ = model.factors
     if model.kind == OU:
-        return a1_ou(b, tau)
-    return a1_cir(b, sig, tau)
+        return a1_ou(big_b[0, 0], tau)
+    return a1_cir(big_b[0, 0], big_s[0, 0], tau)
 
 
 def rolling_bond_volatility(model: Model, market: MarketParams, t: float,
                             lambda1: Optional[float] = None) -> float:
     """Volatility loading of the rolling bond: -A1(t, t+T)*sigma1, with an
     extra sqrt(lambda1) under CIR dynamics. Negative whenever sigma1 > 0."""
-    a1 = float(_a1_pop1(model, market.maturity))
-    _, sig1 = _pop1(model)
+    a1 = float(_a1_factor1(model, market.maturity))
+    sig1 = float(model.factors[1][0, 0])
     if model.kind == CIR:
         if lambda1 is None:
             raise ValueError("CIR bond volatility needs the current lambda1")
@@ -283,11 +282,11 @@ def replication_weights(model: Model, market: MarketParams, t: float,
     """
     if t > s:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
-    _, sig1 = _pop1(model)
-    if sig1 == 0.0:
+    if model.factors[1][0, 0] == 0.0:
         raise ValueError("rolling bond volatility is zero (sigma1 = 0); "
                          "replication weights are undefined")
-    w_roll = float(_a1_pop1(model, s - t) / _a1_pop1(model, market.maturity))
+    w_roll = float(_a1_factor1(model, s - t)
+                   / _a1_factor1(model, market.maturity))
     return 1.0 - w_roll, w_roll
 
 
@@ -383,19 +382,17 @@ def tilde_mean(model: Model, t: float, s: float, lam,
 class CoefficientTable:
     """Affine and measure-changed-mean curves on a lattice anchored at t.
 
-    ``k0 - k1*lam1 [- k2*lam2]`` is the log survival expectation to each
-    lattice node; the members' shifted mean is ``j1*lam1 [+ j2*lam2] + psi``.
-    Singles leave ``k2``/``j2`` as None.
+    ``k0 - lam @ k`` is the log survival expectation to each lattice node and
+    the members' shifted mean is ``lam @ j + psi``, for the hazard vector lam
+    in the model's factor order; ``k`` and ``j`` have one row per factor.
     """
 
     t: float
     s: np.ndarray
     tau: np.ndarray
     k0: np.ndarray
-    k1: np.ndarray
-    k2: Optional[np.ndarray]
-    j1: np.ndarray
-    j2: Optional[np.ndarray]
+    k: np.ndarray        # (n_factors, nodes)
+    j: np.ndarray        # (n_factors, nodes)
     psi: np.ndarray
 
 
@@ -419,19 +416,6 @@ class _TauTable:
     k0_gompertz: np.ndarray
     psi_level: np.ndarray
     psi_gompertz: np.ndarray
-
-
-def _factor_structure(model: Model):
-    """(B, S, Gompertz curves) of the hazard vector lam, members last:
-
-        d lam = (a(t) - B lam) dt + S diag(v) dW,  v_k = 1 (OU), sqrt(lam_k) (CIR),
-
-    factor k's drift level being drift_a(t, gm_k, B[k, k])."""
-    if isinstance(model, SinglePopModel):
-        return np.array([[model.b]]), np.array([[model.sigma]]), (model.gm,)
-    return (np.array([[model.b1, 0.0], [model.b21, model.b22]]),
-            np.array([[model.sigma1, 0.0], [model.sigma21, model.sigma22]]),
-            (model.gm1, model.gm2))
 
 
 def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
@@ -511,7 +495,7 @@ def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
     CIR pass is a loop on Python floats (``_cir_tau_pass``). Neither calls
     ``solve_ode``, which integrates the scalar oracles only.
     """
-    big_b, big_s, gms = _factor_structure(model)
+    big_b, big_s, gms = model.factors
     nf = big_b.shape[0]
     w = tau0 + 0.5 * h * np.arange(2 * n + 1)
     e_m, zero = np.eye(nf)[-1], np.zeros(nf)
@@ -614,5 +598,4 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
         growth = np.exp((s - m) / delta)
         k0 += growth * k0_gm
         psi += growth * psi_gm
-    k2, j2 = (c[1], p[1]) if tt.m.size == 2 else (None, None)
-    return CoefficientTable(t, s, s - t, k0, c[0], k2, p[0], j2, psi)
+    return CoefficientTable(t, s, s - t, k0, c, p, psi)

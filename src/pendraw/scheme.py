@@ -28,10 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import (MarketParams, SchemeScenario, bond_weight_arrays,
-                      g_and_gradient, _a1_maturity, _check_policy_inputs,
-                      _hedge_loadings)
+                      g_and_gradient, _check_policy_inputs)
 from .mortality import CIR, ConfigError, Model, MortalityPaths, simulate_paths
 from .numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
+from .pricing import _a1_factor1
 
 OPTIMAL = "optimal"
 NO_BOND = "no_bond"
@@ -135,7 +135,8 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     if policy_kind == CUSTOM and policy_fn is None:
         raise ConfigError("custom policy requires policy_fn")
     if policy_kind != CUSTOM:
-        _check_policy_inputs(scenario, scenario.y0)
+        _check_policy_inputs(scenario, grid.t0, _hazard_state(paths, 0),
+                             scenario.y0)
 
     n = grid.n_steps
     dt = grid.step
@@ -148,8 +149,8 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     lam1 = paths.lambda1
 
     is_cir = model.kind == CIR
-    a1_t = _a1_maturity(model, market)
-    sigma1, _ = _hedge_loadings(model)
+    a1_t = float(_a1_factor1(model, market.maturity))
+    sigma1 = float(model.factors[1][0, 0])
 
     wealth = np.empty((n_paths, n + 1))
     withdraw = np.empty((n_paths, n + 1))

@@ -469,6 +469,29 @@ class TestCli:
         values = out[1].split(",")
         assert float(values[6]) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("ou-single", ["--t", "120"]),
+        ("ou-single", ["--t", "130.5"]),
+        ("cir-sub", ["--t", "120"]),
+        ("ou-single", ["--t", "inf"]),
+        ("ou-single", ["--t", "nan"]),
+        ("ou-single", ["--wealth", "nan"]),
+        ("ou-single", ["--wealth", "inf"]),
+        ("ou-single", ["--wealth", "0"]),
+        ("ou-single", ["--lambda1", "nan"]),
+        ("cir-single", ["--lambda1", "inf"]),
+        ("ou-sub", ["--lambda2", "nan"]),
+    ])
+    def test_policy_rejects_invalid_state(self, tmp_path, capsys, kind, extra):
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(default_config_path().read_text()
+                            .replace("kind = ou-single", f"kind = {kind}"))
+        code = main(["policy", "--config", str(cfg_path), *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_sweep_needs_var(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(small_config(tmp_path))]) == 1
 

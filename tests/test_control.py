@@ -216,8 +216,8 @@ def _node_by_node(model, phi, market, tab, rows, w, lam):
     """G and its gradient summed node by node from the survival factor
     surv = exp(k0 - sum_i lam_i k_i) and the lift 1 + phi E~."""
     base = w * np.exp(-market.r * tab.tau[rows])
-    ks = [k[rows] for k in (tab.k1, tab.k2)[:model.n_factors]]
-    js = [j[rows] for j in (tab.j1, tab.j2)[:model.n_factors]]
+    ks = [k[rows] for k in tab.k]
+    js = [j[rows] for j in tab.j]
     g = np.empty(lam.shape[0])
     grad = np.empty(lam.shape)
     for i, state in enumerate(lam):
@@ -382,13 +382,13 @@ class TestEndPanel:
         lam = np.array([0.016, 0.014])[:model.n_factors]
         if model.n_factors == 1:
             c = coeffs_single(model, t, t_max)
-            got, want = (tab.k0[-1], tab.k1[-1]), (c.a0, c.a1)
-            eng = tab.j1[-1] * lam[0] + tab.psi[-1]
+            got, want = (tab.k0[-1], tab.k[0][-1]), (c.a0, c.a1)
+            eng = tab.j[0][-1] * lam[0] + tab.psi[-1]
         else:
             c = coeffs_two_pop(model, t, t_max)
-            got = (tab.k0[-1], tab.k1[-1], tab.k2[-1])
+            got = (tab.k0[-1], tab.k[0][-1], tab.k[1][-1])
             want = (c.c0, c.c1, c.c2)
-            eng = tab.j1[-1] * lam[0] + tab.j2[-1] * lam[1] + tab.psi[-1]
+            eng = tab.j[0][-1] * lam[0] + tab.j[1][-1] * lam[1] + tab.psi[-1]
         assert got == pytest.approx(want, rel=1e-7, abs=5e-9)
         assert eng == pytest.approx(tilde_mean(model, t, t_max, lam)[-1],
                                     rel=1e-6, abs=1e-9)
@@ -474,6 +474,24 @@ class TestPolicies:
     def test_nonpositive_wealth_rejected(self):
         with pytest.raises(ValueError):
             optimal_policy(ou_single(), SCEN, MARKET, 0.0, 0.0144, 0.0)
+
+    @pytest.mark.parametrize("policy", [optimal_policy, no_bond_policy])
+    @pytest.mark.parametrize("make_model, t, lam, wealth", [
+        (ou_single, 120.0, 0.0144, 100.0),         # t = t_max, where G = 0
+        (cir_two, 130.0, [0.0144, 0.013], 100.0),
+        (ou_single, math.inf, 0.0144, 100.0),
+        (ou_single, -math.inf, 0.0144, 100.0),
+        (ou_single, math.nan, 0.0144, 100.0),
+        (ou_single, 0.0, 0.0144, math.nan),
+        (ou_single, 0.0, 0.0144, math.inf),
+        (ou_single, 0.0, 0.0144, -1.0),
+        (ou_single, 0.0, math.nan, 100.0),
+        (cir_single, 0.0, math.inf, 100.0),
+        (ou_two, 0.0, [0.0144, math.nan], 100.0),
+    ])
+    def test_invalid_state_rejected(self, policy, make_model, t, lam, wealth):
+        with pytest.raises(ValueError):
+            policy(make_model(), SCEN, MARKET, t, lam, wealth)
 
     def test_cir_bond_weight_continuous_at_zero_hazard(self):
         # sqrt(lambda1) factors cancel between premium, hedge and volatility

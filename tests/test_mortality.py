@@ -5,7 +5,7 @@ from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, baseline_hazard,
                                death_time_distribution, drift_a,
                                initial_hazard, simulate_paths)
-from pendraw.numerics import TimeGrid, solve_ode
+from pendraw.numerics import TimeGrid, W2_STREAM_OFFSET, normal_block, solve_ode
 from pendraw.pricing import coeffs_single, survival_expectation
 
 # Base parameterisation; modal ages quoted as calendar ages
@@ -184,6 +184,116 @@ class TestSimulatePaths:
     def test_invalid_path_count(self):
         with pytest.raises(ConfigError):
             simulate_paths(ou_single(), TimeGrid(0.0, 1.0, 0.1), 0, seed=1)
+
+
+def _two_loop_paths(model, grid, n_paths, seed, path_offset=0):
+    """(lambda1, lambda2, survival, shocks1, shocks2) from the former
+    ``simulate_paths``, which kept one Euler loop per model class."""
+    n, dt, times = grid.n_steps, grid.step, grid.nodes
+    sqdt = np.sqrt(dt)
+    is_cir = model.kind == "cir"
+    xi1 = normal_block(seed, path_offset, n_paths, n)
+    xi2 = None
+    if isinstance(model, TwoPopModel):
+        xi2 = normal_block(seed, W2_STREAM_OFFSET + path_offset, n_paths, n)
+
+    def clamp(x):
+        return np.maximum(x, 0.0) if is_cir else x
+
+    def vol(sig, x):
+        return sig * np.sqrt(np.maximum(x, 0.0)) if is_cir else sig
+
+    lam1 = np.empty((n_paths, n + 1))
+    if isinstance(model, SinglePopModel):
+        x = np.full(n_paths, initial_hazard(model.gm))
+        lam1[:, 0] = clamp(x)
+        for k in range(n):
+            xp = clamp(x)
+            x = x + (drift_a(times[k], model.gm, model.b) - model.b * xp) * dt \
+                + vol(model.sigma, x) * sqdt * xi1[:, k]
+            lam1[:, k + 1] = clamp(x)
+        lam2, members = None, lam1
+    else:
+        lam2 = np.empty((n_paths, n + 1))
+        x1 = np.full(n_paths, initial_hazard(model.gm1))
+        x2 = np.full(n_paths, initial_hazard(model.gm2))
+        lam1[:, 0], lam2[:, 0] = clamp(x1), clamp(x2)
+        for k in range(n):
+            x1p, x2p = clamp(x1), clamp(x2)
+            dw1, dw2 = sqdt * xi1[:, k], sqdt * xi2[:, k]
+            x1 = x1 + (drift_a(times[k], model.gm1, model.b1) - model.b1 * x1p) * dt \
+                + vol(model.sigma1, x1p) * dw1
+            x2 = x2 + (drift_a(times[k], model.gm2, model.b22)
+                       - model.b21 * x1p - model.b22 * x2p) * dt \
+                + vol(model.sigma21, x1p) * dw1 + vol(model.sigma22, x2p) * dw2
+            lam1[:, k + 1], lam2[:, k + 1] = clamp(x1), clamp(x2)
+        members = lam2
+    survival = np.empty((n_paths, n + 1))
+    survival[:, 0] = 1.0
+    increments = 0.5 * dt * (members[:, :-1] + members[:, 1:])
+    survival[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
+    return lam1, lam2, survival, xi1, xi2
+
+
+def _uncoupled(kind):
+    return TwoPopModel(kind, POP1, POP2, B1, 0.0, B22, SIGMA1, 0.0, SIGMA22)
+
+
+class TestOneEulerLoop:
+    """The single Euler loop over the factor structure against the former
+    per-class loops (``_two_loop_paths``)."""
+
+    GRID = TimeGrid(0.0, 35.0, 0.1)
+
+    def test_factor_structure(self):
+        big_b, big_s, gms = cir_two().factors
+        assert np.array_equal(big_b, [[B1, 0.0], [B21, B22]])
+        assert np.array_equal(big_s, [[SIGMA1, 0.0], [SIGMA21, SIGMA22]])
+        assert gms == (POP1, POP2)
+        big_b, big_s, gms = ou_single().factors
+        assert (big_b.tolist(), big_s.tolist(), gms) == ([[B1]], [[SIGMA1]],
+                                                          (POP1,))
+
+    @pytest.mark.parametrize("model", [ou_two(), cir_two(), _uncoupled("ou"),
+                                       _uncoupled("cir")],
+                             ids=["ou-sub", "cir-sub", "ou-sub-uncoupled",
+                                  "cir-sub-uncoupled"])
+    def test_two_population_identical(self, model):
+        paths = simulate_paths(model, self.GRID, 60, seed=5, path_offset=7)
+        want = _two_loop_paths(model, self.GRID, 60, seed=5, path_offset=7)
+        got = (paths.lambda1, paths.lambda2, paths.survival, paths.shocks1,
+               paths.shocks2)
+        for name, a, b in zip(("lambda1", "lambda2", "survival", "shocks1",
+                               "shocks2"), got, want):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("model", [ou_single(), cir_single()],
+                             ids=["ou-single", "cir-single"])
+    def test_single_population_to_last_bits(self, model):
+        # the former loop multiplied (vol * sqrt(dt)) * xi, this one
+        # vol * (sqrt(dt) * xi): the hazards differ in the last bits only
+        paths = simulate_paths(model, self.GRID, 60, seed=5, path_offset=7)
+        lam1, lam2, survival, xi1, _ = _two_loop_paths(model, self.GRID, 60,
+                                                       seed=5, path_offset=7)
+        assert lam2 is None and paths.lambda2 is None
+        assert np.all(np.abs(paths.lambda1 - lam1) <= 1e-14 * np.abs(lam1))
+        assert np.all(np.abs(paths.survival - survival) <= 1e-14 * survival)
+        assert np.array_equal(paths.shocks1, xi1) and paths.shocks2 is None
+
+    @pytest.mark.parametrize("kind", ["ou", "cir"])
+    def test_single_population_is_population1_of_two(self, kind):
+        single = SinglePopModel(kind, POP1, B1, SIGMA1)
+        two = TwoPopModel(kind, POP1, POP2, B1, B21, B22, SIGMA1, SIGMA21,
+                          SIGMA22)
+        a = simulate_paths(single, self.GRID, 60, seed=5, path_offset=7)
+        b = simulate_paths(two, self.GRID, 60, seed=5, path_offset=7)
+        assert np.array_equal(a.lambda1, b.lambda1)
+        assert np.array_equal(a.shocks1, b.shocks1)
+
+    def test_shocks_dropped(self):
+        paths = simulate_paths(cir_two(), self.GRID, 5, seed=5,
+                               keep_shocks=False)
+        assert paths.shocks1 is None and paths.shocks2 is None
 
 
 def _floored_death_time(paths):

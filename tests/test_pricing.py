@@ -312,15 +312,15 @@ class TestCoefficientTable:
             if model.n_factors == 1:
                 c = coeffs_single(model, t, s)
                 assert tab.k0[idx] == pytest.approx(c.a0, abs=5e-7)
-                assert tab.k1[idx] == pytest.approx(c.a1, abs=5e-7)
-                eng = tab.j1[idx] * lam[0] + tab.psi[idx]
+                assert tab.k[0][idx] == pytest.approx(c.a1, abs=5e-7)
+                eng = tab.j[0][idx] * lam[0] + tab.psi[idx]
                 ref = tilde_mean(model, t, s, lam[:1])[0]
             else:
                 c = coeffs_two_pop(model, t, s)
                 assert tab.k0[idx] == pytest.approx(c.c0, abs=5e-7)
-                assert tab.k1[idx] == pytest.approx(c.c1, abs=5e-7)
-                assert tab.k2[idx] == pytest.approx(c.c2, abs=5e-7)
-                eng = tab.j1[idx] * lam[0] + tab.j2[idx] * lam[1] + tab.psi[idx]
+                assert tab.k[0][idx] == pytest.approx(c.c1, abs=5e-7)
+                assert tab.k[1][idx] == pytest.approx(c.c2, abs=5e-7)
+                eng = tab.j[0][idx] * lam[0] + tab.j[1][idx] * lam[1] + tab.psi[idx]
                 ref = tilde_mean(model, t, s, lam)[1]
             assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
 
@@ -332,7 +332,7 @@ class TestCoefficientTable:
         info = pricing._tau_table.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         # a later anchor's curves are the leading slice of an earlier one's
-        assert np.array_equal(tables[3].k1, tables[0].k1[:tables[3].s.size])
+        assert np.array_equal(tables[3].k[0], tables[0].k[0][:tables[3].s.size])
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     @pytest.mark.parametrize("t, t_max, nodes", [
@@ -348,13 +348,13 @@ class TestCoefficientTable:
             s = float(tab.s[idx])
             if model.n_factors == 1:
                 c = coeffs_single(model, t, s)
-                got, want = (tab.k0[idx], tab.k1[idx]), (c.a0, c.a1)
-                eng = tab.j1[idx] * lam[0] + tab.psi[idx]
+                got, want = (tab.k0[idx], tab.k[0][idx]), (c.a0, c.a1)
+                eng = tab.j[0][idx] * lam[0] + tab.psi[idx]
             else:
                 c = coeffs_two_pop(model, t, s)
-                got = (tab.k0[idx], tab.k1[idx], tab.k2[idx])
+                got = (tab.k0[idx], tab.k[0][idx], tab.k[1][idx])
                 want = (c.c0, c.c1, c.c2)
-                eng = tab.j1[idx] * lam[0] + tab.j2[idx] * lam[1] + tab.psi[idx]
+                eng = tab.j[0][idx] * lam[0] + tab.j[1][idx] * lam[1] + tab.psi[idx]
             assert got == pytest.approx(want, abs=5e-7)
             ref = tilde_mean(model, t, s, lam)[-1]
             assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)

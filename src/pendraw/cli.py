@@ -4,6 +4,10 @@ Subcommands: ``mortality`` (hazard path dump), ``coeffs`` (affine coefficient
 curves), ``policy`` (one policy decision), ``simulate`` (base scenario),
 ``compare`` (hedged vs unhedged), ``sweep`` (sensitivity in theta1 or phi).
 
+``main`` builds the parser of the invoked subcommand only (``build_parser``
+given ``argv[0]``); with no subcommand, an unknown one or ``-h`` first it
+builds all six. Both parse, print help and report usage errors alike.
+
 Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
 failure.
 """
@@ -14,12 +18,13 @@ import argparse
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .config import (ExperimentConfig, build_model, default_config_path,
                      load_config, with_overrides)
-from .control import annuity_G, optimal_policy
+from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
@@ -55,43 +60,61 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, default=None, help="path count override")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommands and their help, in help order
+_COMMANDS = {"mortality": "simulate hazard paths and dump CSV",
+             "coeffs": "affine coefficient curves as CSV",
+             "policy": "print one policy decision as CSV",
+             "simulate": "base scenario CSVs",
+             "compare": "hedged vs unhedged improvement CSVs",
+             "sweep": "sensitivity sweep CSVs"}
+
+
+def _add_command(sub, name: str) -> None:
+    p = sub.add_parser(name, help=_COMMANDS[name])
+    _add_common(p)
+    if name == "coeffs":
+        p.add_argument("--t", type=float, default=0.0,
+                       help="anchor time (years)")
+        p.add_argument("--s-max", type=float, default=None,
+                       help="last maturity (default: horizon)")
+        p.add_argument("--s-step", type=float, default=1.0,
+                       help="maturity spacing (years); (s_max - t) / s_step "
+                            f"may be at most {MAX_COEFF_ROWS}")
+    elif name == "policy":
+        p.add_argument("--t", type=float, default=0.0)
+        p.add_argument("--lambda1", type=float, default=None,
+                       help="hazard of population 1 (default: model initial "
+                            "value)")
+        p.add_argument("--lambda2", type=float, default=None)
+        p.add_argument("--wealth", type=float, default=None,
+                       help="current wealth (default: scenario y0)")
+    elif name == "sweep":
+        p.add_argument("--var", choices=("theta1", "phi"), default=None)
+        p.add_argument("--values", type=str, default=None,
+                       help="comma-separated sweep values")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand's name, with that
+    subcommand's parser only.
+
+    A parser of one subcommand parses that subcommand's arguments as the full
+    parser does, and its usage line names all six subcommands, so usage
+    errors read the same; any other ``command`` gives the full parser, whose
+    help and errors list every subcommand.
+    """
     parser = _Parser(
         prog="pendraw",
         description="Stochastic-mortality pension drawdown with a rolling "
                     "longevity bond")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mortality", help="simulate hazard paths and dump CSV")
-    _add_common(p)
-
-    p = sub.add_parser("coeffs", help="affine coefficient curves as CSV")
-    _add_common(p)
-    p.add_argument("--t", type=float, default=0.0, help="anchor time (years)")
-    p.add_argument("--s-max", type=float, default=None,
-                   help="last maturity (default: horizon)")
-    p.add_argument("--s-step", type=float, default=1.0,
-                   help="maturity spacing (years); (s_max - t) / s_step may "
-                        f"be at most {MAX_COEFF_ROWS}")
-
-    p = sub.add_parser("policy", help="print one policy decision as CSV")
-    _add_common(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--lambda1", type=float, default=None,
-                   help="hazard of population 1 (default: model initial value)")
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--wealth", type=float, default=None,
-                   help="current wealth (default: scenario y0)")
-
-    for name, help_ in (("simulate", "base scenario CSVs"),
-                        ("compare", "hedged vs unhedged improvement CSVs"),
-                        ("sweep", "sensitivity sweep CSVs")):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--var", choices=("theta1", "phi"), default=None)
-            p.add_argument("--values", type=str, default=None,
-                           help="comma-separated sweep values")
+    if command in _COMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        _add_command(sub, command)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name in _COMMANDS:
+            _add_command(sub, name)
     return parser
 
 
@@ -164,12 +187,11 @@ def _cmd_policy(args) -> int:
     wealth = args.wealth if args.wealth is not None else cfg.scenario.y0
     decision = optimal_policy(model, cfg.scenario, cfg.market, args.t,
                               np.array(lam), wealth)
-    g = annuity_G(model, cfg.scenario, cfg.market, args.t, np.array(lam))
     from .experiments import format_number as f
     print("t,lambda1,lambda2,wealth,G,withdraw_rate,stock_weight,bond_weight,"
           "cash_weight")
     lam2 = f(lam[1]) if len(lam) > 1 else ""
-    print(",".join([f(args.t), f(lam[0]), lam2, f(wealth), f(g),
+    print(",".join([f(args.t), f(lam[0]), lam2, f(wealth), f(decision.g),
                     f(decision.withdraw_rate), f(decision.stock_weight),
                     f(decision.bond_weight), f(decision.cash_weight)]))
     return 0
@@ -197,7 +219,8 @@ def _cmd_experiment(args, kind: str) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_join_values(argv))
+        args = build_parser(argv[0] if argv else None) \
+            .parse_args(_join_values(argv))
         if args.command == "mortality":
             return _cmd_mortality(args)
         if args.command == "coeffs":

@@ -98,9 +98,19 @@ def _getint(cp, section, key):
         raise ConfigError(f"invalid value for [{section}] {key}: {exc}") from exc
 
 
+def _check_seed(seed: int) -> int:
+    """The seed, if it keys the random streams (numerics): one of the 2**64
+    values of their 64-bit key word."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def loads_config(text: str) -> ExperimentConfig:
     """Parse configuration text (see ``load_config``)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are verbatim: no % interpolation
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -154,7 +164,7 @@ def loads_config(text: str) -> ExperimentConfig:
                               horizon=val("scheme", "horizon"),
                               dt=val("scheme", "dt"),
                               n_paths=val("scheme", "n_paths", _getint),
-                              seed=val("scheme", "seed", _getint),
+                              seed=_check_seed(val("scheme", "seed", _getint)),
                               t_max=val("scheme", "t_max"))
 
     experiment = "base"
@@ -214,7 +224,7 @@ def build_model(cfg: ExperimentConfig) -> Model:
 
 def dumps_config(cfg: ExperimentConfig) -> str:
     """Serialise a configuration; ``loads_config`` of the result is equal."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["model"] = {"kind": cfg.model_kind}
     cp["population1"] = {"nu": repr(cfg.pop1.nu), "delta": repr(cfg.pop1.delta),
                          "m": repr(cfg.pop1.m), "b": repr(cfg.b1),
@@ -254,7 +264,7 @@ def with_overrides(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     scenario = cfg.scenario
     if seed is not None or n_paths is not None:
         scenario = replace(scenario,
-                           seed=scenario.seed if seed is None else seed,
+                           seed=scenario.seed if seed is None else _check_seed(seed),
                            n_paths=scenario.n_paths if n_paths is None else n_paths)
     return replace(cfg,
                    scenario=scenario,

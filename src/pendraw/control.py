@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -127,12 +127,17 @@ class SchemeScenario:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """Withdrawal rate (currency/year) and portfolio weights (sum to one)."""
+    """Withdrawal rate (currency/year) and portfolio weights (sum to one).
+
+    ``g`` is the scheme value G(t, lambda) the withdrawal rate divides the
+    wealth by, as ``annuity_G`` gives it (None in a decision built by hand).
+    """
 
     withdraw_rate: float
     stock_weight: float
     bond_weight: float
     cash_weight: float
+    g: Optional[float] = None
 
 
 @lru_cache(maxsize=None)
@@ -323,10 +328,12 @@ def optimal_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
     g, grad = g_and_gradient(model, scenario, market, t, lam[None, :])
     w_bond = float(bond_weight_arrays(model, scenario, market, g, grad[:, 0])[0])
     w_stock = market.theta_s / market.sigma_s
-    return PolicyDecision(withdraw_rate=wealth / float(g[0]),
+    g = float(g[0])
+    return PolicyDecision(withdraw_rate=wealth / g,
                           stock_weight=w_stock,
                           bond_weight=w_bond,
-                          cash_weight=1.0 - (w_stock + w_bond))
+                          cash_weight=1.0 - (w_stock + w_bond),
+                          g=g)
 
 
 def no_bond_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
@@ -334,9 +341,10 @@ def no_bond_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
     """Policy when the bond is excluded: same withdrawal, zero bond weight."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     _check_policy_inputs(scenario, t, lam, wealth)
-    g, _ = g_and_gradient(model, scenario, market, t, lam[None, :])
+    g = float(g_and_gradient(model, scenario, market, t, lam[None, :])[0][0])
     w_stock = market.theta_s / market.sigma_s
-    return PolicyDecision(withdraw_rate=wealth / float(g[0]),
+    return PolicyDecision(withdraw_rate=wealth / g,
                           stock_weight=w_stock,
                           bond_weight=0.0,
-                          cash_weight=1.0 - w_stock)
+                          cash_weight=1.0 - w_stock,
+                          g=g)

@@ -166,6 +166,13 @@ def solve_ode(rhs: Callable[[float, np.ndarray], np.ndarray], t_start: float,
     return times, ys
 
 
+def _check_seed(seed: int) -> None:
+    """A seed is the first 64-bit word of the Philox key, so it must lie in
+    [0, 2**64): reducing it would give two seeds the same streams."""
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def gaussian_stream(seed: int, stream_index: int) -> np.random.Generator:
     """Standard-normal stream fully determined by ``(seed, stream_index)``.
 
@@ -174,7 +181,8 @@ def gaussian_stream(seed: int, stream_index: int) -> np.random.Generator:
     streams and the k-th draw of a stream is the same however the caller is
     scheduled.
     """
-    key = np.array([seed & _U64, stream_index & _U64], dtype=np.uint64)
+    _check_seed(seed)
+    key = np.array([seed, stream_index & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -188,8 +196,9 @@ def normal_block(seed: int, first_index: int, n_streams: int,
     the state ``gaussian_stream`` starts from, so the rows equal those
     streams' draws without building a generator per stream.
     """
+    _check_seed(seed)
     out = np.empty((n_streams, n_draws))
-    bitgen = np.random.Philox(key=np.array([seed & _U64, 0], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]

@@ -31,15 +31,18 @@ K0 and psi only through
 
 One cached RK4 pass in tau per model and t_max, at the lattice step
 ``LATTICE_STEP``, gives the Riccati coefficients C, the members' row p of the
-mean transition (J = p) and the cumulative Simpson integrals above. The table
-at any anchor t is slices of that pass at the nodes t + j*step plus a
-Gompertz-weighted sum; when t_max - t is not a whole number of steps, one
-more RK4 step resumed from the last node gives the values at t_max.
+mean transition (J = p) and the cumulative Simpson integrals above; it steps
+the factors the model has, the bond's reference factor only when there is
+one, since the members' curves never involve it. The table at any anchor t
+is slices of that pass at the nodes t + j*step plus a Gompertz-weighted sum;
+when t_max - t is not a whole number of steps, one more RK4 step resumed
+from the last node gives the values at t_max.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -430,47 +433,68 @@ def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
 
 def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
                   y0: np.ndarray) -> np.ndarray:
-    """RK4 in tau, 2n steps of h/2, on Python floats: rows (C1, C2, p1, p2).
+    """RK4 in tau, 2n steps of h/2, on Python floats: one row (C, p) per
+    node, laid out as ``y0`` (C = 0, p = e_m at tau = 0).
 
-    The lower-triangular two-factor system, members as factor 2, is
+    The lower-triangular system, members as the last factor m, is
 
-        dC = e_2 - B^T C - (S^T C)^2 / 2,   dp = -B^T p - (S^T p)(S^T C),
+        dC = e_m - B^T C - (S^T C)^2 / 2,   dp = -B^T p - (S^T p)(S^T C).
 
-    from ``y0`` (C = 0, p = e_2 at tau = 0); a single-population model is
-    factor 2 with factor 1 zeroed. Raises NumericalFailure at the first node
-    whose state is not finite (inf and nan propagate through +, -, *, so the
-    check runs once).
+    The members' (C_m, p_m) never involve factor 1, so they are stepped
+    alone; a two-population model steps the bond factor's (C_1, p_1) beside
+    them at the same four stage states. Raises NumericalFailure at the first
+    node whose state is not finite (inf and nan propagate through +, -, *,
+    so the check runs once).
     """
-    pad = 2 - big_b.shape[0]
-    (b1, _), (b21, b22) = np.pad(big_b, (pad, 0)).tolist()
-    (s1, _), (s21, s22) = np.pad(big_s, (pad, 0)).tolist()
-
-    def rhs(c1, c2, p1, p2):
-        q1, q2 = s1 * c1 + s21 * c2, s22 * c2
-        return (-(b1 * c1 + b21 * c2) - 0.5 * q1 * q1,
-                1.0 - b22 * c2 - 0.5 * q2 * q2,
-                -(b1 * p1 + b21 * p2) - (s1 * p1 + s21 * p2) * q1,
-                -b22 * p2 - s22 * p2 * q2)
-
+    nf = big_b.shape[0]
+    two = nf == 2
+    # the members' entries, and factor 1's column of B and S (with one
+    # factor the same entries again, unused)
+    bm, sm = float(big_b[-1, -1]), float(big_s[-1, -1])
+    (b1, b21), (s1, s21) = big_b[[0, -1], 0].tolist(), big_s[[0, -1], 0].tolist()
     dt = 0.5 * h
     half, sixth = 0.5 * dt, dt / 6.0
-    y = np.empty((2 * n + 1, 4))
-    c1, c2, p1, p2 = map(float, y0)
-    y[0] = c1, c2, p1, p2
-    for k in range(1, 2 * n + 1):
-        # the four stage slopes u, v, w, z of (C1, C2, p1, p2)
-        u1, u2, u3, u4 = rhs(c1, c2, p1, p2)
-        v1, v2, v3, v4 = rhs(c1 + half * u1, c2 + half * u2,
-                             p1 + half * u3, p2 + half * u4)
-        w1, w2, w3, w4 = rhs(c1 + half * v1, c2 + half * v2,
-                             p1 + half * v3, p2 + half * v4)
-        z1, z2, z3, z4 = rhs(c1 + dt * w1, c2 + dt * w2,
-                             p1 + dt * w3, p2 + dt * w4)
-        c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
-        c2 += sixth * (u2 + 2.0 * v2 + 2.0 * w2 + z2)
-        p1 += sixth * (u3 + 2.0 * v3 + 2.0 * w3 + z3)
-        p2 += sixth * (u4 + 2.0 * v4 + 2.0 * w4 + z4)
-        y[k] = c1, c2, p1, p2
+    y = y0.tolist()
+    c1, c, p1, p = y[0], y[nf - 1], y[nf], y[-1]
+    # the rows, flat, as C doubles: a list of row tuples of float objects
+    # would take 6 to 8 times the memory
+    rows = array("d", y)
+    for _ in range(2 * n):
+        # the members' stage slopes u, v, w, z of C_m (uc, ...) and p_m (up, ...)
+        q = sm * c
+        uc, up = 1.0 - bm * c - 0.5 * q * q, -bm * p - sm * p * q
+        cv, pv = c + half * uc, p + half * up
+        q = sm * cv
+        vc, vp = 1.0 - bm * cv - 0.5 * q * q, -bm * pv - sm * pv * q
+        cw, pw = c + half * vc, p + half * vp
+        q = sm * cw
+        wc, wp = 1.0 - bm * cw - 0.5 * q * q, -bm * pw - sm * pw * q
+        cz, pz = c + dt * wc, p + dt * wp
+        q = sm * cz
+        zc, zp = 1.0 - bm * cz - 0.5 * q * q, -bm * pz - sm * pz * q
+        if two:
+            # factor 1's slopes of C_1 (u1, ...) and p_1 (u3, ...)
+            q = s1 * c1 + s21 * c
+            u1 = -(b1 * c1 + b21 * c) - 0.5 * q * q
+            u3 = -(b1 * p1 + b21 * p) - (s1 * p1 + s21 * p) * q
+            cs, ps = c1 + half * u1, p1 + half * u3
+            q = s1 * cs + s21 * cv
+            v1 = -(b1 * cs + b21 * cv) - 0.5 * q * q
+            v3 = -(b1 * ps + b21 * pv) - (s1 * ps + s21 * pv) * q
+            cs, ps = c1 + half * v1, p1 + half * v3
+            q = s1 * cs + s21 * cw
+            w1 = -(b1 * cs + b21 * cw) - 0.5 * q * q
+            w3 = -(b1 * ps + b21 * pw) - (s1 * ps + s21 * pw) * q
+            cs, ps = c1 + dt * w1, p1 + dt * w3
+            q = s1 * cs + s21 * cz
+            z1 = -(b1 * cs + b21 * cz) - 0.5 * q * q
+            z3 = -(b1 * ps + b21 * pz) - (s1 * ps + s21 * pz) * q
+            c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
+            p1 += sixth * (u3 + 2.0 * v3 + 2.0 * w3 + z3)
+        c += sixth * (uc + 2.0 * vc + 2.0 * wc + zc)
+        p += sixth * (up + 2.0 * vp + 2.0 * wp + zp)
+        rows.extend((c1, c, p1, p) if two else (c, p))
+    y = np.frombuffer(rows).reshape(-1, 2 * nf)
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         at = dt * float(np.argmax(bad))
@@ -492,8 +516,9 @@ def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
     ``y0`` = (C, p) at tau0 resumes a pass (default: the origin C = 0,
     p = e_m at tau0 = 0); the k0/psi curves then hold the increments from
     tau0. The OU pass is affine, so its RK4 step is one fixed matrix map; the
-    CIR pass is a loop on Python floats (``_cir_tau_pass``). Neither calls
-    ``solve_ode``, which integrates the scalar oracles only.
+    CIR pass is a loop on Python floats over the model's own factors
+    (``_cir_tau_pass``). Neither calls ``solve_ode``, which integrates the
+    scalar oracles only.
     """
     big_b, big_s, gms = model.factors
     nf = big_b.shape[0]
@@ -502,10 +527,7 @@ def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
     if y0 is None:
         y0 = np.concatenate((zero, e_m))
     if model.kind == CIR:
-        padded = np.zeros(4)
-        padded[2 - nf:2], padded[4 - nf:] = y0[:nf], y0[nf:]
-        y = _cir_tau_pass(big_b, big_s, h, n, padded)
-        c, p = y[:, 2 - nf:2], y[:, 4 - nf:]
+        y = _cir_tau_pass(big_b, big_s, h, n, y0)
         noise = np.zeros((w.size, 2))
     else:
         # y = (C, p) as a row obeys the affine dy = (e_m, 0) - y L,
@@ -523,10 +545,10 @@ def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
             y[m:2 * m] = y[:min(m, w.size - m)] @ step_map + offset
             offset = offset @ step_map + offset
             step_map, m = step_map @ step_map, 2 * m
-        c, p = y[:, :nf], y[:, nf:]
-        qc, qp = c @ big_s, p @ big_s
+        qc, qp = y[:, :nf] @ big_s, y[:, nf:] @ big_s
         noise = np.column_stack((0.5 * np.sum(qc * qc, axis=1),
                                  -np.sum(qp * qc, axis=1)))
+    c, p = y[:, :nf], y[:, nf:]
     deltas = np.array([gm.delta for gm in gms])
     decay = np.exp(-w[:, None] / deltas)
     # one row per curve from here on, so that anchors read contiguous rows

@@ -128,6 +128,31 @@ sigma22 = 0.005
         assert cfg2.scenario.n_paths == 12
         assert cfg2.market == cfg.market
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        # the streams are keyed by the seed as one 64-bit word; reducing it
+        # would make -1 and 2**64 - 1 (or 2**64 and 0) one seed
+        with pytest.raises(ConfigError, match="seed"):
+            loads_config(MINIMAL.replace("phi = 0.8", f"phi = 0.8\nseed = {seed}"))
+        with pytest.raises(ConfigError, match="seed"):
+            with_overrides(loads_config(MINIMAL), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_key_range_ends_accepted(self, seed):
+        cfg = loads_config(MINIMAL.replace("phi = 0.8", f"phi = 0.8\nseed = {seed}"))
+        assert cfg.scenario.seed == seed
+        assert with_overrides(loads_config(MINIMAL), seed=seed).scenario.seed == seed
+
+    def test_percent_in_number_is_an_invalid_value(self):
+        with pytest.raises(ConfigError, match=r"\[population1\] nu"):
+            loads_config(MINIMAL.replace("nu = 0.0009944", "nu = 0.0001%"))
+
+    def test_percent_in_out_dir_is_literal(self):
+        text = MINIMAL + "\n[experiment]\nout_dir = runs/100%/%(x)s\n"
+        cfg = loads_config(text)
+        assert cfg.out_dir == "runs/100%/%(x)s"
+        assert loads_config(dumps_config(cfg)) == cfg
+
 
 class TestWriteCsv:
     def test_header_only(self, tmp_path):
@@ -517,6 +542,73 @@ class TestCli:
             assert main(["sweep", "--config", str(small_config(tmp_path)),
                          "--var", "theta1", *values]) == 0
         assert seen == [(-0.0015, -0.003)] * 2
+
+    @pytest.mark.parametrize("kind", ["ou-single", "cir-sub"])
+    def test_policy_evaluates_g_once(self, tmp_path, capsys, monkeypatch,
+                                     kind):
+        from pendraw import control
+
+        calls = []
+        real = control.g_and_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(default_config_path().read_text()
+                            .replace("kind = ou-single", f"kind = {kind}"))
+        monkeypatch.setattr(control, "g_and_gradient", counted)
+        assert main(["policy", "--config", str(cfg_path), "--t", "3"]) == 0
+        assert calls == [3.0]
+        values = capsys.readouterr().out.splitlines()[1].split(",")
+        cfg = load_config(cfg_path)
+        lam = [float(values[1])] + ([float(values[2])] if values[2] else [])
+        g = control.annuity_G(build_model(cfg), cfg.scenario, cfg.market, 3.0,
+                              lam)
+        assert values[4] == format_number(g)
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], [], ["bogus"], ["--config", "x", "policy"], ["-h", "policy"],
+        ["policy", "--bogus"], ["policy", "--t", "soon"],
+        ["sweep", "--var", "kappa"],
+        ["sweep", "--values", "-0.0015,-0.003", "--config", "missing.cfg"],
+        *([name, "-h"] for name in ("mortality", "coeffs", "policy",
+                                    "simulate", "compare", "sweep"))])
+    def test_parser_of_one_command_reads_as_the_full_parser(
+            self, argv, capsys, monkeypatch):
+        import pendraw.cli as cli
+
+        def run():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        got = run()
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == run()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_key_range_exit_code(self, tmp_path, capsys, seed):
+        out = tmp_path / "m"
+        code = main(["mortality", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--paths", "2", "--seed", seed])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_percent_in_config_value_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "pct.cfg"
+        cfg_path.write_text(MINIMAL.replace("nu = 0.0009944", "nu = 0.0001%"))
+        assert main(["policy", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid value for "
+                                       "[population1] nu")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [[], ["sweep", "--var", "kappa"],
                                       ["simulate", "--paths", "many"],

@@ -175,3 +175,15 @@ class TestGaussianStream:
             for i in range(3):
                 assert np.array_equal(
                     block[i], gaussian_stream(13, first + i).standard_normal(25))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            gaussian_stream(seed, 0)
+        with pytest.raises(ValueError, match="seed"):
+            normal_block(seed, 0, 2, 3)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_key_range_ends_accepted(self, seed):
+        block = normal_block(seed, 5, 2, 3)
+        assert np.array_equal(block[1], gaussian_stream(seed, 6).standard_normal(3))

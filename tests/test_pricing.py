@@ -398,12 +398,10 @@ class TestCoefficientTable:
 def _lin_matrix_cir_pass(big_b, big_s, h, n, start):
     """Reference for ``pricing._cir_tau_pass``: the (C, p) row under the
     matrix right-hand side dy = (e_m, 0) - y L - (1/2, 1) z (S^T C, S^T C),
-    z = (S^T C, S^T p), stepped by ``solve_ode`` from ``start``; rows padded
-    to (C1, C2, p1, p2) with a single population as factor 2."""
+    z = (S^T C, S^T p), stepped by ``solve_ode`` from ``start``."""
     nf = big_b.shape[0]
     e_m = np.eye(nf)[-1]
     base = np.concatenate((e_m, np.zeros(nf)))
-    y0 = np.concatenate((start[2 - nf:2], start[4 - nf:]))
     lin = np.hstack((np.kron(np.eye(2), big_b), np.kron(np.eye(2), big_s),
                      np.kron([[1.0, 1.0], [0.0, 0.0]], big_s)))
     weight = np.repeat([0.5, 1.0], nf)
@@ -413,10 +411,47 @@ def _lin_matrix_cir_pass(big_b, big_s, h, n, start):
         r = y @ lin
         return base - r[:nn] - weight * r[nn:2 * nn] * r[2 * nn:]
 
-    _, y = solve_ode(rhs, 0.0, n * h, y0, step=0.5 * h)
-    out = np.zeros((y.shape[0], 4))
-    out[:, 2 - nf:2], out[:, 4 - nf:] = y[:, :nf], y[:, nf:]
-    return out
+    _, y = solve_ode(rhs, 0.0, n * h, start, step=0.5 * h)
+    return y
+
+
+def _padded_cir_tau_pass(big_b, big_s, h, n, start):
+    """Reference for ``pricing._cir_tau_pass`` float for float: the former
+    pass, which stepped (C1, C2, p1, p2) with a single population padded to
+    factor 2 behind a zero factor 1, with the stage slopes from ``rhs``."""
+    nf = big_b.shape[0]
+    pad = 2 - nf
+    (b1, _), (b21, b22) = np.pad(big_b, (pad, 0)).tolist()
+    (s1, _), (s21, s22) = np.pad(big_s, (pad, 0)).tolist()
+
+    def rhs(c1, c2, p1, p2):
+        q1, q2 = s1 * c1 + s21 * c2, s22 * c2
+        return (-(b1 * c1 + b21 * c2) - 0.5 * q1 * q1,
+                1.0 - b22 * c2 - 0.5 * q2 * q2,
+                -(b1 * p1 + b21 * p2) - (s1 * p1 + s21 * p2) * q1,
+                -b22 * p2 - s22 * p2 * q2)
+
+    dt = 0.5 * h
+    half, sixth = 0.5 * dt, dt / 6.0
+    y = np.empty((2 * n + 1, 4))
+    padded = np.zeros(4)
+    padded[2 - nf:2], padded[4 - nf:] = start[:nf], start[nf:]
+    c1, c2, p1, p2 = map(float, padded)
+    y[0] = c1, c2, p1, p2
+    for k in range(1, 2 * n + 1):
+        u1, u2, u3, u4 = rhs(c1, c2, p1, p2)
+        v1, v2, v3, v4 = rhs(c1 + half * u1, c2 + half * u2,
+                             p1 + half * u3, p2 + half * u4)
+        w1, w2, w3, w4 = rhs(c1 + half * v1, c2 + half * v2,
+                             p1 + half * v3, p2 + half * v4)
+        z1, z2, z3, z4 = rhs(c1 + dt * w1, c2 + dt * w2,
+                             p1 + dt * w3, p2 + dt * w4)
+        c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
+        c2 += sixth * (u2 + 2.0 * v2 + 2.0 * w2 + z2)
+        p1 += sixth * (u3 + 2.0 * v3 + 2.0 * w3 + z3)
+        p2 += sixth * (u4 + 2.0 * v4 + 2.0 * w4 + z4)
+        y[k] = c1, c2, p1, p2
+    return np.hstack((y[:, 2 - nf:2], y[:, 4 - nf:]))
 
 
 CIR_MODELS = [cir_single(), cir_two()]
@@ -435,6 +470,26 @@ class TestCirTauPass:
         for name, ref in vars(want).items():
             np.testing.assert_allclose(getattr(got, name), ref, rtol=0,
                                        atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
+    @pytest.mark.parametrize("h, n, resume", [
+        (0.05, 2400, None), (67.66 / 1354, 1354, None),
+        (0.0123, 1, 1354)],   # a short last step resumed at node 1354
+        ids=["lattice", "off-lattice", "resumed"])
+    def test_pass_is_bit_identical_to_padded_pass(self, model, h, n, resume,
+                                                  monkeypatch):
+        # stepping only the factors the model has changes no float operation
+        # of the members' (C, p), nor of factor 1's in a two-population model
+        args = (model, h, n)
+        if resume is not None:
+            full = pricing._tau_curves(model, 0.05, 2400)
+            start = np.concatenate((full.c[:, resume], full.p[:, resume]))
+            args += (resume * 0.05, start)
+        got = pricing._tau_curves(*args)
+        monkeypatch.setattr(pricing, "_cir_tau_pass", _padded_cir_tau_pass)
+        want = pricing._tau_curves(*args)
+        for name, ref in vars(want).items():
+            assert np.array_equal(getattr(got, name), ref), name
 
     @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
     def test_members_c_matches_closed_form(self, model):

@@ -6,35 +6,39 @@ G(t, lambda) is the expected discounted stream of survival-weighted payouts
              * exp(-int_t^s (r + lambda_members(u)) du) ds ],
 
 truncated at the scenario's ``t_max``. With the exponential-affine
-survival expectation and the shifted hazard mean E~ (affine in the current
-hazard) the integrand is known in closed form given the coefficient curves:
+survival expectation S(t,s) = exp(K0 - K1*lam1 [- K2*lam2]) (``pricing``;
+not the volatility matrix S of ``factors``) and the shifted hazard mean E~ the
+integrand is known given the coefficient curves:
 
-    G = int_t^tmax e^{-r(s-t)} * e^{K0 - K1*lam1 [- K2*lam2]}
-        * (1 + phi * E~_t[lambda_members(s)]) ds.
+    G = int_t^tmax e^{-r(s-t)} S(t,s) (1 + phi * E~_t[lambda_members(s)]) ds.
 
-The outer integral is a quadrature over nodes s_n of the coefficient table,
-which is the one cached tau pass shared by every anchor (``pricing``): the
-trapezoid rule on every 4th lattice node, with Gregory end corrections that
-make it exact for polynomials of degree below 8. The rule stops at the
-survival-underflow point, or ends in a short panel at t_max; anchors with a
-high hazard or a short span use a smaller stride.
+E~ is the mean under the survival-forward measure, so, as the forward rate
+is the forward-measure mean of the short rate (Geman, El Karoui & Rochet,
+J. Appl. Probab. 32(2), 1995; Biffis, Insurance Math. Econ. 37(3), 2005),
 
-The hazard gradient differentiates under the integral sign: each factor is
-either exponential-affine or linear in the current hazard. On the nodes s_n
-(weights w_n e^{-r(s_n - t)}) the integrand is surv * lift with
+    E~_t[lambda_members(s)] = -d/ds log S(t,s),    S E~ = -dS/ds.
 
-    surv = exp(k0 - sum_i lam_i k_i),   lift = 1 + phi (psi + sum_m lam_m j_m),
+Integrating the phi term by parts up to T, the outer rule's last node, gives
 
-so G and every gradient component are linear in the moments
-S[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, psi, j_i, k_i,
-k_i psi, k_i j_m}:
+    G          = (1 - phi r) A + phi (1 - D),
+    dG/dlam_i  = -(1 - phi r) int_t^T e^{-r(s-t)} S k_i ds + phi D k_i(T),
 
-    G          = S[1] + phi (S[psi] + sum_m lam_m S[j_m]),
-    dG/dlam_i  = phi S[j_i] - S[k_i] - phi (S[k_i psi] + sum_m lam_m S[k_i j_m]).
+with A = int_t^T e^{-r(s-t)} S ds, D = e^{-r(T-t)} S(t,T) and k_i = K_i(t, .),
+since dS/dlam_i = -k_i S. The phi term is exact, so G needs the survival
+curve alone and only A and its gradient a quadrature. 1 - phi r turns
+negative once phi r > 1, yet G stays above A: phi (1 - D - r A) =
+phi int_t^T e^{-r(s-t)} (-dS/ds) ds, which is positive while S falls.
 
-A batch of states then costs one exp of the (states x nodes) exponent and
-one product with the (nodes x moments) matrix: 6 moments for one hazard
-factor, 12 for two.
+The quadrature runs over nodes s_n of the coefficient table, which is the
+one cached tau pass shared by every anchor (``pricing``): the trapezoid rule
+on every 10th lattice node, with Gregory end corrections that make it exact
+for polynomials of degree below 8. The rule stops at the survival-underflow
+point, or ends in a short panel at t_max; anchors with a high hazard or a
+short span use a smaller stride. On the nodes (weights w_n) A and the
+gradient's integrals are the moments M[x] = sum_n w_n e^{-r(s_n - t)} surv_n
+x_n of x in {1, k_i}, surv = exp(k0 - sum_i lam_i k_i). A batch of states
+then costs one exp of the (states x nodes) exponent and one product with the
+(nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
 
 The optimal policy withdraws wealth/G, holds theta_s/sigma_s of wealth in the
 stock, and hedges with the rolling longevity bond through the first hazard
@@ -56,30 +60,32 @@ from .mortality import Model, baseline_hazard
 from .pricing import (LATTICE_STEP, MarketParams, _a1_factor1, _lattice_span,
                       build_coefficient_table)
 
-# G's outer integral is the trapezoid rule on every GREGORY_STRIDE-th node of
-# the coefficient lattice, with GREGORY_ORDER-point Gregory end corrections.
-# Against composite Simpson on a lattice four times finer, for all four model
-# kinds, t in {0, 17.3, 34}, phi in {0, 0.8, 5} and hazards of 0.5 to 1.5
-# times the baseline, G must stay within G_REL_TOL and its gradient within
-# GRAD_REL_TOL of its largest component. G_REL_TOL leaves room inside the
-# 2e-8 at which the benchmark checks G against an outer quadrature (printing
-# adds 5e-9, the quadrature about 2e-9), and GRAD_REL_TOL inside its 1e-6
-# gradient check; both sit far below the Euler wealth error at dt = 0.1.
+# A and its gradient are the trapezoid rule on every GREGORY_STRIDE-th node
+# of the coefficient lattice, with GREGORY_ORDER-point Gregory end
+# corrections. Against the same by-parts form with composite Simpson on a
+# lattice four times finer, for all four model kinds, t in {0, 17.3, 34}, phi
+# in {0, 0.8, 5} and hazards of 0.5 to 1.5 times the baseline, G must stay
+# within G_REL_TOL and its gradient within GRAD_REL_TOL of its largest
+# component. G_REL_TOL leaves room inside the 2e-8 at which the benchmark
+# checks G against an outer quadrature (printing adds 5e-9, the quadrature
+# about 2e-9), and GRAD_REL_TOL inside its 1e-6 gradient check; both sit far
+# below the Euler wealth error at dt = 0.1.
 # The order costs nothing, so it is the highest whose weights are all
-# positive (order 9 has a negative one). The stride sets the cost: 4 is the
-# largest that meets both tolerances (at stride 4 the worst case measures
-# 2.1e-9 and 1.2e-7; stride 5 gives 2.54e-7 on the two-population kinds at
-# t = 34; Simpson on every node measured 6.4e-9 and 2.4e-7).
+# positive (order 9 has a negative one). The stride sets the cost: 10 is the
+# largest that meets both tolerances (at stride 10 the worst case measures
+# 4.6e-9 and 2.2e-7, on cir-single at t = 17.3 and phi = 0; stride 11 gives
+# 9.2e-9 there).
 # Later anchors have a higher hazard, so a faster-decaying integrand: the
 # stride also keeps (r + members' baseline hazard at t) * spacing at most
-# GREGORY_RATE_STEP, the largest such product that kept strides 1 to 4
-# within both tolerances from t = 34 to 55 (0.07 lets stride 4 through on
-# ou-sub at t = 42: 7e-9). Past t = 60 even stride 1 misses them, but up to
-# t = 80 the rule stays ahead of Simpson on every node
-# (tests/test_control.py).
+# GREGORY_RATE_STEP, the largest such product, in steps of 0.01, that kept
+# the strides it picks within both tolerances at t = 34, 35, ..., 54 (0.07
+# lets stride 6 through on cir-sub at t = 35: 5.008e-9). At t = 55 even
+# stride 1 gives 5.6e-9 on the single-population kinds, and it misses more
+# past t = 60, but up to t = 80 the rule stays ahead of Simpson on every
+# node (tests/test_control.py).
 G_REL_TOL = 5e-9
 GRAD_REL_TOL = 2.5e-7
-GREGORY_STRIDE = 4
+GREGORY_STRIDE = 10
 GREGORY_ORDER = 8
 GREGORY_RATE_STEP = 0.06
 # Bernoulli numbers B_2 .. B_8 (numerator, denominator) for the Gregory
@@ -240,26 +246,17 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
     tab = build_coefficient_table(model, t, scenario.t_max)
     rows, w = _g_nodes(tab, *_lattice_span(t, scenario.t_max),
                        _max_stride(model, market, t))
-    n_keep = rows.size
-    base = w * np.exp(-market.r * tab.tau[rows])
-
+    r, phi = market.r, scenario.phi
+    disc = np.exp(-r * tab.tau[rows])
     # (n_fac, nodes), row-major: tab.k[:, rows] would be column-major
-    k, j = tab.k.take(rows, axis=1), tab.j.take(rows, axis=1)
-    psi = tab.psi[rows]
-    # moment columns: 1, psi, j_i, k_i, k_i psi, k_i j_m (row-major in i, m)
-    moments = np.concatenate((np.ones((1, n_keep)), psi[None, :], j, k,
-                              k * psi, (k[:, None, :] * j[None, :, :])
-                              .reshape(n_fac * n_fac, n_keep))) * base
-    s = np.exp(tab.k0[rows] - lam @ k) @ moments.T      # (n, 2 + n_fac*(3+n_fac))
-    s_j = s[:, 2:2 + n_fac]
-    s_k = s[:, 2 + n_fac:2 + 2 * n_fac]
-    s_kpsi = s[:, 2 + 2 * n_fac:2 + 3 * n_fac]
-    s_kj = s[:, 2 + 3 * n_fac:].reshape(n_states, n_fac, n_fac)
-
-    phi = scenario.phi
-    g = s[:, 0] + phi * (s[:, 1] + np.sum(lam * s_j, axis=1))
-    grad = phi * s_j - s_k - phi * (s_kpsi + np.sum(s_kj * lam[:, None, :],
-                                                    axis=2))
+    k = tab.k.take(rows, axis=1)
+    surv = np.exp(tab.k0[rows] - lam @ k)                # (n, nodes)
+    # the moments M[1], M[k_i], and D = e^{-r(T-t)} S(t,T) at the last node
+    mom = surv @ (np.vstack((np.ones(rows.size), k)) * (w * disc)).T
+    end = disc[-1] * surv[:, -1]
+    lead = 1.0 - phi * r
+    g = lead * mom[:, 0] + phi * (1.0 - end)
+    grad = phi * end[:, None] * k[:, -1] - lead * mom[:, 1:]
     return g, grad
 
 

@@ -2,8 +2,8 @@
 
 For an affine hazard model the conditional survival expectation is
 
-    E_t[exp(-int_t^s lambda_members du)] = exp(K0(t,s) - K1(t,s)*lambda1(t)
-                                               [- K2(t,s)*lambda2(t)])
+    S(t,s) = E_t[exp(-int_t^s lambda_members du)]
+           = exp(K0(t,s) - K1(t,s)*lambda1(t) [- K2(t,s)*lambda2(t)])
 
 with coefficients solving Riccati-type ODEs in t, terminal value zero at
 t = s. Single-population models use (A0, A1); two-population models use
@@ -11,32 +11,33 @@ t = s. Single-population models use (A0, A1); two-population models use
 maturity and its volatility loading is -A1(t, t+T)*sigma1 (times
 sqrt(lambda1) under CIR dynamics); A1 and sigma1 = S[0, 0] are those of
 factor 1, the bond's reference population, in the model's ``factors``
-(B, S, gms) (``_a1_factor1``). The measure-changed hazard means E~ needed by
-the annuity value come from a hazard-proportional drift adjustment and stay
-affine in the current hazard:
-
-    E~_t[lambda(s)] = J(t,s) * lambda(t) + psi(t,s).
+(B, S, gms) (``_a1_factor1``). The measure-changed hazard means E~ of the
+annuity value come from a hazard-proportional drift adjustment; they are the
+survival-forward-measure means, E~_t[lambda_members(s)] = -d/ds log S(t,s)
+(S(t,s) always with its arguments, apart from the volatility matrix S), so
+the annuity value needs S(t,s) alone (``control``) and ``tilde_mean``
+serves as their oracle.
 
 Two routes compute these. The scalar functions (``coeffs_single``,
 ``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
 systems at one (t, s) with closed forms, adaptive Simpson and RK4; they are
 the oracles. The coefficient tables behind the annuity evaluator use the
 affine structure of the model's ``factors``: mean reversion and volatilities
-are constant, so K1, K2 and J are functions of tau = s - t alone, and the
+are constant, so K1 and K2 are functions of tau = s - t alone, and the
 Gompertz-Makeham drift a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters
-K0 and psi only through
+K0 only through
 
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
                                + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
 
 One cached RK4 pass in tau per model and t_max, at the lattice step
-``LATTICE_STEP``, gives the Riccati coefficients C, the members' row p of the
-mean transition (J = p) and the cumulative Simpson integrals above; it steps
-the factors the model has, the bond's reference factor only when there is
-one, since the members' curves never involve it. The table at any anchor t
-is slices of that pass at the nodes t + j*step plus a Gompertz-weighted sum;
-when t_max - t is not a whole number of steps, one more RK4 step resumed
-from the last node gives the values at t_max.
+``LATTICE_STEP``, gives the Riccati coefficients C and the cumulative
+Simpson integrals above; it steps the factors the model has, the bond's
+reference factor only when there is one, since the members' curve never
+involves it. The table at any anchor t is slices of that pass at the nodes
+t + j*step plus a Gompertz-weighted sum for K0; when t_max - t is not a whole
+number of steps, one more RK4 step resumed from C at the last node gives the
+values at t_max.
 """
 
 from __future__ import annotations
@@ -383,11 +384,11 @@ def tilde_mean(model: Model, t: float, s: float, lam,
 
 @dataclass
 class CoefficientTable:
-    """Affine and measure-changed-mean curves on a lattice anchored at t.
+    """Affine coefficient curves on a lattice anchored at t.
 
-    ``k0 - lam @ k`` is the log survival expectation to each lattice node and
-    the members' shifted mean is ``lam @ j + psi``, for the hazard vector lam
-    in the model's factor order; ``k`` and ``j`` have one row per factor.
+    ``k0 - lam @ k`` is the log survival expectation to each lattice node,
+    for the hazard vector lam in the model's factor order; ``k`` has one row
+    per factor.
     """
 
     t: float
@@ -395,30 +396,23 @@ class CoefficientTable:
     tau: np.ndarray
     k0: np.ndarray
     k: np.ndarray        # (n_factors, nodes)
-    j: np.ndarray        # (n_factors, nodes)
-    psi: np.ndarray
 
 
 @dataclass(frozen=True)
 class _TauTable:
     """Anchor-free curves on the tau-lattice j*h, j = 0..n (read-only).
 
-    ``m``/``delta`` are the factors' Gompertz parameters; ``c``/``p`` hold
-    C_k(tau) and the members' row p_k(tau) of the mean transition, one row
-    per factor k. An anchor t with s = t + tau reads
+    ``m``/``delta`` are the factors' Gompertz parameters; ``c`` holds
+    C_k(tau), one row per factor k. An anchor t with s = t + tau reads
 
-        k0  = k0_level(tau)  + sum_k e^{(s - m_k)/delta_k} k0_gompertz_k(tau),
-        psi = psi_level(tau) + sum_k e^{(s - m_k)/delta_k} psi_gompertz_k(tau).
+        k0 = k0_level(tau) + sum_k e^{(s - m_k)/delta_k} k0_gompertz_k(tau).
     """
 
     m: np.ndarray
     delta: np.ndarray
     c: np.ndarray
-    p: np.ndarray
     k0_level: np.ndarray
     k0_gompertz: np.ndarray
-    psi_level: np.ndarray
-    psi_gompertz: np.ndarray
 
 
 def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
@@ -433,18 +427,18 @@ def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
 
 def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
                   y0: np.ndarray) -> np.ndarray:
-    """RK4 in tau, 2n steps of h/2, on Python floats: one row (C, p) per
-    node, laid out as ``y0`` (C = 0, p = e_m at tau = 0).
+    """RK4 in tau, 2n steps of h/2, on Python floats: one row C per node,
+    laid out as ``y0`` (C = 0 at tau = 0).
 
-    The lower-triangular system, members as the last factor m, is
+    The lower-triangular Riccati system, members as the last factor m, is
 
-        dC = e_m - B^T C - (S^T C)^2 / 2,   dp = -B^T p - (S^T p)(S^T C).
+        dC = e_m - B^T C - (S^T C)^2 / 2.
 
-    The members' (C_m, p_m) never involve factor 1, so they are stepped
-    alone; a two-population model steps the bond factor's (C_1, p_1) beside
-    them at the same four stage states. Raises NumericalFailure at the first
-    node whose state is not finite (inf and nan propagate through +, -, *,
-    so the check runs once).
+    The members' C_m never involves factor 1, so it is stepped alone; a
+    two-population model steps the bond factor's C_1 beside it at the same
+    four stage states. Raises NumericalFailure at the first node whose state
+    is not finite (inf and nan propagate through +, -, *, so the check runs
+    once).
     """
     nf = big_b.shape[0]
     two = nf == 2
@@ -455,46 +449,40 @@ def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
     dt = 0.5 * h
     half, sixth = 0.5 * dt, dt / 6.0
     y = y0.tolist()
-    c1, c, p1, p = y[0], y[nf - 1], y[nf], y[-1]
+    c1, c = y[0], y[-1]
     # the rows, flat, as C doubles: a list of row tuples of float objects
     # would take 6 to 8 times the memory
     rows = array("d", y)
     for _ in range(2 * n):
-        # the members' stage slopes u, v, w, z of C_m (uc, ...) and p_m (up, ...)
+        # the members' stage slopes u, v, w, z of C_m
         q = sm * c
-        uc, up = 1.0 - bm * c - 0.5 * q * q, -bm * p - sm * p * q
-        cv, pv = c + half * uc, p + half * up
+        uc = 1.0 - bm * c - 0.5 * q * q
+        cv = c + half * uc
         q = sm * cv
-        vc, vp = 1.0 - bm * cv - 0.5 * q * q, -bm * pv - sm * pv * q
-        cw, pw = c + half * vc, p + half * vp
+        vc = 1.0 - bm * cv - 0.5 * q * q
+        cw = c + half * vc
         q = sm * cw
-        wc, wp = 1.0 - bm * cw - 0.5 * q * q, -bm * pw - sm * pw * q
-        cz, pz = c + dt * wc, p + dt * wp
+        wc = 1.0 - bm * cw - 0.5 * q * q
+        cz = c + dt * wc
         q = sm * cz
-        zc, zp = 1.0 - bm * cz - 0.5 * q * q, -bm * pz - sm * pz * q
+        zc = 1.0 - bm * cz - 0.5 * q * q
         if two:
-            # factor 1's slopes of C_1 (u1, ...) and p_1 (u3, ...)
+            # factor 1's slopes of C_1
             q = s1 * c1 + s21 * c
             u1 = -(b1 * c1 + b21 * c) - 0.5 * q * q
-            u3 = -(b1 * p1 + b21 * p) - (s1 * p1 + s21 * p) * q
-            cs, ps = c1 + half * u1, p1 + half * u3
+            cs = c1 + half * u1
             q = s1 * cs + s21 * cv
             v1 = -(b1 * cs + b21 * cv) - 0.5 * q * q
-            v3 = -(b1 * ps + b21 * pv) - (s1 * ps + s21 * pv) * q
-            cs, ps = c1 + half * v1, p1 + half * v3
+            cs = c1 + half * v1
             q = s1 * cs + s21 * cw
             w1 = -(b1 * cs + b21 * cw) - 0.5 * q * q
-            w3 = -(b1 * ps + b21 * pw) - (s1 * ps + s21 * pw) * q
-            cs, ps = c1 + dt * w1, p1 + dt * w3
+            cs = c1 + dt * w1
             q = s1 * cs + s21 * cz
             z1 = -(b1 * cs + b21 * cz) - 0.5 * q * q
-            z3 = -(b1 * ps + b21 * pz) - (s1 * ps + s21 * pz) * q
             c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
-            p1 += sixth * (u3 + 2.0 * v3 + 2.0 * w3 + z3)
         c += sixth * (uc + 2.0 * vc + 2.0 * wc + zc)
-        p += sixth * (up + 2.0 * vp + 2.0 * wp + zp)
-        rows.extend((c1, c, p1, p) if two else (c, p))
-    y = np.frombuffer(rows).reshape(-1, 2 * nf)
+        rows.extend((c1, c) if two else (c,))
+    y = np.frombuffer(rows).reshape(-1, nf)
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         at = dt * float(np.argmax(bad))
@@ -504,66 +492,54 @@ def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
 
 def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
                 y0: Optional[np.ndarray] = None) -> _TauTable:
-    """RK4 in tau from tau0, 2n steps of h/2, for C and p, then cumulative
-    Simpson on the n panels of h.
+    """RK4 in tau from tau0, 2n steps of h/2, for C, then cumulative Simpson
+    on the n panels of h.
 
-    dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR], and the members' row
-    of the mean transition obeys dp/dtau = -p M(tau), p(0) = e_m, where
-    M = B (OU) or B + S diag(S^T C) (CIR, hazard-proportional measure
-    change). OU's noise enters additively instead: +|S^T C|^2 / 2 in k0 and
-    the drift shift -S S^T C in psi. No step divides by b1 - b22.
+    dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR]; OU's noise enters k0
+    additively instead, as +|S^T C|^2 / 2. No step divides by b1 - b22.
 
-    ``y0`` = (C, p) at tau0 resumes a pass (default: the origin C = 0,
-    p = e_m at tau0 = 0); the k0/psi curves then hold the increments from
-    tau0. The OU pass is affine, so its RK4 step is one fixed matrix map; the
-    CIR pass is a loop on Python floats over the model's own factors
-    (``_cir_tau_pass``). Neither calls ``solve_ode``, which integrates the
-    scalar oracles only.
+    ``y0`` = C at tau0 resumes a pass (default: the origin C = 0 at
+    tau0 = 0); the k0 curves then hold the increments from tau0. The OU pass
+    is affine, so its RK4 step is one fixed matrix map; the CIR pass is a
+    loop on Python floats over the model's own factors (``_cir_tau_pass``).
+    Neither calls ``solve_ode``, which integrates the scalar oracles only.
     """
     big_b, big_s, gms = model.factors
     nf = big_b.shape[0]
     w = tau0 + 0.5 * h * np.arange(2 * n + 1)
-    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
     if y0 is None:
-        y0 = np.concatenate((zero, e_m))
+        y0 = np.zeros(nf)
     if model.kind == CIR:
-        y = _cir_tau_pass(big_b, big_s, h, n, y0)
-        noise = np.zeros((w.size, 2))
+        c = _cir_tau_pass(big_b, big_s, h, n, y0)
+        noise = np.zeros((w.size, 1))
     else:
-        # y = (C, p) as a row obeys the affine dy = (e_m, 0) - y L,
-        # L = blockdiag(B, B): an RK4 step of size h/2 is the fixed map
-        # y -> y (I - hL Q) + h (e_m, 0) Q, Q = I - hL/2 + (hL)^2/6 - (hL)^3/24
-        base = np.concatenate((e_m, zero))
-        hl = 0.5 * h * np.kron(np.eye(2), big_b)
-        q = np.eye(2 * nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
-        step_map, offset = np.eye(2 * nf) - hl @ q, 0.5 * h * base @ q
-        y = np.empty((w.size, 2 * nf))
-        y[0] = y0
-        # m steps map y_j to y_j R^m + c_m: doubling m fills every row
+        # C as a row obeys the affine dC = e_m - C B: an RK4 step of size
+        # h/2 is the fixed map C -> C (I - hB Q) + h e_m Q with hB = h B / 2,
+        # Q = I - hB/2 + (hB)^2/6 - (hB)^3/24
+        hl = 0.5 * h * big_b
+        q = np.eye(nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
+        step_map, offset = np.eye(nf) - hl @ q, 0.5 * h * np.eye(nf)[-1] @ q
+        c = np.empty((w.size, nf))
+        c[0] = y0
+        # m steps map C_j to C_j R^m + c_m: doubling m fills every row
         m = 1
         while m < w.size:
-            y[m:2 * m] = y[:min(m, w.size - m)] @ step_map + offset
+            c[m:2 * m] = c[:min(m, w.size - m)] @ step_map + offset
             offset = offset @ step_map + offset
             step_map, m = step_map @ step_map, 2 * m
-        qc, qp = y[:, :nf] @ big_s, y[:, nf:] @ big_s
-        noise = np.column_stack((0.5 * np.sum(qc * qc, axis=1),
-                                 -np.sum(qp * qc, axis=1)))
-    c, p = y[:, :nf], y[:, nf:]
+        qc = c @ big_s
+        noise = 0.5 * np.sum(qc * qc, axis=1, keepdims=True)
     deltas = np.array([gm.delta for gm in gms])
     decay = np.exp(-w[:, None] / deltas)
     # one row per curve from here on, so that anchors read contiguous rows
-    cum = _cum_simpson(np.hstack((c, c * decay, p, p * decay, noise)), h).T
-    ic, ice, ip, ipe = (cum[i * nf:(i + 1) * nf] for i in range(4))
+    cum = _cum_simpson(np.hstack((c, c * decay, noise)), h).T
     level = np.array([big_b[k, k] * gm.nu for k, gm in enumerate(gms)])
     gompertz = np.array([[float(drift_a(gm.m, gm, big_b[k, k])) - level[k]]
                          for k, gm in enumerate(gms)])
     return _TauTable(m=np.array([gm.m for gm in gms]), delta=deltas,
                      c=np.ascontiguousarray(c[::2].T),
-                     p=np.ascontiguousarray(p[::2].T),
-                     k0_level=cum[-2] - level @ ic,
-                     k0_gompertz=-gompertz * ice,
-                     psi_level=cum[-1] + level @ ip,
-                     psi_gompertz=gompertz * ipe)
+                     k0_level=cum[-1] - level @ cum[:nf],
+                     k0_gompertz=-gompertz * cum[nf:2 * nf])
 
 
 @lru_cache(maxsize=16)
@@ -593,31 +569,25 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
     Every anchor reads the one cached tau pass of this step that reaches
     tau = t_max from t = 0. When t_max - t is not a whole number n of steps,
     the node at t_max comes from one more RK4 step of that pass, resumed at
-    lattice node n.
+    lattice node n from C alone.
     """
     if t_max <= t:
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")
     n, partial = _lattice_span(t, t_max, step)
     tt = _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
     nodes = slice(0, n + 1)
-    c, p = tt.c[:, nodes], tt.p[:, nodes]
-    k0_level, psi_level = tt.k0_level[nodes], tt.psi_level[nodes]
-    k0_g, psi_g = tt.k0_gompertz[:, nodes], tt.psi_gompertz[:, nodes]
+    c, k0_level, k0_g = (tt.c[:, nodes], tt.k0_level[nodes],
+                         tt.k0_gompertz[:, nodes])
     s = t + step * np.arange(n + 1)
     if partial:
-        tail = _tau_curves(model, t_max - s[-1], 1, n * step,
-                           np.concatenate((c[:, -1], p[:, -1])))
-        c, p = np.hstack((c, tail.c[:, 1:])), np.hstack((p, tail.p[:, 1:]))
+        tail = _tau_curves(model, t_max - s[-1], 1, n * step, c[:, -1])
+        c = np.hstack((c, tail.c[:, 1:]))
         k0_level = np.append(k0_level, k0_level[-1] + tail.k0_level[1])
-        psi_level = np.append(psi_level, psi_level[-1] + tail.psi_level[1])
         k0_g = np.hstack((k0_g, k0_g[:, -1:] + tail.k0_gompertz[:, 1:]))
-        psi_g = np.hstack((psi_g, psi_g[:, -1:] + tail.psi_gompertz[:, 1:]))
         s = np.append(s, t_max)
     else:
         s[-1] = t_max
-    k0, psi = k0_level.copy(), psi_level.copy()
-    for m, delta, k0_gm, psi_gm in zip(tt.m, tt.delta, k0_g, psi_g):
-        growth = np.exp((s - m) / delta)
-        k0 += growth * k0_gm
-        psi += growth * psi_gm
-    return CoefficientTable(t, s, s - t, k0, c, p, psi)
+    k0 = k0_level.copy()
+    for m, delta, k0_gm in zip(tt.m, tt.delta, k0_g):
+        k0 += np.exp((s - m) / delta) * k0_gm
+    return CoefficientTable(t, s, s - t, k0, c)

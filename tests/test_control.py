@@ -148,7 +148,7 @@ class TestAnnuityG:
 GREGORY = (Fraction(1, 12), Fraction(1, 24), Fraction(19, 720),
            Fraction(3, 160), Fraction(863, 60480), Fraction(275, 24192),
            Fraction(33953, 3628800))
-STRIDE, ORDER = 4, 8
+STRIDE, ORDER = 10, 8
 
 
 def _exact_solve(a, b):
@@ -191,9 +191,10 @@ def _rule_weights(m, delta):
 
 def _rule_rows(tab, rate=MARKET.r):
     """Rows and weights of G's outer rule on a coefficient table: every
-    stride-th lattice node up to the first one past the k0 < -80 cut, or to
-    t_max with a short end panel. The stride keeps rate * spacing <= 0.06
-    and gives at least ORDER - 1 strides where it can."""
+    stride-th lattice node (at most STRIDE) up to the first one past the
+    k0 < -80 cut, or to t_max with a short end panel. The stride keeps
+    rate * spacing <= 0.06 and gives at least ORDER - 1 strides where it
+    can."""
     h = LATTICE_STEP
     partial = abs(tab.tau[-1] - (tab.s.size - 1) * h) > 1e-9
     n = tab.s.size - 1 - partial
@@ -213,21 +214,21 @@ def _rule_rows(tab, rate=MARKET.r):
 
 
 def _node_by_node(model, phi, market, tab, rows, w, lam):
-    """G and its gradient summed node by node from the survival factor
-    surv = exp(k0 - sum_i lam_i k_i) and the lift 1 + phi E~."""
-    base = w * np.exp(-market.r * tab.tau[rows])
+    """G and its gradient in the by-parts form, summed node by node: the
+    survival factor surv = exp(k0 - sum_i lam_i k_i) and surv k_i on the
+    rule's nodes, plus the end term D = e^{-r(T-t)} surv(T) at the last."""
+    disc = np.exp(-market.r * tab.tau[rows])
+    base = w * disc
     ks = [k[rows] for k in tab.k]
-    js = [j[rows] for j in tab.j]
+    lead = 1.0 - phi * market.r
     g = np.empty(lam.shape[0])
     grad = np.empty(lam.shape)
     for i, state in enumerate(lam):
-        expo = tab.k0[rows] - sum(l * k for l, k in zip(state, ks))
-        etil = tab.psi[rows] + sum(l * j for l, j in zip(state, js))
-        surv = np.exp(expo)
-        lift = 1.0 + phi * etil
-        g[i] = (surv * lift) @ base
-        for f, (k, j) in enumerate(zip(ks, js)):
-            grad[i, f] = (surv * (-k * lift + phi * j)) @ base
+        surv = np.exp(tab.k0[rows] - sum(l * k for l, k in zip(state, ks)))
+        end = disc[-1] * surv[-1]
+        g[i] = lead * (surv @ base) + phi * (1.0 - end)
+        for f, k in enumerate(ks):
+            grad[i, f] = phi * end * k[-1] - lead * ((surv * k) @ base)
     return g, grad
 
 
@@ -241,7 +242,8 @@ def reference_g_and_gradient(model, scenario, market, t, lam):
 
 
 def simpson_g_and_gradient(model, scenario, market, t, lam, step=0.0125):
-    """Composite Simpson on every node of a finer lattice, no cut."""
+    """The by-parts form with composite Simpson on every node of a finer
+    lattice, no cut: T = t_max."""
     tab = build_coefficient_table(model, t, scenario.t_max, step)
     n = tab.s.size - 1
     assert n % 2 == 0 and abs(tab.tau[-1] - n * step) < 1e-9
@@ -254,7 +256,7 @@ def simpson_g_and_gradient(model, scenario, market, t, lam, step=0.0125):
 
 class TestMomentForm:
     """``g_and_gradient`` sums moments of the survival factor; the reference
-    sums the integrand node by node."""
+    sums the by-parts form node by node."""
 
     @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
                                             cir_two])
@@ -307,7 +309,8 @@ def _rule_errors(model, t, phi):
 
 
 class TestOuterRule:
-    """Trapezoid rule with Gregory end corrections on every 4th lattice node."""
+    """Trapezoid rule with Gregory end corrections on every 10th lattice
+    node."""
 
     @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
                                             cir_two])
@@ -320,8 +323,8 @@ class TestOuterRule:
                 assert grad_err <= control.GRAD_REL_TOL, (t, phi, grad_err)
 
     @pytest.mark.parametrize("name, value, make_model, t", [
-        ("GREGORY_STRIDE", 5, cir_two, 34.0),
-        ("GREGORY_RATE_STEP", 0.07, ou_two, 42.0)])
+        ("GREGORY_STRIDE", 11, cir_single, 17.3),
+        ("GREGORY_RATE_STEP", 0.07, cir_two, 35.0)])
     def test_coarser_strides_miss_the_tolerance(self, name, value, make_model,
                                                 t, monkeypatch):
         monkeypatch.setattr(control, name, value)
@@ -349,8 +352,8 @@ class TestOuterRule:
         # rate * spacing <= GREGORY_RATE_STEP with rate = r + baseline hazard
         model = ou_single()
         strides = [control._max_stride(model, MARKET, t)
-                   for t in (0.0, 32.0, 34.0, 38.0, 44.0, 90.0)]
-        assert strides == [4, 4, 3, 2, 1, 1]
+                   for t in (0.0, 20.0, 22.5, 34.0, 38.0, 44.0, 90.0)]
+        assert strides == [10, 10, 8, 3, 2, 1, 1]
 
     def test_order_8_is_the_highest_with_positive_weights(self, monkeypatch):
         assert np.all(control._gregory_weights(30, 0.0) > 0.0)
@@ -383,13 +386,20 @@ class TestEndPanel:
         if model.n_factors == 1:
             c = coeffs_single(model, t, t_max)
             got, want = (tab.k0[-1], tab.k[0][-1]), (c.a0, c.a1)
-            eng = tab.j[0][-1] * lam[0] + tab.psi[-1]
         else:
             c = coeffs_two_pop(model, t, t_max)
             got = (tab.k0[-1], tab.k[0][-1], tab.k[1][-1])
             want = (c.c0, c.c1, c.c2)
-            eng = tab.j[0][-1] * lam[0] + tab.j[1][-1] * lam[1] + tab.psi[-1]
         assert got == pytest.approx(want, rel=1e-7, abs=5e-9)
+        # E~ = -d/ds log S at t_max: a 5-point central difference of the last
+        # nodes of tables whose end moves by -2h .. 2h
+        h = 1e-3
+        log_s = [end.k0[-1] - lam @ end.k[:, -1]
+                 for end in (build_coefficient_table(model, t, t_max + j * h,
+                                                     LATTICE_STEP)
+                             for j in (-2, -1, 1, 2))]
+        eng = -(log_s[0] - 8.0 * log_s[1] + 8.0 * log_s[2] - log_s[3]) \
+            / (12.0 * h)
         assert eng == pytest.approx(tilde_mean(model, t, t_max, lam)[-1],
                                     rel=1e-6, abs=1e-9)
 
@@ -414,6 +424,65 @@ class TestEndPanel:
         direct = integrate(integrand, t, scen.t_max, Tolerance(1e-11))
         g = annuity_G(model, scen, MARKET, t, lam)
         assert g == pytest.approx(direct, rel=1e-8)
+
+
+def gauss_legendre_g(model, scenario, market, t, lam, panel):
+    """G from its defining integrand over the scalar routes and
+    ``tilde_mean``, free of the tables and of the by-parts form: 12-point
+    Gauss-Legendre panels of ``panel`` years in s, stopped after the first
+    panel that adds less than 1e-12 of the running total, as the benchmark's
+    oracle does (CIR routes at RK4 step 0.1)."""
+    x, wts = np.polynomial.legendre.leggauss(12)
+    total, a = 0.0, t
+    while a < scenario.t_max:
+        b = min(a + panel, scenario.t_max)
+        part = 0.0
+        for xk, wk in zip(x, wts):
+            s = a + 0.5 * (b - a) * (xk + 1.0)
+            c = (coeffs_single(model, t, s) if model.n_factors == 1
+                 else coeffs_two_pop(model, t, s, ode_step=0.1))
+            mean = tilde_mean(model, t, s, lam, ode_step=0.1)[-1]
+            part += wk * math.exp(-market.r * (s - t)) \
+                * survival_expectation(c, lam) * (1.0 + scenario.phi * mean)
+        part *= 0.5 * (b - a)
+        total += part
+        if part < 1e-12 * total:
+            break
+        a = b
+    return total
+
+
+class TestDirectIntegrand:
+    """G against its defining E~ integrand over whole spans."""
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    def test_long_span_matches_gauss_legendre_oracle(self, make_model):
+        # t = 34 to t_max = 120 at phi = 5, 10-year panels: measured within
+        # 1.7e-9 (cir-sub, where the oracle's RK4 step 0.1 dominates)
+        model = make_model()
+        scen = SchemeScenario(phi=5.0, t_max=120.0)
+        gms = [model.gm] if model.n_factors == 1 else [model.gm1, model.gm2]
+        lam = np.array([baseline_hazard(34.0, gm) for gm in gms])
+        g = annuity_G(model, scen, MARKET, 34.0, lam)
+        assert g == pytest.approx(
+            gauss_legendre_g(model, scen, MARKET, 34.0, lam, 10.0),
+            rel=control.G_REL_TOL)
+
+    @pytest.mark.parametrize("make_model", [ou_single, ou_two])
+    @pytest.mark.parametrize("t", [100.0, 110.0, 119.85])
+    def test_high_hazards_stay_within_three_percent(self, make_model, t):
+        # baseline hazards of 86 to 490 a year, far beyond the 0.05 lattice:
+        # the phi term is exact and A's quadrature measured at most 2.0% off
+        # (ou-single at t = 119.85) against 0.01-year panels, which agree
+        # with 0.005-year ones to 1e-6; the direct-form rule was +36% to
+        # +820% off on ou-single
+        model = make_model()
+        gms = [model.gm] if model.n_factors == 1 else [model.gm1, model.gm2]
+        lam = np.array([baseline_hazard(t, gm) for gm in gms])
+        g = annuity_G(model, SCEN, MARKET, t, lam)
+        assert g == pytest.approx(
+            gauss_legendre_g(model, SCEN, MARKET, t, lam, 0.01), rel=0.03)
 
 
 class TestPolicies:

@@ -4,8 +4,10 @@ import pytest
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, drift_a,
                                initial_hazard, simulate_paths)
+from pendraw.control import SchemeScenario, g_and_gradient
 from pendraw.numerics import NumericalFailure, TimeGrid, integrate, solve_ode
-from pendraw import pricing
+from pendraw import numerics, pricing
+from pendraw.scheme import OPTIMAL, simulate_scheme
 from pendraw.pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                              a1_cir, a1_ou, build_coefficient_table, c1_ou,
                              c2_ou, coeffs_single, coeffs_two_pop,
@@ -301,6 +303,34 @@ class TestTildeMean:
         assert abs(got - ratio) < 3.0 * se
 
 
+def _forward_hazard(tab, idx, lam):
+    """-d/ds log S(t, s) at lattice node idx, which E~ equals: a 5-point
+    central difference of the table's k0 - lam . k on its 0.05 lattice."""
+    log_s = tab.k0[idx - 2:idx + 3] - lam @ tab.k[:, idx - 2:idx + 3]
+    return -(log_s[0] - 8.0 * log_s[1] + 8.0 * log_s[3] - log_s[4]) \
+        / (12.0 * 0.05)
+
+
+class TestForwardMeasureIdentity:
+    """E~ is the survival-forward-measure mean: tilde_mean equals
+    -d/ds log survival_expectation, both from the scalar routes."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
+    def test_tilde_mean_is_minus_log_survival_slope(self, model):
+        gms = [model.gm] if model.n_factors == 1 else [model.gm1, model.gm2]
+        coeffs = coeffs_single if model.n_factors == 1 else coeffs_two_pop
+        h = 1e-3
+        for t in (0.0, 17.3, 34.0):
+            lam = 1.2 * np.array([float(baseline_hazard(t, gm)) for gm in gms])
+            for tau in (1.0, 10.0, 30.0):
+                s = t + tau
+                up, dn = (np.log(survival_expectation(coeffs(model, t, x), lam))
+                          for x in (s + h, s - h))
+                want = tilde_mean(model, t, s, lam)[-1]
+                assert -(up - dn) / (2.0 * h) == pytest.approx(want, rel=1e-6), \
+                    (t, tau)
+
+
 class TestCoefficientTable:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     def test_table_matches_scalar_routes(self, model):
@@ -313,16 +343,14 @@ class TestCoefficientTable:
                 c = coeffs_single(model, t, s)
                 assert tab.k0[idx] == pytest.approx(c.a0, abs=5e-7)
                 assert tab.k[0][idx] == pytest.approx(c.a1, abs=5e-7)
-                eng = tab.j[0][idx] * lam[0] + tab.psi[idx]
-                ref = tilde_mean(model, t, s, lam[:1])[0]
             else:
                 c = coeffs_two_pop(model, t, s)
                 assert tab.k0[idx] == pytest.approx(c.c0, abs=5e-7)
                 assert tab.k[0][idx] == pytest.approx(c.c1, abs=5e-7)
                 assert tab.k[1][idx] == pytest.approx(c.c2, abs=5e-7)
-                eng = tab.j[0][idx] * lam[0] + tab.j[1][idx] * lam[1] + tab.psi[idx]
-                ref = tilde_mean(model, t, s, lam)[1]
-            assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
+            ref = tilde_mean(model, t, s, lam)[-1]
+            assert _forward_hazard(tab, idx, lam) == pytest.approx(
+                ref, rel=1e-5, abs=1e-9)
 
     def test_anchors_on_the_lattice_share_one_tau_pass(self):
         model = cir_two()
@@ -343,34 +371,31 @@ class TestCoefficientTable:
             self, model, t, t_max, nodes):
         tab = build_coefficient_table(model, t, t_max, step=0.05)
         assert tab.s[-1] == pytest.approx(t_max, abs=1e-12)
+        # the same lattice two nodes further, for the stencil at the last node
+        wide = build_coefficient_table(model, t, t_max + 0.2, step=0.05)
         lam = np.array([0.016, 0.014])[: model.n_factors]
         for idx in nodes:
             s = float(tab.s[idx])
             if model.n_factors == 1:
                 c = coeffs_single(model, t, s)
                 got, want = (tab.k0[idx], tab.k[0][idx]), (c.a0, c.a1)
-                eng = tab.j[0][idx] * lam[0] + tab.psi[idx]
             else:
                 c = coeffs_two_pop(model, t, s)
                 got = (tab.k0[idx], tab.k[0][idx], tab.k[1][idx])
                 want = (c.c0, c.c1, c.c2)
-                eng = tab.j[0][idx] * lam[0] + tab.j[1][idx] * lam[1] + tab.psi[idx]
             assert got == pytest.approx(want, abs=5e-7)
             ref = tilde_mean(model, t, s, lam)[-1]
-            assert eng == pytest.approx(ref, rel=1e-5, abs=1e-9)
+            assert _forward_hazard(wide, idx, lam) == pytest.approx(
+                ref, rel=1e-5, abs=1e-9)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     def test_resumed_pass_continues_the_pass(self, model):
         # the end node at t_max resumes the pass from a lattice node; from
         # node 30 of a 40-step pass, 10 more steps must retrace it
         full = pricing._tau_curves(model, 0.05, 40)
-        start = np.concatenate((full.c[:, 30], full.p[:, 30]))
-        tail = pricing._tau_curves(model, 0.05, 10, 30 * 0.05, start)
-        for name in ("c", "p"):
-            np.testing.assert_allclose(getattr(tail, name),
-                                       getattr(full, name)[:, 30:], rtol=0,
-                                       atol=1e-15, err_msg=name)
-        for name in ("k0_level", "psi_level", "k0_gompertz", "psi_gompertz"):
+        tail = pricing._tau_curves(model, 0.05, 10, 30 * 0.05, full.c[:, 30])
+        np.testing.assert_allclose(tail.c, full.c[:, 30:], rtol=0, atol=1e-15)
+        for name in ("k0_level", "k0_gompertz"):
             whole = getattr(full, name)
             np.testing.assert_allclose(whole[..., 30:31] + getattr(tail, name),
                                        whole[..., 30:], rtol=0, atol=1e-14,
@@ -378,13 +403,30 @@ class TestCoefficientTable:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     def test_cold_table_does_not_call_solve_ode(self, model, monkeypatch):
+        # nor any other scalar oracle: cold tables, G and a whole simulation
+        # run on the tau pass alone
         def refuse(*args, **kwargs):
-            raise AssertionError("solve_ode serves the scalar oracles only")
+            raise AssertionError("the scalar routes serve as oracles only")
 
         pricing._tau_table.cache_clear()
-        monkeypatch.setattr(pricing, "solve_ode", refuse)
+        for module, name in [(pricing, "solve_ode"), (pricing, "integrate"),
+                             (pricing, "tilde_mean"), (pricing, "coeffs_single"),
+                             (pricing, "coeffs_two_pop"),
+                             (numerics, "solve_ode"), (numerics, "integrate")]:
+            monkeypatch.setattr(module, name, refuse)
         tab = build_coefficient_table(model, 0.0, 120.0)
-        assert np.all(np.isfinite(tab.k0)) and np.all(np.isfinite(tab.psi))
+        assert np.all(np.isfinite(tab.k0)) and np.all(np.isfinite(tab.k))
+
+        pricing._tau_table.cache_clear()
+        scen = SchemeScenario(phi=0.8, horizon=2.0, dt=0.25, n_paths=3)
+        grid = TimeGrid(0.0, scen.horizon, scen.dt)
+        paths = simulate_paths(model, grid, scen.n_paths, seed=7)
+        traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        assert np.all(np.isfinite(traj.wealth))
+        lam = np.array([0.016, 0.014])[: model.n_factors] \
+            * np.array([[0.5], [1.0], [1.5]])
+        g, grad = g_and_gradient(model, scen, MARKET, 5.0, lam)
+        assert np.all(g > 0.0) and np.all(np.isfinite(grad))
 
     def test_a1_flow_property(self):
         # A1(t,s) = A1(t,u) + e^{-b(u-t)} A1(u,s) for time-homogeneous b
@@ -454,6 +496,16 @@ def _padded_cir_tau_pass(big_b, big_s, h, n, start):
     return np.hstack((y[:, 2 - nf:2], y[:, 4 - nf:]))
 
 
+def _c_columns(reference):
+    """A (C, p) reference pass as a C-only one: started with p = e_m, which
+    C's stages never read, and cut to its C columns."""
+    def tau_pass(big_b, big_s, h, n, y0):
+        nf = big_b.shape[0]
+        y = reference(big_b, big_s, h, n, np.concatenate((y0, np.eye(nf)[-1])))
+        return y[:, :nf]
+    return tau_pass
+
+
 CIR_MODELS = [cir_single(), cir_two()]
 
 
@@ -464,9 +516,10 @@ class TestCirTauPass:
     def test_float_kernel_matches_matrix_reference(self, model, h, n,
                                                    monkeypatch):
         got = pricing._tau_table.__wrapped__(model, h, n)
-        monkeypatch.setattr(pricing, "_cir_tau_pass", _lin_matrix_cir_pass)
+        monkeypatch.setattr(pricing, "_cir_tau_pass",
+                            _c_columns(_lin_matrix_cir_pass))
         want = pricing._tau_table.__wrapped__(model, h, n)
-        # C, p and every cumulative curve built from them
+        # C and every cumulative curve built from it
         for name, ref in vars(want).items():
             np.testing.assert_allclose(getattr(got, name), ref, rtol=0,
                                        atol=1e-14, err_msg=name)
@@ -479,14 +532,14 @@ class TestCirTauPass:
     def test_pass_is_bit_identical_to_padded_pass(self, model, h, n, resume,
                                                   monkeypatch):
         # stepping only the factors the model has changes no float operation
-        # of the members' (C, p), nor of factor 1's in a two-population model
+        # of the members' C, nor of factor 1's in a two-population model
         args = (model, h, n)
         if resume is not None:
             full = pricing._tau_curves(model, 0.05, 2400)
-            start = np.concatenate((full.c[:, resume], full.p[:, resume]))
-            args += (resume * 0.05, start)
+            args += (resume * 0.05, full.c[:, resume])
         got = pricing._tau_curves(*args)
-        monkeypatch.setattr(pricing, "_cir_tau_pass", _padded_cir_tau_pass)
+        monkeypatch.setattr(pricing, "_cir_tau_pass",
+                            _c_columns(_padded_cir_tau_pass))
         want = pricing._tau_curves(*args)
         for name, ref in vars(want).items():
             assert np.array_equal(getattr(got, name), ref), name
@@ -507,3 +560,53 @@ class TestCirTauPass:
         with pytest.raises(NumericalFailure) as err:
             pricing._tau_table(model, 50.0, 40)
         assert err.value.at_time == 100.0
+
+
+def _former_tau_curves(model, h, n):
+    """Reference for ``pricing._tau_curves`` from the origin: the former
+    pass, which also stepped the members' row p of the mean transition beside
+    C (OU: the doubling map of blockdiag(B, B); CIR: ``_padded_cir_tau_pass``)
+    and integrated p for the shifted hazard mean. Returns (C, k0_level,
+    k0_gompertz)."""
+    big_b, big_s, gms = model.factors
+    nf = big_b.shape[0]
+    w = 0.5 * h * np.arange(2 * n + 1)
+    e_m, zero = np.eye(nf)[-1], np.zeros(nf)
+    y0 = np.concatenate((zero, e_m))
+    if model.kind == "cir":
+        y = _padded_cir_tau_pass(big_b, big_s, h, n, y0)
+        noise = np.zeros((w.size, 2))
+    else:
+        base = np.concatenate((e_m, zero))
+        hl = 0.5 * h * np.kron(np.eye(2), big_b)
+        q = np.eye(2 * nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
+        step_map, offset = np.eye(2 * nf) - hl @ q, 0.5 * h * base @ q
+        y = np.empty((w.size, 2 * nf))
+        y[0] = y0
+        m = 1
+        while m < w.size:
+            y[m:2 * m] = y[:min(m, w.size - m)] @ step_map + offset
+            offset = offset @ step_map + offset
+            step_map, m = step_map @ step_map, 2 * m
+        qc, qp = y[:, :nf] @ big_s, y[:, nf:] @ big_s
+        noise = np.column_stack((0.5 * np.sum(qc * qc, axis=1),
+                                 -np.sum(qp * qc, axis=1)))
+    c, p = y[:, :nf], y[:, nf:]
+    decay = np.exp(-w[:, None] / np.array([gm.delta for gm in gms]))
+    cum = pricing._cum_simpson(np.hstack((c, c * decay, p, p * decay, noise)),
+                               h).T
+    level = np.array([big_b[k, k] * gm.nu for k, gm in enumerate(gms)])
+    gompertz = np.array([[float(drift_a(gm.m, gm, big_b[k, k])) - level[k]]
+                         for k, gm in enumerate(gms)])
+    return (np.ascontiguousarray(c[::2].T), cum[-2] - level @ cum[:nf],
+            -gompertz * cum[nf:2 * nf])
+
+
+class TestFormerPass:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
+    def test_c_and_k0_curves_are_bit_identical(self, model):
+        # C's stages never read p, so dropping p changes no C or k0 float
+        tt = pricing._tau_table.__wrapped__(model, 0.05, 2400)
+        want = _former_tau_curves(model, 0.05, 2400)
+        for name, ref in zip(("c", "k0_level", "k0_gompertz"), want):
+            assert np.array_equal(getattr(tt, name), ref), name

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (ExperimentConfig, build_model, default_config_path,
-                     load_config, with_overrides)
+                     load_config, parse_sweep_values, with_overrides)
 from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
@@ -202,11 +202,7 @@ def _cmd_experiment(args, kind: str) -> int:
     sweep_var = getattr(args, "var", None)
     sweep_values = None
     if getattr(args, "values", None) is not None:
-        try:
-            sweep_values = tuple(float(x) for x in args.values.split(",")
-                                 if x.strip())
-        except ValueError as exc:
-            raise ConfigError(f"invalid --values: {exc}") from exc
+        sweep_values = parse_sweep_values(args.values, "--values")
     cfg = with_overrides(cfg, experiment=kind, sweep_var=sweep_var,
                          sweep_values=sweep_values)
     if kind == "sweep" and (cfg.sweep_var is None or not cfg.sweep_values):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -84,11 +85,29 @@ def default_config_path() -> Path:
     return Path(__file__).parent / "data" / "table1.cfg"
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, if finite: NaN would pass every ordered check after it."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _getfloat(cp, section, key):
     try:
-        return cp.getfloat(section, key)
+        value = cp.getfloat(section, key)
     except ValueError as exc:
         raise ConfigError(f"invalid value for [{section}] {key}: {exc}") from exc
+    return _finite(value, f"[{section}] {key}")
+
+
+def parse_sweep_values(raw: str, source: str) -> Tuple[float, ...]:
+    """The finite floats of a comma-separated list; ``source`` names the
+    list (a config key or a flag) in errors."""
+    try:
+        values = tuple(float(x) for x in raw.split(",") if x.strip())
+    except ValueError as exc:
+        raise ConfigError(f"invalid {source}: {exc}") from exc
+    return tuple(_finite(v, f"{source} value") for v in values)
 
 
 def _getint(cp, section, key):
@@ -177,11 +196,8 @@ def loads_config(text: str) -> ExperimentConfig:
         if cp.has_option("experiment", "sweep_var"):
             sweep_var = cp.get("experiment", "sweep_var").strip().lower()
         if cp.has_option("experiment", "sweep_values"):
-            raw = cp.get("experiment", "sweep_values")
-            try:
-                sweep_values = tuple(float(x) for x in raw.split(",") if x.strip())
-            except ValueError as exc:
-                raise ConfigError(f"invalid [experiment] sweep_values: {exc}") from exc
+            sweep_values = parse_sweep_values(
+                cp.get("experiment", "sweep_values"), "[experiment] sweep_values")
     if experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"[experiment] kind must be one of {EXPERIMENT_KINDS}, "
                           f"got {experiment!r}")

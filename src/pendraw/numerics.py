@@ -39,7 +39,7 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative tolerance and refinement budget for adaptive quadrature."""
+    """Relative tolerance and halving budget of composite-Simpson quadrature."""
 
     rel_tol: float = 1e-8
     max_refinements: int = 20

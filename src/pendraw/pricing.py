@@ -20,8 +20,8 @@ serves as their oracle.
 
 Two routes compute these. The scalar functions (``coeffs_single``,
 ``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
-systems at one (t, s) with closed forms, adaptive Simpson and RK4; they are
-the oracles. The coefficient tables behind the annuity evaluator use the
+systems at one (t, s) with closed forms, composite Simpson refined by
+uniform halving, and RK4; they are the oracles. The coefficient tables behind the annuity evaluator use the
 affine structure of the model's ``factors``: mean reversion and volatilities
 are constant, so K1 and K2 are functions of tau = s - t alone, and the
 Gompertz-Makeham drift a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters
@@ -175,7 +175,8 @@ def cir2_coefficient_path(model: TwoPopModel, tau_max: float, step: float):
 
 def coeffs_single(model: SinglePopModel, t: float, s: float,
                   tol: Tolerance = DEFAULT_TOLERANCE) -> AffineCoeffs1:
-    """A0, A1 at (t, s); A0 by adaptive Simpson of the defining integrand."""
+    """A0, A1 at (t, s); A0 by composite Simpson of the defining integrand,
+    refined by uniform halving."""
     if t > s:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
     if t == s:
@@ -202,9 +203,9 @@ def coeffs_two_pop(model: TwoPopModel, t: float, s: float,
                    ode_step: float = 0.01) -> AffineCoeffs2:
     """C0, C1, C2 at (t, s).
 
-    OU uses the closed forms for C1 and C2 with C0 by adaptive Simpson; CIR
-    integrates the full Riccati system backward from the terminal condition
-    with classical RK4.
+    OU uses the closed forms for C1 and C2 with C0 by composite Simpson
+    refined by uniform halving; CIR integrates the full Riccati system
+    backward from the terminal condition with classical RK4.
     """
     if t > s:
         raise ValueError(f"need t <= s, got t={t}, s={s}")

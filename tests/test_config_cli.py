@@ -103,6 +103,26 @@ sigma22 = 0.005
         with pytest.raises(ConfigError):
             loads_config(text)
 
+    @pytest.mark.parametrize("line, bad, key", [
+        ("phi = 0.8", "phi = nan", "[scheme] phi"),
+        ("theta_1 = -0.0005", "theta_1 = nan", "[market] theta_1"),
+        ("r = 0.04", "r = inf", "[market] r"),
+        ("sigma = 0.0035", "sigma = -inf", "[population1] sigma"),
+        ("phi = 0.8", "phi = 0.8\nt_max = inf", "[scheme] t_max"),
+    ])
+    def test_non_finite_value_rejected(self, line, bad, key):
+        with pytest.raises(ConfigError) as err:
+            loads_config(MINIMAL.replace(line, bad))
+        assert key in str(err.value) and "finite" in str(err.value)
+
+    @pytest.mark.parametrize("values", ["0.0, nan", "inf", "0.5, -inf"])
+    def test_non_finite_sweep_value_rejected(self, values):
+        text = MINIMAL + ("\n[experiment]\nkind = sweep\nsweep_var = phi\n"
+                          f"sweep_values = {values}\n")
+        with pytest.raises(ConfigError) as err:
+            loads_config(text)
+        assert "[experiment] sweep_values" in str(err.value)
+
     def test_round_trip(self):
         cfg = load_config(default_config_path())
         assert loads_config(dumps_config(cfg)) == cfg
@@ -526,6 +546,26 @@ class TestCli:
                      "--values", "0,1", "--paths", "5"])
         assert code == 0
         assert (tmp_path / "s" / "sweep_phi_summary.csv").exists()
+
+    @pytest.mark.parametrize("values", ["--values=nan,inf", "--values=0,nan",
+                                        "--values=-inf"])
+    def test_sweep_rejects_non_finite_values(self, tmp_path, capsys, values):
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--var", "phi", values])
+        assert code == 1
+        assert "--values value must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text()
+                            .replace("phi = 0.8", "phi = nan"))
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "[scheme] phi must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_negative_values_both_forms(self, tmp_path, monkeypatch):
         import pendraw.cli as cli

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pendraw.mortality import (ConfigError, GompertzMakehamParams,
+from pendraw.mortality import (_CHUNK, ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, baseline_hazard,
                                death_time_distribution, drift_a,
                                initial_hazard, simulate_paths)
@@ -233,6 +235,133 @@ def _two_loop_paths(model, grid, n_paths, seed, path_offset=0):
     increments = 0.5 * dt * (members[:, :-1] + members[:, 1:])
     survival[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
     return lam1, lam2, survival, xi1, xi2
+
+
+def _column_loop_paths(model, grid, n_paths, seed, path_offset=0):
+    """(lambda1, lambda2, survival, shocks1, shocks2) from the former
+    ``simulate_paths``, which stepped all paths one node column at a time
+    on the path-major outputs."""
+    n, dt, times = grid.n_steps, grid.step, grid.nodes
+    sqdt = np.sqrt(dt)
+    is_cir = model.kind == "cir"
+    big_b, big_s, gms = model.factors
+    big_b, big_s = big_b.tolist(), big_s.tolist()
+
+    def clamp(x):
+        return np.maximum(x, 0.0) if is_cir else x
+
+    def vol(sig, x):
+        return sig * np.sqrt(x) if is_cir else sig
+
+    xi = [normal_block(seed, f * W2_STREAM_OFFSET + path_offset, n_paths, n)
+          for f in range(len(gms))]
+    lam = [np.empty((n_paths, n + 1)) for _ in gms]
+    x = [np.full(n_paths, initial_hazard(gm)) for gm in gms]
+    xp = [clamp(v) for v in x]
+    for f, v in enumerate(xp):
+        lam[f][:, 0] = v
+    for k in range(n):
+        dw = [sqdt * z[:, k] for z in xi]
+        for f, (b_row, s_row) in enumerate(zip(big_b, big_s)):
+            drift = drift_a(times[k], gms[f], b_row[f])
+            for i in range(f + 1):
+                drift = drift - b_row[i] * xp[i]
+            x[f] = x[f] + drift * dt
+            for i in range(f + 1):
+                x[f] = x[f] + vol(s_row[i], xp[i]) * dw[i]
+        xp = [clamp(v) for v in x]
+        for f, v in enumerate(xp):
+            lam[f][:, k + 1] = v
+    members = lam[-1]
+    survival = np.empty((n_paths, n + 1))
+    survival[:, 0] = 1.0
+    increments = 0.5 * dt * (members[:, :-1] + members[:, 1:])
+    survival[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
+    return (lam[0], lam[1] if len(lam) > 1 else None, survival, xi[0],
+            xi[1] if len(xi) > 1 else None)
+
+
+PATH_FIELDS = ("lambda1", "lambda2", "survival", "shocks1", "shocks2")
+DIST_FIELDS = ("cdf", "density", "mean_cdf", "mean_density")
+MODELS = {"ou-single": ou_single(), "cir-single": cir_single(),
+          "ou-sub": ou_two(), "cir-sub": cir_two(),
+          "ou-dip": ou_single(sigma=0.02)}
+
+
+class TestTimeMajorChunks:
+    """The chunked loop against the column loop, across chunk boundaries,
+    and the death-time arrays against the floored rebuild. The 60-path
+    "ou-dip" runs of more than one step make negative OU excursions."""
+
+    @pytest.mark.parametrize("path_offset", [0, 2 ** 40])
+    @pytest.mark.parametrize("n_paths", [1, 60])
+    @pytest.mark.parametrize("n_steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                         350])
+    @pytest.mark.parametrize("kind", ["ou-single", "cir-single", "ou-sub",
+                                      "cir-sub", "ou-dip"])
+    def test_bit_identical_to_column_loop(self, kind, n_steps, n_paths,
+                                          path_offset):
+        model = MODELS[kind]
+        grid = TimeGrid(0.0, 0.1 * n_steps, 0.1)
+        paths = simulate_paths(model, grid, n_paths, seed=5,
+                               path_offset=path_offset)
+        want = _column_loop_paths(model, grid, n_paths, seed=5,
+                                  path_offset=path_offset)
+        for name, b in zip(PATH_FIELDS, want):
+            a = getattr(paths, name)
+            if b is None:
+                assert a is None, name
+                continue
+            assert a.shape == b.shape and np.array_equal(a, b), name
+            assert a.flags.c_contiguous and a.flags.owndata, name
+        if kind == "ou-dip" and n_paths == 60 and n_steps > 1:
+            assert paths.lambda1.min() < 0.0
+        dist = death_time_distribution(paths)
+        cdf, density = _floored_death_time(paths)
+        want = (cdf, density, cdf.mean(axis=0), density.mean(axis=0))
+        for name, b in zip(DIST_FIELDS, want):
+            a = getattr(dist, name)
+            assert np.array_equal(a, b), name
+            assert a.flags.c_contiguous, name
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced during ``fn(*args)`` above what was
+    traced before the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Neither routine holds a full-size temporary: the Euler loop's chunk
+    buffers stay under half a path array, and the death-time arrays are
+    computed in their two outputs."""
+
+    N_PATHS = 2000
+    GRID = TimeGrid(0.0, 35.0, 0.1)
+
+    def test_simulate_paths_peak(self):
+        # a process's first call also traces one-time lazy set-up
+        simulate_paths(cir_two(), TimeGrid(0.0, 0.1, 0.1), 1, 42)
+        paths, peak = _traced_peak(simulate_paths, cir_two(), self.GRID,
+                                   self.N_PATHS, 42)
+        unit = paths.survival.nbytes
+        outputs = sum(getattr(paths, name).nbytes for name in PATH_FIELDS)
+        assert peak <= outputs + 0.5 * unit, peak / unit
+
+    @pytest.mark.parametrize("kind", ["cir-sub", "ou-dip"])
+    def test_death_time_distribution_peak(self, kind):
+        paths = simulate_paths(MODELS[kind], self.GRID, self.N_PATHS, 42,
+                               keep_shocks=False)
+        dist, peak = _traced_peak(death_time_distribution, paths)
+        unit = paths.survival.nbytes
+        assert peak <= 2 * unit + 0.05 * unit, peak / unit
+        assert dist.cdf.nbytes + dist.density.nbytes == 2 * unit
 
 
 def _uncoupled(kind):

@@ -8,10 +8,9 @@ optimal policies), ``scheme`` (wealth simulation and paired comparisons),
 """
 
 from .config import (ExperimentConfig, build_model, default_config_path,
-                     dumps_config, load_config, loads_config)
-from .control import (PolicyDecision, SchemeScenario, UnsupportedConfiguration,
-                      annuity_G, annuity_G_gradient, no_bond_policy,
-                      optimal_policy)
+                     load_config, loads_config)
+from .control import (PolicyDecision, SchemeScenario, annuity_G,
+                      annuity_G_gradient, no_bond_policy, optimal_policy)
 from .experiments import ExperimentResult, run_experiment, write_csv
 from .mortality import (CIR, OU, ConfigError, GompertzMakehamParams,
                         MortalityPaths, SinglePopModel, TwoPopModel,
@@ -20,27 +19,25 @@ from .mortality import (CIR, OU, ConfigError, GompertzMakehamParams,
 from .numerics import (NumericalFailure, TimeGrid, Tolerance, gaussian_stream,
                        integrate, normal_block, solve_ode)
 from .pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
-                      coeffs_single, coeffs_two_pop, replication_weights,
-                      rolling_bond_volatility, survival_expectation,
-                      tilde_mean)
+                      coeffs_single, coeffs_two_pop, rolling_bond_volatility,
+                      survival_expectation, tilde_mean)
 from .scheme import (ComparisonReport, DiscountedTotals, SchemeTrajectory,
                      compare_strategies, discounted_totals, simulate_scheme)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineCoeffs1", "AffineCoeffs2", "CIR", "ComparisonReport", "ConfigError",
-    "DiscountedTotals", "ExperimentConfig", "ExperimentResult",
-    "GompertzMakehamParams", "MarketParams", "MortalityPaths",
-    "NumericalFailure", "OU", "PolicyDecision", "SchemeScenario",
-    "SchemeTrajectory", "SinglePopModel", "TimeGrid", "Tolerance",
-    "TwoPopModel", "UnsupportedConfiguration", "annuity_G",
-    "annuity_G_gradient", "baseline_hazard", "build_model",
-    "compare_strategies", "coeffs_single", "coeffs_two_pop",
-    "death_time_distribution", "default_config_path", "discounted_totals",
-    "drift_a", "dumps_config", "gaussian_stream", "initial_hazard",
-    "integrate", "load_config", "loads_config", "no_bond_policy",
-    "normal_block", "optimal_policy", "replication_weights",
+    "AffineCoeffs1", "AffineCoeffs2", "CIR", "ComparisonReport",
+    "ConfigError", "DiscountedTotals", "ExperimentConfig",
+    "ExperimentResult", "GompertzMakehamParams", "MarketParams",
+    "MortalityPaths", "NumericalFailure", "OU", "PolicyDecision",
+    "SchemeScenario", "SchemeTrajectory", "SinglePopModel", "TimeGrid",
+    "Tolerance", "TwoPopModel", "annuity_G", "annuity_G_gradient",
+    "baseline_hazard", "build_model", "compare_strategies",
+    "coeffs_single", "coeffs_two_pop", "death_time_distribution",
+    "default_config_path", "discounted_totals", "drift_a",
+    "gaussian_stream", "initial_hazard", "integrate", "load_config",
+    "loads_config", "no_bond_policy", "normal_block", "optimal_policy",
     "rolling_bond_volatility", "run_experiment", "simulate_paths",
     "simulate_scheme", "solve_ode", "survival_expectation", "tilde_mean",
     "write_csv",

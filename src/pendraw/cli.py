@@ -16,21 +16,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .config import (ExperimentConfig, build_model, default_config_path,
-                     load_config, parse_sweep_values, with_overrides)
+from .config import (ExperimentConfig, default_config_path, load_config,
+                     parse_sweep_values, with_overrides)
 from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
-from .pricing import coeffs_single, coeffs_two_pop
+from .pricing import build_coefficient_table
 
-# each ``coeffs`` row is one scalar-oracle evaluation, milliseconds or more
+# rows of one ``coeffs`` file: bounds its size, and its time at up to one tau
+# pass per row
 MAX_COEFF_ROWS = 10_000
 
 
@@ -127,10 +127,10 @@ def _load(args) -> ExperimentConfig:
 
 def _cmd_mortality(args) -> int:
     cfg = _load(args)
-    model = build_model(cfg)
     sc = cfg.scenario
     grid = TimeGrid(0.0, sc.horizon, sc.dt)
-    paths = simulate_paths(model, grid, sc.n_paths, sc.seed, keep_shocks=False)
+    paths = simulate_paths(cfg.model, grid, sc.n_paths, sc.seed,
+                           keep_shocks=False)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # one row per (path, time), path-major
@@ -147,7 +147,7 @@ def _cmd_mortality(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     cfg = _load(args)
-    model = build_model(cfg)
+    model = cfg.model
     s_max = args.s_max if args.s_max is not None else cfg.scenario.horizon
     if not args.t <= s_max:
         raise ConfigError(f"--s-max ({s_max}) must be >= --t ({args.t})")
@@ -157,16 +157,18 @@ def _cmd_coeffs(args) -> int:
     if not rows <= MAX_COEFF_ROWS:
         raise ConfigError(f"--s-step {args.s_step} gives (s_max - t) / s_step"
                           f" = {rows:g} rows, more than {MAX_COEFF_ROWS}")
-    coeffs = coeffs_two_pop if cfg.is_two_pop else coeffs_single
-    maturities, values = [], []
-    s = args.t
+    # the row s = t is the terminal condition, all zeros
+    maturities, values = [args.t], [(0.0,) * (1 + model.n_factors)]
+    # the printed s is the repeated sum, rounding and all
+    s = args.t + args.s_step
     while s <= s_max + 1e-9:
         maturities.append(s)
-        values.append(astuple(coeffs(model, args.t, min(s, s_max))))
-        # the printed s is the repeated sum, rounding and all
+        # a table's last node sits at its end exactly
+        tab = build_coefficient_table(model, args.t, min(s, s_max))
+        values.append((tab.k0[-1], *tab.k[:, -1]))
         s += args.s_step
     columns = [[args.t] * len(maturities), maturities, *zip(*values)]
-    if not cfg.is_two_pop:
+    if model.n_factors == 1:
         columns.append("")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +182,7 @@ def _cmd_policy(args) -> int:
     from .mortality import initial_hazard
 
     cfg = _load(args)
-    model = build_model(cfg)
+    model = cfg.model
     # one hazard per factor: its initial value unless --lambda<k> gives it
     lam = [initial_hazard(gm) if given is None else given
            for gm, given in zip(model.factors[2], (args.lambda1, args.lambda2))]

@@ -1,15 +1,16 @@
 """Experiment configuration: INI-style key=value files with sections.
 
-Modal life-span parameters ``m`` in the population sections are calendar
-ages (as usually tabulated); ``scheme.retirement_age`` (default 65) is
-subtracted when models are built, since model time runs in years since
-retirement. Setting ``retirement_age = 0`` keeps the values as-is.
+Loading builds the model once. Modal life-span parameters ``m`` in the
+population sections are calendar ages (as usually tabulated);
+``scheme.retirement_age`` (default 65) is subtracted from them at load, since
+model time runs in years since retirement. Setting ``retirement_age = 0``
+keeps the values as-is. A single-population kind reads ``[population1]``
+only; the ``-sub`` kinds read ``[population2]`` too.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from typing import Optional, Tuple, Union
 from .control import SchemeScenario
 from .mortality import (ConfigError, GompertzMakehamParams, Model,
                         SinglePopModel, TwoPopModel)
+from .numerics import TimeGrid
 from .pricing import MarketParams
 
 MODEL_KINDS = ("ou-single", "cir-single", "ou-sub", "cir-sub")
@@ -48,36 +50,25 @@ _DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class PopulationConfig:
-    """Gompertz-Makeham inputs as configured (m quoted as an age)."""
-
-    nu: float
-    delta: float
-    m: float
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     model_kind: str
-    pop1: PopulationConfig
-    b1: float
-    sigma1: float
-    pop2: Optional[PopulationConfig]
-    b21: Optional[float]
-    b22: Optional[float]
-    sigma21: Optional[float]
-    sigma22: Optional[float]
+    model: Model
     market: MarketParams
     scenario: SchemeScenario
-    retirement_age: float
     experiment: str = "base"
     out_dir: str = "out"
     sweep_var: Optional[str] = None
     sweep_values: Tuple[float, ...] = ()
 
     @property
-    def is_two_pop(self) -> bool:
-        return self.model_kind.endswith("-sub")
+    def b1(self) -> float:
+        """Mean-reversion speed of factor 1, the bond's reference population."""
+        return float(self.model.factors[0][0, 0])
+
+    @property
+    def sigma1(self) -> float:
+        """Volatility of factor 1, the bond's reference population."""
+        return float(self.model.factors[1][0, 0])
 
 
 def default_config_path() -> Path:
@@ -125,6 +116,15 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _in_section(section: str, cls, **fields):
+    """``cls(**fields)``; the ValueError of a rejected value becomes a
+    ConfigError naming the config section."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def loads_config(text: str) -> ExperimentConfig:
     """Parse configuration text (see ``load_config``)."""
     # values are verbatim: no % interpolation
@@ -155,36 +155,51 @@ def loads_config(text: str) -> ExperimentConfig:
             return cast(cp, section, key)
         return _DEFAULTS[(section, key)]
 
-    pop1 = PopulationConfig(nu=_getfloat(cp, "population1", "nu"),
-                            delta=_getfloat(cp, "population1", "delta"),
-                            m=_getfloat(cp, "population1", "m"))
+    # the optimal policy is derived for pi = 1 only: the departing members'
+    # balances are compensated in full
+    pi = val("scheme", "pi")
+    if pi != 1.0:
+        raise ConfigError(f"[scheme] pi must be 1 (full compensation), got {pi}")
+
+    shift = val("scheme", "retirement_age")
+
+    def gompertz(section):
+        return _in_section(section, GompertzMakehamParams,
+                           nu=_getfloat(cp, section, "nu"),
+                           delta=_getfloat(cp, section, "delta"),
+                           m=_getfloat(cp, section, "m") - shift)
+
+    factor_kind = "ou" if kind.startswith("ou") else "cir"
     b1 = _getfloat(cp, "population1", "b")
     sigma1 = _getfloat(cp, "population1", "sigma")
+    if kind.endswith("-sub"):
+        model = TwoPopModel(
+            kind=factor_kind, gm1=gompertz("population1"),
+            gm2=gompertz("population2"), b1=b1, sigma1=sigma1,
+            **{k: _getfloat(cp, "population2", k)
+               for k in ("b21", "b22", "sigma21", "sigma22")})
+    else:
+        model = SinglePopModel(kind=factor_kind, gm=gompertz("population1"),
+                               b=b1, sigma=sigma1)
 
-    pop2 = b21 = b22 = sigma21 = sigma22 = None
-    if cp.has_section("population2") or kind.endswith("-sub"):
-        pop2 = PopulationConfig(nu=_getfloat(cp, "population2", "nu"),
-                                delta=_getfloat(cp, "population2", "delta"),
-                                m=_getfloat(cp, "population2", "m"))
-        b21 = _getfloat(cp, "population2", "b21")
-        b22 = _getfloat(cp, "population2", "b22")
-        sigma21 = _getfloat(cp, "population2", "sigma21")
-        sigma22 = _getfloat(cp, "population2", "sigma22")
+    market = _in_section("market", MarketParams,
+                         r=_getfloat(cp, "market", "r"),
+                         theta_s=_getfloat(cp, "market", "theta_s"),
+                         sigma_s=_getfloat(cp, "market", "sigma_s"),
+                         theta_1=_getfloat(cp, "market", "theta_1"),
+                         maturity=val("market", "maturity"))
 
-    market = MarketParams(r=_getfloat(cp, "market", "r"),
-                          theta_s=_getfloat(cp, "market", "theta_s"),
-                          sigma_s=_getfloat(cp, "market", "sigma_s"),
-                          theta_1=_getfloat(cp, "market", "theta_1"),
-                          maturity=val("market", "maturity"))
-
-    scenario = SchemeScenario(phi=_getfloat(cp, "scheme", "phi"),
-                              pi=val("scheme", "pi"),
-                              y0=val("scheme", "y0"),
-                              horizon=val("scheme", "horizon"),
-                              dt=val("scheme", "dt"),
-                              n_paths=val("scheme", "n_paths", _getint),
-                              seed=_check_seed(val("scheme", "seed", _getint)),
-                              t_max=val("scheme", "t_max"))
+    scenario = _in_section("scheme", SchemeScenario,
+                           phi=_getfloat(cp, "scheme", "phi"),
+                           y0=val("scheme", "y0"),
+                           horizon=val("scheme", "horizon"),
+                           dt=val("scheme", "dt"),
+                           n_paths=val("scheme", "n_paths", _getint),
+                           seed=_check_seed(val("scheme", "seed", _getint)),
+                           t_max=val("scheme", "t_max"))
+    # the simulation grid, checked by its own rule before any command runs
+    _in_section("scheme", TimeGrid, t0=0.0, t1=scenario.horizon,
+                step=scenario.dt)
 
     experiment = "base"
     out_dir = "out"
@@ -207,14 +222,10 @@ def loads_config(text: str) -> ExperimentConfig:
     if experiment == "sweep" and not sweep_values:
         raise ConfigError("[experiment] sweep_values must be non-empty for a sweep")
 
-    cfg = ExperimentConfig(model_kind=kind, pop1=pop1, b1=b1, sigma1=sigma1,
-                           pop2=pop2, b21=b21, b22=b22, sigma21=sigma21,
-                           sigma22=sigma22, market=market, scenario=scenario,
-                           retirement_age=val("scheme", "retirement_age"),
-                           experiment=experiment, out_dir=out_dir,
-                           sweep_var=sweep_var, sweep_values=sweep_values)
-    build_model(cfg)  # surfaces singular parameter combinations immediately
-    return cfg
+    return ExperimentConfig(model_kind=kind, model=model, market=market,
+                            scenario=scenario, experiment=experiment,
+                            out_dir=out_dir, sweep_var=sweep_var,
+                            sweep_values=sweep_values)
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
@@ -226,49 +237,8 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
 
 
 def build_model(cfg: ExperimentConfig) -> Model:
-    """Model with modal ages shifted to years since retirement."""
-    shift = cfg.retirement_age
-    gm1 = GompertzMakehamParams(cfg.pop1.nu, cfg.pop1.delta, cfg.pop1.m - shift)
-    kind = "ou" if cfg.model_kind.startswith("ou") else "cir"
-    if not cfg.is_two_pop:
-        return SinglePopModel(kind=kind, gm=gm1, b=cfg.b1, sigma=cfg.sigma1)
-    gm2 = GompertzMakehamParams(cfg.pop2.nu, cfg.pop2.delta, cfg.pop2.m - shift)
-    return TwoPopModel(kind=kind, gm1=gm1, gm2=gm2, b1=cfg.b1, b21=cfg.b21,
-                       b22=cfg.b22, sigma1=cfg.sigma1, sigma21=cfg.sigma21,
-                       sigma22=cfg.sigma22)
-
-
-def dumps_config(cfg: ExperimentConfig) -> str:
-    """Serialise a configuration; ``loads_config`` of the result is equal."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["model"] = {"kind": cfg.model_kind}
-    cp["population1"] = {"nu": repr(cfg.pop1.nu), "delta": repr(cfg.pop1.delta),
-                         "m": repr(cfg.pop1.m), "b": repr(cfg.b1),
-                         "sigma": repr(cfg.sigma1)}
-    if cfg.pop2 is not None:
-        cp["population2"] = {"nu": repr(cfg.pop2.nu), "delta": repr(cfg.pop2.delta),
-                             "m": repr(cfg.pop2.m), "b21": repr(cfg.b21),
-                             "b22": repr(cfg.b22), "sigma21": repr(cfg.sigma21),
-                             "sigma22": repr(cfg.sigma22)}
-    mk = cfg.market
-    cp["market"] = {"r": repr(mk.r), "theta_s": repr(mk.theta_s),
-                    "sigma_s": repr(mk.sigma_s), "theta_1": repr(mk.theta_1),
-                    "maturity": repr(mk.maturity)}
-    sc = cfg.scenario
-    cp["scheme"] = {"phi": repr(sc.phi), "pi": repr(sc.pi), "y0": repr(sc.y0),
-                    "retirement_age": repr(cfg.retirement_age),
-                    "horizon": repr(sc.horizon), "dt": repr(sc.dt),
-                    "n_paths": repr(sc.n_paths), "seed": repr(sc.seed),
-                    "t_max": repr(sc.t_max)}
-    exp = {"kind": cfg.experiment, "out_dir": cfg.out_dir}
-    if cfg.sweep_var is not None:
-        exp["sweep_var"] = cfg.sweep_var
-    if cfg.sweep_values:
-        exp["sweep_values"] = ", ".join(repr(v) for v in cfg.sweep_values)
-    cp["experiment"] = exp
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+    """The configured model, modal ages shifted to years since retirement."""
+    return cfg.model
 
 
 def with_overrides(cfg: ExperimentConfig, out_dir: Optional[str] = None,

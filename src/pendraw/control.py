@@ -93,22 +93,17 @@ GREGORY_RATE_STEP = 0.06
 _BERNOULLI = {2: (1, 6), 4: (-1, 30), 6: (1, 42), 8: (-1, 30)}
 
 
-class UnsupportedConfiguration(ValueError):
-    """The closed-form optimal policy does not cover this configuration."""
-
-
 @dataclass(frozen=True)
 class SchemeScenario:
     """Risk-sharing weight, initial wealth and simulation settings.
 
-    ``pi`` is kept in the data model, but the optimal policy is only available
-    for ``pi = 1`` (full compensation of the departing members' balances).
-    ``t_max`` truncates the infinite-horizon integrals.
+    The departing members' balances are compensated in full (the paper's
+    pi = 1), the only case the optimal policy is derived for. ``t_max``
+    truncates the infinite-horizon integrals.
     """
 
     phi: float
     y0: float = 100.0
-    pi: float = 1.0
     horizon: float = 35.0
     dt: float = 0.1
     n_paths: int = 100
@@ -118,8 +113,6 @@ class SchemeScenario:
     def __post_init__(self):
         if self.phi < 0:
             raise ValueError(f"phi must be >= 0, got {self.phi}")
-        if not 0.0 <= self.pi <= 1.0:
-            raise ValueError(f"pi must lie in [0, 1], got {self.pi}")
         if self.y0 <= 0:
             raise ValueError(f"y0 must be > 0, got {self.y0}")
         if self.horizon <= 0 or self.dt <= 0:
@@ -303,11 +296,8 @@ def bond_weight_arrays(model: Model, scenario: SchemeScenario,
 
 def _check_policy_inputs(scenario: SchemeScenario, t: float, lam,
                          wealth: float) -> None:
-    """The policy needs pi = 1, a finite t before t_max (where G > 0), finite
-    hazards and finite positive wealth."""
-    if scenario.pi != 1.0:
-        raise UnsupportedConfiguration(
-            f"the optimal policy is derived for pi = 1 only, got pi = {scenario.pi}")
+    """The policy needs a finite t before t_max (where G > 0), finite hazards
+    and finite positive wealth."""
     if not (math.isfinite(t) and t < scenario.t_max):
         raise ValueError(f"t must be finite and below t_max = {scenario.t_max},"
                          f" got {t}")

@@ -22,7 +22,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .config import ExperimentConfig, build_model
+from .config import ExperimentConfig
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
 from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, compare_strategies,
@@ -119,7 +119,7 @@ def _weight_columns(traj) -> list:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured suite; returns written files and a text summary."""
     t_start = time.perf_counter()
-    model = build_model(cfg)
+    model = cfg.model
     scenario = cfg.scenario
     market = cfg.market
     out = Path(cfg.out_dir)

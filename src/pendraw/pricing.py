@@ -277,24 +277,6 @@ def rolling_bond_volatility(model: Model, market: MarketParams, t: float,
     return -a1 * sig1
 
 
-def replication_weights(model: Model, market: MarketParams, t: float,
-                        s: float) -> tuple[float, float]:
-    """(cash, rolling-bond) weights replicating the dated bond of maturity s.
-
-    The rolling-bond weight is the ratio of the dated bond's volatility
-    loading to the rolling bond's; any hazard-level factors cancel, so the
-    weights depend only on s - t and the constant maturity.
-    """
-    if t > s:
-        raise ValueError(f"need t <= s, got t={t}, s={s}")
-    if model.factors[1][0, 0] == 0.0:
-        raise ValueError("rolling bond volatility is zero (sigma1 = 0); "
-                         "replication weights are undefined")
-    w_roll = float(_a1_factor1(model, s - t)
-                   / _a1_factor1(model, market.maturity))
-    return 1.0 - w_roll, w_roll
-
-
 # ---------------------------------------------------------------------------
 # measure-changed hazard means
 # ---------------------------------------------------------------------------

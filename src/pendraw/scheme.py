@@ -271,16 +271,6 @@ class ComparisonReport:
         return self.compensation_gain.mean(axis=0)
 
     @property
-    def relative_withdraw_gain(self) -> np.ndarray:
-        base = self.traj_a.withdraw.mean(axis=0)
-        return self.mean_withdraw_gain / base
-
-    @property
-    def relative_compensation_gain(self) -> np.ndarray:
-        base = self.traj_a.compensation.mean(axis=0)
-        return self.mean_compensation_gain / base
-
-    @property
     def benefit_improvement(self) -> float:
         """Relative gain of the average discounted benefit total."""
         return self.totals_b.mean_benefit / self.totals_a.mean_benefit - 1.0

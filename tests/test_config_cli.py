@@ -1,3 +1,5 @@
+import configparser
+import io
 import time
 from dataclasses import replace
 
@@ -6,12 +8,13 @@ import pytest
 
 from pendraw import experiments, scheme
 from pendraw.cli import main
-from pendraw.config import (build_model, default_config_path, dumps_config,
+from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
                             load_config, loads_config, with_overrides)
 from pendraw.experiments import format_number, run_experiment, write_csv
-from pendraw.mortality import (ConfigError, SinglePopModel, TwoPopModel,
-                               simulate_paths)
+from pendraw.mortality import (ConfigError, GompertzMakehamParams,
+                               SinglePopModel, TwoPopModel, simulate_paths)
 from pendraw.numerics import TimeGrid
+from pendraw.pricing import coeffs_single, coeffs_two_pop
 
 MINIMAL = """
 [model]
@@ -35,27 +38,39 @@ phi = 0.8
 """
 
 
+def shipped_text(kind="ou-single"):
+    """The shipped config with another model kind."""
+    return default_config_path().read_text() \
+        .replace("kind = ou-single", f"kind = {kind}")
+
+
 class TestLoadConfig:
     def test_shipped_config_is_verbatim(self):
+        # modal ages shifted by the retirement age, 65
+        gm1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
+        gm2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
+        for kind in MODEL_KINDS:
+            cfg = loads_config(shipped_text(kind))
+            assert cfg.model_kind == kind
+            factor = kind.split("-")[0]
+            if kind.endswith("-single"):
+                assert cfg.model == SinglePopModel(factor, gm1, 0.561, 0.0035)
+            else:
+                assert cfg.model == TwoPopModel(factor, gm1, gm2, 0.561,
+                                                0.0028, 0.65, 0.0035, 0.004,
+                                                0.005)
+            assert (cfg.b1, cfg.sigma1) == (0.561, 0.0035)
         cfg = load_config(default_config_path())
         assert cfg.model_kind == "ou-single"
-        assert (cfg.pop1.nu, cfg.pop1.delta, cfg.pop1.m) == \
-            (0.0009944, 11.4, 86.4515)
-        assert (cfg.b1, cfg.sigma1) == (0.561, 0.0035)
-        assert (cfg.pop2.nu, cfg.pop2.delta, cfg.pop2.m) == \
-            (0.0009944, 12.9374, 89.18)
-        assert (cfg.b21, cfg.b22) == (0.0028, 0.65)
-        assert (cfg.sigma21, cfg.sigma22) == (0.004, 0.005)
         assert (cfg.market.r, cfg.market.theta_s, cfg.market.sigma_s) == \
             (0.04, 0.05, 0.15)
         assert cfg.market.theta_1 == -0.0005
         assert cfg.market.maturity == 20.0
-        assert (cfg.scenario.phi, cfg.scenario.pi, cfg.scenario.y0) == \
-            (0.8, 1.0, 100.0)
+        assert (cfg.scenario.phi, cfg.scenario.y0) == (0.8, 100.0)
         assert (cfg.scenario.horizon, cfg.scenario.dt) == (35.0, 0.1)
         assert (cfg.scenario.n_paths, cfg.scenario.seed) == (100, 42)
         assert cfg.scenario.t_max == 120.0
-        assert cfg.retirement_age == 65.0
+        assert (cfg.experiment, cfg.out_dir) == ("base", "out")
 
     def test_defaults_applied(self):
         cfg = loads_config(MINIMAL)
@@ -124,21 +139,57 @@ sigma22 = 0.005
         assert "[experiment] sweep_values" in str(err.value)
 
     def test_round_trip(self):
-        cfg = load_config(default_config_path())
-        assert loads_config(dumps_config(cfg)) == cfg
-        cfg2 = loads_config(MINIMAL)
-        assert loads_config(dumps_config(cfg2)) == cfg2
+        # a config read and written back by configparser, as a tool that
+        # edits one does, loads to an equal configuration
+        for text in [*map(shipped_text, MODEL_KINDS), MINIMAL]:
+            cp = configparser.ConfigParser(interpolation=None)
+            cp.read_string(text)
+            buf = io.StringIO()
+            cp.write(buf)
+            assert loads_config(buf.getvalue()) == loads_config(text)
 
     def test_build_model_shifts_modal_age(self):
         cfg = load_config(default_config_path())
         model = build_model(cfg)
+        assert model is cfg.model
         assert isinstance(model, SinglePopModel)
         assert model.gm.m == pytest.approx(86.4515 - 65.0)
-        text = dumps_config(cfg).replace("kind = ou-single", "kind = cir-sub")
-        model2 = build_model(loads_config(text))
+        model2 = build_model(loads_config(shipped_text("cir-sub")))
         assert isinstance(model2, TwoPopModel)
         assert model2.kind == "cir"
         assert model2.gm2.m == pytest.approx(89.18 - 65.0)
+        kept = loads_config(shipped_text("cir-sub").replace(
+            "retirement_age = 65", "retirement_age = 0"))
+        assert (kept.model.gm1.m, kept.model.gm2.m) == (86.4515, 89.18)
+
+    def test_pi_loads_only_as_one(self):
+        assert loads_config(MINIMAL.replace("phi = 0.8", "phi = 0.8\npi = 1")) \
+            == loads_config(MINIMAL)
+        with pytest.raises(ConfigError, match=r"\[scheme\] pi must be 1"):
+            loads_config(MINIMAL.replace("phi = 0.8", "phi = 0.8\npi = 0.5"))
+
+    def test_single_kind_reads_no_population2_key(self):
+        text = shipped_text().replace("b22 = 0.65", "b22 = banana")
+        assert loads_config(text) == loads_config(shipped_text())
+        with pytest.raises(ConfigError, match=r"\[population2\] b22"):
+            loads_config(text.replace("kind = ou-single", "kind = ou-sub"))
+
+    @pytest.mark.parametrize("line, bad, section", [
+        ("phi = 0.8", "phi = -1", "[scheme]"),
+        ("phi = 0.8", "phi = 0.8\nn_paths = 0", "[scheme]"),
+        ("phi = 0.8", "phi = 0.8\nhorizon = 0", "[scheme]"),
+        ("phi = 0.8", "phi = 0.8\nt_max = 35", "[scheme]"),
+        # 35 is no whole number of steps of 0.3: the simulation grid
+        ("phi = 0.8", "phi = 0.8\ndt = 0.3", "[scheme]"),
+        ("sigma_s = 0.15", "sigma_s = 0", "[market]"),
+        ("theta_1 = -0.0005", "theta_1 = -0.0005\nmaturity = 0", "[market]"),
+        # 60 is before the retirement age
+        ("m = 86.4515", "m = 60", "[population1]"),
+    ])
+    def test_rejected_value_names_its_section(self, line, bad, section):
+        with pytest.raises(ConfigError) as err:
+            loads_config(MINIMAL.replace(line, bad))
+        assert str(err.value).startswith(section)
 
     def test_overrides(self):
         cfg = load_config(default_config_path())
@@ -171,7 +222,6 @@ sigma22 = 0.005
         text = MINIMAL + "\n[experiment]\nout_dir = runs/100%/%(x)s\n"
         cfg = loads_config(text)
         assert cfg.out_dir == "runs/100%/%(x)s"
-        assert loads_config(dumps_config(cfg)) == cfg
 
 
 class TestWriteCsv:
@@ -493,6 +543,30 @@ class TestCli:
         assert "--s-step" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("extra", [
+        ["--t", "0"], ["--t", "2.5", "--s-step", "0.1", "--s-max", "10"]])
+    def test_coeffs_csv_matches_scalar_routes(self, tmp_path, capsys, kind,
+                                              extra):
+        cfg_path = tmp_path / "k.cfg"
+        cfg_path.write_text(shipped_text(kind))
+        assert main(["coeffs", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "c"), *extra]) == 0
+        model = load_config(cfg_path).model
+        lines = (tmp_path / "c" / "coeffs.csv").read_text().splitlines()
+        assert lines[1].split(",")[2:4] == ["0", "0"]  # the row s = t
+        for line in lines[1:]:
+            t, s, *got = line.split(",")
+            if model.n_factors == 1:
+                c = coeffs_single(model, float(t), float(s))
+                want = (c.a0, c.a1)
+                assert got[2] == ""
+            else:
+                c = coeffs_two_pop(model, float(t), float(s))
+                want = (c.c0, c.c1, c.c2)
+            assert [float(x) for x in got[:len(want)]] == \
+                pytest.approx(want, rel=1e-7, abs=5e-9)
+
     def test_coeffs_csv_two_population(self, tmp_path, capsys):
         text = default_config_path().read_text() \
             .replace("kind = ou-single", "kind = ou-sub")
@@ -565,6 +639,17 @@ class TestCli:
                      "--out", str(tmp_path / "s")])
         assert code == 1
         assert "[scheme] phi must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_pi_other_than_one_exits_1_before_any_output(self, tmp_path,
+                                                         capsys):
+        cfg_path = small_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text()
+                            .replace("phi = 0.8", "phi = 0.8\npi = 0.5"))
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "[scheme] pi must be 1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_sweep_negative_values_both_forms(self, tmp_path, monkeypatch):

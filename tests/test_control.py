@@ -7,8 +7,7 @@ import pytest
 
 from pendraw import control
 from pendraw.control import (LATTICE_STEP, PolicyDecision, SchemeScenario,
-                             UnsupportedConfiguration, annuity_G,
-                             annuity_G_gradient, g_and_gradient,
+                             annuity_G, annuity_G_gradient, g_and_gradient,
                              no_bond_policy, optimal_policy)
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, initial_hazard)
@@ -533,13 +532,6 @@ class TestPolicies:
         with pytest.raises(ValueError):
             optimal_policy(model, SCEN, MARKET, 0.0, 0.0144, 100.0)
 
-    def test_pi_not_one_rejected(self):
-        scen = SchemeScenario(phi=0.8, pi=0.7)
-        with pytest.raises(UnsupportedConfiguration):
-            optimal_policy(ou_single(), scen, MARKET, 0.0, 0.0144, 100.0)
-        with pytest.raises(UnsupportedConfiguration):
-            no_bond_policy(ou_single(), scen, MARKET, 0.0, 0.0144, 100.0)
-
     def test_nonpositive_wealth_rejected(self):
         with pytest.raises(ValueError):
             optimal_policy(ou_single(), SCEN, MARKET, 0.0, 0.0144, 0.0)
@@ -582,8 +574,6 @@ class TestPolicies:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             SchemeScenario(phi=-0.1)
-        with pytest.raises(ValueError):
-            SchemeScenario(phi=0.5, pi=1.5)
         with pytest.raises(ValueError):
             SchemeScenario(phi=0.5, t_max=30.0)  # below the horizon
 

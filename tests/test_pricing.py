@@ -11,8 +11,8 @@ from pendraw.scheme import OPTIMAL, simulate_scheme
 from pendraw.pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                              a1_cir, a1_ou, build_coefficient_table, c1_ou,
                              c2_ou, coeffs_single, coeffs_two_pop,
-                             replication_weights, rolling_bond_volatility,
-                             survival_expectation, tilde_mean)
+                             rolling_bond_volatility, survival_expectation,
+                             tilde_mean)
 
 POP1_AGE = GompertzMakehamParams(0.0009944, 11.4, 86.4515)
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
@@ -205,22 +205,6 @@ class TestRollingBond:
             rolling_bond_volatility(model, MARKET, 0.0, lambda1=-1e-3)
         with pytest.raises(ValueError):
             rolling_bond_volatility(model, MARKET, 0.0)
-
-    def test_replication_extremes(self):
-        model = ou_single()
-        assert replication_weights(model, MARKET, 3.0, 23.0) == (0.0, 1.0)
-        assert replication_weights(model, MARKET, 3.0, 3.0) == (1.0, 0.0)
-
-    def test_replication_weights_sum(self):
-        model = cir_two()
-        for s in (0.5, 5.0, 20.0, 45.0):
-            cash, roll = replication_weights(model, MARKET, 0.0, s)
-            assert cash + roll == pytest.approx(1.0, abs=1e-15)
-
-    def test_replication_undefined_without_volatility(self):
-        model = SinglePopModel("ou", POP1, 0.561, 0.0)
-        with pytest.raises(ValueError):
-            replication_weights(model, MARKET, 0.0, 10.0)
 
 
 class TestTildeMean:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pendraw import pricing, scheme
-from pendraw.control import (MarketParams, SchemeScenario,
-                             UnsupportedConfiguration, g_and_gradient,
+from pendraw.control import (MarketParams, SchemeScenario, g_and_gradient,
                              optimal_policy)
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, simulate_paths)
@@ -162,13 +161,6 @@ class TestSimulateScheme:
         grid = TimeGrid(0.0, 2.0, 0.1)
         paths = simulate_paths(model, grid, 2, scen.seed, keep_shocks=False)
         with pytest.raises(ConfigError):
-            simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
-
-    def test_pi_not_one_rejected(self):
-        model = ou_model()
-        scen = scenario(n_paths=2, horizon=2.0, pi=0.5)
-        paths = make_paths(model, scen)
-        with pytest.raises(UnsupportedConfiguration):
             simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
 
     def test_two_pop_compensation_uses_members(self):

@@ -29,8 +29,8 @@ from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
 from .pricing import build_coefficient_table
 
-# rows of one ``coeffs`` file: bounds its size, and its time at up to one tau
-# pass per row
+# maturities after the anchor in one ``coeffs`` file (it writes one more
+# row, s = t): bounds its size, and its time at up to one tau pass per row
 MAX_COEFF_ROWS = 10_000
 
 
@@ -78,8 +78,8 @@ def _add_command(sub, name: str) -> None:
         p.add_argument("--s-max", type=float, default=None,
                        help="last maturity (default: horizon)")
         p.add_argument("--s-step", type=float, default=1.0,
-                       help="maturity spacing (years); (s_max - t) / s_step "
-                            f"may be at most {MAX_COEFF_ROWS}")
+                       help="maturity spacing (years); at most "
+                            f"{MAX_COEFF_ROWS} maturities after --t")
     elif name == "policy":
         p.add_argument("--t", type=float, default=0.0)
         p.add_argument("--lambda1", type=float, default=None,
@@ -153,20 +153,21 @@ def _cmd_coeffs(args) -> int:
         raise ConfigError(f"--s-max ({s_max}) must be >= --t ({args.t})")
     if not args.s_step > 0:
         raise ConfigError(f"--s-step must be > 0, got {args.s_step}")
-    rows = (s_max - args.t) / args.s_step
-    if not rows <= MAX_COEFF_ROWS:
-        raise ConfigError(f"--s-step {args.s_step} gives (s_max - t) / s_step"
-                          f" = {rows:g} rows, more than {MAX_COEFF_ROWS}")
-    # the row s = t is the terminal condition, all zeros
-    maturities, values = [args.t], [(0.0,) * (1 + model.n_factors)]
-    # the printed s is the repeated sum, rounding and all
+    # the printed s is the repeated sum, rounding and all; the row s = t is
+    # the terminal condition, all zeros
+    maturities = [args.t]
     s = args.t + args.s_step
-    while s <= s_max + 1e-9:
+    while s <= s_max + 1e-9 and len(maturities) <= MAX_COEFF_ROWS:
         maturities.append(s)
+        s += args.s_step
+    if s <= s_max + 1e-9:
+        raise ConfigError(f"--s-step {args.s_step} gives more than "
+                          f"{MAX_COEFF_ROWS} maturities after --t")
+    values = [(0.0,) * (1 + model.n_factors)]
+    for s in maturities[1:]:
         # a table's last node sits at its end exactly
         tab = build_coefficient_table(model, args.t, min(s, s_max))
         values.append((tab.k0[-1], *tab.k[:, -1]))
-        s += args.s_step
     columns = [[args.t] * len(maturities), maturities, *zip(*values)]
     if model.n_factors == 1:
         columns.append("")

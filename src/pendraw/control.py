@@ -39,6 +39,9 @@ gradient's integrals are the moments M[x] = sum_n w_n e^{-r(s_n - t)} surv_n
 x_n of x in {1, k_i}, surv = exp(k0 - sum_i lam_i k_i). A batch of states
 then costs one exp of the (states x nodes) exponent and one product with the
 (nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
+None of these pieces depends on phi (``g_pieces``), so one set of them gives
+G and its gradient at every phi (``scheme.g_surface`` shares them between
+arms).
 
 The optimal policy withdraws wealth/G, holds theta_s/sigma_s of wealth in the
 stock, and hedges with the rolling longevity bond through the first hazard
@@ -56,7 +59,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .mortality import Model, baseline_hazard
+from .mortality import Model
 from .pricing import (LATTICE_STEP, MarketParams, _a1_factor1, _lattice_span,
                       build_coefficient_table)
 
@@ -167,12 +170,20 @@ def _gregory_corrections(q: int) -> np.ndarray:
 def _gregory_weights(m: int, delta: float) -> np.ndarray:
     """Weights, in units of the spacing, for the nodes 0..m [and m + delta].
 
-    The trapezoid rule on 0..m with q-point Gregory corrections at both ends,
-    q = min(GREGORY_ORDER, m + 1), plus, when delta > 0, the integral over
-    [m, m + delta] of the polynomial through the last q nodes and m + delta.
-    The rule is exact for polynomials of degree below q.
+    The trapezoid rule on 0..m with q-point Gregory end corrections at both
+    ends, q = min(GREGORY_ORDER, m + 1) (see ``_gregory_rule``). The array is
+    cached and read-only.
     """
-    q = min(GREGORY_ORDER, m + 1)
+    return _gregory_rule(m, delta, min(GREGORY_ORDER, m + 1))
+
+
+@lru_cache(maxsize=4096)
+def _gregory_rule(m: int, delta: float, q: int) -> np.ndarray:
+    """The trapezoid rule on 0..m with q-point Gregory corrections at both
+    ends plus, when delta > 0, the integral over [m, m + delta] of the
+    polynomial through the last q nodes and m + delta. The rule is exact for
+    polynomials of degree below q.
+    """
     w = np.zeros(m + 1 + (delta > 0))
     if m:
         w[:m + 1] = 1.0
@@ -186,6 +197,7 @@ def _gregory_weights(m: int, delta: float) -> np.ndarray:
             others = np.delete(v, i)
             basis = np.poly(others) / np.prod(v[i] - others)
             w[m + 1 - q + i] += np.polyval(np.polyint(basis), delta)
+    w.setflags(write=False)
     return w
 
 
@@ -217,9 +229,57 @@ def _max_stride(model: Model, market: MarketParams, t: float) -> int:
     """GREGORY_STRIDE, or fewer lattice steps where the integrand's initial
     decay rate r + (members' baseline hazard at t) makes rate * spacing
     exceed GREGORY_RATE_STEP."""
-    rate = market.r + float(baseline_hazard(t, model.factors[2][-1]))
+    gm = model.factors[2][-1]
+    # capped below math.exp's overflow; any rate that large gives stride 1
+    growth = math.exp(min((t - gm.m) / gm.delta, 700.0))
+    rate = market.r + (gm.nu + growth / gm.delta)
     return max(1, min(GREGORY_STRIDE,
                       int(GREGORY_RATE_STEP / (rate * LATTICE_STEP))))
+
+
+def _anchor(t) -> float:
+    """The time G is evaluated at: t rounded to 9 decimals, so that grid
+    nodes such as 0.1 * k sit on the coefficient lattice. Every check
+    against t_max tests this value."""
+    return round(float(t), 9)
+
+
+def g_pieces(model: Model, scenario: SchemeScenario, market: MarketParams,
+             t: float, lam: np.ndarray):
+    """The phi-free pieces of G and its gradient for a batch of states at one
+    time: (A (n,), D (n,), M (n, n_factors), k(T) (n_factors,)).
+
+    A = M[1] and M[k_i] are the outer rule's moments and D = e^{-r(T-t)}
+    S(t,T) (see the module docstring). They depend on the scenario's t_max
+    but not on its phi, so one set serves every phi (``_compose_g``). At
+    t >= t_max the span is empty: T = t, so D = 1 and the rest is zero.
+    """
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    n_states, n_fac = lam.shape
+    if n_fac != model.n_factors:
+        raise ValueError(f"expected {model.n_factors} hazard component(s), got {n_fac}")
+    t = _anchor(t)
+    if t >= scenario.t_max:
+        return (np.zeros(n_states), np.ones(n_states),
+                np.zeros((n_states, n_fac)), np.zeros(n_fac))
+
+    tab = build_coefficient_table(model, t, scenario.t_max)
+    rows, w = _g_nodes(tab, *_lattice_span(t, scenario.t_max),
+                       _max_stride(model, market, t))
+    disc = np.exp(-market.r * tab.tau[rows])
+    # (n_fac, nodes), row-major: tab.k[:, rows] would be column-major
+    k = tab.k.take(rows, axis=1)
+    surv = np.exp(tab.k0[rows] - lam @ k)                # (n, nodes)
+    # the moments M[1], M[k_i], and D = e^{-r(T-t)} S(t,T) at the last node
+    mom = surv @ (np.vstack((np.ones(rows.size), k)) * (w * disc)).T
+    return mom[:, 0], disc[-1] * surv[:, -1], mom[:, 1:], k[:, -1]
+
+
+def _compose_g(phi: float, r: float, a, d, m, k_end):
+    """G = (1 - phi r) A + phi (1 - D) and dG/dlam = phi D k(T) - (1 - phi r) M
+    from the pieces of ``g_pieces``, for any shapes that broadcast."""
+    lead = 1.0 - phi * r
+    return lead * a + phi * (1.0 - d), phi * d * k_end - lead * m
 
 
 def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
@@ -228,29 +288,10 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
 
     ``lam`` has shape (n, n_factors); returns (G (n,), gradient (n, n_factors)).
     """
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    n_states, n_fac = lam.shape
-    if n_fac != model.n_factors:
-        raise ValueError(f"expected {model.n_factors} hazard component(s), got {n_fac}")
-    if t >= scenario.t_max:
-        return np.zeros(n_states), np.zeros((n_states, n_fac))
-
-    t = round(float(t), 9)
-    tab = build_coefficient_table(model, t, scenario.t_max)
-    rows, w = _g_nodes(tab, *_lattice_span(t, scenario.t_max),
-                       _max_stride(model, market, t))
-    r, phi = market.r, scenario.phi
-    disc = np.exp(-r * tab.tau[rows])
-    # (n_fac, nodes), row-major: tab.k[:, rows] would be column-major
-    k = tab.k.take(rows, axis=1)
-    surv = np.exp(tab.k0[rows] - lam @ k)                # (n, nodes)
-    # the moments M[1], M[k_i], and D = e^{-r(T-t)} S(t,T) at the last node
-    mom = surv @ (np.vstack((np.ones(rows.size), k)) * (w * disc)).T
-    end = disc[-1] * surv[:, -1]
-    lead = 1.0 - phi * r
-    g = lead * mom[:, 0] + phi * (1.0 - end)
-    grad = phi * end[:, None] * k[:, -1] - lead * mom[:, 1:]
-    return g, grad
+    a, d, m, k_end = g_pieces(model, scenario, market, t, lam)
+    g, grad = _compose_g(scenario.phi, market.r, a[:, None], d[:, None], m,
+                         k_end)
+    return g[:, 0], grad
 
 
 def annuity_G(model: Model, scenario: SchemeScenario, market: MarketParams,
@@ -296,11 +337,15 @@ def bond_weight_arrays(model: Model, scenario: SchemeScenario,
 
 def _check_policy_inputs(scenario: SchemeScenario, t: float, lam,
                          wealth: float) -> None:
-    """The policy needs a finite t before t_max (where G > 0), finite hazards
-    and finite positive wealth."""
+    """The policy needs a finite t whose anchor (``_anchor``) is before t_max
+    (where G > 0), finite hazards and finite positive wealth."""
     if not (math.isfinite(t) and t < scenario.t_max):
         raise ValueError(f"t must be finite and below t_max = {scenario.t_max},"
                          f" got {t}")
+    if _anchor(t) >= scenario.t_max:
+        raise ValueError(f"t = {t!r} rounds to {_anchor(t)!r} at 9 decimals, "
+                         f"where G is evaluated; it must be below t_max = "
+                         f"{scenario.t_max}")
     if not np.isfinite(lam).all():
         raise ValueError(f"hazards must be finite, got {lam}")
     if not 0 < wealth < math.inf:

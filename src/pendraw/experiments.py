@@ -185,14 +185,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if cfg.sweep_var is None or not cfg.sweep_values:
             raise ConfigError("sweep requires sweep_var and sweep_values")
         # every arm is compared with one reference arm, simulated once: the
-        # no-bond policy (theta1) or no risk sharing (phi)
+        # no-bond policy (theta1) or no risk sharing (phi); all of them share
+        # one G surface, since neither theta1 nor phi enters its pieces
+        surface = g_surface(model, scenario, market, paths)
         if cfg.sweep_var == "theta1":
-            surface = g_surface(model, scenario, market, paths)
             ref = simulate_scheme(model, scenario, market, NO_BOND, paths,
                                   surface=surface)
         else:
             ref = simulate_scheme(model, replace(scenario, phi=0.0), market,
-                                  OPTIMAL, paths)
+                                  OPTIMAL, paths, surface=surface)
         floor_hits = ref.floor_hits
         summary_rows = []
         for i, value in enumerate(cfg.sweep_values):
@@ -202,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                        paths, surface=surface)
             else:
                 traj = simulate_scheme(model, replace(scenario, phi=value),
-                                       market, OPTIMAL, paths)
+                                       market, OPTIMAL, paths, surface=surface)
             report = ComparisonReport.of(ref, market.r, traj, market.r)
             floor_hits += traj.floor_hits
             files.append(write_csv(

@@ -13,22 +13,38 @@ volatility loading and theta_1_eff is theta_1 (OU) or theta_1*sqrt(lambda1)
 W_S comes from a dedicated stream offset, so paired comparisons see identical
 noise (common random numbers).
 
-The optimal and no-bond policies withdraw Y/G and hedge through dG/dlambda1.
+The optimal and no-bond policies withdraw Y/G and hold fixed fractions of
+wealth (w_S = theta_S/sigma_S in the stock, w_L in the bond, w_L = 0 without
+it), hedging through dG/dlambda1. So the Euler step multiplies Y by a factor
+that does not depend on Y,
+
+    Y_{k+1} = Y_k F_k,
+    F_k = 1 + (r + w_S sigma_S theta_S + w_L sigma_L theta_1_eff - 1/G) dt
+            + w_S sigma_S sqrt(dt) xi_S + w_L sigma_L sqrt(dt) xi_1,
+
+and their wealth is the running product of F, built for the whole
+(paths x steps) grid at once. A path whose wealth reaches the floor (1e-9 of
+y0) is pinned there from that node on. A custom policy may read the wealth,
+so it is stepped one node at a time; that loop is also the reference the
+product form is tested against.
+
 G depends on the hazard paths and on (model, phi, t_max, r) only, not on
-wealth, theta_1 or the policy kind, so it is computed for the whole grid
-before the wealth loop (``g_surface``), and arms that agree on those inputs
-share one surface.
+wealth, theta_1 or the policy kind, and it is affine in phi:
+G = (1 - phi r) A + phi (1 - D) (``control``). ``g_surface`` computes the
+phi-free pieces on the whole grid once, keyed on (model, t_max, r), and each
+arm composes its own G and dG/dlambda1 from them. So every arm on the same
+paths that agrees on t_max and r shares one surface, phi sweeps included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .control import (MarketParams, SchemeScenario, bond_weight_arrays,
-                      g_and_gradient, _check_policy_inputs)
+                      g_pieces, _check_policy_inputs, _compose_g)
 from .mortality import CIR, ConfigError, Model, MortalityPaths, simulate_paths
 from .numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from .pricing import _a1_factor1
@@ -70,21 +86,31 @@ class SchemeTrajectory:
 
 @dataclass(frozen=True)
 class GSurface:
-    """G and dG/dlambda1 at every (path, grid node) of one set of paths.
+    """G's phi-free pieces (``control.g_pieces``) at every (path, grid node)
+    of one set of paths.
 
-    ``key`` holds the inputs G depends on besides the paths:
-    (model, phi, t_max, r).
+    ``key`` holds the inputs they depend on besides the paths:
+    (model, t_max, r). ``at`` composes G and dG/dlambda1 at any phi with the
+    expressions of ``g_and_gradient``, so both are bit-identical to it.
     """
 
     key: tuple
     paths: MortalityPaths
-    g: np.ndarray               # (n_paths, n_nodes)
-    grad1: np.ndarray           # (n_paths, n_nodes)
+    a: np.ndarray               # (n_paths, n_nodes), A
+    d: np.ndarray               # (n_paths, n_nodes), D = e^{-r(T-t)} S(t,T)
+    m1: np.ndarray              # (n_paths, n_nodes), M[k_1]
+    k1_end: np.ndarray          # (n_nodes,), k_1(T)
+
+    def at(self, phi: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(G, dG/dlambda1), each (n_paths, n_nodes), at risk-sharing weight
+        phi."""
+        _, _, r = self.key
+        return _compose_g(phi, r, self.a, self.d, self.m1, self.k1_end)
 
 
 def _surface_key(model: Model, scenario: SchemeScenario,
                  market: MarketParams) -> tuple:
-    return (model, scenario.phi, scenario.t_max, market.r)
+    return (model, scenario.t_max, market.r)
 
 
 def _hazard_state(paths: MortalityPaths, k: int) -> np.ndarray:
@@ -96,32 +122,53 @@ def _hazard_state(paths: MortalityPaths, k: int) -> np.ndarray:
 
 def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
               paths: MortalityPaths) -> GSurface:
-    """G and dG/dlambda1 on the whole grid, one ``g_and_gradient`` call per
-    node."""
+    """G's phi-free pieces on the whole grid, one ``g_pieces`` call per node.
+
+    The hazards are stacked node-major once, so that each node's state is
+    one contiguous (n_paths, n_factors) block.
+    """
+    factors = [paths.lambda1] if paths.lambda2 is None \
+        else [paths.lambda1, paths.members_hazard]
+    states = np.stack([f.T for f in factors], axis=-1)
     shape = (paths.n_paths, paths.grid.n_steps + 1)
-    g, grad1 = np.empty(shape), np.empty(shape)
+    a, d, m1 = np.empty(shape), np.empty(shape), np.empty(shape)
+    k1_end = np.empty(shape[1])
     for k, t in enumerate(paths.grid.nodes):
-        g_k, grad_k = g_and_gradient(model, scenario, market, t,
-                                     _hazard_state(paths, k))
-        g[:, k] = g_k
-        grad1[:, k] = grad_k[:, 0]
-    return GSurface(_surface_key(model, scenario, market), paths, g, grad1)
+        a[:, k], d[:, k], m_k, k_end = g_pieces(model, scenario, market, t,
+                                                states[k])
+        m1[:, k] = m_k[:, 0]
+        k1_end[k] = k_end[0]
+    return GSurface(_surface_key(model, scenario, market), paths, a, d, m1,
+                    k1_end)
+
+
+def _bond_loading(model: Model, market: MarketParams, lam1: np.ndarray):
+    """(sigma_L, theta_1_eff) for hazards ``lam1`` of factor 1: the rolling
+    bond's volatility loading and the longevity risk price it earns."""
+    sigma_l = -float(_a1_factor1(model, market.maturity)) \
+        * float(model.factors[1][0, 0])
+    if model.kind != CIR:
+        return sigma_l, market.theta_1
+    sq1 = np.sqrt(np.maximum(lam1, 0.0))
+    return sigma_l * sq1, market.theta_1 * sq1
 
 
 def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,
                     policy_kind: str, paths: MortalityPaths,
                     policy_fn: Optional[PolicyFn] = None,
                     surface: Optional[GSurface] = None) -> SchemeTrajectory:
-    """Euler-Maruyama wealth paths with the policy re-evaluated every step.
+    """Euler-Maruyama wealth paths under the policy.
 
     The optimal and no-bond policies read G from ``surface`` when it is given
-    (built by ``g_surface`` for this model, these paths and the same phi,
-    t_max and r; anything else is rejected) and compute it otherwise.
+    (built by ``g_surface`` for this model, these paths and the same t_max
+    and r; anything else is rejected) and compute it otherwise; their wealth
+    is the running product of the step factors (module docstring). A custom
+    policy is evaluated at every step on that step's wealth.
 
-    Paths whose wealth falls to the floor (1e-9 of initial wealth) are frozen
-    there and flagged: with log-utility controls the exact dynamics keep
-    wealth positive, so floor hits are discretisation diagnostics, not
-    failures.
+    Paths whose wealth falls to the floor (1e-9 of initial wealth) are pinned
+    there from their first hit on and flagged: with log-utility controls the
+    exact dynamics keep wealth positive, so floor hits are discretisation
+    diagnostics, not failures.
     """
     grid = paths.grid
     if abs(grid.step - scenario.dt) > 1e-12 or abs(grid.t1 - scenario.horizon) > 1e-9:
@@ -139,80 +186,95 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
                              scenario.y0)
 
     n = grid.n_steps
-    dt = grid.step
-    sqdt = np.sqrt(dt)
-    times = grid.nodes
     n_paths = paths.n_paths
-
     xi_s = normal_block(paths.seed, WS_STREAM_OFFSET + paths.path_offset,
                         n_paths, n)
-    lam1 = paths.lambda1
+    floor = WEALTH_FLOOR_FRACTION * scenario.y0
 
-    is_cir = model.kind == CIR
-    a1_t = float(_a1_factor1(model, market.maturity))
-    sigma1 = float(model.factors[1][0, 0])
-
-    wealth = np.empty((n_paths, n + 1))
-    withdraw = np.empty((n_paths, n + 1))
     if policy_kind == CUSTOM:
-        w_stock = np.empty((n_paths, n + 1))
-        w_bond = np.empty((n_paths, n + 1))
+        wealth, withdraw, w_stock, w_bond, floor_hit = _step_custom(
+            model, scenario, market, paths, policy_fn, xi_s, floor)
     else:
         if surface is None:
             surface = g_surface(model, scenario, market, paths)
         elif (surface.paths is not paths
               or surface.key != _surface_key(model, scenario, market)):
             raise ConfigError("G surface was built for other paths or another "
-                              "(model, phi, t_max, r)")
-        w_stock = np.full((n_paths, n + 1), market.theta_s / market.sigma_s)
+                              "(model, t_max, r)")
+        g, grad1 = surface.at(scenario.phi)
+        stock = market.theta_s / market.sigma_s
+        w_stock = np.full((n_paths, n + 1), stock)
         if policy_kind == OPTIMAL:
-            w_bond = bond_weight_arrays(model, scenario, market, surface.g,
-                                        surface.grad1)
+            w_bond = bond_weight_arrays(model, scenario, market, g, grad1)
         else:
             w_bond = np.zeros((n_paths, n + 1))
-    floor = WEALTH_FLOOR_FRACTION * scenario.y0
-    frozen = np.zeros(n_paths, dtype=bool)
+
+        # F_k, built in place in the wealth array's columns 1..n
+        dt, sqdt = grid.step, np.sqrt(grid.step)
+        sigma_l, theta_eff = _bond_loading(model, market, paths.lambda1[:, :n])
+        wealth = np.empty((n_paths, n + 1))
+        wealth[:, 0] = scenario.y0
+        f = wealth[:, 1:]
+        np.multiply(paths.shocks1, sqdt, out=f)
+        f += theta_eff * dt
+        f *= w_bond[:, :n]
+        f *= sigma_l
+        xi_s *= stock * market.sigma_s * sqdt
+        f += xi_s
+        f -= np.divide(dt, g[:, :n], out=xi_s)
+        f += (market.r + stock * market.sigma_s * market.theta_s) * dt
+        # 1 comes last: the rounding of 1 + x then varies from step to step
+        # instead of repeating the rounding of 1 + (r + ...) dt in every step
+        f += 1.0
+        # Y_k = y0 F_0 ... F_{k-1}, multiplied in the loop's order
+        np.multiply.accumulate(wealth, axis=1, out=wealth)
+        pinned = np.logical_or.accumulate(wealth <= floor, axis=1)
+        wealth[pinned] = floor
+        floor_hit = pinned[:, -1]
+        withdraw = wealth / g
+
+    compensation = paths.members_hazard * wealth
+    # cash = 1 - (stock + bond): the sum closes to exactly one while
+    # stock + bond >= 0, and to within the rounding of 1 - (stock + bond) below
+    return SchemeTrajectory(grid=grid, policy_kind=policy_kind, wealth=wealth,
+                            withdraw=withdraw, compensation=compensation,
+                            stock_weight=w_stock, bond_weight=w_bond,
+                            cash_weight=1.0 - (w_stock + w_bond),
+                            survival=paths.survival, floor_hit=floor_hit)
+
+
+def _step_custom(model: Model, scenario: SchemeScenario, market: MarketParams,
+                 paths: MortalityPaths, policy_fn: PolicyFn,
+                 xi_s: np.ndarray, floor: float):
+    """(wealth, withdraw, w_stock, w_bond, floor_hit) of a custom policy,
+    one Euler step at a time; a path is frozen at the floor from its first
+    hit on."""
+    grid = paths.grid
+    n, dt = grid.n_steps, grid.step
+    sqdt = np.sqrt(dt)
+    shape = (paths.n_paths, n + 1)
+    wealth, withdraw = np.empty(shape), np.empty(shape)
+    w_stock, w_bond = np.empty(shape), np.empty(shape)
+    frozen = np.zeros(paths.n_paths, dtype=bool)
     wealth[:, 0] = scenario.y0
 
     for k in range(n + 1):
         y = wealth[:, k]
-        if policy_kind == CUSTOM:
-            withdraw[:, k], w_stock[:, k], w_bond[:, k] = policy_fn(
-                times[k], _hazard_state(paths, k), y)
-        else:
-            withdraw[:, k] = y / surface.g[:, k]
-        beta = withdraw[:, k]
-        ws = w_stock[:, k]
-        wb = w_bond[:, k]
-
+        withdraw[:, k], w_stock[:, k], w_bond[:, k] = policy_fn(
+            grid.nodes[k], _hazard_state(paths, k), y)
         if k == n:
             break
-
-        if is_cir:
-            sq1 = np.sqrt(np.maximum(lam1[:, k], 0.0))
-            sigma_l = -a1_t * sigma1 * sq1
-            theta_eff = market.theta_1 * sq1
-        else:
-            sigma_l = np.full(n_paths, -a1_t * sigma1)
-            theta_eff = market.theta_1
-
+        beta, ws, wb = withdraw[:, k], w_stock[:, k], w_bond[:, k]
+        sigma_l, theta_eff = _bond_loading(model, market, paths.lambda1[:, k])
         drift = (market.r * y + ws * y * market.sigma_s * market.theta_s
                  + wb * y * sigma_l * theta_eff - beta)
         diffusion = (ws * y * market.sigma_s * sqdt * xi_s[:, k]
                      + wb * y * sigma_l * sqdt * paths.shocks1[:, k])
         y_next = y + drift * dt + diffusion
-        hit = (y_next <= floor) & ~frozen
-        frozen |= hit
+        frozen |= y_next <= floor
         y_next[frozen] = floor
         wealth[:, k + 1] = y_next
-
-    compensation = paths.members_hazard * wealth
-    # cash = 1 - (stock + bond): the sum then closes to exactly one
-    return SchemeTrajectory(grid=grid, policy_kind=policy_kind, wealth=wealth,
-                            withdraw=withdraw, compensation=compensation,
-                            stock_weight=w_stock, bond_weight=w_bond,
-                            cash_weight=1.0 - (w_stock + w_bond),
-                            survival=paths.survival, floor_hit=frozen)
+    return wealth, withdraw, w_stock, w_bond, frozen
 
 
 @dataclass
@@ -292,8 +354,8 @@ def compare_strategies(model: Model, scenario: SchemeScenario,
 
     The arms may differ in policy kind or in a scenario/market scalar
     (risk-sharing weight, longevity risk price); the time grid, path count and
-    seed must coincide so the comparison is paired. Arms that agree on phi,
-    t_max and r share one G surface.
+    seed must coincide so the comparison is paired. Arms that agree on t_max
+    and r share one G surface, whatever their phi.
     """
     scen_b = scenario_b if scenario_b is not None else scenario
     mkt_b = market_b if market_b is not None else market

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pendraw import experiments, scheme
-from pendraw.cli import main
+from pendraw.cli import MAX_COEFF_ROWS, main
 from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
                             load_config, loads_config, with_overrides)
 from pendraw.experiments import format_number, run_experiment, write_csv
@@ -418,12 +418,12 @@ class TestRunExperiment:
                              sweep_values=values, n_paths=3,
                              out_dir=str(tmp_path / "sw"))
         g_calls, arms = [], []
-        g_and_gradient = scheme.g_and_gradient
+        g_pieces = scheme.g_pieces
         simulate_scheme = experiments.simulate_scheme
 
         def counted_g(*args, **kwargs):
             g_calls.append(args[3])
-            return g_and_gradient(*args, **kwargs)
+            return g_pieces(*args, **kwargs)
 
         def counted_arm(*args, **kwargs):
             traj = simulate_scheme(*args, **kwargs)
@@ -432,14 +432,13 @@ class TestRunExperiment:
             traj.floor_hit[:] = True
             return traj
 
-        monkeypatch.setattr(scheme, "g_and_gradient", counted_g)
+        monkeypatch.setattr(scheme, "g_pieces", counted_g)
         monkeypatch.setattr(experiments, "simulate_scheme", counted_arm)
         result = run_experiment(cfg)
         n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
         assert len(arms) == len(values) + 1
-        # theta1 arms share one G surface; each phi is a surface of its own
-        shared = 1 if var == "theta1" else len(values) + 1
-        assert len(g_calls) == shared * n_nodes
+        # every arm, theta1 and phi alike, shares one G surface
+        assert len(g_calls) == n_nodes
         # the reference arm's floor hits count once
         assert f"floor hits: {3 * (len(values) + 1)}" in result.summary
 
@@ -543,6 +542,27 @@ class TestCli:
         assert "--s-step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coeffs_bound_counts_the_rows_written(self, tmp_path, capsys):
+        # (s_max - t) / s_step = 1000, but the loop runs to s_max + 1e-9:
+        # 11 000 maturities
+        out = tmp_path / "c"
+        code = main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--t", "0", "--s-max", "1e-10",
+                     "--s-step", "1e-13"])
+        assert code == 1
+        assert "--s-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coeffs_writes_the_largest_request(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--t", "0", "--s-max", "1",
+                     "--s-step", str(1.0 / MAX_COEFF_ROWS)]) == 0
+        lines = (out / "coeffs.csv").read_text().splitlines()
+        # the header, the row s = t and MAX_COEFF_ROWS maturities after it
+        assert len(lines) == 2 + MAX_COEFF_ROWS
+        assert lines[-1].split(",")[1] == "1"
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("extra", [
         ["--t", "0"], ["--t", "2.5", "--s-step", "0.1", "--s-max", "10"]])
@@ -609,6 +629,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_policy_rejects_t_that_rounds_to_t_max(self, tmp_path, capsys):
+        code = main(["policy", "--config", str(small_config(tmp_path)),
+                     "--t", "119.9999999999"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "rounds to 120.0" in captured.err
         assert captured.out == ""
 
     def test_sweep_needs_var(self, tmp_path, capsys):

@@ -100,6 +100,15 @@ class TestAnnuityG:
         assert np.all(grad == 0.0)
         assert annuity_G(model, SCEN, MARKET, SCEN.t_max, 0.02) == 0.0
 
+    @pytest.mark.parametrize("make_model, lam", [
+        (ou_single, [0.02]), (cir_two, [0.02, 0.018])])
+    def test_zero_where_t_rounds_to_t_max(self, make_model, lam):
+        # G is evaluated at t rounded to 9 decimals, and 119.9999999999
+        # rounds to t_max itself
+        g, grad = g_and_gradient(make_model(), SCEN, MARKET, 119.9999999999,
+                                 np.array([lam]))
+        assert np.all(g == 0.0) and np.all(grad == 0.0)
+
     def test_truncation_stability(self):
         lam = 0.016
         for gm in (POP1, GompertzMakehamParams(0.0009944, 11.4, 86.4515)):
@@ -553,6 +562,12 @@ class TestPolicies:
     def test_invalid_state_rejected(self, policy, make_model, t, lam, wealth):
         with pytest.raises(ValueError):
             policy(make_model(), SCEN, MARKET, t, lam, wealth)
+
+    @pytest.mark.parametrize("policy", [optimal_policy, no_bond_policy])
+    def test_t_rounding_to_t_max_rejected(self, policy):
+        # below t_max, but G is evaluated at t rounded to 9 decimals: 120.0
+        with pytest.raises(ValueError, match="rounds to 120.0"):
+            policy(ou_single(), SCEN, MARKET, 119.9999999999, 0.0144, 100.0)
 
     def test_cir_bond_weight_continuous_at_zero_hazard(self):
         # sqrt(lambda1) factors cancel between premium, hedge and volatility

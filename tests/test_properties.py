@@ -1,0 +1,73 @@
+"""Properties over the valid parameter space, checked with hypothesis under
+the deterministic profile of ``conftest.py``."""
+
+import dataclasses
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, strategies as st  # noqa: E402
+
+from pendraw.control import MarketParams, SchemeScenario, g_and_gradient  # noqa: E402
+from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,  # noqa: E402
+                               TwoPopModel, simulate_paths)
+from pendraw.numerics import TimeGrid  # noqa: E402
+from pendraw.scheme import OPTIMAL, _hazard_state, g_surface, simulate_scheme  # noqa: E402
+
+POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
+POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
+MODELS = {
+    "ou-single": SinglePopModel("ou", POP1, 0.561, 0.0035),
+    "cir-single": SinglePopModel("cir", POP1, 0.561, 0.0035),
+    "ou-sub": TwoPopModel("ou", POP1, POP2, 0.561, 0.0028, 0.65, 0.0035,
+                          0.004, 0.005),
+    "cir-sub": TwoPopModel("cir", POP1, POP2, 0.561, 0.0028, 0.65, 0.0035,
+                           0.004, 0.005),
+}
+# a short grid keeps each example to a few milliseconds
+SCENARIO = SchemeScenario(phi=0.8, horizon=1.0, dt=0.1, n_paths=4, seed=7)
+EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=None)
+def paths_of(kind):
+    return simulate_paths(MODELS[kind], TimeGrid(0.0, SCENARIO.horizon,
+                                                 SCENARIO.dt),
+                          SCENARIO.n_paths, SCENARIO.seed)
+
+
+@given(kind=st.sampled_from(sorted(MODELS)), phi=st.floats(0.0, 5.0),
+       r=st.floats(0.01, 0.5), theta1=st.floats(-0.05, 0.05),
+       y0=st.floats(1e-3, 1e6), t_max=st.floats(1.05, 120.0))
+@example(kind="cir-single", phi=5.0, r=0.5, theta1=0.05, y0=1e6,
+         t_max=120.0)
+@example(kind="ou-sub", phi=0.0, r=0.01, theta1=-0.05, y0=1e-3, t_max=1.05)
+def test_shared_surface_is_g_and_gradient_at_every_phi(kind, phi, r, theta1,
+                                                       y0, t_max):
+    # phi r reaches 2.5, where the weight 1 - phi r of A is negative; a
+    # t_max close to the horizon leaves D = e^{-r(T-t)} S(t,T) near 1. The
+    # surface is built at another phi and y0 than the arm it serves.
+    model, paths = MODELS[kind], paths_of(kind)
+    market = MarketParams(r=r, theta_s=0.05, sigma_s=0.15, theta_1=theta1,
+                          maturity=20.0)
+    base = dataclasses.replace(SCENARIO, t_max=t_max)
+    surface = g_surface(model, base, market, paths)
+    scen = dataclasses.replace(base, phi=phi, y0=y0)
+    g, grad1 = surface.at(phi)
+    for k, t in enumerate(paths.grid.nodes):
+        g_k, grad_k = g_and_gradient(model, scen, market, t,
+                                     _hazard_state(paths, k))
+        assert np.array_equal(g[:, k], g_k)
+        assert np.array_equal(grad1[:, k], grad_k[:, 0])
+
+    traj = simulate_scheme(model, scen, market, OPTIMAL, paths,
+                           surface=surface)
+    risky = traj.stock_weight + traj.bond_weight
+    total = risky + traj.cash_weight
+    # cash = 1 - risky closes the sum exactly while risky >= 0; below 0,
+    # 1 - risky is rounded and no cash value can close it, so the sum is
+    # within the rounding of 1 - risky
+    assert np.all(total[risky >= 0.0] == 1.0)
+    assert np.all(np.abs(total - 1.0) <= EPS * (1.0 + np.abs(risky)))

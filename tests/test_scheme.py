@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pendraw import pricing, scheme
-from pendraw.control import (MarketParams, SchemeScenario, g_and_gradient,
+from pendraw.control import (MarketParams, SchemeScenario,
+                             bond_weight_arrays, g_and_gradient, g_pieces,
                              optimal_policy)
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, simulate_paths)
@@ -116,7 +117,8 @@ class TestSimulateScheme:
         assert np.array_equal(a.wealth, b.wealth)
 
     @pytest.mark.parametrize("change", [
-        dict(scenario=scenario(n_paths=3, horizon=2.0, phi=1.5)),
+        # phi is not in the surface's key: this arm shares it
+        dict(scenario=scenario(n_paths=3, horizon=2.0, phi=1.5), shares=True),
         dict(scenario=scenario(n_paths=3, horizon=2.0, t_max=150.0)),
         dict(market=dataclasses.replace(MARKET, r=0.03)),
         dict(model=ou_model(sigma=0.004)),
@@ -129,9 +131,17 @@ class TestSimulateScheme:
         surface = g_surface(model, scen, MARKET, paths)
         args = dict(model=model, scenario=scen, market=MARKET, paths=paths)
         args.update(change)
-        with pytest.raises(ConfigError):
-            simulate_scheme(args["model"], args["scenario"], args["market"],
-                            OPTIMAL, args["paths"], surface=surface)
+        arm = (args["model"], args["scenario"], args["market"], OPTIMAL,
+               args["paths"])
+        if not args.get("shares"):
+            with pytest.raises(ConfigError):
+                simulate_scheme(*arm, surface=surface)
+            return
+        shared = simulate_scheme(*arm, surface=surface)
+        alone = simulate_scheme(*arm)
+        for name in ("wealth", "withdraw", "compensation", "bond_weight",
+                     "cash_weight", "floor_hit"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
     def test_floor_freezing(self):
         model = ou_model()
@@ -199,6 +209,77 @@ class TestSimulateScheme:
                          * np.sqrt(dt) * paths.shocks1[:, k])
             resid = traj.wealth[:, k + 1] - y - drift * dt - diffusion
             assert np.all(np.abs(resid) <= 1e-10 * np.maximum(y, 1.0))
+
+
+def two_pop_model(kind):
+    return TwoPopModel(kind, POP1, POP2, 0.561, 0.0028, 0.65, 0.0035, 0.004,
+                       0.005)
+
+
+KIND_MODELS = {"ou-single": ou_model,
+               "cir-single": lambda: SinglePopModel("cir", POP1, 0.561, 0.0035),
+               "ou-sub": lambda: two_pop_model("ou"),
+               "cir-sub": lambda: two_pop_model("cir")}
+
+
+class TestProductRecurrence:
+    """The optimal and no-bond arms step wealth as a running product of step
+    factors; the custom policy's loop, driven by the same withdrawals and
+    weights, is the reference."""
+
+    # The product and the loop round differently in every step, and where a
+    # step factor is small its rounding is amplified by cancellation, so the
+    # worst case grows linearly in the steps: 4 roundings per step of 350
+    # (measured: 7.4e-15 at the shipped market, 1.0e-13 on the floor market)
+    REL = 4 * 350 * np.finfo(float).eps
+
+    @staticmethod
+    def loop_reference(model, scen, market, kind, paths):
+        g, grad1 = g_surface(model, scen, market, paths).at(scen.phi)
+        stock = market.theta_s / market.sigma_s
+        w_bond = (bond_weight_arrays(model, scen, market, g, grad1)
+                  if kind == OPTIMAL else np.zeros_like(g))
+
+        def same_policy(t, lam, wealth):
+            k = round(t / scen.dt)
+            return wealth / g[:, k], np.full_like(wealth, stock), w_bond[:, k]
+
+        return simulate_scheme(model, scen, market, CUSTOM, paths,
+                               policy_fn=same_policy)
+
+    def check(self, model, market, kind):
+        scen = scenario(n_paths=20)
+        paths = make_paths(model, scen)
+        got = simulate_scheme(model, scen, market, kind, paths)
+        ref = self.loop_reference(model, scen, market, kind, paths)
+        assert np.array_equal(got.floor_hit, ref.floor_hit)
+        for name in ("wealth", "withdraw"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.all(np.abs(a - b) <= self.REL * np.abs(b)), name
+        for name in ("stock_weight", "bond_weight", "cash_weight"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        return got
+
+    @pytest.mark.parametrize("arm", [OPTIMAL, NO_BOND])
+    @pytest.mark.parametrize("kind", sorted(KIND_MODELS))
+    def test_matches_the_step_loop(self, kind, arm):
+        assert self.check(KIND_MODELS[kind](), MARKET, arm).floor_hits == 0
+
+    @pytest.mark.parametrize("kind", sorted(KIND_MODELS))
+    def test_matches_the_step_loop_through_floor_hits(self, kind):
+        # a longevity risk price of -2 makes the bond weight about 320: some
+        # steps' factors fall below zero, and those paths are pinned at the
+        # floor from that node on
+        market = dataclasses.replace(MARKET, theta_1=-2.0)
+        traj = self.check(KIND_MODELS[kind](), market, OPTIMAL)
+        assert traj.floor_hits > 0
+        floor = 1e-9 * traj.wealth[0, 0]
+        for row, hit in zip(traj.wealth, traj.floor_hit):
+            at_floor = np.flatnonzero(row == floor)
+            assert hit == (at_floor.size > 0)
+            if hit:
+                assert np.all(row[at_floor[0]:] == floor)
+                assert np.all(row[:at_floor[0]] > floor)
 
 
 class TestOneTauPass:
@@ -280,13 +361,14 @@ class TestCompareStrategies:
     @pytest.mark.parametrize("scen_b, market_b, shared", [
         (scenario(n_paths=4, horizon=3.0), dataclasses.replace(
             MARKET, theta_1=-0.003), True),
-        (scenario(n_paths=4, horizon=3.0, phi=1.5), MARKET, False),
+        (scenario(n_paths=4, horizon=3.0, phi=1.5), MARKET, True),
         (scenario(n_paths=4, horizon=3.0), dataclasses.replace(MARKET, r=0.03),
          False),
     ])
     def test_surface_shared_only_when_g_inputs_agree(self, monkeypatch, scen_b,
                                                      market_b, shared):
-        # G depends on phi, t_max and r but not on theta_1 or the policy
+        # G's pieces depend on t_max and r but not on phi, theta_1 or the
+        # policy
         model = ou_model()
         scen_a = scenario(n_paths=4, horizon=3.0)
         paths = make_paths(model, scen_a)
@@ -296,9 +378,9 @@ class TestCompareStrategies:
 
         def counted(*args, **kwargs):
             calls.append(args[3])
-            return g_and_gradient(*args, **kwargs)
+            return g_pieces(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "g_and_gradient", counted)
+        monkeypatch.setattr(scheme, "g_pieces", counted)
         report = compare_strategies(model, scen_a, MARKET, NO_BOND, OPTIMAL,
                                     scenario_b=scen_b, market_b=market_b,
                                     paths=paths)

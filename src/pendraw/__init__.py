@@ -3,14 +3,14 @@
 Layers, bottom up: ``numerics`` (quadrature, RK4, keyed Gaussian streams),
 ``mortality`` (hazard models and path simulation), ``pricing`` (affine
 survival coefficients and bond quantities), ``control`` (annuity value G and
-optimal policies), ``scheme`` (wealth simulation and paired comparisons),
+the optimal policy), ``scheme`` (wealth simulation and paired comparisons),
 ``config``/``experiments``/``cli`` (configuration and experiment suites).
 """
 
 from .config import (ExperimentConfig, build_model, default_config_path,
                      load_config, loads_config)
 from .control import (PolicyDecision, SchemeScenario, annuity_G,
-                      annuity_G_gradient, no_bond_policy, optimal_policy)
+                      annuity_G_gradient, optimal_policy)
 from .experiments import ExperimentResult, run_experiment, write_csv
 from .mortality import (CIR, OU, ConfigError, GompertzMakehamParams,
                         MortalityPaths, SinglePopModel, TwoPopModel,
@@ -37,7 +37,7 @@ __all__ = [
     "coeffs_single", "coeffs_two_pop", "death_time_distribution",
     "default_config_path", "discounted_totals", "drift_a",
     "gaussian_stream", "initial_hazard", "integrate", "load_config",
-    "loads_config", "no_bond_policy", "normal_block", "optimal_policy",
+    "loads_config", "normal_block", "optimal_policy",
     "rolling_bond_volatility", "run_experiment", "simulate_paths",
     "simulate_scheme", "solve_ode", "survival_expectation", "tilde_mean",
     "write_csv",

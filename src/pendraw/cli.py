@@ -154,13 +154,16 @@ def _cmd_coeffs(args) -> int:
     if not args.s_step > 0:
         raise ConfigError(f"--s-step must be > 0, got {args.s_step}")
     # the printed s is the repeated sum, rounding and all; the row s = t is
-    # the terminal condition, all zeros
+    # the terminal condition, all zeros. The slack past s_max absorbs the
+    # sum's rounding; it is a small fraction of the step, so the maturity a
+    # step past s_max is never written
+    end = s_max + min(1e-9, 1e-3 * args.s_step)
     maturities = [args.t]
     s = args.t + args.s_step
-    while s <= s_max + 1e-9 and len(maturities) <= MAX_COEFF_ROWS:
+    while s <= end and len(maturities) <= MAX_COEFF_ROWS:
         maturities.append(s)
         s += args.s_step
-    if s <= s_max + 1e-9:
+    if s <= end:
         raise ConfigError(f"--s-step {args.s_step} gives more than "
                           f"{MAX_COEFF_ROWS} maturities after --t")
     values = [(0.0,) * (1 + model.n_factors)]
@@ -184,6 +187,9 @@ def _cmd_policy(args) -> int:
 
     cfg = _load(args)
     model = cfg.model
+    if args.lambda2 is not None and model.n_factors == 1:
+        raise ConfigError(f"--lambda2 needs a two-population model kind, "
+                          f"not {cfg.model_kind}")
     # one hazard per factor: its initial value unless --lambda<k> gives it
     lam = [initial_hazard(gm) if given is None else given
            for gm, given in zip(model.factors[2], (args.lambda1, args.lambda2))]

@@ -60,8 +60,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .mortality import Model
-from .pricing import (LATTICE_STEP, MarketParams, _a1_factor1, _lattice_span,
-                      build_coefficient_table)
+from .pricing import (LATTICE_STEP, MarketParams, _lattice_span,
+                      build_coefficient_table, rolling_bond_volatility)
 
 # A and its gradient are the trapezoid rule on every GREGORY_STRIDE-th node
 # of the coefficient lattice, with GREGORY_ORDER-point Gregory end
@@ -319,20 +319,22 @@ def bond_weight_arrays(model: Model, scenario: SchemeScenario,
     sqrt(lambda1) factor as the bond volatility under CIR dynamics, so those
     factors cancel and one expression serves both kinds:
 
-        w_L = -(theta_1 + loading * G_l1 / G) / (A1(T) * sigma1),
+        w_L = (theta_1 + loading * G_l1 / G) / sigma_L(lambda1 = 1),
 
-    with sigma1 = S[0, 0] and the loading the hazards' total exposure to W1,
-    the sum of S's first column (sigma1 [+ sigma21]).
+    with sigma_L(1) = -A1(T) sigma1 the bond's loading per unit
+    sqrt(lambda1) (``rolling_bond_volatility``), sigma1 = S[0, 0], and the
+    loading here the hazards' total exposure to W1, the sum of S's first
+    column (sigma1 [+ sigma21]).
     """
     big_s = model.factors[1]
-    sigma1, loading = float(big_s[0, 0]), float(big_s[:, 0].sum())
-    if sigma1 == 0.0:
+    if big_s[0, 0] == 0.0:
         if market.theta_1 == 0.0:
             return np.zeros_like(g)
         raise ValueError("sigma1 = 0 leaves no bond volatility to carry the "
                          "longevity risk premium")
-    a1_t = float(_a1_factor1(model, market.maturity))
-    return -(market.theta_1 + loading * grad1 / g) / (a1_t * sigma1)
+    loading = float(big_s[:, 0].sum())
+    return (market.theta_1 + loading * grad1 / g) \
+        / rolling_bond_volatility(model, market, 1.0)
 
 
 def _check_policy_inputs(scenario: SchemeScenario, t: float, lam,
@@ -365,18 +367,4 @@ def optimal_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
                           stock_weight=w_stock,
                           bond_weight=w_bond,
                           cash_weight=1.0 - (w_stock + w_bond),
-                          g=g)
-
-
-def no_bond_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
-                   t: float, lam, wealth: float) -> PolicyDecision:
-    """Policy when the bond is excluded: same withdrawal, zero bond weight."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    _check_policy_inputs(scenario, t, lam, wealth)
-    g = float(g_and_gradient(model, scenario, market, t, lam[None, :])[0][0])
-    w_stock = market.theta_s / market.sigma_s
-    return PolicyDecision(withdraw_rate=wealth / g,
-                          stock_weight=w_stock,
-                          bond_weight=0.0,
-                          cash_weight=1.0 - w_stock,
                           g=g)

@@ -9,9 +9,9 @@ with coefficients solving Riccati-type ODEs in t, terminal value zero at
 t = s. Single-population models use (A0, A1); two-population models use
 (C0, C1, C2). The rolling zero-coupon longevity bond keeps a constant time to
 maturity and its volatility loading is -A1(t, t+T)*sigma1 (times
-sqrt(lambda1) under CIR dynamics); A1 and sigma1 = S[0, 0] are those of
-factor 1, the bond's reference population, in the model's ``factors``
-(B, S, gms) (``_a1_factor1``). The measure-changed hazard means E~ of the
+sqrt(lambda1) under CIR dynamics; ``rolling_bond_volatility``); A1 and
+sigma1 = S[0, 0] are those of factor 1, the bond's reference population, in
+the model's ``factors`` (B, S, gms). The measure-changed hazard means E~ of the
 annuity value come from a hazard-proportional drift adjustment; they are the
 survival-forward-measure means, E~_t[lambda_members(s)] = -d/ds log S(t,s)
 (S(t,s) always with its arguments, apart from the volatility matrix S), so
@@ -253,28 +253,32 @@ def survival_expectation(coeffs: Union[AffineCoeffs1, AffineCoeffs2],
 # rolling bond
 # ---------------------------------------------------------------------------
 
-def _a1_factor1(model: Model, tau):
-    """A1 at tau of factor 1, the bond's reference population: the closed
-    form of its kind with b = B[0, 0] and sigma = S[0, 0]."""
+def rolling_bond_volatility(model: Model, market: MarketParams,
+                            lambda1=None):
+    """Volatility loading sigma_L of the rolling bond: -A1(T)*sigma1, with an
+    extra sqrt(lambda1) under CIR dynamics, where A1 is the closed form of
+    factor 1 (the bond's reference population) with b = B[0, 0] and
+    sigma1 = S[0, 0]. Negative whenever sigma1 > 0.
+
+    A1 depends on the time to maturity T alone, so the loading is the same
+    at every t. Under CIR ``lambda1`` may be a number or an array, and the
+    loading has its shape; OU's loading is one number and ignores it. At
+    lambda1 = 1 both kinds give the loading per unit sqrt(lambda1),
+    -A1(T)*sigma1.
+    """
     big_b, big_s, _ = model.factors
+    b, sigma1 = big_b[0, 0], float(big_s[0, 0])
+    a1 = a1_ou(b, market.maturity) if model.kind == OU \
+        else a1_cir(b, sigma1, market.maturity)
+    loading = -float(a1) * sigma1
     if model.kind == OU:
-        return a1_ou(big_b[0, 0], tau)
-    return a1_cir(big_b[0, 0], big_s[0, 0], tau)
-
-
-def rolling_bond_volatility(model: Model, market: MarketParams, t: float,
-                            lambda1: Optional[float] = None) -> float:
-    """Volatility loading of the rolling bond: -A1(t, t+T)*sigma1, with an
-    extra sqrt(lambda1) under CIR dynamics. Negative whenever sigma1 > 0."""
-    a1 = float(_a1_factor1(model, market.maturity))
-    sig1 = float(model.factors[1][0, 0])
-    if model.kind == CIR:
-        if lambda1 is None:
-            raise ValueError("CIR bond volatility needs the current lambda1")
-        if lambda1 < 0:
-            raise ValueError(f"CIR requires lambda1 >= 0, got {lambda1}")
-        return -a1 * sig1 * float(np.sqrt(lambda1))
-    return -a1 * sig1
+        return loading
+    if lambda1 is None:
+        raise ValueError("CIR bond volatility needs the current lambda1")
+    lam = np.asarray(lambda1, dtype=float)
+    if (lam < 0).any():
+        raise ValueError(f"CIR requires lambda1 >= 0, got {lambda1}")
+    return loading * np.sqrt(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,25 @@ compensation offset exactly, so no hazard term remains in the drift):
            - beta ] dt + alpha_S*sigma_S dW_S + alpha_L*sigma_L dW_1,
 
 where alpha_S, alpha_L are currency positions, sigma_L is the rolling bond's
-volatility loading and theta_1_eff is theta_1 (OU) or theta_1*sqrt(lambda1)
-(CIR). W_1 reuses the Brownian increments retained by the mortality paths;
+volatility loading (``pricing.rolling_bond_volatility``) and theta_1_eff is
+theta_1 (OU) or theta_1*sqrt(lambda1) (CIR). W_1 reuses the Brownian increments retained by the mortality paths;
 W_S comes from a dedicated stream offset, so paired comparisons see identical
 noise (common random numbers).
 
-The optimal and no-bond policies withdraw Y/G and hold fixed fractions of
-wealth (w_S = theta_S/sigma_S in the stock, w_L in the bond, w_L = 0 without
-it), hedging through dG/dlambda1. So the Euler step multiplies Y by a factor
-that does not depend on Y,
+Both policies, the optimal one and the one without the bond, withdraw Y/G
+and hold fixed fractions of wealth (w_S = theta_S/sigma_S in the stock, w_L
+in the bond, w_L = 0 without it), hedging through dG/dlambda1 (Merton, J.
+Econ. Theory 3(4), 1971). So the Euler step multiplies Y by a factor that
+does not depend on Y,
 
     Y_{k+1} = Y_k F_k,
     F_k = 1 + (r + w_S sigma_S theta_S + w_L sigma_L theta_1_eff - 1/G) dt
             + w_S sigma_S sqrt(dt) xi_S + w_L sigma_L sqrt(dt) xi_1,
 
 and their wealth is the running product of F, built for the whole
-(paths x steps) grid at once. A path whose wealth reaches the floor (1e-9 of
-y0) is pinned there from that node on. A custom policy may read the wealth,
-so it is stepped one node at a time; that loop is also the reference the
-product form is tested against.
+(paths x steps) grid at once. This is the only wealth engine; the tests keep
+a step-by-step Euler loop as its reference. A path whose wealth reaches the
+floor (1e-9 of y0) is pinned there from that node on.
 
 G depends on the hazard paths and on (model, phi, t_max, r) only, not on
 wealth, theta_1 or the policy kind, and it is affine in phi:
@@ -39,7 +39,7 @@ paths that agrees on t_max and r shares one surface, phi sweeps included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,17 +47,12 @@ from .control import (MarketParams, SchemeScenario, bond_weight_arrays,
                       g_pieces, _check_policy_inputs, _compose_g)
 from .mortality import CIR, ConfigError, Model, MortalityPaths, simulate_paths
 from .numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
-from .pricing import _a1_factor1
+from .pricing import rolling_bond_volatility
 
 OPTIMAL = "optimal"
 NO_BOND = "no_bond"
-CUSTOM = "custom"
 
 WEALTH_FLOOR_FRACTION = 1e-9
-
-# custom policy: (t, lam (n_paths, n_factors), wealth (n_paths,)) ->
-#   (withdraw_rate, stock_weight, bond_weight) arrays
-PolicyFn = Callable[[float, np.ndarray, np.ndarray], tuple]
 
 
 @dataclass
@@ -142,28 +137,16 @@ def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
                     k1_end)
 
 
-def _bond_loading(model: Model, market: MarketParams, lam1: np.ndarray):
-    """(sigma_L, theta_1_eff) for hazards ``lam1`` of factor 1: the rolling
-    bond's volatility loading and the longevity risk price it earns."""
-    sigma_l = -float(_a1_factor1(model, market.maturity)) \
-        * float(model.factors[1][0, 0])
-    if model.kind != CIR:
-        return sigma_l, market.theta_1
-    sq1 = np.sqrt(np.maximum(lam1, 0.0))
-    return sigma_l * sq1, market.theta_1 * sq1
-
-
 def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,
                     policy_kind: str, paths: MortalityPaths,
-                    policy_fn: Optional[PolicyFn] = None,
                     surface: Optional[GSurface] = None) -> SchemeTrajectory:
-    """Euler-Maruyama wealth paths under the policy.
+    """Euler-Maruyama wealth paths under the policy ``OPTIMAL`` or
+    ``NO_BOND``.
 
-    The optimal and no-bond policies read G from ``surface`` when it is given
-    (built by ``g_surface`` for this model, these paths and the same t_max
-    and r; anything else is rejected) and compute it otherwise; their wealth
-    is the running product of the step factors (module docstring). A custom
-    policy is evaluated at every step on that step's wealth.
+    G comes from ``surface`` when it is given (built by ``g_surface`` for
+    this model, these paths and the same t_max and r; anything else is
+    rejected) and is computed otherwise. The wealth is the running product
+    of the step factors (module docstring).
 
     Paths whose wealth falls to the floor (1e-9 of initial wealth) are pinned
     there from their first hit on and flagged: with log-utility controls the
@@ -177,13 +160,10 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     if paths.shocks1 is None:
         raise ConfigError("scheme simulation needs the retained Brownian "
                           "increments (simulate with keep_shocks=True)")
-    if policy_kind not in (OPTIMAL, NO_BOND, CUSTOM):
+    if policy_kind not in (OPTIMAL, NO_BOND):
         raise ConfigError(f"unknown policy kind {policy_kind!r}")
-    if policy_kind == CUSTOM and policy_fn is None:
-        raise ConfigError("custom policy requires policy_fn")
-    if policy_kind != CUSTOM:
-        _check_policy_inputs(scenario, grid.t0, _hazard_state(paths, 0),
-                             scenario.y0)
+    _check_policy_inputs(scenario, grid.t0, _hazard_state(paths, 0),
+                         scenario.y0)
 
     n = grid.n_steps
     n_paths = paths.n_paths
@@ -191,47 +171,47 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
                         n_paths, n)
     floor = WEALTH_FLOOR_FRACTION * scenario.y0
 
-    if policy_kind == CUSTOM:
-        wealth, withdraw, w_stock, w_bond, floor_hit = _step_custom(
-            model, scenario, market, paths, policy_fn, xi_s, floor)
+    if surface is None:
+        surface = g_surface(model, scenario, market, paths)
+    elif (surface.paths is not paths
+          or surface.key != _surface_key(model, scenario, market)):
+        raise ConfigError("G surface was built for other paths or another "
+                          "(model, t_max, r)")
+    g, grad1 = surface.at(scenario.phi)
+    stock = market.theta_s / market.sigma_s
+    w_stock = np.full((n_paths, n + 1), stock)
+    if policy_kind == OPTIMAL:
+        w_bond = bond_weight_arrays(model, scenario, market, g, grad1)
     else:
-        if surface is None:
-            surface = g_surface(model, scenario, market, paths)
-        elif (surface.paths is not paths
-              or surface.key != _surface_key(model, scenario, market)):
-            raise ConfigError("G surface was built for other paths or another "
-                              "(model, t_max, r)")
-        g, grad1 = surface.at(scenario.phi)
-        stock = market.theta_s / market.sigma_s
-        w_stock = np.full((n_paths, n + 1), stock)
-        if policy_kind == OPTIMAL:
-            w_bond = bond_weight_arrays(model, scenario, market, g, grad1)
-        else:
-            w_bond = np.zeros((n_paths, n + 1))
+        w_bond = np.zeros((n_paths, n + 1))
 
-        # F_k, built in place in the wealth array's columns 1..n
-        dt, sqdt = grid.step, np.sqrt(grid.step)
-        sigma_l, theta_eff = _bond_loading(model, market, paths.lambda1[:, :n])
-        wealth = np.empty((n_paths, n + 1))
-        wealth[:, 0] = scenario.y0
-        f = wealth[:, 1:]
-        np.multiply(paths.shocks1, sqdt, out=f)
-        f += theta_eff * dt
-        f *= w_bond[:, :n]
-        f *= sigma_l
-        xi_s *= stock * market.sigma_s * sqdt
-        f += xi_s
-        f -= np.divide(dt, g[:, :n], out=xi_s)
-        f += (market.r + stock * market.sigma_s * market.theta_s) * dt
-        # 1 comes last: the rounding of 1 + x then varies from step to step
-        # instead of repeating the rounding of 1 + (r + ...) dt in every step
-        f += 1.0
-        # Y_k = y0 F_0 ... F_{k-1}, multiplied in the loop's order
-        np.multiply.accumulate(wealth, axis=1, out=wealth)
-        pinned = np.logical_or.accumulate(wealth <= floor, axis=1)
-        wealth[pinned] = floor
-        floor_hit = pinned[:, -1]
-        withdraw = wealth / g
+    # F_k, built in place in the wealth array's columns 1..n
+    dt, sqdt = grid.step, np.sqrt(grid.step)
+    lam1 = paths.lambda1[:, :n]
+    sigma_l = rolling_bond_volatility(model, market, lam1)
+    # the longevity risk price carries the loading's sqrt(lambda1)
+    theta_eff = market.theta_1 * np.sqrt(lam1) if model.kind == CIR \
+        else market.theta_1
+    wealth = np.empty((n_paths, n + 1))
+    wealth[:, 0] = scenario.y0
+    f = wealth[:, 1:]
+    np.multiply(paths.shocks1, sqdt, out=f)
+    f += theta_eff * dt
+    f *= w_bond[:, :n]
+    f *= sigma_l
+    xi_s *= stock * market.sigma_s * sqdt
+    f += xi_s
+    f -= np.divide(dt, g[:, :n], out=xi_s)
+    f += (market.r + stock * market.sigma_s * market.theta_s) * dt
+    # 1 comes last: the rounding of 1 + x then varies from step to step
+    # instead of repeating the rounding of 1 + (r + ...) dt in every step
+    f += 1.0
+    # Y_k = y0 F_0 ... F_{k-1}, multiplied in the loop's order
+    np.multiply.accumulate(wealth, axis=1, out=wealth)
+    pinned = np.logical_or.accumulate(wealth <= floor, axis=1)
+    wealth[pinned] = floor
+    floor_hit = pinned[:, -1]
+    withdraw = wealth / g
 
     compensation = paths.members_hazard * wealth
     # cash = 1 - (stock + bond): the sum closes to exactly one while
@@ -241,40 +221,6 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
                             stock_weight=w_stock, bond_weight=w_bond,
                             cash_weight=1.0 - (w_stock + w_bond),
                             survival=paths.survival, floor_hit=floor_hit)
-
-
-def _step_custom(model: Model, scenario: SchemeScenario, market: MarketParams,
-                 paths: MortalityPaths, policy_fn: PolicyFn,
-                 xi_s: np.ndarray, floor: float):
-    """(wealth, withdraw, w_stock, w_bond, floor_hit) of a custom policy,
-    one Euler step at a time; a path is frozen at the floor from its first
-    hit on."""
-    grid = paths.grid
-    n, dt = grid.n_steps, grid.step
-    sqdt = np.sqrt(dt)
-    shape = (paths.n_paths, n + 1)
-    wealth, withdraw = np.empty(shape), np.empty(shape)
-    w_stock, w_bond = np.empty(shape), np.empty(shape)
-    frozen = np.zeros(paths.n_paths, dtype=bool)
-    wealth[:, 0] = scenario.y0
-
-    for k in range(n + 1):
-        y = wealth[:, k]
-        withdraw[:, k], w_stock[:, k], w_bond[:, k] = policy_fn(
-            grid.nodes[k], _hazard_state(paths, k), y)
-        if k == n:
-            break
-        beta, ws, wb = withdraw[:, k], w_stock[:, k], w_bond[:, k]
-        sigma_l, theta_eff = _bond_loading(model, market, paths.lambda1[:, k])
-        drift = (market.r * y + ws * y * market.sigma_s * market.theta_s
-                 + wb * y * sigma_l * theta_eff - beta)
-        diffusion = (ws * y * market.sigma_s * sqdt * xi_s[:, k]
-                     + wb * y * sigma_l * sqdt * paths.shocks1[:, k])
-        y_next = y + drift * dt + diffusion
-        frozen |= y_next <= floor
-        y_next[frozen] = floor
-        wealth[:, k + 1] = y_next
-    return wealth, withdraw, w_stock, w_bond, frozen
 
 
 @dataclass
@@ -347,9 +293,7 @@ def compare_strategies(model: Model, scenario: SchemeScenario,
                        market: MarketParams, arm_a: str, arm_b: str,
                        scenario_b: Optional[SchemeScenario] = None,
                        market_b: Optional[MarketParams] = None,
-                       paths: Optional[MortalityPaths] = None,
-                       policy_fn_a: Optional[PolicyFn] = None,
-                       policy_fn_b: Optional[PolicyFn] = None) -> ComparisonReport:
+                       paths: Optional[MortalityPaths] = None) -> ComparisonReport:
     """Simulate two arms on identical mortality paths and stock noise.
 
     The arms may differ in policy kind or in a scenario/market scalar
@@ -368,11 +312,11 @@ def compare_strategies(model: Model, scenario: SchemeScenario,
         paths = simulate_paths(model, grid, scenario.n_paths, scenario.seed)
 
     shared = None
-    if (CUSTOM not in (arm_a, arm_b) and _surface_key(model, scenario, market)
-            == _surface_key(model, scen_b, mkt_b)):
+    if _surface_key(model, scenario, market) == _surface_key(model, scen_b,
+                                                             mkt_b):
         shared = g_surface(model, scenario, market, paths)
     traj_a = simulate_scheme(model, scenario, market, arm_a, paths,
-                             policy_fn=policy_fn_a, surface=shared)
+                             surface=shared)
     traj_b = simulate_scheme(model, scen_b, mkt_b, arm_b, paths,
-                             policy_fn=policy_fn_b, surface=shared)
+                             surface=shared)
     return ComparisonReport.of(traj_a, market.r, traj_b, mkt_b.r)

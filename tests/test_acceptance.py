@@ -240,7 +240,7 @@ def test_criterion_06_degenerate_closed_forms():
 
 def test_criterion_07_premium_magnitudes():
     model = MODEL_VARIANTS["ou-single"]
-    sigma_l = rolling_bond_volatility(model, MARKET, 0.0)
+    sigma_l = rolling_bond_volatility(model, MARKET)
     premium = abs(sigma_l * MARKET.theta_1)
     quoted = 4.4563e-6
     ratio = premium / quoted

@@ -543,15 +543,44 @@ class TestCli:
         assert not out.exists()
 
     def test_coeffs_bound_counts_the_rows_written(self, tmp_path, capsys):
-        # (s_max - t) / s_step = 1000, but the loop runs to s_max + 1e-9:
-        # 11 000 maturities
+        # (s_max - t) / s_step = 1000, but at t = 30 a step of 1e-15 is
+        # below half a unit in the last place, so the repeated sum never
+        # moves past t
         out = tmp_path / "c"
         code = main(["coeffs", "--config", str(small_config(tmp_path)),
-                     "--out", str(out), "--t", "0", "--s-max", "1e-10",
-                     "--s-step", "1e-13"])
+                     "--out", str(out), "--t", "30", "--s-max",
+                     "30.000000000001", "--s-step", "1e-15"])
         assert code == 1
         assert "--s-step" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("step, n_after", [("1e-12", 100),
+                                               ("1e-13", 1000)])
+    def test_coeffs_steps_below_1e_9_end_at_s_max(self, tmp_path, step,
+                                                  n_after):
+        out = tmp_path / "c"
+        assert main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--t", "0", "--s-max", "1e-10",
+                     "--s-step", step]) == 0
+        rows = [line.split(",") for line in
+                (out / "coeffs.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 1 + n_after
+        s = [float(row[1]) for row in rows]
+        assert s == sorted(s)
+        assert s[-1] == pytest.approx(1e-10, rel=1e-9)
+        # each row's coefficients are those of its own maturity
+        assert len({tuple(row[2:]) for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_coeffs_default_maturities_are_whole_years(self, tmp_path, kind):
+        cfg_path = tmp_path / "k.cfg"
+        cfg_path.write_text(shipped_text(kind))
+        assert main(["coeffs", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "c")]) == 0
+        lines = (tmp_path / "c" / "coeffs.csv").read_text().splitlines()
+        # s = t = 0 and every whole year up to the 35-year horizon
+        assert [line.split(",")[1] for line in lines[1:]] == \
+            [str(s) for s in range(36)]
 
     def test_coeffs_writes_the_largest_request(self, tmp_path):
         out = tmp_path / "c"
@@ -629,6 +658,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["ou-single", "cir-single"])
+    @pytest.mark.parametrize("value", ["nan", "0.02"])
+    def test_policy_rejects_lambda2_on_one_population(self, tmp_path, capsys,
+                                                      kind, value):
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(shipped_text(kind))
+        code = main(["policy", "--config", str(cfg_path), "--lambda2", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--lambda2" in captured.err
         assert captured.out == ""
 
     def test_policy_rejects_t_that_rounds_to_t_max(self, tmp_path, capsys):

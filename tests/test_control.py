@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pendraw import control
+from pendraw import control, pricing
 from pendraw.control import (LATTICE_STEP, PolicyDecision, SchemeScenario,
                              annuity_G, annuity_G_gradient, g_and_gradient,
-                             no_bond_policy, optimal_policy)
+                             optimal_policy)
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, initial_hazard)
 from pendraw.numerics import Tolerance, integrate
@@ -519,15 +519,24 @@ class TestPolicies:
                                                  rel=1e-15)
         assert d2.bond_weight == d1.bond_weight
 
-    def test_no_bond_weights(self):
-        model = ou_single()
-        d = no_bond_policy(model, SCEN, MARKET, 0.0, 0.0144, 100.0)
-        assert d.stock_weight == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert d.bond_weight == 0.0
-        assert d.cash_weight == pytest.approx(2.0 / 3.0, abs=1e-15)
-        same = no_bond_policy(model, SCEN, MARKET, 0.0, 0.0144, 100.0)
-        ref = optimal_policy(model, SCEN, MARKET, 0.0, 0.0144, 100.0)
-        assert same.withdraw_rate == ref.withdraw_rate
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    def test_bond_weight_is_the_negated_quotient_bit_for_bit(self,
+                                                             make_model):
+        # dividing by sigma_L(1) = -A1(T) sigma1 negates the quotient
+        # -(...) / (A1(T) sigma1) exactly
+        model = make_model()
+        lam = np.array([[0.0144, 0.013], [0.05, 0.04], [0.2, 0.3]])
+        lam = lam[:, :model.n_factors]
+        g, grad = g_and_gradient(model, SCEN, MARKET, 3.0, lam)
+        big_s = model.factors[1]
+        b1, sigma1 = model.factors[0][0, 0], model.factors[1][0, 0]
+        a1 = float(pricing.a1_ou(b1, MARKET.maturity) if model.kind == "ou"
+                   else pricing.a1_cir(b1, sigma1, MARKET.maturity))
+        want = -(MARKET.theta_1 + float(big_s[:, 0].sum()) * grad[:, 0] / g) \
+            / (a1 * float(big_s[0, 0]))
+        got = control.bond_weight_arrays(model, SCEN, MARKET, g, grad[:, 0])
+        assert np.array_equal(got, want)
 
     def test_no_premium_no_loading_gives_zero_bond(self):
         model = SinglePopModel("ou", POP1, 0.561, 0.0)
@@ -545,7 +554,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             optimal_policy(ou_single(), SCEN, MARKET, 0.0, 0.0144, 0.0)
 
-    @pytest.mark.parametrize("policy", [optimal_policy, no_bond_policy])
+    @pytest.mark.parametrize("policy", [optimal_policy])
     @pytest.mark.parametrize("make_model, t, lam, wealth", [
         (ou_single, 120.0, 0.0144, 100.0),         # t = t_max, where G = 0
         (cir_two, 130.0, [0.0144, 0.013], 100.0),
@@ -563,7 +572,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             policy(make_model(), SCEN, MARKET, t, lam, wealth)
 
-    @pytest.mark.parametrize("policy", [optimal_policy, no_bond_policy])
+    @pytest.mark.parametrize("policy", [optimal_policy])
     def test_t_rounding_to_t_max_rejected(self, policy):
         # below t_max, but G is evaluated at t rounded to 9 decimals: 120.0
         with pytest.raises(ValueError, match="rounds to 120.0"):

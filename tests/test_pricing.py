@@ -181,7 +181,7 @@ class TestSurvivalExpectation:
 
 class TestRollingBond:
     def test_volatility_value(self):
-        value = rolling_bond_volatility(ou_single(), MARKET, 0.0)
+        value = rolling_bond_volatility(ou_single(), MARKET)
         expected = -float(a1_ou(0.561, 20.0)) * 0.0035
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(-6.2388e-3, abs=1e-6)
@@ -189,22 +189,40 @@ class TestRollingBond:
 
     def test_zero_sigma_gives_zero(self):
         model = SinglePopModel("ou", POP1, 0.561, 0.0)
-        assert rolling_bond_volatility(model, MARKET, 0.0) == 0.0
+        assert rolling_bond_volatility(model, MARKET) == 0.0
 
     def test_short_maturity_vanishes(self):
         tiny = MarketParams(r=0.04, theta_s=0.05, sigma_s=0.15, theta_1=-0.0005,
                             maturity=1e-9)
-        assert abs(rolling_bond_volatility(ou_single(), tiny, 0.0)) < 1e-11
+        assert abs(rolling_bond_volatility(ou_single(), tiny)) < 1e-11
 
     def test_cir_scaling_and_domain(self):
         model = cir_single()
-        v = rolling_bond_volatility(model, MARKET, 0.0, lambda1=0.04)
+        v = rolling_bond_volatility(model, MARKET, lambda1=0.04)
         assert v == pytest.approx(-float(a1_cir(0.561, 0.0035, 20.0)) * 0.0035
                                   * 0.2, rel=1e-12)
         with pytest.raises(ValueError):
-            rolling_bond_volatility(model, MARKET, 0.0, lambda1=-1e-3)
+            rolling_bond_volatility(model, MARKET, lambda1=-1e-3)
         with pytest.raises(ValueError):
-            rolling_bond_volatility(model, MARKET, 0.0)
+            rolling_bond_volatility(model, MARKET, np.array([0.01, -1e-12]))
+        with pytest.raises(ValueError):
+            rolling_bond_volatility(model, MARKET)
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    def test_arrays_match_numbers(self, make_model):
+        model = make_model()
+        lam = np.array([[0.0, 0.0144], [0.04, 0.3]])
+        # OU's loading is one number whatever the hazards
+        got = np.broadcast_to(rolling_bond_volatility(model, MARKET, lam),
+                              lam.shape)
+        want = [[rolling_bond_volatility(model, MARKET, x) for x in row]
+                for row in lam.tolist()]
+        assert np.array_equal(got, want)
+        # at lambda1 = 1 both kinds give the loading per unit sqrt(lambda1)
+        unit = rolling_bond_volatility(model, MARKET, 1.0)
+        scale = np.sqrt(lam) if model.kind == "cir" else np.ones_like(lam)
+        assert np.array_equal(got, unit * scale)
 
 
 class TestTildeMean:

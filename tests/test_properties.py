@@ -14,7 +14,9 @@ from pendraw.control import MarketParams, SchemeScenario, g_and_gradient  # noqa
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,  # noqa: E402
                                TwoPopModel, simulate_paths)
 from pendraw.numerics import TimeGrid  # noqa: E402
-from pendraw.scheme import OPTIMAL, _hazard_state, g_surface, simulate_scheme  # noqa: E402
+from pendraw.scheme import (NO_BOND, OPTIMAL, _hazard_state, g_surface,  # noqa: E402
+                            simulate_scheme)
+import test_scheme  # noqa: E402
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
 POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
@@ -31,11 +33,16 @@ SCENARIO = SchemeScenario(phi=0.8, horizon=1.0, dt=0.1, n_paths=4, seed=7)
 EPS = np.finfo(float).eps
 
 
+# paths of the product-recurrence property: enough that its low theta_1 end
+# hits the floor on the short grid
+LOOP_PATHS = 32
+
+
 @lru_cache(maxsize=None)
-def paths_of(kind):
+def paths_of(kind, n_paths=SCENARIO.n_paths):
     return simulate_paths(MODELS[kind], TimeGrid(0.0, SCENARIO.horizon,
                                                  SCENARIO.dt),
-                          SCENARIO.n_paths, SCENARIO.seed)
+                          n_paths, SCENARIO.seed)
 
 
 @given(kind=st.sampled_from(sorted(MODELS)), phi=st.floats(0.0, 5.0),
@@ -71,3 +78,23 @@ def test_shared_surface_is_g_and_gradient_at_every_phi(kind, phi, r, theta1,
     # within the rounding of 1 - risky
     assert np.all(total[risky >= 0.0] == 1.0)
     assert np.all(np.abs(total - 1.0) <= EPS * (1.0 + np.abs(risky)))
+
+
+@given(kind=st.sampled_from(sorted(MODELS)),
+       arm=st.sampled_from([OPTIMAL, NO_BOND]), phi=st.floats(0.0, 5.0),
+       theta1=st.floats(-2.0, 0.05), r=st.floats(0.01, 0.5))
+@example(kind="ou-single", arm=OPTIMAL, phi=0.8, theta1=-2.0, r=0.04)
+@example(kind="ou-sub", arm=OPTIMAL, phi=5.0, theta1=-2.0, r=0.5)
+@example(kind="cir-sub", arm=NO_BOND, phi=5.0, theta1=0.05, r=0.5)
+def test_product_recurrence_matches_the_step_loop(kind, arm, phi, theta1, r):
+    model, paths = MODELS[kind], paths_of(kind, LOOP_PATHS)
+    market = MarketParams(r=r, theta_s=0.05, sigma_s=0.15, theta_1=theta1,
+                          maturity=20.0)
+    scen = dataclasses.replace(SCENARIO, phi=phi, n_paths=LOOP_PATHS)
+    got = simulate_scheme(model, scen, market, arm, paths)
+    test_scheme.TestProductRecurrence.assert_matches(
+        got, test_scheme.loop_reference(model, scen, market, arm, paths))
+    # theta_1 = -2 makes the OU bond weight about 320: on this grid some
+    # step factors fall below zero, and those paths are pinned at the floor
+    if arm == OPTIMAL and theta1 == -2.0 and kind.startswith("ou"):
+        assert got.floor_hits > 0

@@ -10,9 +10,10 @@ from pendraw.control import (MarketParams, SchemeScenario,
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, simulate_paths)
 from pendraw.numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
-from pendraw.pricing import a1_ou
-from pendraw.scheme import (CUSTOM, NO_BOND, OPTIMAL, compare_strategies,
-                            discounted_totals, g_surface, simulate_scheme)
+from pendraw.pricing import a1_ou, rolling_bond_volatility
+from pendraw.scheme import (NO_BOND, OPTIMAL, SchemeTrajectory,
+                            compare_strategies, discounted_totals, g_surface,
+                            simulate_scheme)
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
 POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
@@ -36,6 +37,65 @@ def make_paths(model, scen):
     return simulate_paths(model, grid, scen.n_paths, scen.seed)
 
 
+def step_loop(model, scen, market, paths, policy):
+    """The reference wealth engine: one Euler step at a time, on the noise
+    ``simulate_scheme`` uses, under ``policy(t, lam (n_paths, n_factors),
+    wealth (n_paths,)) -> (withdraw_rate, stock_weight, bond_weight)``. The
+    policy may read the wealth; a path is frozen at the floor from its first
+    hit on."""
+    grid = paths.grid
+    n, dt = grid.n_steps, grid.step
+    sqdt = np.sqrt(dt)
+    xi_s = normal_block(paths.seed, WS_STREAM_OFFSET + paths.path_offset,
+                        paths.n_paths, n)
+    floor = scheme.WEALTH_FLOOR_FRACTION * scen.y0
+    shape = (paths.n_paths, n + 1)
+    wealth, withdraw = np.empty(shape), np.empty(shape)
+    w_stock, w_bond = np.empty(shape), np.empty(shape)
+    frozen = np.zeros(paths.n_paths, dtype=bool)
+    wealth[:, 0] = scen.y0
+
+    for k in range(n + 1):
+        y = wealth[:, k]
+        withdraw[:, k], w_stock[:, k], w_bond[:, k] = policy(
+            grid.nodes[k], scheme._hazard_state(paths, k), y)
+        if k == n:
+            break
+        beta, ws, wb = withdraw[:, k], w_stock[:, k], w_bond[:, k]
+        lam1 = paths.lambda1[:, k]
+        sigma_l = rolling_bond_volatility(model, market, lam1)
+        theta_eff = market.theta_1 * (np.sqrt(lam1) if model.kind == "cir"
+                                      else 1.0)
+        drift = (market.r * y + ws * y * market.sigma_s * market.theta_s
+                 + wb * y * sigma_l * theta_eff - beta)
+        diffusion = (ws * y * market.sigma_s * sqdt * xi_s[:, k]
+                     + wb * y * sigma_l * sqdt * paths.shocks1[:, k])
+        y_next = y + drift * dt + diffusion
+        frozen |= y_next <= floor
+        y_next[frozen] = floor
+        wealth[:, k + 1] = y_next
+    return SchemeTrajectory(
+        grid=grid, policy_kind="step-loop", wealth=wealth, withdraw=withdraw,
+        compensation=paths.members_hazard * wealth, stock_weight=w_stock,
+        bond_weight=w_bond, cash_weight=1.0 - (w_stock + w_bond),
+        survival=paths.survival, floor_hit=frozen)
+
+
+def loop_reference(model, scen, market, kind, paths):
+    """``step_loop`` driven by the withdrawals and weights of the policy
+    ``kind`` (``OPTIMAL`` or ``NO_BOND``)."""
+    g, grad1 = g_surface(model, scen, market, paths).at(scen.phi)
+    stock = market.theta_s / market.sigma_s
+    w_bond = (bond_weight_arrays(model, scen, market, g, grad1)
+              if kind == OPTIMAL else np.zeros_like(g))
+
+    def same_policy(t, lam, wealth):
+        k = round(t / scen.dt)
+        return wealth / g[:, k], np.full_like(wealth, stock), w_bond[:, k]
+
+    return step_loop(model, scen, market, paths, same_policy)
+
+
 class TestSimulateScheme:
     def test_deterministic_growth(self):
         # no premia, no noise, no withdrawal: pure money-market growth
@@ -49,8 +109,7 @@ class TestSimulateScheme:
             zero = np.zeros_like(wealth)
             return zero, zero, zero
 
-        traj = simulate_scheme(model, scen, market, CUSTOM, paths,
-                               policy_fn=hold_cash)
+        traj = step_loop(model, scen, market, paths, hold_cash)
         expected = scen.y0 * np.exp(market.r * 35.0)
         assert traj.wealth[:, -1] == pytest.approx(expected, rel=1e-3)
 
@@ -151,8 +210,7 @@ class TestSimulateScheme:
         def drain(t, lam, wealth):
             return 50.0 * wealth, np.zeros_like(wealth), np.zeros_like(wealth)
 
-        traj = simulate_scheme(model, scen, MARKET, CUSTOM, paths,
-                               policy_fn=drain)
+        traj = step_loop(model, scen, MARKET, paths, drain)
         floor = 1e-9 * scen.y0
         assert traj.floor_hits == 3
         assert np.all(traj.wealth[:, -1] == floor)
@@ -224,8 +282,8 @@ KIND_MODELS = {"ou-single": ou_model,
 
 class TestProductRecurrence:
     """The optimal and no-bond arms step wealth as a running product of step
-    factors; the custom policy's loop, driven by the same withdrawals and
-    weights, is the reference."""
+    factors; ``step_loop``, driven by the same withdrawals and weights, is
+    the reference."""
 
     # The product and the loop round differently in every step, and where a
     # step factor is small its rounding is amplified by cancellation, so the
@@ -233,31 +291,21 @@ class TestProductRecurrence:
     # (measured: 7.4e-15 at the shipped market, 1.0e-13 on the floor market)
     REL = 4 * 350 * np.finfo(float).eps
 
-    @staticmethod
-    def loop_reference(model, scen, market, kind, paths):
-        g, grad1 = g_surface(model, scen, market, paths).at(scen.phi)
-        stock = market.theta_s / market.sigma_s
-        w_bond = (bond_weight_arrays(model, scen, market, g, grad1)
-                  if kind == OPTIMAL else np.zeros_like(g))
-
-        def same_policy(t, lam, wealth):
-            k = round(t / scen.dt)
-            return wealth / g[:, k], np.full_like(wealth, stock), w_bond[:, k]
-
-        return simulate_scheme(model, scen, market, CUSTOM, paths,
-                               policy_fn=same_policy)
+    @classmethod
+    def assert_matches(cls, got, ref):
+        assert np.array_equal(got.floor_hit, ref.floor_hit)
+        for name in ("wealth", "withdraw"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.all(np.abs(a - b) <= cls.REL * np.abs(b)), name
+        for name in ("stock_weight", "bond_weight", "cash_weight"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
 
     def check(self, model, market, kind):
         scen = scenario(n_paths=20)
         paths = make_paths(model, scen)
         got = simulate_scheme(model, scen, market, kind, paths)
-        ref = self.loop_reference(model, scen, market, kind, paths)
-        assert np.array_equal(got.floor_hit, ref.floor_hit)
-        for name in ("wealth", "withdraw"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert np.all(np.abs(a - b) <= self.REL * np.abs(b)), name
-        for name in ("stock_weight", "bond_weight", "cash_weight"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        self.assert_matches(got, loop_reference(model, scen, market, kind,
+                                                paths))
         return got
 
     @pytest.mark.parametrize("arm", [OPTIMAL, NO_BOND])
@@ -308,18 +356,15 @@ class TestOneTauPass:
 
 class TestDiscountedTotals:
     def _flat_withdraw(self, rate, horizon, r, dt=0.1):
-        model = ou_model(sigma=0.0)
-        scen = scenario(n_paths=1, horizon=horizon, dt=dt)
-        market = MarketParams(r=r, theta_s=0.0, sigma_s=0.15, theta_1=0.0,
-                              maturity=20.0)
-        paths = make_paths(model, scen)
-
-        def policy(t, lam, wealth):
-            return np.full_like(wealth, rate), np.zeros_like(wealth), \
-                np.zeros_like(wealth)
-
-        traj = simulate_scheme(model, scen, market, CUSTOM, paths,
-                               policy_fn=policy)
+        grid = TimeGrid(0.0, horizon, dt)
+        shape = (1, grid.n_steps + 1)
+        zero = np.zeros(shape)
+        traj = SchemeTrajectory(grid=grid, policy_kind="flat", wealth=zero,
+                                withdraw=np.full(shape, rate),
+                                compensation=zero, stock_weight=zero,
+                                bond_weight=zero, cash_weight=np.ones(shape),
+                                survival=np.ones(shape),
+                                floor_hit=np.zeros(1, dtype=bool))
         return discounted_totals(traj, r)
 
     def test_unit_rate_no_discount(self):

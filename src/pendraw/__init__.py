@@ -16,7 +16,7 @@ from .mortality import (CIR, OU, ConfigError, GompertzMakehamParams,
                         MortalityPaths, SinglePopModel, TwoPopModel,
                         baseline_hazard, death_time_distribution, drift_a,
                         initial_hazard, simulate_paths)
-from .numerics import (NumericalFailure, TimeGrid, Tolerance, gaussian_stream,
+from .numerics import (NumericalFailure, TimeGrid, gaussian_stream,
                        integrate, normal_block, solve_ode)
 from .pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                       coeffs_single, coeffs_two_pop, rolling_bond_volatility,
@@ -32,7 +32,7 @@ __all__ = [
     "ExperimentResult", "GompertzMakehamParams", "MarketParams",
     "MortalityPaths", "NumericalFailure", "OU", "PolicyDecision",
     "SchemeScenario", "SchemeTrajectory", "SinglePopModel", "TimeGrid",
-    "Tolerance", "TwoPopModel", "annuity_G", "annuity_G_gradient",
+    "TwoPopModel", "annuity_G", "annuity_G_gradient",
     "baseline_hazard", "build_model", "compare_strategies",
     "coeffs_single", "coeffs_two_pop", "death_time_distribution",
     "default_config_path", "discounted_totals", "drift_a",

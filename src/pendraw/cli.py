@@ -161,6 +161,9 @@ def _cmd_coeffs(args) -> int:
     maturities = [args.t]
     s = args.t + args.s_step
     while s <= end and len(maturities) <= MAX_COEFF_ROWS:
+        if s == maturities[-1]:
+            raise ConfigError(f"--s-step {args.s_step} does not advance s "
+                              f"past {s!r}")
         maturities.append(s)
         s += args.s_step
     if s <= end:

@@ -59,7 +59,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .mortality import Model
+from .mortality import CIR, Model
 from .pricing import (LATTICE_STEP, MarketParams, _lattice_span,
                       build_coefficient_table, rolling_bond_volatility)
 
@@ -337,10 +337,11 @@ def bond_weight_arrays(model: Model, scenario: SchemeScenario,
         / rolling_bond_volatility(model, market, 1.0)
 
 
-def _check_policy_inputs(scenario: SchemeScenario, t: float, lam,
-                         wealth: float) -> None:
+def _check_policy_inputs(model: Model, scenario: SchemeScenario, t: float,
+                         lam, wealth: float) -> None:
     """The policy needs a finite t whose anchor (``_anchor``) is before t_max
-    (where G > 0), finite hazards and finite positive wealth."""
+    (where G > 0), finite hazards, non-negative under CIR, and finite
+    positive wealth."""
     if not (math.isfinite(t) and t < scenario.t_max):
         raise ValueError(f"t must be finite and below t_max = {scenario.t_max},"
                          f" got {t}")
@@ -350,6 +351,8 @@ def _check_policy_inputs(scenario: SchemeScenario, t: float, lam,
                          f"{scenario.t_max}")
     if not np.isfinite(lam).all():
         raise ValueError(f"hazards must be finite, got {lam}")
+    if model.kind == CIR and (lam < 0).any():
+        raise ValueError(f"CIR hazards must be >= 0, got {lam}")
     if not 0 < wealth < math.inf:
         raise ValueError(f"wealth must be finite and > 0, got {wealth}")
 
@@ -358,7 +361,7 @@ def optimal_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
                    t: float, lam, wealth: float) -> PolicyDecision:
     """Optimal withdrawal rate and portfolio weights at one state."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    _check_policy_inputs(scenario, t, lam, wealth)
+    _check_policy_inputs(model, scenario, t, lam, wealth)
     g, grad = g_and_gradient(model, scenario, market, t, lam[None, :])
     w_bond = float(bond_weight_arrays(model, scenario, market, g, grad[:, 0])[0])
     w_stock = market.theta_s / market.sigma_s

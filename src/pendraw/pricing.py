@@ -20,12 +20,12 @@ serves as their oracle.
 
 Two routes compute these. The scalar functions (``coeffs_single``,
 ``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
-systems at one (t, s) with closed forms, composite Simpson refined by
-uniform halving, and RK4; they are the oracles. The coefficient tables behind the annuity evaluator use the
-affine structure of the model's ``factors``: mean reversion and volatilities
-are constant, so K1 and K2 are functions of tau = s - t alone, and the
-Gompertz-Makeham drift a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters
-K0 only through
+systems at one (t, s) with closed forms, composite Gauss-Legendre
+quadrature and RK4; they are the oracles. The coefficient tables behind the
+annuity evaluator use the affine structure of the model's ``factors``: mean
+reversion and volatilities are constant, so K1 and K2 are functions of
+tau = s - t alone, and the Gompertz-Makeham drift
+a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 only through
 
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
                                + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
@@ -51,8 +51,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .mortality import (CIR, OU, Model, SinglePopModel, TwoPopModel, drift_a)
-from .numerics import (DEFAULT_TOLERANCE, NumericalFailure, Tolerance,
-                       integrate, solve_ode)
+from .numerics import NumericalFailure, integrate, solve_ode
 
 # spacing in s of the coefficient tables, and the step of their tau pass
 LATTICE_STEP = 0.05
@@ -173,10 +172,9 @@ def cir2_coefficient_path(model: TwoPopModel, tau_max: float, step: float):
 # scalar coefficient evaluation
 # ---------------------------------------------------------------------------
 
-def coeffs_single(model: SinglePopModel, t: float, s: float,
-                  tol: Tolerance = DEFAULT_TOLERANCE) -> AffineCoeffs1:
-    """A0, A1 at (t, s); A0 by composite Simpson of the defining integrand,
-    refined by uniform halving."""
+def coeffs_single(model: SinglePopModel, t: float, s: float) -> AffineCoeffs1:
+    """A0, A1 at (t, s); A0 by composite Gauss-Legendre quadrature of the
+    defining integrand."""
     if t > s:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
     if t == s:
@@ -194,17 +192,16 @@ def coeffs_single(model: SinglePopModel, t: float, s: float,
         def integrand(u):
             return drift_a(u, gm, b) * a1_cir(b, sig, s - u)
 
-    a0 = -integrate(integrand, t, s, tol)
+    a0 = -integrate(integrand, t, s)
     return AffineCoeffs1(a0, a1)
 
 
 def coeffs_two_pop(model: TwoPopModel, t: float, s: float,
-                   tol: Tolerance = DEFAULT_TOLERANCE,
                    ode_step: float = 0.01) -> AffineCoeffs2:
     """C0, C1, C2 at (t, s).
 
-    OU uses the closed forms for C1 and C2 with C0 by composite Simpson
-    refined by uniform halving; CIR integrates the full Riccati system
+    OU uses the closed forms for C1 and C2 with C0 by composite
+    Gauss-Legendre quadrature; CIR integrates the full Riccati system
     backward from the terminal condition with classical RK4.
     """
     if t > s:
@@ -223,7 +220,7 @@ def coeffs_two_pop(model: TwoPopModel, t: float, s: float,
                     - 0.5 * (s21 * s21 + s22 * s22) * c2u * c2u
                     - s1 * s21 * c1u * c2u)
 
-        c0 = -integrate(integrand, t, s, tol)
+        c0 = -integrate(integrand, t, s)
         return AffineCoeffs2(c0, float(c1_ou(model, s - t)),
                              float(c2_ou(model.b22, s - t)))
 
@@ -286,7 +283,6 @@ def rolling_bond_volatility(model: Model, market: MarketParams,
 # ---------------------------------------------------------------------------
 
 def tilde_mean(model: Model, t: float, s: float, lam,
-               tol: Tolerance = DEFAULT_TOLERANCE,
                ode_step: float = 0.01) -> np.ndarray:
     """Expected hazards at s under the survival-weighted measure change.
 
@@ -307,7 +303,7 @@ def tilde_mean(model: Model, t: float, s: float, lam,
             decay = np.exp(-b * (s - t))
             part = integrate(
                 lambda u: (drift_a(u, gm, b) - sig * sig * a1_ou(b, s - u))
-                * np.exp(-b * (s - u)), t, s, tol)
+                * np.exp(-b * (s - u)), t, s)
             return np.array([lam[0] * decay + part])
 
         def rhs(u, y):
@@ -328,13 +324,13 @@ def tilde_mean(model: Model, t: float, s: float, lam,
             return (drift_a(u, model.gm1, b1) - s1 * s1 * c1_ou(model, s - u)
                     - s1 * s21 * c2_ou(b22, s - u))
 
-        gam2 = integrate(lambda u: np.exp(-b1 * (s - u)) * adj1(u), t, s, tol)
+        gam2 = integrate(lambda u: np.exp(-b1 * (s - u)) * adj1(u), t, s)
         chi = s21 * s21 + s22 * s22 - kap * s1 * s21
         gam1 = integrate(
             lambda u: np.exp(-b22 * (s - u)) * (
                 kap * drift_a(u, model.gm1, b1) - drift_a(u, model.gm2, b22)
                 + s1 * s21 * c1_ou(model, s - u) + chi * c2_ou(b22, s - u)),
-            t, s, tol)
+            t, s)
         e1 = lam[0] * d1 + gam2
         e2 = kap * lam[0] * (d1 - d22) + lam[1] * d22 + kap * gam2 - gam1
         return np.array([e1, e2])

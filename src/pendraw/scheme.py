@@ -162,7 +162,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
                           "increments (simulate with keep_shocks=True)")
     if policy_kind not in (OPTIMAL, NO_BOND):
         raise ConfigError(f"unknown policy kind {policy_kind!r}")
-    _check_policy_inputs(scenario, grid.t0, _hazard_state(paths, 0),
+    _check_policy_inputs(model, scenario, grid.t0, _hazard_state(paths, 0),
                          scenario.y0)
 
     n = grid.n_steps

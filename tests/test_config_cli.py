@@ -554,6 +554,18 @@ class TestCli:
         assert "--s-step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coeffs_names_a_step_that_does_not_advance_s(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "c"
+        code = main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--t", "30", "--s-max",
+                     "30.000000000001", "--s-step", "1e-15"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--s-step 1e-15 does not advance s past 30.0" in err
+        assert "maturities" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step, n_after", [("1e-12", 100),
                                                ("1e-13", 1000)])
     def test_coeffs_steps_below_1e_9_end_at_s_max(self, tmp_path, step,
@@ -649,6 +661,8 @@ class TestCli:
         ("ou-single", ["--lambda1", "nan"]),
         ("cir-single", ["--lambda1", "inf"]),
         ("ou-sub", ["--lambda2", "nan"]),
+        ("cir-single", ["--lambda1", "-0.01"]),
+        ("cir-sub", ["--lambda2", "-0.5"]),
     ])
     def test_policy_rejects_invalid_state(self, tmp_path, capsys, kind, extra):
         cfg_path = tmp_path / "p.cfg"
@@ -659,6 +673,14 @@ class TestCli:
         assert code == 1
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    def test_policy_accepts_negative_ou_hazard(self, tmp_path, capsys):
+        # an OU hazard is Gaussian and may be negative; only CIR's is not
+        code = main(["policy", "--config", str(small_config(tmp_path)),
+                     "--lambda1", "-0.001"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[1].split(",")[1] == "-0.001"
 
     @pytest.mark.parametrize("kind", ["ou-single", "cir-single"])
     @pytest.mark.parametrize("value", ["nan", "0.02"])

@@ -11,7 +11,7 @@ from pendraw.control import (LATTICE_STEP, PolicyDecision, SchemeScenario,
                              optimal_policy)
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, initial_hazard)
-from pendraw.numerics import Tolerance, integrate
+from pendraw.numerics import integrate
 from pendraw.pricing import (MarketParams, build_coefficient_table,
                              coeffs_single, coeffs_two_pop,
                              survival_expectation, tilde_mean)
@@ -429,7 +429,7 @@ class TestEndPanel:
             return (np.exp(-MARKET.r * (s - t)) * survival_expectation(c, lam)
                     * (1.0 + scen.phi * mean))
 
-        direct = integrate(integrand, t, scen.t_max, Tolerance(1e-11))
+        direct = integrate(integrand, t, scen.t_max)
         g = annuity_G(model, scen, MARKET, t, lam)
         assert g == pytest.approx(direct, rel=1e-8)
 
@@ -567,6 +567,8 @@ class TestPolicies:
         (ou_single, 0.0, math.nan, 100.0),
         (cir_single, 0.0, math.inf, 100.0),
         (ou_two, 0.0, [0.0144, math.nan], 100.0),
+        (cir_single, 0.0, -0.01, 100.0),
+        (cir_two, 0.0, [0.0144, -0.5], 100.0),
     ])
     def test_invalid_state_rejected(self, policy, make_model, t, lam, wealth):
         with pytest.raises(ValueError):

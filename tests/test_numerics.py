@@ -1,23 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from pendraw import numerics, pricing
+from pendraw.config import default_config_path, loads_config
+from pendraw.mortality import initial_hazard
 from pendraw.numerics import (W2_STREAM_OFFSET, WS_STREAM_OFFSET,
-                              NumericalFailure, TimeGrid, Tolerance,
-                              gaussian_stream, integrate, normal_block,
-                              solve_ode)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        tol = Tolerance()
-        assert tol.rel_tol == 1e-8
-        assert tol.max_refinements == 20
-
-    @pytest.mark.parametrize("kwargs", [dict(rel_tol=0.0), dict(rel_tol=-1e-9),
-                                        dict(max_refinements=0)])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**kwargs)
+                              NumericalFailure, TimeGrid, gaussian_stream,
+                              integrate, normal_block, solve_ode)
 
 
 class TestTimeGrid:
@@ -42,7 +33,7 @@ class TestIntegrate:
         assert integrate(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_cubic_exact_first_pass(self):
-        # Simpson integrates cubics exactly at any step
+        # Gauss-Legendre integrates cubics exactly
         assert integrate(lambda x: x**3 - 2 * x ** 2 + 4, 0.0, 2.0) == \
             pytest.approx(4 - 16 / 3 + 8, abs=1e-12)
 
@@ -80,16 +71,74 @@ class TestIntegrate:
             parts = al * integrate(f, 0.0, 2.0) + be * integrate(g, 0.0, 2.0)
             assert combined == pytest.approx(parts, rel=1e-7, abs=1e-10)
 
-    def test_non_convergence_carries_last_estimate(self):
-        tol = Tolerance(rel_tol=1e-15, max_refinements=3)
-        with pytest.raises(NumericalFailure) as err:
-            integrate(lambda x: np.sin(50.0 * x) ** 2 + np.exp(x), 0.0, 3.0, tol)
-        assert err.value.last_estimate is not None
-        assert np.isfinite(err.value.last_estimate)
-
     def test_non_finite_integrand(self):
+        # the rule never samples the endpoints: the first node of [0, 1]
+        # lies at 0.0092
         with pytest.raises(NumericalFailure):
-            integrate(lambda x: np.inf if x == 0.0 else 1.0 / x, 0.0, 1.0)
+            integrate(lambda x: np.inf if x < 0.01 else 1.0 / x, 0.0, 1.0)
+
+
+def shipped_model(kind):
+    return loads_config(default_config_path().read_text()
+                        .replace("kind = ou-single", f"kind = {kind}")).model
+
+
+def halved_panels(f, a, b):
+    """``integrate`` on panels half as long as its own: each half of one of
+    its panels is a single panel of its own."""
+    edges = np.linspace(a, b, 2 * math.ceil((b - a) / numerics._GL_PANEL) + 1)
+    return sum(integrate(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def oracle_routes():
+    ous, cirs, oub = (shipped_model(kind)
+                      for kind in ("ou-single", "cir-single", "ou-sub"))
+    lam1 = [initial_hazard(ous.gm)]
+    lam2 = [initial_hazard(oub.gm1), initial_hazard(oub.gm2)]
+    routes = []
+    for t, s in [(0.0, 120.0), (34.0, 120.0), (2.0, 2.3)]:
+        routes += [
+            (f"A0 ou-single [{t}, {s}]",
+             lambda t=t, s=s: pricing.coeffs_single(ous, t, s).a0),
+            (f"A0 cir-single [{t}, {s}]",
+             lambda t=t, s=s: pricing.coeffs_single(cirs, t, s).a0),
+            (f"C0 ou-sub [{t}, {s}]",
+             lambda t=t, s=s: pricing.coeffs_two_pop(oub, t, s).c0),
+            (f"E~ ou-single [{t}, {s}]",
+             lambda t=t, s=s: pricing.tilde_mean(ous, t, s, lam1)[-1]),
+            (f"E~ ou-sub [{t}, {s}]",
+             lambda t=t, s=s: pricing.tilde_mean(oub, t, s, lam2)[-1]),
+        ]
+    return routes
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("f, a, b, exact", [
+        (np.exp, 0.0, 1.0, math.e - 1.0),
+        (lambda s: math.exp(-0.04 * s), 0.0, 20.0,
+         (1.0 - math.exp(-0.8)) / 0.04),
+    ])
+    def test_closed_forms_to_roundoff(self, f, a, b, exact):
+        assert integrate(f, a, b) == pytest.approx(exact, rel=1e-14)
+
+    def test_degree_23_exact_on_one_panel(self):
+        coef = np.random.default_rng(5).uniform(0.5, 1.5, size=24)
+        exact = float(np.sum(coef / np.arange(24, 0, -1)))  # highest first
+        assert integrate(lambda x: np.polyval(coef, x), 0.0, 1.0) == \
+            pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_at_a_node_raises(self, bad):
+        # [0, 10] is two panels; only nodes of the second lie past 7
+        with pytest.raises(NumericalFailure):
+            integrate(lambda x: bad if x > 7.0 else 1.0, 0.0, 10.0)
+
+    def test_oracle_routes_agree_with_half_length_panels(self, monkeypatch):
+        routes = oracle_routes()
+        got = [fn() for _, fn in routes]
+        monkeypatch.setattr(pricing, "integrate", halved_panels)
+        for (name, fn), value in zip(routes, got):
+            assert value == pytest.approx(fn(), rel=1e-13, abs=0), name
 
 
 class TestSolveOde:

@@ -72,7 +72,8 @@ from .pricing import (LATTICE_STEP, MarketParams, _lattice_span,
 # component. G_REL_TOL leaves room inside the 2e-8 at which the benchmark
 # checks G against an outer quadrature (printing adds 5e-9, the quadrature
 # about 2e-9), and GRAD_REL_TOL inside its 1e-6 gradient check; both sit far
-# below the Euler wealth error at dt = 0.1.
+# below the error of freezing G and the weights over each 0.1-year wealth
+# step.
 # The order costs nothing, so it is the highest whose weights are all
 # positive (order 9 has a negative one). The stride sets the cost: 10 is the
 # largest that meets both tolerances (at stride 10 the worst case measures
@@ -114,6 +115,10 @@ class SchemeScenario:
     t_max: float = 120.0
 
     def __post_init__(self):
+        for name in ("phi", "y0", "horizon", "dt", "t_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.phi < 0:
             raise ValueError(f"phi must be >= 0, got {self.phi}")
         if self.y0 <= 0:

@@ -9,8 +9,8 @@ rule, ``_code``, maps a column's numpy dtype kind to its ``%``-code: floats
 is built once, and rows are formatted and written in blocks of
 ``_BLOCK_ROWS``, so memory stays bounded however long the file is. Lines end
 in LF, so identical inputs produce byte-identical outputs. The printed
-summary (seed, runtimes, floor-hit diagnostics) is not part of the CSV
-contract.
+summary (seed, runtime, discounted totals and improvements) is not part
+of the CSV contract.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     lines = [f"experiment: {cfg.experiment}",
              f"model: {cfg.model_kind}",
              f"paths: {scenario.n_paths}  seed: {scenario.seed}"]
-    floor_hits = 0
 
     if cfg.experiment == "base":
         dist = death_time_distribution(paths)
@@ -142,7 +141,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
              _column_means(paths.survival), dist.mean_cdf, dist.mean_density],
             _MORTALITY_SCHEMA, out / "mortality.csv"))
         traj = simulate_scheme(model, scenario, market, OPTIMAL, paths)
-        floor_hits = traj.floor_hits
         weights = _weight_columns(traj)
         files.append(write_csv([grid.nodes, *weights],
                                ["time", "w_stock", "w_bond", "w_cash"],
@@ -159,7 +157,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     elif cfg.experiment == "compare":
         report = compare_strategies(model, scenario, market, NO_BOND, OPTIMAL,
                                     paths=paths)
-        floor_hits = report.traj_a.floor_hits + report.traj_b.floor_hits
         n_sample = min(_N_SAMPLE_PATHS, scenario.n_paths)
         schema = (["time"]
                   + [f"withdraw_gain_path{i+1}" for i in range(n_sample)]
@@ -194,7 +191,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         else:
             ref = simulate_scheme(model, replace(scenario, phi=0.0), market,
                                   OPTIMAL, paths, surface=surface)
-        floor_hits = ref.floor_hits
         summary_rows = []
         for i, value in enumerate(cfg.sweep_values):
             if cfg.sweep_var == "theta1":
@@ -205,7 +201,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 traj = simulate_scheme(model, replace(scenario, phi=value),
                                        market, OPTIMAL, paths, surface=surface)
             report = ComparisonReport.of(ref, market.r, traj, market.r)
-            floor_hits += traj.floor_hits
             files.append(write_csv(
                 [report.times, format_number(value), *_weight_columns(traj),
                  report.mean_withdraw_gain, report.mean_compensation_gain],
@@ -227,7 +222,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         raise ConfigError(f"unknown experiment kind {cfg.experiment!r}")
 
-    lines.append(f"floor hits: {floor_hits}")
     lines.append(f"runtime: {time.perf_counter() - t_start:.2f}s")
     lines.append("files: " + ", ".join(str(f) for f in files))
     return ExperimentResult(files=files, summary="\n".join(lines))

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -73,6 +73,10 @@ class MarketParams:
     maturity: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sigma_s <= 0:
             raise ValueError(f"sigma_s must be > 0, got {self.sigma_s}")
         if self.maturity <= 0:

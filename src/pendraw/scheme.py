@@ -16,17 +16,21 @@ noise (common random numbers).
 Both policies, the optimal one and the one without the bond, withdraw Y/G
 and hold fixed fractions of wealth (w_S = theta_S/sigma_S in the stock, w_L
 in the bond, w_L = 0 without it), hedging through dG/dlambda1 (Merton, J.
-Econ. Theory 3(4), 1971). So the Euler step multiplies Y by a factor that
-does not depend on Y,
+Econ. Theory 3(4), 1971). So over one step with its coefficients frozen at
+the step's start, wealth is a geometric Brownian motion, and its exact step
+multiplies Y by a factor that does not depend on Y (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2004, section 3.2):
 
     Y_{k+1} = Y_k F_k,
-    F_k = 1 + (r + w_S sigma_S theta_S + w_L sigma_L theta_1_eff - 1/G) dt
-            + w_S sigma_S sqrt(dt) xi_S + w_L sigma_L sqrt(dt) xi_1,
+    log F_k = (mu_k - v_k/2) dt + w_S sigma_S sqrt(dt) xi_S
+              + w_L sigma_L sqrt(dt) xi_1,
+    mu_k = r + w_S sigma_S theta_S + w_L sigma_L theta_1_eff - 1/G,
+    v_k = (w_S sigma_S)^2 + (w_L sigma_L)^2.
 
-and their wealth is the running product of F, built for the whole
+F_k is positive, so wealth is too, by construction. Each arm's wealth is
+y0 times the exponential of the running sum of log F, built for the whole
 (paths x steps) grid at once. This is the only wealth engine; the tests keep
-a step-by-step Euler loop as its reference. A path whose wealth reaches the
-floor (1e-9 of y0) is pinned there from that node on.
+a step-by-step loop of the same log step as its reference.
 
 G depends on the hazard paths and on (model, phi, t_max, r) only, not on
 wealth, theta_1 or the policy kind, and it is affine in phi:
@@ -52,8 +56,6 @@ from .pricing import rolling_bond_volatility
 OPTIMAL = "optimal"
 NO_BOND = "no_bond"
 
-WEALTH_FLOOR_FRACTION = 1e-9
-
 
 @dataclass
 class SchemeTrajectory:
@@ -68,15 +70,10 @@ class SchemeTrajectory:
     bond_weight: np.ndarray     # (n_paths, n_nodes)
     cash_weight: np.ndarray     # (n_paths, n_nodes)
     survival: np.ndarray        # (n_paths, n_nodes)
-    floor_hit: np.ndarray       # (n_paths,) bool
 
     @property
     def n_paths(self) -> int:
         return self.wealth.shape[0]
-
-    @property
-    def floor_hits(self) -> int:
-        return int(self.floor_hit.sum())
 
 
 @dataclass(frozen=True)
@@ -140,18 +137,12 @@ def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
 def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,
                     policy_kind: str, paths: MortalityPaths,
                     surface: Optional[GSurface] = None) -> SchemeTrajectory:
-    """Euler-Maruyama wealth paths under the policy ``OPTIMAL`` or
-    ``NO_BOND``.
+    """Wealth paths under the policy ``OPTIMAL`` or ``NO_BOND``, stepped by
+    the exact log step of frozen coefficients (module docstring).
 
     G comes from ``surface`` when it is given (built by ``g_surface`` for
     this model, these paths and the same t_max and r; anything else is
-    rejected) and is computed otherwise. The wealth is the running product
-    of the step factors (module docstring).
-
-    Paths whose wealth falls to the floor (1e-9 of initial wealth) are pinned
-    there from their first hit on and flagged: with log-utility controls the
-    exact dynamics keep wealth positive, so floor hits are discretisation
-    diagnostics, not failures.
+    rejected) and is computed otherwise.
     """
     grid = paths.grid
     if abs(grid.step - scenario.dt) > 1e-12 or abs(grid.t1 - scenario.horizon) > 1e-9:
@@ -169,7 +160,6 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     n_paths = paths.n_paths
     xi_s = normal_block(paths.seed, WS_STREAM_OFFSET + paths.path_offset,
                         n_paths, n)
-    floor = WEALTH_FLOOR_FRACTION * scenario.y0
 
     if surface is None:
         surface = g_surface(model, scenario, market, paths)
@@ -185,32 +175,29 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     else:
         w_bond = np.zeros((n_paths, n + 1))
 
-    # F_k, built in place in the wealth array's columns 1..n
+    # log F_k, built in place in the log-wealth array's columns 1..n
     dt, sqdt = grid.step, np.sqrt(grid.step)
     lam1 = paths.lambda1[:, :n]
-    sigma_l = rolling_bond_volatility(model, market, lam1)
+    vol_s = stock * market.sigma_s
+    vol_l = w_bond[:, :n] * rolling_bond_volatility(model, market, lam1)
     # the longevity risk price carries the loading's sqrt(lambda1)
     theta_eff = market.theta_1 * np.sqrt(lam1) if model.kind == CIR \
         else market.theta_1
     wealth = np.empty((n_paths, n + 1))
-    wealth[:, 0] = scenario.y0
+    wealth[:, 0] = 0.0
     f = wealth[:, 1:]
     np.multiply(paths.shocks1, sqdt, out=f)
     f += theta_eff * dt
-    f *= w_bond[:, :n]
-    f *= sigma_l
-    xi_s *= stock * market.sigma_s * sqdt
+    f -= (0.5 * dt) * vol_l
+    f *= vol_l
+    xi_s *= vol_s * sqdt
     f += xi_s
     f -= np.divide(dt, g[:, :n], out=xi_s)
-    f += (market.r + stock * market.sigma_s * market.theta_s) * dt
-    # 1 comes last: the rounding of 1 + x then varies from step to step
-    # instead of repeating the rounding of 1 + (r + ...) dt in every step
-    f += 1.0
-    # Y_k = y0 F_0 ... F_{k-1}, multiplied in the loop's order
-    np.multiply.accumulate(wealth, axis=1, out=wealth)
-    pinned = np.logical_or.accumulate(wealth <= floor, axis=1)
-    wealth[pinned] = floor
-    floor_hit = pinned[:, -1]
+    f += (market.r + vol_s * (market.theta_s - 0.5 * vol_s)) * dt
+    # Y_k = y0 exp(log F_0 + ... + log F_{k-1})
+    np.cumsum(wealth, axis=1, out=wealth)
+    np.exp(wealth, out=wealth)
+    wealth *= scenario.y0
     withdraw = wealth / g
 
     compensation = paths.members_hazard * wealth
@@ -220,7 +207,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
                             withdraw=withdraw, compensation=compensation,
                             stock_weight=w_stock, bond_weight=w_bond,
                             cash_weight=1.0 - (w_stock + w_bond),
-                            survival=paths.survival, floor_hit=floor_hit)
+                            survival=paths.survival)
 
 
 @dataclass

@@ -381,10 +381,9 @@ class TestRunExperiment:
         cfg_path = tmp_path / "sub.cfg"
         cfg_path.write_text(text)
         cfg = with_overrides(load_config(cfg_path), out_dir=str(tmp_path / "sub"))
-        result = run_experiment(cfg)
+        run_experiment(cfg)
         lines = (tmp_path / "sub" / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 352  # header + 351 grid nodes
-        assert "floor hits: 0" in result.summary
 
     def test_sweep_determinism(self, tmp_path):
         cfg = with_overrides(load_config(small_config(tmp_path)),
@@ -428,19 +427,15 @@ class TestRunExperiment:
         def counted_arm(*args, **kwargs):
             traj = simulate_scheme(*args, **kwargs)
             arms.append(traj)
-            # every path of every arm reports a floor hit
-            traj.floor_hit[:] = True
             return traj
 
         monkeypatch.setattr(scheme, "g_pieces", counted_g)
         monkeypatch.setattr(experiments, "simulate_scheme", counted_arm)
-        result = run_experiment(cfg)
+        run_experiment(cfg)
         n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
         assert len(arms) == len(values) + 1
         # every arm, theta1 and phi alike, shares one G surface
         assert len(g_calls) == n_nodes
-        # the reference arm's floor hits count once
-        assert f"floor hits: {3 * (len(values) + 1)}" in result.summary
 
     @pytest.mark.parametrize("var", ["theta1", "phi"])
     def test_sweep_matches_independent_arms(self, tmp_path, var):

@@ -603,6 +603,17 @@ class TestPolicies:
         with pytest.raises(ValueError):
             SchemeScenario(phi=0.5, t_max=30.0)  # below the horizon
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("base, field", [
+        *[(SCEN, name) for name in ("phi", "y0", "horizon", "dt", "t_max")],
+        *[(MARKET, f.name) for f in dataclasses.fields(MarketParams)],
+    ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_non_finite_parameter_rejected(self, base, field, bad):
+        # a NaN phi would otherwise give all-NaN wealth, an infinite
+        # theta_1 an infinite bond weight
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(base, **{field: bad})
+
     def test_policy_decision_fields(self):
         d = PolicyDecision(4.0, 0.3, 0.5, 0.2)
         assert (d.withdraw_rate, d.stock_weight, d.bond_weight, d.cash_weight) \

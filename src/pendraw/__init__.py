@@ -22,7 +22,7 @@ from .pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                       coeffs_single, coeffs_two_pop, rolling_bond_volatility,
                       survival_expectation, tilde_mean)
 from .scheme import (ComparisonReport, DiscountedTotals, SchemeTrajectory,
-                     compare_strategies, discounted_totals, simulate_scheme)
+                     discounted_totals, simulate_scheme)
 
 __version__ = "0.1.0"
 
@@ -32,12 +32,11 @@ __all__ = [
     "ExperimentResult", "GompertzMakehamParams", "MarketParams",
     "MortalityPaths", "NumericalFailure", "OU", "PolicyDecision",
     "SchemeScenario", "SchemeTrajectory", "SinglePopModel", "TimeGrid",
-    "TwoPopModel", "annuity_G", "annuity_G_gradient",
-    "baseline_hazard", "build_model", "compare_strategies",
-    "coeffs_single", "coeffs_two_pop", "death_time_distribution",
-    "default_config_path", "discounted_totals", "drift_a",
-    "gaussian_stream", "initial_hazard", "integrate", "load_config",
-    "loads_config", "normal_block", "optimal_policy",
+    "TwoPopModel", "annuity_G", "annuity_G_gradient", "baseline_hazard",
+    "build_model", "coeffs_single", "coeffs_two_pop",
+    "death_time_distribution", "default_config_path", "discounted_totals",
+    "drift_a", "gaussian_stream", "initial_hazard", "integrate",
+    "load_config", "loads_config", "normal_block", "optimal_policy",
     "rolling_bond_volatility", "run_experiment", "simulate_paths",
     "simulate_scheme", "solve_ode", "survival_expectation", "tilde_mean",
     "write_csv",

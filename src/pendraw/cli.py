@@ -217,8 +217,6 @@ def _cmd_experiment(args, kind: str) -> int:
         sweep_values = parse_sweep_values(args.values, "--values")
     cfg = with_overrides(cfg, experiment=kind, sweep_var=sweep_var,
                          sweep_values=sweep_values)
-    if kind == "sweep" and (cfg.sweep_var is None or not cfg.sweep_values):
-        raise ConfigError("sweep needs --var and --values (or config entries)")
     result = run_experiment(cfg)
     print(result.summary)
     return 0

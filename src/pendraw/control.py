@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -137,14 +137,14 @@ class PolicyDecision:
     """Withdrawal rate (currency/year) and portfolio weights (sum to one).
 
     ``g`` is the scheme value G(t, lambda) the withdrawal rate divides the
-    wealth by, as ``annuity_G`` gives it (None in a decision built by hand).
+    wealth by, as ``annuity_G`` gives it.
     """
 
     withdraw_rate: float
     stock_weight: float
     bond_weight: float
     cash_weight: float
-    g: Optional[float] = None
+    g: float
 
 
 @lru_cache(maxsize=None)

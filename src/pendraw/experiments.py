@@ -1,5 +1,10 @@
 """Experiment suites: base scenario, hedging comparison, sensitivity sweeps.
 
+The hedging comparison and both sweeps run one loop (``_reports``): one G
+surface, one reference arm simulated once, and each arm compared with it on
+the same paths, its file written before the next arm is simulated. The
+comparison is the theta1 sweep of one arm at the configured theta_1.
+
 Every CSV is written by ``write_csv`` from columns, not rows. A column is
 either an equal-length 1-D array or list, or a ``str`` constant repeated on
 every row (the blank ``lambda2`` of a single-population dump). One format
@@ -22,11 +27,11 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import EXPERIMENT_KINDS, SWEEP_VARS, ExperimentConfig
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
-from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, compare_strategies,
-                     discounted_totals, g_surface, simulate_scheme)
+from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, discounted_totals,
+                     g_surface, simulate_scheme)
 
 _N_SAMPLE_PATHS = 3
 
@@ -116,8 +121,44 @@ def _weight_columns(traj) -> list:
             _column_means(traj.cash_weight)]
 
 
+def _check_inputs(cfg: ExperimentConfig) -> None:
+    if cfg.experiment not in EXPERIMENT_KINDS:
+        raise ConfigError(f"experiment kind must be one of {EXPERIMENT_KINDS}, "
+                          f"got {cfg.experiment!r}")
+    if cfg.experiment == "sweep" and (cfg.sweep_var not in SWEEP_VARS
+                                      or not cfg.sweep_values):
+        raise ConfigError(f"a sweep needs --var and --values, or [experiment] "
+                          f"sweep_var and sweep_values (sweep_var one of "
+                          f"{SWEEP_VARS})")
+
+
+def _reports(var: str, values, model, scenario, market, paths):
+    """(value, arm, report against the reference arm) for each value of
+    ``var``, one arm at a time.
+
+    The reference arm is simulated once: the no-bond policy (theta1) or no
+    risk sharing, phi = 0 (phi). Every arm shares one G surface, since
+    neither theta1 nor phi enters its pieces.
+    """
+    surface = g_surface(model, scenario, market, paths)
+
+    def arm(value, kind=OPTIMAL):
+        if var == "theta1":
+            scen, mkt = scenario, replace(market, theta_1=value)
+        else:
+            scen, mkt = replace(scenario, phi=value), market
+        return simulate_scheme(model, scen, mkt, kind, paths, surface=surface)
+
+    ref = arm(market.theta_1, NO_BOND) if var == "theta1" else arm(0.0)
+    for value in values:
+        traj = arm(value)
+        yield value, traj, ComparisonReport.of(ref, traj, market.r)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the configured suite; returns written files and a text summary."""
+    """Run the configured suite; returns written files and a text summary.
+    The experiment's inputs are checked before any output is made."""
+    _check_inputs(cfg)
     t_start = time.perf_counter()
     model = cfg.model
     scenario = cfg.scenario
@@ -155,8 +196,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lines.append(f"mean discounted compensation: {totals.mean_compensation:.6g}")
 
     elif cfg.experiment == "compare":
-        report = compare_strategies(model, scenario, market, NO_BOND, OPTIMAL,
-                                    paths=paths)
+        [(_, _, report)] = _reports("theta1", [market.theta_1], model,
+                                    scenario, market, paths)
         n_sample = min(_N_SAMPLE_PATHS, scenario.n_paths)
         schema = (["time"]
                   + [f"withdraw_gain_path{i+1}" for i in range(n_sample)]
@@ -178,29 +219,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lines.append(f"discounted compensation improvement: "
                      f"{report.compensation_improvement:+.4%}")
 
-    elif cfg.experiment == "sweep":
-        if cfg.sweep_var is None or not cfg.sweep_values:
-            raise ConfigError("sweep requires sweep_var and sweep_values")
-        # every arm is compared with one reference arm, simulated once: the
-        # no-bond policy (theta1) or no risk sharing (phi); all of them share
-        # one G surface, since neither theta1 nor phi enters its pieces
-        surface = g_surface(model, scenario, market, paths)
-        if cfg.sweep_var == "theta1":
-            ref = simulate_scheme(model, scenario, market, NO_BOND, paths,
-                                  surface=surface)
-        else:
-            ref = simulate_scheme(model, replace(scenario, phi=0.0), market,
-                                  OPTIMAL, paths, surface=surface)
+    else:
         summary_rows = []
-        for i, value in enumerate(cfg.sweep_values):
-            if cfg.sweep_var == "theta1":
-                traj = simulate_scheme(model, scenario,
-                                       replace(market, theta_1=value), OPTIMAL,
-                                       paths, surface=surface)
-            else:
-                traj = simulate_scheme(model, replace(scenario, phi=value),
-                                       market, OPTIMAL, paths, surface=surface)
-            report = ComparisonReport.of(ref, market.r, traj, market.r)
+        # each arm's file is written before the next arm is simulated
+        for i, (value, traj, report) in enumerate(_reports(
+                cfg.sweep_var, cfg.sweep_values, model, scenario, market,
+                paths)):
             files.append(write_csv(
                 [report.times, format_number(value), *_weight_columns(traj),
                  report.mean_withdraw_gain, report.mean_compensation_gain],
@@ -219,8 +243,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             ["value", "mean_discounted_benefit", "mean_discounted_compensation",
              "benefit_improvement", "compensation_improvement"],
             out / f"sweep_{cfg.sweep_var}_summary.csv"))
-    else:
-        raise ConfigError(f"unknown experiment kind {cfg.experiment!r}")
 
     lines.append(f"runtime: {time.perf_counter() - t_start:.2f}s")
     lines.append("files: " + ", ".join(str(f) for f in files))

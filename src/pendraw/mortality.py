@@ -36,6 +36,7 @@ drift_a(t, gms[k], B[k, k]). Each model states (B, S, gms) once, as its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -52,6 +53,15 @@ class ConfigError(ValueError):
     """Invalid model or scenario configuration."""
 
 
+def _check_finite(params, names) -> None:
+    """Reject NaN and inf in the float fields ``names``: either would pass
+    the ordered checks after this one and give all-NaN paths."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GompertzMakehamParams:
     """Baseline hazard curve: ``nu`` (1/year), ``delta`` (years), ``m`` (years)."""
@@ -61,6 +71,7 @@ class GompertzMakehamParams:
     m: float
 
     def __post_init__(self):
+        _check_finite(self, ("nu", "delta", "m"))
         if self.delta <= 0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if self.m <= 0:
@@ -104,6 +115,7 @@ class SinglePopModel:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        _check_finite(self, ("b", "sigma"))
         if self.b <= 0:
             raise ConfigError(f"b must be > 0, got {self.b}")
         if self.sigma < 0:
@@ -135,6 +147,8 @@ class TwoPopModel:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        _check_finite(self, ("b1", "b21", "b22", "sigma1", "sigma21",
+                             "sigma22"))
         if self.b1 <= 0:
             raise ConfigError(f"b1 must be > 0, got {self.b1}")
         if self.b22 <= 0:

@@ -1,5 +1,5 @@
 """Monte Carlo simulation of the scheme wealth under a withdrawal/investment
-policy, discounted outcome metrics, and paired strategy comparisons.
+policy, discounted outcome metrics, and the report comparing two arms.
 
 Wealth follows (with pi = 1 the mortality credit and the manager's
 compensation offset exactly, so no hazard term remains in the drift):
@@ -37,7 +37,9 @@ wealth, theta_1 or the policy kind, and it is affine in phi:
 G = (1 - phi r) A + phi (1 - D) (``control``). ``g_surface`` computes the
 phi-free pieces on the whole grid once, keyed on (model, t_max, r), and each
 arm composes its own G and dG/dlambda1 from them. So every arm on the same
-paths that agrees on t_max and r shares one surface, phi sweeps included.
+paths that agrees on t_max and r shares one surface, whatever its phi,
+theta_1 or policy kind. ``ComparisonReport`` pairs two such arms, a
+reference and another, and discounts both at the surface's r.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .control import (MarketParams, SchemeScenario, bond_weight_arrays,
                       g_pieces, _check_policy_inputs, _compose_g)
-from .mortality import CIR, ConfigError, Model, MortalityPaths, simulate_paths
+from .mortality import CIR, ConfigError, Model, MortalityPaths
 from .numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from .pricing import rolling_bond_volatility
 
@@ -247,15 +249,15 @@ class ComparisonReport:
     totals_b: DiscountedTotals
 
     @classmethod
-    def of(cls, traj_a: SchemeTrajectory, r_a: float, traj_b: SchemeTrajectory,
-           r_b: float) -> "ComparisonReport":
-        """Report on two arms simulated on the same paths; each arm's totals
-        are discounted at its own rate."""
+    def of(cls, traj_a: SchemeTrajectory, traj_b: SchemeTrajectory,
+           r: float) -> "ComparisonReport":
+        """Report on two arms simulated on the same paths, both discounted
+        at the rate r their shared G surface was built for."""
         return cls(times=traj_a.grid.nodes, traj_a=traj_a, traj_b=traj_b,
                    withdraw_gain=traj_b.withdraw - traj_a.withdraw,
                    compensation_gain=traj_b.compensation - traj_a.compensation,
-                   totals_a=discounted_totals(traj_a, r_a),
-                   totals_b=discounted_totals(traj_b, r_b))
+                   totals_a=discounted_totals(traj_a, r),
+                   totals_b=discounted_totals(traj_b, r))
 
     @property
     def mean_withdraw_gain(self) -> np.ndarray:
@@ -275,35 +277,3 @@ class ComparisonReport:
         return (self.totals_b.mean_compensation
                 / self.totals_a.mean_compensation - 1.0)
 
-
-def compare_strategies(model: Model, scenario: SchemeScenario,
-                       market: MarketParams, arm_a: str, arm_b: str,
-                       scenario_b: Optional[SchemeScenario] = None,
-                       market_b: Optional[MarketParams] = None,
-                       paths: Optional[MortalityPaths] = None) -> ComparisonReport:
-    """Simulate two arms on identical mortality paths and stock noise.
-
-    The arms may differ in policy kind or in a scenario/market scalar
-    (risk-sharing weight, longevity risk price); the time grid, path count and
-    seed must coincide so the comparison is paired. Arms that agree on t_max
-    and r share one G surface, whatever their phi.
-    """
-    scen_b = scenario_b if scenario_b is not None else scenario
-    mkt_b = market_b if market_b is not None else market
-    if (scen_b.horizon, scen_b.dt, scen_b.n_paths, scen_b.seed) != \
-            (scenario.horizon, scenario.dt, scenario.n_paths, scenario.seed):
-        raise ConfigError("comparison arms must share grid, path count and seed")
-
-    if paths is None:
-        grid = TimeGrid(0.0, scenario.horizon, scenario.dt)
-        paths = simulate_paths(model, grid, scenario.n_paths, scenario.seed)
-
-    shared = None
-    if _surface_key(model, scenario, market) == _surface_key(model, scen_b,
-                                                             mkt_b):
-        shared = g_surface(model, scenario, market, paths)
-    traj_a = simulate_scheme(model, scenario, market, arm_a, paths,
-                             surface=shared)
-    traj_b = simulate_scheme(model, scen_b, mkt_b, arm_b, paths,
-                             surface=shared)
-    return ComparisonReport.of(traj_a, market.r, traj_b, mkt_b.r)

@@ -24,7 +24,8 @@ from pendraw.numerics import TimeGrid
 from pendraw.pricing import (MarketParams, a1_cir, a1_ou, c1_ou, c2_ou,
                              coeffs_single, coeffs_two_pop,
                              rolling_bond_volatility, survival_expectation)
-from pendraw.scheme import OPTIMAL, compare_strategies, simulate_scheme
+from pendraw.scheme import (OPTIMAL, ComparisonReport, g_surface,
+                            simulate_scheme)
 
 # Table-style parameters, modal life spans as printed (model time) and
 # shifted to years since retirement (calendar age minus 65)
@@ -302,10 +303,15 @@ def test_criterion_08_figure_reproduction():
 def test_criterion_09_phi_sweep_reproduction():
     cfg = load_config(default_config_path())
     model = build_model(cfg)
-    scen0 = replace(cfg.scenario, phi=0.0)
-    scen1 = replace(cfg.scenario, phi=1.0)
-    report = compare_strategies(model, scen0, cfg.market, OPTIMAL, OPTIMAL,
-                                scenario_b=scen1)
+    sc = cfg.scenario
+    paths = simulate_paths(model, TimeGrid(0.0, sc.horizon, sc.dt),
+                           sc.n_paths, sc.seed)
+    # the phi = 0 and phi = 1 arms on one G surface, as the phi sweep runs them
+    surface = g_surface(model, sc, cfg.market, paths)
+    arm0, arm1 = (simulate_scheme(model, replace(sc, phi=phi), cfg.market,
+                                  OPTIMAL, paths, surface=surface)
+                  for phi in (0.0, 1.0))
+    report = ComparisonReport.of(arm0, arm1, cfg.market.r)
     benefit = report.benefit_improvement
     comp = report.compensation_improvement
     print(f"criterion 09 measured: discounted benefit improvement "

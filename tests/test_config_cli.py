@@ -360,6 +360,55 @@ class TestRunExperiment:
         names = sorted(p.name for p in result.files)
         assert names == ["comparison.csv", "totals.csv"]
 
+    def test_compare_is_the_one_arm_theta1_sweep(self, tmp_path, monkeypatch):
+        cfg = with_overrides(load_config(small_config(tmp_path)), n_paths=5)
+        g_calls = []
+        g_pieces = scheme.g_pieces
+
+        def counted_g(*args, **kwargs):
+            g_calls.append(args[3])
+            return g_pieces(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "g_pieces", counted_g)
+        n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
+        run_experiment(with_overrides(cfg, experiment="compare",
+                                      out_dir=str(tmp_path / "cmp")))
+        # both arms, no-bond and optimal, share one G surface
+        assert len(g_calls) == n_nodes
+        run_experiment(with_overrides(cfg, experiment="sweep",
+                                      sweep_var="theta1",
+                                      sweep_values=(cfg.market.theta_1,),
+                                      out_dir=str(tmp_path / "sw")))
+        assert len(g_calls) == 2 * n_nodes
+
+        def columns(name, fields):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            at = [header.split(",").index(f) for f in fields]
+            return [[row.split(",")[i] for i in at] for row in rows]
+
+        gains = ["mean_withdraw_gain", "mean_compensation_gain"]
+        assert columns("cmp/comparison.csv", gains) == \
+            columns("sw/sweep_theta1_0.csv", gains)
+        totals = ["arm", "mean_discounted_benefit",
+                  "mean_discounted_compensation"]
+        no_bond, optimal = columns("cmp/totals.csv", totals)
+        assert (no_bond[0], optimal[0]) == ("no_bond", "optimal")
+        assert optimal[1:] == columns("sw/sweep_theta1_summary.csv",
+                                      totals[1:])[0]
+
+    @pytest.mark.parametrize("change", [
+        dict(experiment="bogus"),
+        dict(experiment="sweep", sweep_var=None, sweep_values=(0.5,)),
+        dict(experiment="sweep", sweep_var="kappa", sweep_values=(0.5,)),
+        dict(experiment="sweep", sweep_var="phi", sweep_values=()),
+    ], ids=["kind", "no-var", "unknown-var", "no-values"])
+    def test_bad_experiment_rejected_before_any_output(self, tmp_path, change):
+        cfg = replace(load_config(small_config(tmp_path)),
+                      out_dir=str(tmp_path / "never"), **change)
+        with pytest.raises(ConfigError, match="experiment"):
+            run_experiment(cfg)
+        assert not (tmp_path / "never").exists()
+
     def test_theta1_sweep_monotone_bond_weight(self, tmp_path):
         cfg = with_overrides(load_config(small_config(tmp_path)),
                              experiment="sweep", sweep_var="theta1",
@@ -461,7 +510,7 @@ class TestRunExperiment:
             else:
                 arm = (replace(sc, phi=value), market)
             traj = scheme.simulate_scheme(model, *arm, scheme.OPTIMAL, paths)
-            report = scheme.ComparisonReport.of(ref, market.r, traj, market.r)
+            report = scheme.ComparisonReport.of(ref, traj, market.r)
             columns = [paths.grid.nodes, [value] * paths.grid.nodes.size,
                        traj.stock_weight.mean(axis=0),
                        traj.bond_weight.mean(axis=0),
@@ -698,7 +747,12 @@ class TestCli:
         assert captured.out == ""
 
     def test_sweep_needs_var(self, tmp_path, capsys):
-        assert main(["sweep", "--config", str(small_config(tmp_path))]) == 1
+        assert main(["sweep", "--config", str(small_config(tmp_path)),
+                     "--out", str(tmp_path / "never")]) == 1
+        # the message names both the flags and the config keys
+        err = capsys.readouterr().err
+        assert "--var" in err and "[experiment] sweep_var" in err
+        assert not (tmp_path / "never").exists()
 
     def test_sweep_smoke(self, tmp_path):
         code = main(["sweep", "--config", str(small_config(tmp_path)),

@@ -615,6 +615,6 @@ class TestPolicies:
             dataclasses.replace(base, **{field: bad})
 
     def test_policy_decision_fields(self):
-        d = PolicyDecision(4.0, 0.3, 0.5, 0.2)
-        assert (d.withdraw_rate, d.stock_weight, d.bond_weight, d.cash_weight) \
-            == (4.0, 0.3, 0.5, 0.2)
+        d = PolicyDecision(4.0, 0.3, 0.5, 0.2, 25.0)
+        assert (d.withdraw_rate, d.stock_weight, d.bond_weight, d.cash_weight,
+                d.g) == (4.0, 0.3, 0.5, 0.2, 25.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,18 @@ class TestModelValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             SinglePopModel("ou", POP1, B1, -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("base, field", [
+        *[(POP1, f.name) for f in dataclasses.fields(GompertzMakehamParams)],
+        *[(ou_single(), name) for name in ("b", "sigma")],
+        *[(ou_two(), name) for name in ("b1", "b21", "b22", "sigma1",
+                                        "sigma21", "sigma22")],
+    ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_non_finite_parameter_rejected(self, base, field, bad):
+        # a NaN would pass every ordered check and give all-NaN hazards
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            dataclasses.replace(base, **{field: bad})
 
 
 class TestSimulatePaths:

@@ -11,8 +11,8 @@ from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, simulate_paths)
 from pendraw.numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from pendraw.pricing import a1_ou, rolling_bond_volatility
-from pendraw.scheme import (NO_BOND, OPTIMAL, SchemeTrajectory,
-                            compare_strategies, discounted_totals, g_surface,
+from pendraw.scheme import (NO_BOND, OPTIMAL, ComparisonReport,
+                            SchemeTrajectory, discounted_totals, g_surface,
                             simulate_scheme)
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
@@ -229,7 +229,7 @@ class TestSimulateScheme:
                      "cash_weight"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
-    def test_floor_freezing(self):
+    def test_heavy_withdrawal_keeps_wealth_positive(self):
         # withdrawing 50 times the wealth a year drains it as
         # y0 exp((r - 50) t), to 1e-107 of y0 by t = 5, yet never to zero;
         # the exponent's rounding grows with its size, 155 eps at -250
@@ -334,7 +334,8 @@ class TestProductRecurrence:
         self.check(KIND_MODELS[kind](), MARKET, arm)
 
     @pytest.mark.parametrize("kind", sorted(KIND_MODELS))
-    def test_matches_the_step_loop_through_floor_hits(self, kind):
+    def test_matches_the_step_loop_with_positive_wealth_under_heavy_leverage(
+            self, kind):
         # a longevity risk price of -2 makes the bond weight about 320, and
         # an Euler factor 1 + mu dt + ... falls below zero on some steps; the
         # log step's factor stays positive on every path
@@ -441,10 +442,24 @@ class TestDiscountedTotals:
 
 
 class TestCompareStrategies:
+    """Reports on two arms simulated on one set of paths and one G surface,
+    as ``experiments.run_experiment`` pairs every arm with its reference."""
+
+    @staticmethod
+    def report(model, scen, arm_a, arm_b):
+        """ComparisonReport of two (scenario, market, policy kind) arms on
+        the paths of ``scen``."""
+        paths = make_paths(model, scen)
+        surface = g_surface(model, scen, MARKET, paths)
+        traj_a, traj_b = (simulate_scheme(model, *arm, paths, surface=surface)
+                          for arm in (arm_a, arm_b))
+        return ComparisonReport.of(traj_a, traj_b, MARKET.r)
+
     def test_identical_arms_zero_gain(self):
         model = ou_model()
         scen = scenario(n_paths=10, horizon=5.0)
-        report = compare_strategies(model, scen, MARKET, OPTIMAL, OPTIMAL)
+        report = self.report(model, scen, (scen, MARKET, OPTIMAL),
+                             (scen, MARKET, OPTIMAL))
         assert np.all(report.withdraw_gain == 0.0)
         assert np.all(report.compensation_gain == 0.0)
         assert report.benefit_improvement == 0.0
@@ -452,7 +467,8 @@ class TestCompareStrategies:
     def test_bond_improves_on_average(self):
         model = ou_model()
         scen = scenario(n_paths=100)
-        report = compare_strategies(model, scen, MARKET, NO_BOND, OPTIMAL)
+        report = self.report(model, scen, (scen, MARKET, NO_BOND),
+                             (scen, MARKET, OPTIMAL))
         # improvements positive over the majority of the horizon
         positive = np.count_nonzero(report.mean_withdraw_gain > 0)
         assert positive > 0.6 * report.mean_withdraw_gain.size
@@ -469,7 +485,7 @@ class TestCompareStrategies:
     def test_surface_shared_only_when_g_inputs_agree(self, monkeypatch, scen_b,
                                                      market_b, shared):
         # G's pieces depend on t_max and r but not on phi, theta_1 or the
-        # policy
+        # policy: the no-bond arm's surface serves arm b, or is rejected
         model = ou_model()
         scen_a = scenario(n_paths=4, horizon=3.0)
         paths = make_paths(model, scen_a)
@@ -482,11 +498,18 @@ class TestCompareStrategies:
             return g_pieces(*args, **kwargs)
 
         monkeypatch.setattr(scheme, "g_pieces", counted)
-        report = compare_strategies(model, scen_a, MARKET, NO_BOND, OPTIMAL,
-                                    scenario_b=scen_b, market_b=market_b,
-                                    paths=paths)
-        n_nodes = paths.grid.n_steps + 1
-        assert len(calls) == (1 if shared else 2) * n_nodes
+        surface = g_surface(model, scen_a, MARKET, paths)
+        traj_a = simulate_scheme(model, scen_a, MARKET, NO_BOND, paths,
+                                 surface=surface)
+        if not shared:
+            with pytest.raises(ConfigError):
+                simulate_scheme(model, scen_b, market_b, OPTIMAL, paths,
+                                surface=surface)
+            return
+        traj_b = simulate_scheme(model, scen_b, market_b, OPTIMAL, paths,
+                                 surface=surface)
+        report = ComparisonReport.of(traj_a, traj_b, MARKET.r)
+        assert len(calls) == paths.grid.n_steps + 1
         for got, alone in ((report.traj_a, alone_a), (report.traj_b, alone_b)):
             for name in ("wealth", "withdraw", "compensation", "stock_weight",
                          "bond_weight", "cash_weight"):
@@ -494,19 +517,11 @@ class TestCompareStrategies:
         assert report.totals_b.mean_benefit == \
             discounted_totals(alone_b, market_b.r).mean_benefit
 
-    def test_mismatched_grids_rejected(self):
-        model = ou_model()
-        scen_a = scenario(n_paths=4, horizon=5.0)
-        scen_b = scenario(n_paths=4, horizon=10.0)
-        with pytest.raises(ConfigError):
-            compare_strategies(model, scen_a, MARKET, OPTIMAL, OPTIMAL,
-                               scenario_b=scen_b)
-
     def test_phi_comparison_raises_compensation(self):
         model = ou_model()
         scen0 = scenario(n_paths=50, phi=0.0)
         scen1 = scenario(n_paths=50, phi=1.0)
-        report = compare_strategies(model, scen0, MARKET, OPTIMAL, OPTIMAL,
-                                    scenario_b=scen1)
+        report = self.report(model, scen0, (scen0, MARKET, OPTIMAL),
+                             (scen1, MARKET, OPTIMAL))
         assert report.compensation_improvement > 0.0
         assert report.compensation_improvement > report.benefit_improvement

@@ -130,6 +130,17 @@ def _check_inputs(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"a sweep needs --var and --values, or [experiment] "
                           f"sweep_var and sweep_values (sweep_var one of "
                           f"{SWEEP_VARS})")
+    if cfg.experiment == "sweep":
+        for value in cfg.sweep_values:
+            _arm_inputs(cfg.sweep_var, value, cfg.scenario, cfg.market)
+
+
+def _arm_inputs(var: str, value, scenario, market):
+    """(scenario, market) of the arm at ``value`` of ``var``; building them
+    runs the classes' own checks of the value."""
+    if var == "theta1":
+        return scenario, replace(market, theta_1=value)
+    return replace(scenario, phi=value), market
 
 
 def _reports(var: str, values, model, scenario, market, paths):
@@ -143,10 +154,7 @@ def _reports(var: str, values, model, scenario, market, paths):
     surface = g_surface(model, scenario, market, paths)
 
     def arm(value, kind=OPTIMAL):
-        if var == "theta1":
-            scen, mkt = scenario, replace(market, theta_1=value)
-        else:
-            scen, mkt = replace(scenario, phi=value), market
+        scen, mkt = _arm_inputs(var, value, scenario, market)
         return simulate_scheme(model, scen, mkt, kind, paths, surface=surface)
 
     ref = arm(market.theta_1, NO_BOND) if var == "theta1" else arm(0.0)

@@ -153,10 +153,6 @@ class TwoPopModel:
             raise ConfigError(f"b1 must be > 0, got {self.b1}")
         if self.b22 <= 0:
             raise ConfigError(f"b22 must be > 0, got {self.b22}")
-        if self.b1 == self.b22:
-            raise ConfigError(
-                "b1 == b22 makes the cross-coefficient formula singular; "
-                "perturb one of the mean-reversion speeds")
         for name in ("sigma1", "sigma21", "sigma22"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -215,7 +211,8 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
                    path_offset: int = 0, keep_shocks: bool = True) -> MortalityPaths:
     """Euler-Maruyama hazard paths on ``grid`` with keyed noise streams.
 
-    One step of factor f, with xp the clamped state and dw_i = sqrt(dt) xi_i:
+    Every factor starts at its baseline hazard at ``grid.t0``. One step of
+    factor f, with xp the clamped state and dw_i = sqrt(dt) xi_i:
 
         x_f += (drift_a(t, gms[f], B[f, f]) - sum_{i<=f} B[f, i] xp_i) dt
                + sum_{i<=f} S[f, i] v(xp_i) dw_i,
@@ -255,7 +252,7 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
     # emitted hazards of a chunk's nodes, row 0 holding its first node
     hz = np.empty((n_f, width + 1, n_paths))
     x = np.empty((n_f, n_paths))            # CIR states before the clamp
-    x[:] = [[initial_hazard(gm)] for gm in gms]
+    x[:] = [[baseline_hazard(grid.t0, gm)] for gm in gms]
     hz[:, 0] = x                            # >= 0, so clamped already
     for f in range(n_f):
         lam[f][:, 0] = x[f]

@@ -21,7 +21,12 @@ serves as their oracle.
 Two routes compute these. The scalar functions (``coeffs_single``,
 ``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
 systems at one (t, s) with closed forms, composite Gauss-Legendre
-quadrature and RK4; they are the oracles. The coefficient tables behind the
+quadrature and RK4; they are the oracles. The two-population OU closed forms
+go through one convolution kernel K(tau) = int_0^tau e^{-b1(tau-w)}
+e^{-b22 w} dw, evaluated without dividing by b1 - b22, so b1 = b22 is no
+special case; the two-population CIR means come from one backward RK4
+system for the Riccati coefficients, the propagator of the mean ODEs and its
+drift term (``tilde_mean``). The coefficient tables behind the
 annuity evaluator use the affine structure of the model's ``factors``: mean
 reversion and volatilities are constant, so K1 and K2 are functions of
 tau = s - t alone, and the Gompertz-Makeham drift
@@ -120,23 +125,22 @@ def a1_cir(b: float, sigma: float, tau):
     return 2.0 * e / ((b + eta) * e + 2.0 * eta)
 
 
-def c2_ou(b22: float, tau):
-    return a1_ou(b22, tau)
-
-
-def _c1_ou_parts(model: TwoPopModel):
-    b1, b21, b22 = model.b1, model.b21, model.b22
-    g0 = -b21 / (b1 * b22)
-    g1 = -b21 / (b1 * (b1 - b22))
-    g2 = b21 / (b22 * (b1 - b22))
-    return g0, g1, g2
+def _ou_kernel(b1: float, b22: float, tau):
+    """K(tau) = int_0^tau e^{-b1(tau-w)} e^{-b22 w} dw, symmetric in b1 and
+    b22, as tau e^{-min(b1, b22) tau} (1 - e^{-x})/x with x = |b1 - b22| tau:
+    the ratio is 1 at x = 0, so nothing divides by b1 - b22."""
+    tau = np.asarray(tau, dtype=float)
+    x = abs(b1 - b22) * tau
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(x == 0.0, 1.0, -np.expm1(-x) / x)
+    return tau * np.exp(-min(b1, b22) * tau) * ratio
 
 
 def c1_ou(model: TwoPopModel, tau):
-    """Cross coefficient solving -dC1/dt + b1*C1 + b21*C2 = 0, C1(s,s) = 0."""
-    g0, g1, g2 = _c1_ou_parts(model)
-    tau = np.asarray(tau, dtype=float)
-    return g0 + g1 * np.exp(-model.b1 * tau) + g2 * np.exp(-model.b22 * tau)
+    """Cross coefficient solving -dC1/dt + b1*C1 + b21*C2 = 0, C1(s,s) = 0:
+    C1 = -b21 int_0^tau e^{-b1(tau-w)} C2(w) dw with C2 = a1_ou(b22, .)."""
+    return -(model.b21 / model.b22) * (a1_ou(model.b1, tau)
+                                        - _ou_kernel(model.b1, model.b22, tau))
 
 
 def _cir2_tau_rhs(model: TwoPopModel):
@@ -150,26 +154,6 @@ def _cir2_tau_rhs(model: TwoPopModel):
         dc2 = 1.0 - b22 * c2 - 0.5 * s22 * s22 * c2 * c2
         return np.array([dc1, dc2])
     return rhs
-
-
-@lru_cache(maxsize=64)
-def _cir2_path_cached(model: TwoPopModel, tau_max: float, step: float):
-    taus, ys = solve_ode(_cir2_tau_rhs(model), 0.0, tau_max, np.zeros(2), step=step)
-    arrays = (taus, ys[:, 0], ys[:, 1])
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def cir2_coefficient_path(model: TwoPopModel, tau_max: float, step: float):
-    """(tau nodes, C1, C2) for the two-population CIR Riccati system.
-
-    The system is autonomous in tau = s - u, so one integration serves every
-    (u, s) pair with s - u <= tau_max; results are cached per model.
-    """
-    if tau_max == 0.0:
-        return np.array([0.0]), np.zeros(1), np.zeros(1)
-    return _cir2_path_cached(model, float(tau_max), float(step))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +201,7 @@ def coeffs_two_pop(model: TwoPopModel, t: float, s: float,
 
         def integrand(u):
             c1u = c1_ou(model, s - u)
-            c2u = c2_ou(model.b22, s - u)
+            c2u = a1_ou(model.b22, s - u)
             return (drift_a(u, model.gm1, model.b1) * c1u
                     + drift_a(u, model.gm2, model.b22) * c2u
                     - 0.5 * s1 * s1 * c1u * c1u
@@ -226,7 +210,7 @@ def coeffs_two_pop(model: TwoPopModel, t: float, s: float,
 
         c0 = -integrate(integrand, t, s)
         return AffineCoeffs2(c0, float(c1_ou(model, s - t)),
-                             float(c2_ou(model.b22, s - t)))
+                             float(a1_ou(model.b22, s - t)))
 
     rhs_tau = _cir2_tau_rhs(model)
 
@@ -290,10 +274,27 @@ def tilde_mean(model: Model, t: float, s: float, lam,
                ode_step: float = 0.01) -> np.ndarray:
     """Expected hazards at s under the survival-weighted measure change.
 
-    Returns one value per population. OU models evaluate the closed-form
-    solutions of the shifted-drift mean ODEs; CIR models integrate those
-    (still linear) ODEs forward with RK4, the drift being reduced by the
-    hazard-proportional loadings sigma^2 * K(u, s).
+    Returns one value per population. The means solve the linear ODEs
+
+        dE/du = a(u) - M(u) E,   E(t) = lam,
+
+    in which the survival weighting shifts the drift by the coefficients
+    C = C(s - u), with B and S the model's factors: under OU the level a by
+    -S S^T C (M = B), under CIR the reversion to M = B + S diag(S^T C).
+
+    OU solves them by variation of constants. With the kernel
+    K(tau) = int_0^tau e^{-b1(tau-w)} e^{-b22 w} dw and the shifted drifts
+    adj1 = a1 - s1^2 C1 - s1 s21 C2, adj2 = a2 - s1 s21 C1 - (s21^2 + s22^2) C2,
+
+        E1 = lam1 e^{-b1 tau} + int_t^s e^{-b1(s-u)} adj1 du,
+        E2 = lam2 e^{-b22 tau} - b21 lam1 K(tau)
+             + int_t^s [e^{-b22(s-u)} adj2 - b21 K(s-u) adj1] du,
+
+    with tau = s - t and the integrals by composite Gauss-Legendre; b1 = b22
+    is no special case. Two-population CIR makes one backward RK4 pass from s
+    to t on (C1, C2, P, q): the Riccati coefficients, the propagator P with
+    dP/du = P M, P(s) = I, and dq/du = -P a, q(s) = 0, so that
+    E(s) = P(t) lam + q(t). Single-population CIR steps E forward.
     """
     if t > s:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
@@ -320,49 +321,40 @@ def tilde_mean(model: Model, t: float, s: float, lam,
     b1, b21, b22 = model.b1, model.b21, model.b22
     s1, s21, s22 = model.sigma1, model.sigma21, model.sigma22
     if model.kind == OU:
-        kap = b21 / (b1 - b22)
-        d1 = np.exp(-b1 * (s - t))
-        d22 = np.exp(-b22 * (s - t))
+        def adj(u):
+            c1, c2 = c1_ou(model, s - u), a1_ou(b22, s - u)
+            return (drift_a(u, model.gm1, b1) - s1 * s1 * c1 - s1 * s21 * c2,
+                    drift_a(u, model.gm2, b22) - s1 * s21 * c1
+                    - (s21 * s21 + s22 * s22) * c2)
 
-        def adj1(u):
-            return (drift_a(u, model.gm1, b1) - s1 * s1 * c1_ou(model, s - u)
-                    - s1 * s21 * c2_ou(b22, s - u))
+        def members(u):
+            adj1, adj2 = adj(u)
+            return (np.exp(-b22 * (s - u)) * adj2
+                    - b21 * _ou_kernel(b1, b22, s - u) * adj1)
 
-        gam2 = integrate(lambda u: np.exp(-b1 * (s - u)) * adj1(u), t, s)
-        chi = s21 * s21 + s22 * s22 - kap * s1 * s21
-        gam1 = integrate(
-            lambda u: np.exp(-b22 * (s - u)) * (
-                kap * drift_a(u, model.gm1, b1) - drift_a(u, model.gm2, b22)
-                + s1 * s21 * c1_ou(model, s - u) + chi * c2_ou(b22, s - u)),
-            t, s)
-        e1 = lam[0] * d1 + gam2
-        e2 = kap * lam[0] * (d1 - d22) + lam[1] * d22 + kap * gam2 - gam1
+        e1 = lam[0] * np.exp(-b1 * (s - t)) \
+            + integrate(lambda u: np.exp(-b1 * (s - u)) * adj(u)[0], t, s)
+        e2 = lam[1] * np.exp(-b22 * (s - t)) \
+            - b21 * lam[0] * _ou_kernel(b1, b22, s - t) + integrate(members, t, s)
         return np.array([e1, e2])
 
-    # two-population CIR: coefficients from the tau-autonomous Riccati path
-    n = max(1, round((s - t) / ode_step))
-    h = (s - t) / n
-    _, c1f, c2f = cir2_coefficient_path(model, s - t, step=0.5 * h)
+    rhs_tau = _cir2_tau_rhs(model)
 
-    e = lam.astype(float).copy()
-    for k in range(n):
-        u = t + k * h
-        idx0, idxm, idx1 = 2 * (n - k), 2 * (n - k) - 1, 2 * (n - k) - 2
+    def rhs(u, y):
+        # y = (C1, C2, P11, P21, P22, q1, q2) along fixed s
+        c1, c2, p11, p21, p22 = y[:5]
+        m11 = b1 + s1 * s1 * c1 + s1 * s21 * c2
+        m21 = b21 + s1 * s21 * c1 + s21 * s21 * c2
+        m22 = b22 + s22 * s22 * c2
+        a1, a2 = drift_a(u, model.gm1, b1), drift_a(u, model.gm2, b22)
+        return np.concatenate((-rhs_tau(s - u, y[:2]), [
+            p11 * m11, p21 * m11 + p22 * m21, p22 * m22,
+            -p11 * a1, -(p21 * a1 + p22 * a2)]))
 
-        def deriv(uu, y, i):
-            m11 = b1 + s1 * s1 * c1f[i] + s1 * s21 * c2f[i]
-            m21 = b21 + s1 * s21 * c1f[i] + s21 * s21 * c2f[i]
-            m22 = b22 + s22 * s22 * c2f[i]
-            return np.array([
-                drift_a(uu, model.gm1, b1) - m11 * y[0],
-                drift_a(uu, model.gm2, b22) - m21 * y[0] - m22 * y[1]])
-
-        k1 = deriv(u, e, idx0)
-        k2 = deriv(u + 0.5 * h, e + 0.5 * h * k1, idxm)
-        k3 = deriv(u + 0.5 * h, e + 0.5 * h * k2, idxm)
-        k4 = deriv(u + h, e + h * k3, idx1)
-        e = e + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return e
+    _, ys = solve_ode(rhs, s, t, [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+                      step=ode_step)
+    _, _, p11, p21, p22, q1, q2 = ys[-1]
+    return np.array([p11 * lam[0] + q1, p21 * lam[0] + p22 * lam[1] + q2])
 
 
 # ---------------------------------------------------------------------------

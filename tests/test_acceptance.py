@@ -21,7 +21,7 @@ from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
                                TwoPopModel, baseline_hazard, initial_hazard,
                                simulate_paths)
 from pendraw.numerics import TimeGrid
-from pendraw.pricing import (MarketParams, a1_cir, a1_ou, c1_ou, c2_ou,
+from pendraw.pricing import (MarketParams, a1_cir, a1_ou, c1_ou,
                              coeffs_single, coeffs_two_pop,
                              rolling_bond_volatility, survival_expectation)
 from pendraw.scheme import (OPTIMAL, ComparisonReport, g_surface,
@@ -121,9 +121,9 @@ def test_criterion_02_riccati_residuals():
                                + 0.5 * SIGMA1 ** 2 * a1c ** 2 - 1.0))
 
         c1 = float(c1_ou(ou2, tau))
-        c2 = float(c2_ou(B22, tau))
+        c2 = float(a1_ou(B22, tau))
         dc1 = (float(c1_ou(ou2, tau - h)) - float(c1_ou(ou2, tau + h))) / (2 * h)
-        dc2 = (float(c2_ou(B22, tau - h)) - float(c2_ou(B22, tau + h))) / (2 * h)
+        dc2 = (float(a1_ou(B22, tau - h)) - float(a1_ou(B22, tau + h))) / (2 * h)
         worst = max(worst, abs(-dc1 + B1 * c1 + B21 * c2))
         worst = max(worst, abs(-dc2 + B22 * c2 - 1.0))
 

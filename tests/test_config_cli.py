@@ -10,9 +10,11 @@ from pendraw import experiments, scheme
 from pendraw.cli import MAX_COEFF_ROWS, main
 from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
                             load_config, loads_config, with_overrides)
+from pendraw.control import annuity_G
 from pendraw.experiments import format_number, run_experiment, write_csv
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
-                               SinglePopModel, TwoPopModel, simulate_paths)
+                               SinglePopModel, TwoPopModel, baseline_hazard,
+                               simulate_paths)
 from pendraw.numerics import TimeGrid
 from pendraw.pricing import coeffs_single, coeffs_two_pop
 
@@ -93,20 +95,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.cfg")
 
-    def test_singular_two_pop_rejected(self):
-        text = MINIMAL.replace("kind = ou-single", "kind = ou-sub") + """
-[population2]
-nu = 0.0009944
-delta = 12.9374
-m = 89.18
-b21 = 0.0028
-b22 = 0.561
-sigma21 = 0.004
-sigma22 = 0.005
-"""
-        with pytest.raises(ConfigError) as err:
-            loads_config(text)
-        assert "singular" in str(err.value)
+    def test_equal_mean_reversion_speeds_accepted(self, tmp_path, capsys):
+        # b22 == b1 is no singular case: the config loads, and ``policy``
+        # prints the G of the annuity evaluator (which the Gauss-Legendre
+        # oracle checks at b22 == b1 in tests/test_control.py)
+        text = (default_config_path().read_text()
+                .replace("kind = ou-single", "kind = ou-sub")
+                .replace("b22 = 0.65", "b22 = 0.561"))
+        cfg = loads_config(text)
+        assert cfg.model.b1 == cfg.model.b22 == 0.561
+        cfg_path = tmp_path / "equal.cfg"
+        cfg_path.write_text(text)
+        for t in (0.0, 30.0):
+            lam = [float(baseline_hazard(t, gm)) for gm in cfg.model.factors[2]]
+            code = main(["policy", "--config", str(cfg_path), "--t", repr(t),
+                         "--lambda1", repr(lam[0]), "--lambda2", repr(lam[1])])
+            assert code == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            g = annuity_G(cfg.model, cfg.scenario, cfg.market, t,
+                          np.array(lam))
+            assert row[4] == format_number(g)
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError) as err:
@@ -769,6 +777,16 @@ class TestCli:
                      "--out", str(out), "--var", "phi", values])
         assert code == 1
         assert "--values value must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_out_of_range_value_before_any_output(
+            self, tmp_path, capsys):
+        # SchemeScenario's own rule on phi, met before any arm is simulated
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--var", "phi", "--values=0.5,-1"])
+        assert code == 1
+        assert "phi must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_config_value_exits_1(self, tmp_path, capsys):

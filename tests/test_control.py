@@ -122,21 +122,24 @@ class TestAnnuityG:
     @pytest.mark.parametrize("t", [0.0, 20.0])
     def test_near_equal_mean_reversion_speeds(self, t):
         # b22 -> b1: G and its gradient are smooth in b22, so across
-        # b22 = b1 (1 + eps) they may move by about eps relative (measured
-        # <= 0.88 eps from eps = 1e-13 to 1e-4) and never blow up
-        base = ou_two()
+        # b22 = b1 (1 + eps) they may move by about eps relative to b22 = b1
+        # (measured <= 0.92 eps from eps = 1e-13 to 1e-4, OU and CIR) and
+        # never blow up
         lam = np.array([[initial_hazard(POP1), initial_hazard(POP2)]])
-        values = {}
-        for eps in (1e-4, 1e-8, 1e-11, 1e-13):
-            model = dataclasses.replace(base, b22=base.b1 * (1.0 + eps))
-            g, grad = g_and_gradient(model, SCEN, MARKET, t, lam)
-            assert np.all(np.isfinite(g)) and g[0] > 0.0
-            # lambda1 lowers the members' drift (b21 > 0); lambda2 shortens life
-            assert grad[0, 0] > 0.0 and grad[0, 1] < 0.0
-            values[eps] = np.concatenate((g, grad[0]))
-        ref = values[1e-13]
-        for eps, v in values.items():
-            assert np.all(np.abs(v / ref - 1.0) <= eps + 1e-12), (eps, v, ref)
+        for base in (ou_two(), cir_two()):
+            values = {}
+            for eps in (1e-4, 1e-8, 1e-11, 1e-13, 0.0):
+                model = dataclasses.replace(base, b22=base.b1 * (1.0 + eps))
+                g, grad = g_and_gradient(model, SCEN, MARKET, t, lam)
+                assert np.all(np.isfinite(g)) and g[0] > 0.0
+                # lambda1 lowers the members' drift (b21 > 0); lambda2
+                # shortens life
+                assert grad[0, 0] > 0.0 and grad[0, 1] < 0.0
+                values[eps] = np.concatenate((g, grad[0]))
+            ref = values[0.0]
+            for eps, v in values.items():
+                assert np.all(np.abs(v / ref - 1.0) <= eps + 1e-12), \
+                    (base.kind, eps, v, ref)
 
     def test_batch_matches_scalar(self):
         model = ou_two()
@@ -476,6 +479,17 @@ class TestDirectIntegrand:
         assert g == pytest.approx(
             gauss_legendre_g(model, scen, MARKET, 34.0, lam, 10.0),
             rel=control.G_REL_TOL)
+
+    @pytest.mark.parametrize("t", [0.0, 30.0])
+    def test_equal_mean_reversion_speeds_match_gauss_legendre_oracle(self, t):
+        # ou-sub at b22 == b1, baseline hazards: measured 2.1e-13 at t = 0
+        # and 1.3e-10 at t = 30
+        base = ou_two()
+        model = dataclasses.replace(base, b22=base.b1)
+        lam = np.array([baseline_hazard(t, gm) for gm in (POP1, POP2)])
+        g = annuity_G(model, SCEN, MARKET, t, lam)
+        assert g == pytest.approx(
+            gauss_legendre_g(model, SCEN, MARKET, t, lam, 10.0), rel=1e-9)
 
     @pytest.mark.parametrize("make_model", [ou_single, ou_two])
     @pytest.mark.parametrize("t", [100.0, 110.0, 119.85])

@@ -87,9 +87,16 @@ class TestModelValidation:
         with pytest.raises(ConfigError):
             SinglePopModel("garch", POP1, B1, SIGMA1)
 
-    def test_equal_mean_reversion_rejected(self):
-        with pytest.raises(ConfigError):
-            TwoPopModel("ou", POP1, POP2, 0.65, B21, 0.65, SIGMA1, SIGMA21, SIGMA22)
+    @pytest.mark.parametrize("kind", ["ou", "cir"])
+    def test_equal_mean_reversion_accepted(self, kind):
+        # b1 == b22 is an ordinary model: it constructs and simulates
+        model = TwoPopModel(kind, POP1, POP2, 0.65, B21, 0.65, SIGMA1,
+                            SIGMA21, SIGMA22)
+        big_b, _, _ = model.factors
+        assert big_b[0, 0] == big_b[1, 1] == 0.65
+        paths = simulate_paths(model, TimeGrid(0.0, 5.0, 0.1), 4, seed=3)
+        assert np.all(np.isfinite(paths.lambda2))
+        assert np.all(np.isfinite(paths.survival))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
@@ -122,6 +129,19 @@ class TestSimulatePaths:
         grid = TimeGrid(0.0, 35.0, 0.01)
         paths = simulate_paths(ou_single(sigma=0.0), grid, 1, seed=1)
         assert np.max(np.abs(paths.lambda1[0] - baseline_hazard(grid.nodes, POP1))) < 1e-4
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_two])
+    def test_paths_start_at_the_first_grid_node(self, make_model):
+        # each factor starts at its baseline hazard at grid.t0, which is
+        # the initial hazard, bit for bit, when t0 = 0
+        model = make_model()
+        gms = model.factors[2]
+        paths = simulate_paths(model, TimeGrid(10.0, 45.0, 0.1), 3, seed=1)
+        for lam, gm in zip((paths.lambda1, paths.lambda2), gms):
+            assert np.all(lam[:, 0] == baseline_hazard(10.0, gm))
+        at0 = simulate_paths(model, TimeGrid(0.0, 1.0, 0.1), 1, seed=1)
+        for lam, gm in zip((at0.lambda1, at0.lambda2), gms):
+            assert lam[0, 0] == initial_hazard(gm)
 
     def test_determinism_and_path_offset(self):
         grid = TimeGrid(0.0, 5.0, 0.1)

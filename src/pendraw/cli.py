@@ -83,8 +83,8 @@ def _add_command(sub, name: str) -> None:
     elif name == "policy":
         p.add_argument("--t", type=float, default=0.0)
         p.add_argument("--lambda1", type=float, default=None,
-                       help="hazard of population 1 (default: model initial "
-                            "value)")
+                       help="hazard of population 1 (default: its baseline "
+                            "hazard at --t)")
         p.add_argument("--lambda2", type=float, default=None)
         p.add_argument("--wealth", type=float, default=None,
                        help="current wealth (default: scenario y0)")
@@ -135,10 +135,12 @@ def _cmd_mortality(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # one row per (path, time), path-major
     times = grid.nodes
-    lam2 = "" if paths.lambda2 is None else paths.lambda2.ravel()
+    # one column per factor's hazard, the second blank for one population
+    hazards = [lam.ravel() for lam in paths.hazards]
+    hazards += [""] * (2 - len(hazards))
     path = write_csv([np.tile(times, sc.n_paths),
                       np.repeat(np.arange(sc.n_paths), times.size),
-                      paths.lambda1.ravel(), lam2, paths.survival.ravel()],
+                      *hazards, paths.survival.ravel()],
                      ["time", "path_id", "lambda1", "lambda2", "survival"],
                      out / "paths.csv")
     print(f"wrote {path}")
@@ -186,15 +188,15 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_policy(args) -> int:
-    from .mortality import initial_hazard
+    from .mortality import baseline_hazard
 
     cfg = _load(args)
     model = cfg.model
     if args.lambda2 is not None and model.n_factors == 1:
         raise ConfigError(f"--lambda2 needs a two-population model kind, "
                           f"not {cfg.model_kind}")
-    # one hazard per factor: its initial value unless --lambda<k> gives it
-    lam = [initial_hazard(gm) if given is None else given
+    # one hazard per factor: its baseline at t unless --lambda<k> gives it
+    lam = [baseline_hazard(args.t, gm) if given is None else given
            for gm, given in zip(model.factors[2], (args.lambda1, args.lambda2))]
     wealth = args.wealth if args.wealth is not None else cfg.scenario.y0
     decision = optimal_policy(model, cfg.scenario, cfg.market, args.t,

@@ -59,7 +59,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .mortality import CIR, Model
+from .mortality import CIR, Model, _check_finite
 from .pricing import (LATTICE_STEP, MarketParams, _lattice_span,
                       build_coefficient_table, rolling_bond_volatility)
 
@@ -115,10 +115,7 @@ class SchemeScenario:
     t_max: float = 120.0
 
     def __post_init__(self):
-        for name in ("phi", "y0", "horizon", "dt", "t_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_finite(self, ("phi", "y0", "horizon", "dt", "t_max"))
         if self.phi < 0:
             raise ValueError(f"phi must be >= 0, got {self.phi}")
         if self.y0 <= 0:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -181,30 +181,44 @@ _CHUNK = 32
 class MortalityPaths:
     """Simulated hazard paths with the members' survival index and raw shocks.
 
-    ``survival`` integrates the simulated members' hazard by the trapezoidal
-    rule, so it agrees with the exponential-affine pricing formulas path by
-    path. Under an OU model the hazard can make small negative excursions,
-    and the index then rises slightly; CIR paths are nonnegative and the index
-    is monotone. ``shocks1``/``shocks2`` hold the standard-normal increments
-    (dW = sqrt(dt) * shock) for common-random-number reuse.
+    ``hazards`` holds one (n_paths, n_nodes) array per factor, in the order
+    of the model's ``factors``: the bond's reference population first, the
+    members last. ``survival`` integrates the members' hazard by the
+    trapezoidal rule, so it agrees with the exponential-affine pricing
+    formulas path by path. Under an OU model the hazard can make small
+    negative excursions, and the index then rises slightly; CIR paths are
+    nonnegative and the index is monotone. ``shocks`` holds one
+    (n_paths, n_steps) array of standard-normal increments per factor
+    (dW = sqrt(dt) * shock) for common-random-number reuse, and is empty
+    when they are not kept.
     """
 
     grid: TimeGrid
-    lambda1: np.ndarray               # (n_paths, n_nodes)
-    lambda2: Optional[np.ndarray]     # (n_paths, n_nodes) or None
+    hazards: Tuple[np.ndarray, ...]   # per factor, (n_paths, n_nodes)
     survival: np.ndarray              # (n_paths, n_nodes), members' population
-    shocks1: Optional[np.ndarray]     # (n_paths, n_steps) or None
-    shocks2: Optional[np.ndarray]
+    shocks: Tuple[np.ndarray, ...]    # per factor, (n_paths, n_steps), or ()
     seed: int
     path_offset: int
 
     @property
     def n_paths(self) -> int:
-        return self.lambda1.shape[0]
+        return self.hazards[0].shape[0]
 
     @property
     def members_hazard(self) -> np.ndarray:
-        return self.lambda2 if self.lambda2 is not None else self.lambda1
+        return self.hazards[-1]
+
+    # Read-only aliases by the former slot names: a factor's entry, or None
+    # past the factor count or with no shocks kept. perfbench/ is their only
+    # reader.
+    lambda1 = property(lambda self: _entry(self.hazards, 0))
+    lambda2 = property(lambda self: _entry(self.hazards, 1))
+    shocks1 = property(lambda self: _entry(self.shocks, 0))
+    shocks2 = property(lambda self: _entry(self.shocks, 1))
+
+
+def _entry(arrays: Tuple[np.ndarray, ...], i: int) -> Optional[np.ndarray]:
+    return arrays[i] if i < len(arrays) else None
 
 
 def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
@@ -305,12 +319,8 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
         survival[:, k0 + 1:k0 + w + 1] = s.T
         hz[:, 0] = hz[:, w]
 
-    # the second hazard and shock slots stay None for a one-factor model
-    shocks = xi + [None] if keep_shocks else [None, None]
-    return MortalityPaths(grid=grid, lambda1=lam[0],
-                          lambda2=lam[1] if len(lam) > 1 else None,
-                          survival=survival, shocks1=shocks[0],
-                          shocks2=shocks[1], seed=seed,
+    return MortalityPaths(grid=grid, hazards=tuple(lam), survival=survival,
+                          shocks=tuple(xi) if keep_shocks else (), seed=seed,
                           path_offset=path_offset)
 
 

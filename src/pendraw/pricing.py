@@ -55,7 +55,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mortality import (CIR, OU, Model, SinglePopModel, TwoPopModel, drift_a)
+from .mortality import (CIR, OU, Model, SinglePopModel, TwoPopModel,
+                        _check_finite, drift_a)
 from .numerics import NumericalFailure, integrate, solve_ode
 
 # spacing in s of the coefficient tables, and the step of their tau pass
@@ -78,10 +79,7 @@ class MarketParams:
     maturity: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _check_finite(self, [f.name for f in fields(self)])
         if self.sigma_s <= 0:
             raise ValueError(f"sigma_s must be > 0, got {self.sigma_s}")
         if self.maturity <= 0:

@@ -9,9 +9,10 @@ compensation offset exactly, so no hazard term remains in the drift):
 
 where alpha_S, alpha_L are currency positions, sigma_L is the rolling bond's
 volatility loading (``pricing.rolling_bond_volatility``) and theta_1_eff is
-theta_1 (OU) or theta_1*sqrt(lambda1) (CIR). W_1 reuses the Brownian increments retained by the mortality paths;
-W_S comes from a dedicated stream offset, so paired comparisons see identical
-noise (common random numbers).
+theta_1 (OU) or theta_1*sqrt(lambda1) (CIR). W_1 reuses the Brownian
+increments the mortality paths retain for factor 1, ``shocks[0]``; W_S comes
+from a dedicated stream offset, so paired comparisons see identical noise
+(common random numbers).
 
 Both policies, the optimal one and the one without the bond, withdraw Y/G
 and hold fixed fractions of wealth (w_S = theta_S/sigma_S in the stock, w_L
@@ -109,9 +110,7 @@ def _surface_key(model: Model, scenario: SchemeScenario,
 
 def _hazard_state(paths: MortalityPaths, k: int) -> np.ndarray:
     """(n_paths, n_factors) hazards at grid node k, the policy's state."""
-    if paths.lambda2 is None:
-        return paths.lambda1[:, k][:, None]
-    return np.column_stack([paths.lambda1[:, k], paths.members_hazard[:, k]])
+    return np.column_stack([lam[:, k] for lam in paths.hazards])
 
 
 def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
@@ -121,9 +120,7 @@ def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
     The hazards are stacked node-major once, so that each node's state is
     one contiguous (n_paths, n_factors) block.
     """
-    factors = [paths.lambda1] if paths.lambda2 is None \
-        else [paths.lambda1, paths.members_hazard]
-    states = np.stack([f.T for f in factors], axis=-1)
+    states = np.stack([lam.T for lam in paths.hazards], axis=-1)
     shape = (paths.n_paths, paths.grid.n_steps + 1)
     a, d, m1 = np.empty(shape), np.empty(shape), np.empty(shape)
     k1_end = np.empty(shape[1])
@@ -150,7 +147,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     if abs(grid.step - scenario.dt) > 1e-12 or abs(grid.t1 - scenario.horizon) > 1e-9:
         raise ConfigError("mortality paths were generated on a different grid "
                           "than the scenario requests")
-    if paths.shocks1 is None:
+    if not paths.shocks:
         raise ConfigError("scheme simulation needs the retained Brownian "
                           "increments (simulate with keep_shocks=True)")
     if policy_kind not in (OPTIMAL, NO_BOND):
@@ -179,7 +176,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
 
     # log F_k, built in place in the log-wealth array's columns 1..n
     dt, sqdt = grid.step, np.sqrt(grid.step)
-    lam1 = paths.lambda1[:, :n]
+    lam1 = paths.hazards[0][:, :n]
     vol_s = stock * market.sigma_s
     vol_l = w_bond[:, :n] * rolling_bond_volatility(model, market, lam1)
     # the longevity risk price carries the loading's sqrt(lambda1)
@@ -188,7 +185,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     wealth = np.empty((n_paths, n + 1))
     wealth[:, 0] = 0.0
     f = wealth[:, 1:]
-    np.multiply(paths.shocks1, sqdt, out=f)
+    np.multiply(paths.shocks[0], sqdt, out=f)
     f += theta_eff * dt
     f -= (0.5 * dt) * vol_l
     f *= vol_l

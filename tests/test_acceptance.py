@@ -185,7 +185,7 @@ def test_criterion_04_g_monte_carlo_oracle():
     for offset in range(0, n_total, block):
         paths = simulate_paths(model, grid, block, seed=44, path_offset=offset,
                                keep_shocks=False)
-        integrand = (SCEN.phi * paths.lambda1 + 1.0) * disc[None, :] \
+        integrand = (SCEN.phi * paths.hazards[0] + 1.0) * disc[None, :] \
             * paths.survival
         x = np.trapezoid(integrand, grid.nodes, axis=1)
         sums += x.sum()
@@ -342,7 +342,12 @@ def test_criterion_10_determinism(tmp_path):
     whole = simulate_paths(model, grid, 40, cfg.scenario.seed)
     part1 = simulate_paths(model, grid, 25, cfg.scenario.seed)
     part2 = simulate_paths(model, grid, 15, cfg.scenario.seed, path_offset=25)
-    stitched = np.vstack([part1.lambda1, part2.lambda1])
-    assert np.array_equal(whole.lambda1, stitched)
+    def arrays(paths):
+        return [*paths.hazards, paths.survival, *paths.shocks]
+
+    stitched = [np.vstack(pair) for pair in zip(arrays(part1), arrays(part2))]
+    assert len(arrays(whole)) == len(stitched) == 2 * model.n_factors + 1
+    for a, b in zip(arrays(whole), stitched):
+        assert np.array_equal(a, b)
     print(f"criterion 10 PASS: repeated base experiment byte-identical "
           f"({len(names)} files); block-split paths equal the monolithic run")

@@ -307,8 +307,8 @@ def _reference_dump_rows(paths):
     """The hazard dump written one field at a time."""
     for i in range(paths.n_paths):
         for k, t in enumerate(paths.grid.nodes):
-            lam2 = "" if paths.lambda2 is None else paths.lambda2[i, k]
-            yield (t, i, paths.lambda1[i, k], lam2, paths.survival[i, k])
+            lam = [h[i, k] for h in paths.hazards] + [""]
+            yield (t, i, lam[0], lam[1], paths.survival[i, k])
 
 
 class TestMortalityDumpBytes:
@@ -745,6 +745,23 @@ class TestCli:
         assert code == 1
         assert "--lambda2" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["ou-single", "cir-sub"])
+    def test_policy_defaults_hazards_to_their_baseline_at_t(self, tmp_path,
+                                                            capsys, kind):
+        # an unset --lambda<k> is factor k's baseline hazard at --t, not its
+        # value at t = 0
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(shipped_text(kind))
+        assert main(["policy", "--config", str(cfg_path), "--t", "30"]) == 0
+        values = capsys.readouterr().out.splitlines()[1].split(",")
+        cfg = load_config(cfg_path)
+        lam = [baseline_hazard(30.0, gm) for gm in cfg.model.factors[2]]
+        want = [format_number(v) for v in lam] + [""] * (2 - len(lam))
+        assert values[1:3] == want
+        g = annuity_G(cfg.model, cfg.scenario, cfg.market, 30.0,
+                      np.array(lam))
+        assert values[4] == format_number(g)
 
     def test_policy_rejects_t_that_rounds_to_t_max(self, tmp_path, capsys):
         code = main(["policy", "--config", str(small_config(tmp_path)),

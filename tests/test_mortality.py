@@ -95,7 +95,7 @@ class TestModelValidation:
         big_b, _, _ = model.factors
         assert big_b[0, 0] == big_b[1, 1] == 0.65
         paths = simulate_paths(model, TimeGrid(0.0, 5.0, 0.1), 4, seed=3)
-        assert np.all(np.isfinite(paths.lambda2))
+        assert np.all(np.isfinite(paths.hazards[1]))
         assert np.all(np.isfinite(paths.survival))
 
     def test_negative_sigma_rejected(self):
@@ -123,12 +123,13 @@ class TestSimulatePaths:
         paths = simulate_paths(model, grid, 1, seed=1, keep_shocks=False)
         _, ys = solve_ode(lambda t, y: drift_a(t, POP1, B1) - B1 * y,
                           0.0, 35.0, [initial_hazard(POP1)], step=0.01)
-        assert np.max(np.abs(paths.lambda1[0] - ys[:, 0])) < 1e-4
+        assert np.max(np.abs(paths.hazards[0][0] - ys[:, 0])) < 1e-4
 
     def test_zero_noise_tracks_baseline_curve(self):
         grid = TimeGrid(0.0, 35.0, 0.01)
         paths = simulate_paths(ou_single(sigma=0.0), grid, 1, seed=1)
-        assert np.max(np.abs(paths.lambda1[0] - baseline_hazard(grid.nodes, POP1))) < 1e-4
+        assert np.max(np.abs(paths.hazards[0][0]
+                             - baseline_hazard(grid.nodes, POP1))) < 1e-4
 
     @pytest.mark.parametrize("make_model", [ou_single, cir_two])
     def test_paths_start_at_the_first_grid_node(self, make_model):
@@ -137,25 +138,26 @@ class TestSimulatePaths:
         model = make_model()
         gms = model.factors[2]
         paths = simulate_paths(model, TimeGrid(10.0, 45.0, 0.1), 3, seed=1)
-        for lam, gm in zip((paths.lambda1, paths.lambda2), gms):
+        assert len(paths.hazards) == len(gms)
+        for lam, gm in zip(paths.hazards, gms):
             assert np.all(lam[:, 0] == baseline_hazard(10.0, gm))
         at0 = simulate_paths(model, TimeGrid(0.0, 1.0, 0.1), 1, seed=1)
-        for lam, gm in zip((at0.lambda1, at0.lambda2), gms):
+        for lam, gm in zip(at0.hazards, gms):
             assert lam[0, 0] == initial_hazard(gm)
 
     def test_determinism_and_path_offset(self):
         grid = TimeGrid(0.0, 5.0, 0.1)
         a = simulate_paths(ou_single(), grid, 10, seed=3)
         b = simulate_paths(ou_single(), grid, 10, seed=3)
-        assert np.array_equal(a.lambda1, b.lambda1)
+        assert np.array_equal(a.hazards[0], b.hazards[0])
         # block split reproduces the monolithic run
         c = simulate_paths(ou_single(), grid, 4, seed=3, path_offset=6)
-        assert np.array_equal(a.lambda1[6:], c.lambda1)
+        assert np.array_equal(a.hazards[0][6:], c.hazards[0])
 
     def test_cir_paths_nonnegative(self):
         grid = TimeGrid(0.0, 35.0, 0.1)
         paths = simulate_paths(cir_single(), grid, 500, seed=9)
-        assert paths.lambda1.min() >= 0.0
+        assert paths.hazards[0].min() >= 0.0
         assert paths.survival.min() > 0.0
         assert np.all(np.diff(paths.survival, axis=1) <= 0.0)
 
@@ -164,8 +166,8 @@ class TestSimulatePaths:
         model = TwoPopModel("cir", POP1, POP2, B1, B21, B22, SIGMA1, SIGMA21,
                             SIGMA22)
         paths = simulate_paths(model, grid, 200, seed=9)
-        assert paths.lambda1.min() >= 0.0
-        assert paths.lambda2.min() >= 0.0
+        assert paths.hazards[0].min() >= 0.0
+        assert paths.hazards[1].min() >= 0.0
 
     def test_survival_multiplicativity(self):
         grid = TimeGrid(0.0, 10.0, 0.1)
@@ -183,9 +185,9 @@ class TestSimulatePaths:
         paths = simulate_paths(ou_single(), grid, n, seed=11, keep_shocks=False)
         # the Euler mean follows the deterministic Euler recursion exactly
         mean_path = simulate_paths(ou_single(sigma=0.0), grid, 1, seed=0,
-                                   keep_shocks=False).lambda1[0]
-        se = paths.lambda1.std(axis=0, ddof=1) / np.sqrt(n)
-        err = np.abs(paths.lambda1.mean(axis=0) - mean_path)
+                                   keep_shocks=False).hazards[0][0]
+        se = paths.hazards[0].std(axis=0, ddof=1) / np.sqrt(n)
+        err = np.abs(paths.hazards[0].mean(axis=0) - mean_path)
         assert np.all(err[1:] < 3.0 * se[1:])
 
     def test_mc_survival_matches_closed_form(self):
@@ -204,16 +206,16 @@ class TestSimulatePaths:
         grid = TimeGrid(0.0, 20.0, 0.1)
         n = 400
         paths = simulate_paths(ou_two(sigma21=0.0), grid, n, seed=23)
-        d1 = np.diff(paths.lambda1, axis=1).ravel()
-        d2 = np.diff(paths.lambda2, axis=1).ravel()
+        d1 = np.diff(paths.hazards[0], axis=1).ravel()
+        d2 = np.diff(paths.hazards[1], axis=1).ravel()
         corr = np.corrcoef(d1, d2)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(d1.size)
 
     def test_coupled_increments_correlated(self):
         grid = TimeGrid(0.0, 20.0, 0.1)
         paths = simulate_paths(ou_two(sigma21=0.004), grid, 400, seed=23)
-        d1 = np.diff(paths.lambda1, axis=1).ravel()
-        d2 = np.diff(paths.lambda2, axis=1).ravel()
+        d1 = np.diff(paths.hazards[0], axis=1).ravel()
+        d2 = np.diff(paths.hazards[1], axis=1).ravel()
         assert np.corrcoef(d1, d2)[0, 1] > 0.5
 
     def test_invalid_path_count(self):
@@ -222,8 +224,8 @@ class TestSimulatePaths:
 
 
 def _two_loop_paths(model, grid, n_paths, seed, path_offset=0):
-    """(lambda1, lambda2, survival, shocks1, shocks2) from the former
-    ``simulate_paths``, which kept one Euler loop per model class."""
+    """(hazards, survival, shocks) from the former ``simulate_paths``, which
+    kept one Euler loop per model class."""
     n, dt, times = grid.n_steps, grid.step, grid.nodes
     sqdt = np.sqrt(dt)
     is_cir = model.kind == "cir"
@@ -247,7 +249,7 @@ def _two_loop_paths(model, grid, n_paths, seed, path_offset=0):
             x = x + (drift_a(times[k], model.gm, model.b) - model.b * xp) * dt \
                 + vol(model.sigma, x) * sqdt * xi1[:, k]
             lam1[:, k + 1] = clamp(x)
-        lam2, members = None, lam1
+        hazards = (lam1,)
     else:
         lam2 = np.empty((n_paths, n + 1))
         x1 = np.full(n_paths, initial_hazard(model.gm1))
@@ -262,18 +264,18 @@ def _two_loop_paths(model, grid, n_paths, seed, path_offset=0):
                        - model.b21 * x1p - model.b22 * x2p) * dt \
                 + vol(model.sigma21, x1p) * dw1 + vol(model.sigma22, x2p) * dw2
             lam1[:, k + 1], lam2[:, k + 1] = clamp(x1), clamp(x2)
-        members = lam2
+        hazards = (lam1, lam2)
+    members = hazards[-1]
     survival = np.empty((n_paths, n + 1))
     survival[:, 0] = 1.0
     increments = 0.5 * dt * (members[:, :-1] + members[:, 1:])
     survival[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
-    return lam1, lam2, survival, xi1, xi2
+    return hazards, survival, (xi1, xi2)[:len(hazards)]
 
 
 def _column_loop_paths(model, grid, n_paths, seed, path_offset=0):
-    """(lambda1, lambda2, survival, shocks1, shocks2) from the former
-    ``simulate_paths``, which stepped all paths one node column at a time
-    on the path-major outputs."""
+    """(hazards, survival, shocks) from the former ``simulate_paths``, which
+    stepped all paths one node column at a time on the path-major outputs."""
     n, dt, times = grid.n_steps, grid.step, grid.nodes
     sqdt = np.sqrt(dt)
     is_cir = model.kind == "cir"
@@ -310,11 +312,21 @@ def _column_loop_paths(model, grid, n_paths, seed, path_offset=0):
     survival[:, 0] = 1.0
     increments = 0.5 * dt * (members[:, :-1] + members[:, 1:])
     survival[:, 1:] = np.exp(-np.cumsum(increments, axis=1))
-    return (lam[0], lam[1] if len(lam) > 1 else None, survival, xi[0],
-            xi[1] if len(xi) > 1 else None)
+    return tuple(lam), survival, tuple(xi)
 
 
-PATH_FIELDS = ("lambda1", "lambda2", "survival", "shocks1", "shocks2")
+PATH_FIELDS = ("hazards", "survival", "shocks")
+
+
+def _path_arrays(hazards, survival, shocks):
+    """Every array of a path set by name, the tuples' entries by index."""
+    return {**{f"hazards[{f}]": a for f, a in enumerate(hazards)},
+            "survival": survival,
+            **{f"shocks[{f}]": a for f, a in enumerate(shocks)}}
+
+
+def _arrays_of(paths):
+    return _path_arrays(*(getattr(paths, name) for name in PATH_FIELDS))
 DIST_FIELDS = ("cdf", "density", "mean_cdf", "mean_density")
 MODELS = {"ou-single": ou_single(), "cir-single": cir_single(),
           "ou-sub": ou_two(), "cir-sub": cir_two(),
@@ -338,17 +350,16 @@ class TestTimeMajorChunks:
         grid = TimeGrid(0.0, 0.1 * n_steps, 0.1)
         paths = simulate_paths(model, grid, n_paths, seed=5,
                                path_offset=path_offset)
-        want = _column_loop_paths(model, grid, n_paths, seed=5,
-                                  path_offset=path_offset)
-        for name, b in zip(PATH_FIELDS, want):
-            a = getattr(paths, name)
-            if b is None:
-                assert a is None, name
-                continue
+        got = _arrays_of(paths)
+        want = _path_arrays(*_column_loop_paths(model, grid, n_paths, seed=5,
+                                                path_offset=path_offset))
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            b = want[name]
             assert a.shape == b.shape and np.array_equal(a, b), name
             assert a.flags.c_contiguous and a.flags.owndata, name
         if kind == "ou-dip" and n_paths == 60 and n_steps > 1:
-            assert paths.lambda1.min() < 0.0
+            assert paths.hazards[0].min() < 0.0
         dist = death_time_distribution(paths)
         cdf, density = _floored_death_time(paths)
         want = (cdf, density, cdf.mean(axis=0), density.mean(axis=0))
@@ -384,7 +395,7 @@ class TestMemory:
         paths, peak = _traced_peak(simulate_paths, cir_two(), self.GRID,
                                    self.N_PATHS, 42)
         unit = paths.survival.nbytes
-        outputs = sum(getattr(paths, name).nbytes for name in PATH_FIELDS)
+        outputs = sum(a.nbytes for a in _arrays_of(paths).values())
         assert peak <= outputs + 0.5 * unit, peak / unit
 
     @pytest.mark.parametrize("kind", ["cir-sub", "ou-dip"])
@@ -422,12 +433,12 @@ class TestOneEulerLoop:
                                   "cir-sub-uncoupled"])
     def test_two_population_identical(self, model):
         paths = simulate_paths(model, self.GRID, 60, seed=5, path_offset=7)
-        want = _two_loop_paths(model, self.GRID, 60, seed=5, path_offset=7)
-        got = (paths.lambda1, paths.lambda2, paths.survival, paths.shocks1,
-               paths.shocks2)
-        for name, a, b in zip(("lambda1", "lambda2", "survival", "shocks1",
-                               "shocks2"), got, want):
-            assert np.array_equal(a, b), name
+        got = _arrays_of(paths)
+        want = _path_arrays(*_two_loop_paths(model, self.GRID, 60, seed=5,
+                                             path_offset=7))
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            assert np.array_equal(a, want[name]), name
 
     @pytest.mark.parametrize("model", [ou_single(), cir_single()],
                              ids=["ou-single", "cir-single"])
@@ -435,12 +446,12 @@ class TestOneEulerLoop:
         # the former loop multiplied (vol * sqrt(dt)) * xi, this one
         # vol * (sqrt(dt) * xi): the hazards differ in the last bits only
         paths = simulate_paths(model, self.GRID, 60, seed=5, path_offset=7)
-        lam1, lam2, survival, xi1, _ = _two_loop_paths(model, self.GRID, 60,
-                                                       seed=5, path_offset=7)
-        assert lam2 is None and paths.lambda2 is None
-        assert np.all(np.abs(paths.lambda1 - lam1) <= 1e-14 * np.abs(lam1))
+        (lam1,), survival, (xi1,) = _two_loop_paths(model, self.GRID, 60,
+                                                    seed=5, path_offset=7)
+        assert len(paths.hazards) == len(paths.shocks) == 1
+        assert np.all(np.abs(paths.hazards[0] - lam1) <= 1e-14 * np.abs(lam1))
         assert np.all(np.abs(paths.survival - survival) <= 1e-14 * survival)
-        assert np.array_equal(paths.shocks1, xi1) and paths.shocks2 is None
+        assert np.array_equal(paths.shocks[0], xi1)
 
     @pytest.mark.parametrize("kind", ["ou", "cir"])
     def test_single_population_is_population1_of_two(self, kind):
@@ -449,13 +460,42 @@ class TestOneEulerLoop:
                           SIGMA22)
         a = simulate_paths(single, self.GRID, 60, seed=5, path_offset=7)
         b = simulate_paths(two, self.GRID, 60, seed=5, path_offset=7)
-        assert np.array_equal(a.lambda1, b.lambda1)
-        assert np.array_equal(a.shocks1, b.shocks1)
+        assert np.array_equal(a.hazards[0], b.hazards[0])
+        assert np.array_equal(a.shocks[0], b.shocks[0])
 
     def test_shocks_dropped(self):
         paths = simulate_paths(cir_two(), self.GRID, 5, seed=5,
                                keep_shocks=False)
-        assert paths.shocks1 is None and paths.shocks2 is None
+        assert paths.shocks == ()
+        assert len(paths.hazards) == 2
+
+
+class TestSlotAliases:
+    """perfbench/ reads the former slot names ``lambda1``, ``lambda2``,
+    ``shocks1`` and ``shocks2``: each is its tuple entry, or None past the
+    factor count or with no shocks kept. This goes with the aliases once
+    perfbench/ reads ``hazards`` and ``shocks``."""
+
+    @pytest.mark.parametrize("keep_shocks", [True, False])
+    @pytest.mark.parametrize("model", [ou_single(), cir_two()],
+                             ids=["ou-single", "cir-sub"])
+    def test_aliases_are_the_tuple_entries(self, model, keep_shocks):
+        paths = simulate_paths(model, TimeGrid(0.0, 1.0, 0.1), 5, seed=5,
+                               keep_shocks=keep_shocks)
+        n_f = model.n_factors
+        assert len(paths.hazards) == n_f
+        assert len(paths.shocks) == (n_f if keep_shocks else 0)
+        for alias, arrays, i in [("lambda1", paths.hazards, 0),
+                                 ("lambda2", paths.hazards, 1),
+                                 ("shocks1", paths.shocks, 0),
+                                 ("shocks2", paths.shocks, 1)]:
+            got = getattr(paths, alias)
+            if i < len(arrays):
+                assert got is arrays[i], alias
+            else:
+                assert got is None, alias
+        with pytest.raises(AttributeError):
+            paths.lambda1 = paths.hazards[0]
 
 
 def _floored_death_time(paths):

@@ -300,7 +300,7 @@ class TestTildeMean:
         grid = TimeGrid(0.0, s, 0.1)
         paths = simulate_paths(model, grid, n, seed=113, keep_shocks=False)
         weights = paths.survival[:, -1]
-        lam_end = paths.lambda1[:, -1]
+        lam_end = paths.hazards[0][:, -1]
         ratio = float(np.mean(lam_end * weights) / np.mean(weights))
         infl = (lam_end * weights - ratio * weights) / weights.mean()
         se = infl.std(ddof=1) / np.sqrt(n)
@@ -315,7 +315,7 @@ class TestTildeMean:
         grid = TimeGrid(0.0, s, 0.05)
         paths = simulate_paths(model, grid, n, seed=127, keep_shocks=False)
         weights = paths.survival[:, -1]
-        lam_end = paths.lambda2[:, -1]
+        lam_end = paths.hazards[1][:, -1]
         ratio = float(np.mean(lam_end * weights) / np.mean(weights))
         infl = (lam_end * weights - ratio * weights) / weights.mean()
         se = infl.std(ddof=1) / np.sqrt(n)

@@ -63,6 +63,10 @@ def test_shared_surface_is_g_and_gradient_at_every_phi(kind, phi, r, theta1,
     surface = g_surface(model, base, market, paths)
     scen = dataclasses.replace(base, phi=phi, y0=y0)
     g, grad1 = surface.at(phi)
+    # at every (path, node) G is a finite positive annuity value and its
+    # gradient is finite, whatever the sign of 1 - phi r
+    assert np.all(np.isfinite(g)) and np.all(g > 0.0)
+    assert np.all(np.isfinite(grad1))
     for k, t in enumerate(paths.grid.nodes):
         g_k, grad_k = g_and_gradient(model, scen, market, t,
                                      _hazard_state(paths, k))

@@ -61,14 +61,14 @@ def step_loop(model, scen, market, paths, policy):
         if k == n:
             break
         beta, ws, wb = withdraw[:, k], w_stock[:, k], w_bond[:, k]
-        lam1 = paths.lambda1[:, k]
+        lam1 = paths.hazards[0][:, k]
         sigma_l = rolling_bond_volatility(model, market, lam1)
         theta_eff = market.theta_1 * (np.sqrt(lam1) if model.kind == "cir"
                                       else 1.0)
         drift = (market.r * y + ws * y * market.sigma_s * market.theta_s
                  + wb * y * sigma_l * theta_eff - beta)
         diffusion = (ws * y * market.sigma_s * sqdt * xi_s[:, k]
-                     + wb * y * sigma_l * sqdt * paths.shocks1[:, k])
+                     + wb * y * sigma_l * sqdt * paths.shocks[0][:, k])
         var = (ws * market.sigma_s) ** 2 + (wb * sigma_l) ** 2
         wealth[:, k + 1] = y * np.exp((drift / y - var / 2) * dt
                                       + diffusion / y)
@@ -125,7 +125,7 @@ class TestSimulateScheme:
         traj = simulate_scheme(model, scen, market, NO_BOND, paths)
         g = np.column_stack([
             g_and_gradient(model, scen, market, t, lam[:, None])[0]
-            for t, lam in zip(paths.grid.nodes, paths.lambda1.T)])
+            for t, lam in zip(paths.grid.nodes, paths.hazards[0].T)])
         log_growth = np.zeros_like(g)
         np.cumsum((market.r - 1.0 / g[:, :-1]) * scen.dt, axis=1,
                   out=log_growth[:, 1:])
@@ -138,7 +138,7 @@ class TestSimulateScheme:
         paths = make_paths(model, scen)
         traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
         for k in (0, 100, 350):
-            lam = paths.lambda1[:, k][:, None]
+            lam = paths.hazards[0][:, k][:, None]
             g, _ = g_and_gradient(model, scen, MARKET, paths.grid.nodes[k], lam)
             assert np.array_equal(traj.withdraw[:, k], traj.wealth[:, k] / g)
 
@@ -151,7 +151,7 @@ class TestSimulateScheme:
         assert np.all(total == 1.0)
 
     @staticmethod
-    def log_step(traj, k, sigma_l, theta_eff, xi_s, shocks1, dt):
+    def log_step(traj, k, sigma_l, theta_eff, xi_s, xi_1, dt):
         """log(Y_{k+1}/Y_k) of the exact log step, rebuilt from the stored
         weights and withdrawal and the reconstructed noise."""
         y = traj.wealth[:, k]
@@ -160,7 +160,7 @@ class TestSimulateScheme:
         mu = (MARKET.r + vol_s * MARKET.theta_s + vol_l * theta_eff
               - traj.withdraw[:, k] / y)
         return ((mu - (vol_s ** 2 + vol_l ** 2) / 2) * dt
-                + np.sqrt(dt) * (vol_s * xi_s[:, k] + vol_l * shocks1[:, k]))
+                + np.sqrt(dt) * (vol_s * xi_s[:, k] + vol_l * xi_1[:, k]))
 
     # the stored log increment rounds in the running sum, the exp, the
     # ratio and the log, at log-wealth of order 1 on these short horizons
@@ -178,7 +178,7 @@ class TestSimulateScheme:
         sigma_l = -float(a1_ou(model.b, MARKET.maturity)) * model.sigma
         for k in range(paths.grid.n_steps):
             step = self.log_step(traj, k, sigma_l, MARKET.theta_1, xi_s,
-                                 paths.shocks1, dt)
+                                 paths.shocks[0], dt)
             resid = np.log(traj.wealth[:, k + 1] / traj.wealth[:, k]) - step
             assert np.all(np.abs(resid) <= self.LOG_STEP_TOL)
 
@@ -266,7 +266,8 @@ class TestSimulateScheme:
         scen = scenario(n_paths=3, horizon=2.0)
         paths = make_paths(model, scen)
         traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
-        assert np.array_equal(traj.compensation, paths.lambda2 * traj.wealth)
+        assert np.array_equal(traj.compensation,
+                              paths.hazards[1] * traj.wealth)
 
     def test_cir_self_financing_identity(self):
         # CIR wealth dynamics scale the bond volatility and the longevity
@@ -282,9 +283,10 @@ class TestSimulateScheme:
         dt = scen.dt
         a1_t = float(a1_cir(model.b, model.sigma, MARKET.maturity))
         for k in range(paths.grid.n_steps):
-            sq = np.sqrt(np.maximum(paths.lambda1[:, k], 0.0))
+            sq = np.sqrt(np.maximum(paths.hazards[0][:, k], 0.0))
             step = self.log_step(traj, k, -a1_t * model.sigma * sq,
-                                 MARKET.theta_1 * sq, xi_s, paths.shocks1, dt)
+                                 MARKET.theta_1 * sq, xi_s, paths.shocks[0],
+                                 dt)
             resid = np.log(traj.wealth[:, k + 1] / traj.wealth[:, k]) - step
             assert np.all(np.abs(resid) <= self.LOG_STEP_TOL)
 

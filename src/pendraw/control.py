@@ -29,19 +29,23 @@ curve alone and only A and its gradient a quadrature. 1 - phi r turns
 negative once phi r > 1, yet G stays above A: phi (1 - D - r A) =
 phi int_t^T e^{-r(s-t)} (-dS/ds) ds, which is positive while S falls.
 
-The quadrature runs over nodes s_n of the coefficient table, which is the
-one cached tau pass shared by every anchor (``pricing``): the trapezoid rule
-on every 10th lattice node, with Gregory end corrections that make it exact
-for polynomials of degree below 8. The rule stops at the survival-underflow
-point, or ends in a short panel at t_max; anchors with a high hazard or a
-short span use a smaller stride. On the nodes (weights w_n) A and the
-gradient's integrals are the moments M[x] = sum_n w_n e^{-r(s_n - t)} surv_n
-x_n of x in {1, k_i}, surv = exp(k0 - sum_i lam_i k_i). A batch of states
-then costs one exp of the (states x nodes) exponent and one product with the
+The quadrature reads the one cached tau pass shared by every anchor
+(``pricing``) at its rule's nodes only: the trapezoid rule on every 10th
+node s_n = t + 0.05 n of the lattice, with Gregory end corrections that make
+it exact for polynomials of degree below 8. The rule stops at the
+survival-underflow cut, the first rule node with k0 < -80, or ends in a
+short panel at t_max; anchors with a high hazard or a short span use a
+smaller stride. On the nodes (weights w_n) A and the gradient's integrals
+are the moments M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in
+{1, k_i}, surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one
+exp of the (states x nodes) exponent and one product with the
 (nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
 None of these pieces depends on phi (``g_pieces``), so one set of them gives
-G and its gradient at every phi (``scheme.g_surface`` shares them between
-arms).
+G and its gradient at every phi. ``scheme.g_surface`` computes them at every
+grid node in one call of the same route (``_g_pieces_at``) and shares them
+between arms. The coefficient tables (``pricing.build_coefficient_table``)
+hold the same floats on every lattice node; they serve ``pendraw coeffs``
+and the tests' node-by-node oracles, not G.
 
 The optimal policy withdraws wealth/G, holds theta_s/sigma_s of wealth in the
 stock, and hedges with the rolling longevity bond through the first hazard
@@ -60,8 +64,9 @@ from typing import Tuple
 import numpy as np
 
 from .mortality import CIR, Model, _check_finite
-from .pricing import (LATTICE_STEP, MarketParams, _lattice_span,
-                      build_coefficient_table, rolling_bond_volatility)
+from .pricing import (LATTICE_STEP, MarketParams, _lattice_nodes,
+                      _lattice_span, _tail_node, _tau_table,
+                      rolling_bond_volatility)
 
 # A and its gradient are the trapezoid rule on every GREGORY_STRIDE-th node
 # of the coefficient lattice, with GREGORY_ORDER-point Gregory end
@@ -92,6 +97,11 @@ GRAD_REL_TOL = 2.5e-7
 GREGORY_STRIDE = 10
 GREGORY_ORDER = 8
 GREGORY_RATE_STEP = 0.06
+# stride nodes (anchors x nodes) that ``_g_pieces_at`` assembles in one set
+# of array operations, 34 anchors at stride 10 and t_max = 120: timed on
+# ``scheme.g_surface`` at the shipped config, 4 096 to 2**20 run alike and
+# 2 048 about 5% slower; each block array takes 64 kB
+_BLOCK_NODES = 8192
 # Bernoulli numbers B_2 .. B_8 (numerator, denominator) for the Gregory
 # corrections
 _BERNOULLI = {2: (1, 6), 4: (-1, 30), 6: (1, 42), 8: (-1, 30)}
@@ -203,40 +213,18 @@ def _gregory_rule(m: int, delta: float, q: int) -> np.ndarray:
     return w
 
 
-def _g_nodes(tab, n: int, partial: bool, max_stride: int):
-    """Table rows and weights of G's outer rule (see ``GREGORY_STRIDE``).
-
-    The rule spans [t, t_max], or up to the first node on its stride at or
-    past the survival-underflow point (k0 < -80, where the integrand is below
-    e^-80 of its start). Its stride is at most ``max_stride`` lattice steps,
-    and a span of fewer than (GREGORY_ORDER - 1) strides takes the largest
-    stride that still gives that many, down to one lattice step. A span that
-    ends between strides ends with a short panel to the table's last node,
-    t_max.
-    """
-    dead = np.flatnonzero(tab.k0[:n + 1] < -80.0)
-    last = int(dead[0]) if dead.size else n       # in lattice steps
-    stride = max(1, min(max_stride, last // (GREGORY_ORDER - 1)))
-    m = -(-last // stride)
-    if m * stride <= n and (dead.size or not partial):
-        return stride * np.arange(m + 1), _gregory_weights(m, 0.0) \
-            * (stride * LATTICE_STEP)
-    m = n // stride
-    rows = np.append(stride * np.arange(m + 1), tab.s.size - 1)
-    delta = (tab.tau[-1] - tab.tau[m * stride]) / (stride * LATTICE_STEP)
-    return rows, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
-
-
-def _max_stride(model: Model, market: MarketParams, t: float) -> int:
+def _max_stride(gm, r: float, t: float) -> int:
     """GREGORY_STRIDE, or fewer lattice steps where the integrand's initial
-    decay rate r + (members' baseline hazard at t) makes rate * spacing
-    exceed GREGORY_RATE_STEP."""
-    gm = model.factors[2][-1]
+    decay rate r + (baseline hazard at t of the members' curve gm) makes
+    rate * spacing exceed GREGORY_RATE_STEP."""
     # capped below math.exp's overflow; any rate that large gives stride 1
     growth = math.exp(min((t - gm.m) / gm.delta, 700.0))
-    rate = market.r + (gm.nu + growth / gm.delta)
-    return max(1, min(GREGORY_STRIDE,
-                      int(GREGORY_RATE_STEP / (rate * LATTICE_STEP))))
+    spacing = (r + (gm.nu + growth / gm.delta)) * LATTICE_STEP
+    # a rate of zero (r = nu = 0 with the Gompertz term underflowed) or one
+    # this small needs no smaller stride, and must not reach the division
+    if 0.0 <= spacing * GREGORY_STRIDE <= GREGORY_RATE_STEP:
+        return GREGORY_STRIDE
+    return max(1, min(GREGORY_STRIDE, int(GREGORY_RATE_STEP / spacing)))
 
 
 def _anchor(t) -> float:
@@ -244,6 +232,155 @@ def _anchor(t) -> float:
     nodes such as 0.1 * k sit on the coefficient lattice. Every check
     against t_max tests this value."""
     return round(float(t), 9)
+
+
+def _stride_nodes(tt, t_max: float, spans, stride: int, n_cols: int):
+    """(k0, tau) at the lattice nodes min(j * stride, n), j < n_cols, of the
+    anchors ``spans`` = [(t, n, partial), ...], one row per anchor, as
+    ``pricing.build_coefficient_table`` gives them."""
+    t = np.array([[t] for t, _, _ in spans])
+    n = np.array([[n] for _, n, _ in spans])
+    idx = np.minimum(stride * np.arange(n_cols), n)
+    end = np.array([[-1 if partial else n] for _, n, partial in spans])
+    s, k0 = _lattice_nodes(tt, t, t_max, end, idx)
+    s -= t
+    return k0, s
+
+
+def _first_dead(k0: np.ndarray, n: np.ndarray, stride: int) -> np.ndarray:
+    """Per row of ``_stride_nodes``' k0, the first column j with
+    j * stride <= n where k0 < -80 (the survival factor is below e^-80 of
+    its start there), or -1. The columns past n // stride repeat node n, so
+    the first dead column lies past them only when none up to them is."""
+    dead = k0 < -80.0
+    first = dead.argmax(axis=1)
+    return np.where(dead[np.arange(first.size), first] & (first * stride <= n),
+                    first, -1)
+
+
+def _short_span(tt, t_max: float, r: float, span, stride: int):
+    """The stride of a span with fewer than GREGORY_ORDER nodes on its
+    largest stride before its cut or end: the largest, at most ``stride``,
+    that gives GREGORY_ORDER - 1 strides up to the first lattice node with
+    k0 < -80, or to n. Returns (stride, cut, k0, tau, disc) on the new
+    stride as the block loop of ``_g_pieces_at`` has them, or None when the
+    stride stays."""
+    n = span[1]
+    lattice, _ = _stride_nodes(tt, t_max, [span], 1,
+                               min(n, GREGORY_ORDER * stride) + 1)
+    dead = np.flatnonzero(lattice[0] < -80.0)
+    last = int(dead[0]) if dead.size else n
+    short = max(1, min(stride, last // (GREGORY_ORDER - 1)))
+    if short == stride:
+        return None
+    k0, tau = _stride_nodes(tt, t_max, [span], short, -(-n // short) + 1)
+    cut = int(_first_dead(k0, np.array([n]), short)[0])
+    return short, cut, k0[0], tau[0], np.exp(-r * tau[0])
+
+
+def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
+          cut: int, k0: np.ndarray, tau: np.ndarray, disc: np.ndarray):
+    """G's outer rule at one anchor from k0, tau and the discount on its
+    stride nodes: nodes 0..m on the stride, up to the cut, or to n with an
+    end panel delta strides long when n is not on the stride or the span
+    ends in a partial step (at the RK4 tail node, t_max).
+
+    Returns (wk, k0, disc, w) on the rule's nodes: ``wk`` holds ones in row
+    0 and C in the rows below, ``w`` the weights.
+    """
+    t, n, partial = span
+    m = cut if cut >= 0 else n // stride
+    panel = cut < 0 and (partial or n % stride > 0)
+    lattice = stride * np.arange(m + 1 + panel)
+    wk = np.empty((1 + tt.c.shape[0], lattice.size))
+    wk[0] = 1.0
+    if panel and partial:
+        wk[1:, -1], k0_end = _tail_node(model, tt, t, n, t_max)
+        tt.c.take(lattice[:-1], axis=1, out=wk[1:, :-1])
+        k0 = np.append(k0[:m + 1], k0_end)
+        tau_end = t_max - t
+        disc = np.append(disc[:m + 1], np.exp([-r * tau_end]))
+    else:
+        if panel:
+            lattice[-1] = n
+        tt.c.take(lattice, axis=1, out=wk[1:])
+        k0, disc = k0[:lattice.size], disc[:lattice.size]
+        tau_end = tau[lattice.size - 1]
+    delta = (tau_end - tau[m]) / (stride * LATTICE_STEP) if panel else 0.0
+    return wk, k0, disc, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
+
+
+def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
+                 times, states: np.ndarray):
+    """``g_pieces`` at many anchors: ``states[i]`` is the (n_states,
+    n_factors) batch at ``times[i]``. Returns A, D and the moments M[k_f],
+    one per factor f, each as (n_states, n_anchors), and k(T) as
+    (n_factors, n_anchors).
+
+    The rule's nodes are read straight off the cached tau pass
+    (``pricing._tau_table``, one lookup per call). Anchors that share a
+    largest stride (``_max_stride``) have k0 assembled on their stride nodes
+    together, _BLOCK_NODES nodes at a time; the rule ends at the first of
+    them with k0 < -80, or at t_max (``_rule``). A span of fewer than
+    GREGORY_ORDER such nodes may take a smaller stride (``_short_span``).
+    Each anchor then costs one product of its states with C on its nodes,
+    one exp into a reused buffer and one product with the moment matrix.
+    Every value is the float the anchor's coefficient table would give.
+    """
+    n_anchors, n_states, n_fac = states.shape
+    t_max, r, gm = scenario.t_max, market.r, model.factors[2][-1]
+    groups, tables, empty = {}, {}, []
+    for i, t in enumerate(times):
+        t = _anchor(t)
+        if t >= t_max:
+            empty.append(i)
+            continue
+        n, partial = _lattice_span(t, t_max)
+        # the pass ``build_coefficient_table`` reads for this anchor
+        n_tab = max(n, int(t_max / LATTICE_STEP + 1e-9))
+        if n_tab not in tables:
+            tables[n_tab] = _tau_table(model, LATTICE_STEP, n_tab)
+        groups.setdefault((n_tab, _max_stride(gm, r, t)),
+                          []).append((i, (t, n, partial)))
+    a, d = np.zeros((n_states, n_anchors)), np.zeros((n_states, n_anchors))
+    mom_k = [np.zeros((n_states, n_anchors)) for _ in range(n_fac)]
+    k_end = np.zeros((n_fac, n_anchors))
+    if empty:
+        d[:, empty] = 1.0   # T = t: D = 1 and the rest is zero
+    buf = np.empty(0)
+    for (n_tab, stride), members in groups.items():
+        tt = tables[n_tab]
+        n_cols = max(-(-n // stride) for _, (_, n, _) in members) + 1
+        size = max(1, _BLOCK_NODES // n_cols)
+        for b in range(0, len(members), size):
+            block = members[b:b + size]
+            spans = [span for _, span in block]
+            k0, tau = _stride_nodes(tt, t_max, spans, stride, n_cols)
+            first = _first_dead(k0, np.array([n for _, n, _ in spans]),
+                                stride)
+            disc = np.exp(-r * tau)
+            for row, (i, span) in enumerate(block):
+                cut = int(first[row])
+                nodes = (stride, cut, k0[row], tau[row], disc[row])
+                if 0 <= cut < GREGORY_ORDER or (
+                        cut < 0 and span[1] // stride < GREGORY_ORDER - 1):
+                    nodes = _short_span(tt, t_max, r, span, stride) or nodes
+                wk, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
+                k_end[:, i] = wk[1:, -1]
+                size_i = n_states * k0_i.size
+                if buf.size < size_i:
+                    buf = np.empty(size_i)
+                surv = buf[:size_i].reshape(n_states, k0_i.size)
+                np.matmul(states[i], wk[1:], out=surv)
+                np.subtract(k0_i, surv, out=surv)
+                np.exp(surv, out=surv)
+                wk *= w * disc_i
+                mom = surv @ wk.T
+                a[:, i] = mom[:, 0]
+                d[:, i] = disc_i[-1] * surv[:, -1]
+                for f, m_f in enumerate(mom_k, 1):
+                    m_f[:, i] = mom[:, f]
+    return a, d, mom_k, k_end
 
 
 def g_pieces(model: Model, scenario: SchemeScenario, market: MarketParams,
@@ -255,26 +392,15 @@ def g_pieces(model: Model, scenario: SchemeScenario, market: MarketParams,
     S(t,T) (see the module docstring). They depend on the scenario's t_max
     but not on its phi, so one set serves every phi (``_compose_g``). At
     t >= t_max the span is empty: T = t, so D = 1 and the rest is zero.
+    This is ``_g_pieces_at`` at the one anchor t, the route
+    ``scheme.g_surface`` takes for the whole grid.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    n_states, n_fac = lam.shape
+    n_fac = lam.shape[1]
     if n_fac != model.n_factors:
         raise ValueError(f"expected {model.n_factors} hazard component(s), got {n_fac}")
-    t = _anchor(t)
-    if t >= scenario.t_max:
-        return (np.zeros(n_states), np.ones(n_states),
-                np.zeros((n_states, n_fac)), np.zeros(n_fac))
-
-    tab = build_coefficient_table(model, t, scenario.t_max)
-    rows, w = _g_nodes(tab, *_lattice_span(t, scenario.t_max),
-                       _max_stride(model, market, t))
-    disc = np.exp(-market.r * tab.tau[rows])
-    # (n_fac, nodes), row-major: tab.k[:, rows] would be column-major
-    k = tab.k.take(rows, axis=1)
-    surv = np.exp(tab.k0[rows] - lam @ k)                # (n, nodes)
-    # the moments M[1], M[k_i], and D = e^{-r(T-t)} S(t,T) at the last node
-    mom = surv @ (np.vstack((np.ones(rows.size), k)) * (w * disc)).T
-    return mom[:, 0], disc[-1] * surv[:, -1], mom[:, 1:], k[:, -1]
+    a, d, m, k_end = _g_pieces_at(model, scenario, market, (t,), lam[None])
+    return a[:, 0], d[:, 0], np.array([m_f[:, 0] for m_f in m]).T, k_end[:, 0]
 
 
 def _compose_g(phi: float, r: float, a, d, m, k_end):

@@ -26,10 +26,10 @@ go through one convolution kernel K(tau) = int_0^tau e^{-b1(tau-w)}
 e^{-b22 w} dw, evaluated without dividing by b1 - b22, so b1 = b22 is no
 special case; the two-population CIR means come from one backward RK4
 system for the Riccati coefficients, the propagator of the mean ODEs and its
-drift term (``tilde_mean``). The coefficient tables behind the
-annuity evaluator use the affine structure of the model's ``factors``: mean
-reversion and volatilities are constant, so K1 and K2 are functions of
-tau = s - t alone, and the Gompertz-Makeham drift
+drift term (``tilde_mean``). The tau pass behind the annuity evaluator and
+the coefficient tables uses the affine structure of the model's
+``factors``: mean reversion and volatilities are constant, so K1 and K2 are
+functions of tau = s - t alone, and the Gompertz-Makeham drift
 a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 only through
 
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
@@ -42,7 +42,9 @@ reference factor only when there is one, since the members' curve never
 involves it. The table at any anchor t is slices of that pass at the nodes
 t + j*step plus a Gompertz-weighted sum for K0; when t_max - t is not a whole
 number of steps, one more RK4 step resumed from C at the last node gives the
-values at t_max.
+values at t_max. The tables serve ``pendraw coeffs`` and the tests' oracles;
+the annuity evaluator (``control``) reads the pass at its own rule's nodes
+alone, with the same floats.
 """
 
 from __future__ import annotations
@@ -538,6 +540,39 @@ def _lattice_span(t: float, t_max: float, step: float = LATTICE_STEP):
     return n, n == 0 or ratio - n > 1e-9
 
 
+def _k0(tt: _TauTable, s, level: np.ndarray, gompertz) -> np.ndarray:
+    """K0 at the values s from its curves there, in place in ``level``:
+    level + sum_k e^{(s - m_k)/delta_k} gompertz_k, summed factor by factor
+    (``gompertz`` yields one array per factor)."""
+    for m, delta, k0_gm in zip(tt.m, tt.delta, gompertz):
+        x = s - m
+        x /= delta
+        np.exp(x, out=x)
+        x *= k0_gm
+        level += x
+    return level
+
+
+def _lattice_nodes(tt: _TauTable, t, t_max: float, end, idx,
+                   step: float = LATTICE_STEP):
+    """(s, K0) at the lattice nodes ``idx`` of anchors t, both broadcast
+    against ``idx``: s = t + step*j, or t_max at node ``end``, the last node
+    n of a span with no partial step (``_lattice_span``; -1 for none)."""
+    s = np.where(idx == end, t_max, t + step * idx)
+    return s, _k0(tt, s, tt.k0_level[idx],
+                  (k0_gm[idx] for k0_gm in tt.k0_gompertz))
+
+
+def _tail_node(model: Model, tt: _TauTable, t: float, n: int, t_max: float,
+               step: float = LATTICE_STEP):
+    """(C, K0) at t_max for the anchor t whose span ends a partial step past
+    lattice node n: one RK4 step of the tau pass resumed from C at node n."""
+    tail = _tau_curves(model, t_max - (t + step * n), 1, n * step, tt.c[:, n])
+    level = np.array([tt.k0_level[n] + tail.k0_level[1]])
+    gompertz = (tt.k0_gompertz[:, n] + tail.k0_gompertz[:, 1])[:, None]
+    return tail.c[:, 1], _k0(tt, np.array([t_max]), level, gompertz)[0]
+
+
 def build_coefficient_table(model: Model, t: float, t_max: float,
                             step: float = LATTICE_STEP) -> CoefficientTable:
     """Coefficient curves at the lattice nodes s = t + j*step in [t, t_max]
@@ -552,19 +587,12 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")
     n, partial = _lattice_span(t, t_max, step)
     tt = _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
-    nodes = slice(0, n + 1)
-    c, k0_level, k0_g = (tt.c[:, nodes], tt.k0_level[nodes],
-                         tt.k0_gompertz[:, nodes])
-    s = t + step * np.arange(n + 1)
+    s, k0 = _lattice_nodes(tt, t, t_max, -1 if partial else n,
+                           np.arange(n + 1), step)
+    c = tt.c[:, :n + 1]
     if partial:
-        tail = _tau_curves(model, t_max - s[-1], 1, n * step, c[:, -1])
-        c = np.hstack((c, tail.c[:, 1:]))
-        k0_level = np.append(k0_level, k0_level[-1] + tail.k0_level[1])
-        k0_g = np.hstack((k0_g, k0_g[:, -1:] + tail.k0_gompertz[:, 1:]))
+        c_end, k0_end = _tail_node(model, tt, t, n, t_max, step)
+        c = np.hstack((c, c_end[:, None]))
+        k0 = np.append(k0, k0_end)
         s = np.append(s, t_max)
-    else:
-        s[-1] = t_max
-    k0 = k0_level.copy()
-    for m, delta, k0_gm in zip(tt.m, tt.delta, k0_g):
-        k0 += np.exp((s - m) / delta) * k0_gm
     return CoefficientTable(t, s, s - t, k0, c)

@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .control import (MarketParams, SchemeScenario, bond_weight_arrays,
-                      g_pieces, _check_policy_inputs, _compose_g)
+                      _check_policy_inputs, _compose_g, _g_pieces_at)
 from .mortality import CIR, ConfigError, Model, MortalityPaths
 from .numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from .pricing import rolling_bond_volatility
@@ -115,22 +115,18 @@ def _hazard_state(paths: MortalityPaths, k: int) -> np.ndarray:
 
 def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
               paths: MortalityPaths) -> GSurface:
-    """G's phi-free pieces on the whole grid, one ``g_pieces`` call per node.
+    """G's phi-free pieces on the whole grid, from one ``control`` routine
+    call over every grid node as an anchor (``control._g_pieces_at``, the
+    route ``g_pieces`` takes at one anchor).
 
     The hazards are stacked node-major once, so that each node's state is
     one contiguous (n_paths, n_factors) block.
     """
     states = np.stack([lam.T for lam in paths.hazards], axis=-1)
-    shape = (paths.n_paths, paths.grid.n_steps + 1)
-    a, d, m1 = np.empty(shape), np.empty(shape), np.empty(shape)
-    k1_end = np.empty(shape[1])
-    for k, t in enumerate(paths.grid.nodes):
-        a[:, k], d[:, k], m_k, k_end = g_pieces(model, scenario, market, t,
-                                                states[k])
-        m1[:, k] = m_k[:, 0]
-        k1_end[k] = k_end[0]
-    return GSurface(_surface_key(model, scenario, market), paths, a, d, m1,
-                    k1_end)
+    a, d, m, k_end = _g_pieces_at(model, scenario, market, paths.grid.nodes,
+                                  states)
+    return GSurface(_surface_key(model, scenario, market), paths, a, d, m[0],
+                    k_end[0])
 
 
 def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,

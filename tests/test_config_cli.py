@@ -1,11 +1,16 @@
 import configparser
 import io
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pendraw
 from pendraw import experiments, scheme
 from pendraw.cli import MAX_COEFF_ROWS, main
 from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
@@ -370,24 +375,25 @@ class TestRunExperiment:
 
     def test_compare_is_the_one_arm_theta1_sweep(self, tmp_path, monkeypatch):
         cfg = with_overrides(load_config(small_config(tmp_path)), n_paths=5)
+        # the anchors of each G surface evaluation, one entry per surface
         g_calls = []
-        g_pieces = scheme.g_pieces
+        g_pieces_at = scheme._g_pieces_at
 
         def counted_g(*args, **kwargs):
-            g_calls.append(args[3])
-            return g_pieces(*args, **kwargs)
+            g_calls.append(len(args[3]))
+            return g_pieces_at(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "g_pieces", counted_g)
+        monkeypatch.setattr(scheme, "_g_pieces_at", counted_g)
         n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
         run_experiment(with_overrides(cfg, experiment="compare",
                                       out_dir=str(tmp_path / "cmp")))
-        # both arms, no-bond and optimal, share one G surface
-        assert len(g_calls) == n_nodes
+        # both arms, no-bond and optimal, share one G surface over every node
+        assert g_calls == [n_nodes]
         run_experiment(with_overrides(cfg, experiment="sweep",
                                       sweep_var="theta1",
                                       sweep_values=(cfg.market.theta_1,),
                                       out_dir=str(tmp_path / "sw")))
-        assert len(g_calls) == 2 * n_nodes
+        assert g_calls == [n_nodes, n_nodes]
 
         def columns(name, fields):
             header, *rows = (tmp_path / name).read_text().splitlines()
@@ -474,25 +480,26 @@ class TestRunExperiment:
                              sweep_values=values, n_paths=3,
                              out_dir=str(tmp_path / "sw"))
         g_calls, arms = [], []
-        g_pieces = scheme.g_pieces
+        g_pieces_at = scheme._g_pieces_at
         simulate_scheme = experiments.simulate_scheme
 
         def counted_g(*args, **kwargs):
-            g_calls.append(args[3])
-            return g_pieces(*args, **kwargs)
+            g_calls.append(len(args[3]))
+            return g_pieces_at(*args, **kwargs)
 
         def counted_arm(*args, **kwargs):
             traj = simulate_scheme(*args, **kwargs)
             arms.append(traj)
             return traj
 
-        monkeypatch.setattr(scheme, "g_pieces", counted_g)
+        monkeypatch.setattr(scheme, "_g_pieces_at", counted_g)
         monkeypatch.setattr(experiments, "simulate_scheme", counted_arm)
         run_experiment(cfg)
         n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
         assert len(arms) == len(values) + 1
-        # every arm, theta1 and phi alike, shares one G surface
-        assert len(g_calls) == n_nodes
+        # every arm, theta1 and phi alike, shares one G surface, evaluated
+        # once over every node
+        assert g_calls == [n_nodes]
 
     @pytest.mark.parametrize("var", ["theta1", "phi"])
     def test_sweep_matches_independent_arms(self, tmp_path, var):
@@ -770,6 +777,36 @@ class TestCli:
         assert code == 1
         assert "rounds to 120.0" in captured.err
         assert captured.out == ""
+
+    def test_policy_at_a_zero_decay_rate(self, tmp_path, capsys):
+        # r = 0, nu = 0 and a Gompertz term that underflows at t = 0 give
+        # G's integrand a decay rate of exactly zero, which needs no smaller
+        # stride
+        text = (default_config_path().read_text().replace("r = 0.04", "r = 0")
+                .replace("nu = 0.0009944", "nu = 0", 1)
+                .replace("delta = 11.4", "delta = 0.02"))
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(text)
+        code = main(["policy", "--config", str(cfg_path), "--t", "0",
+                     "--lambda1", "0.01"])
+        assert code == 0
+        values = capsys.readouterr().out.splitlines()[1].split(",")
+        assert np.isfinite(float(values[4])) and float(values[4]) > 0.0
+
+    def test_sweep_leaves_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma (loaded by np.unique, among others) adds about 2 MB of
+        # resident memory to every run that imports it
+        code = ("import sys; from pendraw.cli import main; "
+                f"code = main(['sweep', '--config', {str(small_config(tmp_path))!r}, "
+                f"'--out', {str(tmp_path / 's')!r}, '--var', 'theta1', "
+                "'--values=0,-0.003', '--paths', '3']); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(pendraw.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "0 False"
 
     def test_sweep_needs_var(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(small_config(tmp_path)),

@@ -10,11 +10,13 @@ from pendraw.control import (LATTICE_STEP, PolicyDecision, SchemeScenario,
                              annuity_G, annuity_G_gradient, g_and_gradient,
                              optimal_policy)
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
-                               TwoPopModel, baseline_hazard, initial_hazard)
-from pendraw.numerics import integrate
+                               TwoPopModel, baseline_hazard, initial_hazard,
+                               simulate_paths)
+from pendraw.numerics import TimeGrid, integrate
 from pendraw.pricing import (MarketParams, build_coefficient_table,
                              coeffs_single, coeffs_two_pop,
                              survival_expectation, tilde_mean)
+from pendraw.scheme import g_surface
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
 POP2 = GompertzMakehamParams(0.0009944, 12.9374, 89.18 - 65.0)
@@ -302,6 +304,65 @@ class TestMomentForm:
                                                  rel=1e-12), (t_max, t)
 
 
+class TestSurfaceRoute:
+    """``scheme.g_surface`` evaluates every grid node in one call of
+    ``control``'s batched route; at each node it must give what the
+    node-by-node reference gives at that anchor."""
+
+    GRIDS = {
+        # off-lattice anchors: most spans end a partial step past the
+        # lattice, in the RK4 tail node (no cut before t_max = 20)
+        "dt-0.03": dict(horizon=1.5, dt=0.03, t_max=20.0),
+        # spans of 0.3 to 3.3 years: short spans, reduced strides and end
+        # panels, no cut
+        "t_max-horizon+0.3": dict(horizon=3.0, dt=0.1, t_max=3.3),
+        # anchors past t = 22 have a largest stride below 10; all are cut
+        "horizon-45": dict(horizon=45.0, dt=0.5),
+    }
+    # what the reference rule shows on each grid, over the four kinds
+    CASES = {"dt-0.03": {"tail", "stride 10"},
+             "t_max-horizon+0.3": {"panel", "short", "stride < 10"},
+             "horizon-45": {"cut", "stride 10", "stride < 10"}}
+
+    @staticmethod
+    def rule_cases(tab, rows):
+        """The features of one anchor's reference rule."""
+        step = rows[1] - rows[0]
+        partial = abs(tab.tau[-1] - (tab.s.size - 1) * LATTICE_STEP) > 1e-9
+        cases = {"stride 10" if step == STRIDE else "stride < 10"}
+        if tab.k0[rows[-1]] < -80.0:
+            cases.add("cut")
+        elif rows[-1] - rows[-2] != step:
+            cases.add("tail" if partial else "panel")
+        if tab.s.size - 1 < (ORDER - 1) * STRIDE:
+            cases.add("short")
+        return cases
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_matches_node_by_node_reference(self, make_model, grid):
+        model = make_model()
+        gm = model.gm if model.n_factors == 1 else model.gm2
+        scen = SchemeScenario(phi=0.8, n_paths=4, **self.GRIDS[grid])
+        paths = simulate_paths(model, TimeGrid(0.0, scen.horizon, scen.dt),
+                               scen.n_paths, 7)
+        g, grad1 = g_surface(model, scen, MARKET, paths).at(scen.phi)
+        seen = set()
+        for k, t in enumerate(paths.grid.nodes):
+            t = control._anchor(t)
+            lam = np.column_stack([h[:, k] for h in paths.hazards])
+            g_ref, grad_ref = reference_g_and_gradient(model, scen, MARKET, t,
+                                                       lam)
+            assert g[:, k] == pytest.approx(g_ref, rel=1e-13), t
+            assert grad1[:, k] == pytest.approx(grad_ref[:, 0],
+                                                rel=1e-12), t
+            tab = build_coefficient_table(model, t, scen.t_max, LATTICE_STEP)
+            seen |= self.rule_cases(
+                tab, _rule_rows(tab, MARKET.r + baseline_hazard(t, gm))[0])
+        assert self.CASES[grid] <= seen
+
+
 def _rule_errors(model, t, phi):
     """Largest relative G error and gradient error (relative to the largest
     component) of ``g_and_gradient`` against composite Simpson on the 0.0125
@@ -362,7 +423,7 @@ class TestOuterRule:
     def test_stride_follows_the_hazard(self):
         # rate * spacing <= GREGORY_RATE_STEP with rate = r + baseline hazard
         model = ou_single()
-        strides = [control._max_stride(model, MARKET, t)
+        strides = [control._max_stride(model.gm, MARKET.r, t)
                    for t in (0.0, 20.0, 22.5, 34.0, 38.0, 44.0, 90.0)]
         assert strides == [10, 10, 8, 3, 2, 1, 1]
 

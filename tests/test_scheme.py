@@ -5,7 +5,7 @@ import pytest
 
 from pendraw import pricing, scheme
 from pendraw.control import (MarketParams, SchemeScenario,
-                             bond_weight_arrays, g_and_gradient, g_pieces,
+                             bond_weight_arrays, g_and_gradient,
                              optimal_policy)
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, simulate_paths)
@@ -391,8 +391,8 @@ class TestObjective:
 
 
 class TestOneTauPass:
-    """Every anchor's coefficient table reads the one cached tau pass of its
-    model and t_max."""
+    """Every anchor's G reads the one cached tau pass of its model and
+    t_max, looked up once per G evaluation."""
 
     def test_cold_cir_sub_simulation_at_dt_025(self):
         model = TwoPopModel("cir", POP1, POP2, 0.561, 0.0028, 0.65, 0.0035,
@@ -402,7 +402,8 @@ class TestOneTauPass:
         pricing._tau_table.cache_clear()
         simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
         info = pricing._tau_table.cache_info()
-        assert (info.misses, info.hits) == (1, paths.grid.n_steps)
+        # one G surface over all 141 anchors: one lookup, a miss
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_off_lattice_policy_reads_the_pass_of_t0(self):
         model = SinglePopModel("cir", POP1, 0.561, 0.0035)
@@ -493,13 +494,15 @@ class TestCompareStrategies:
         paths = make_paths(model, scen_a)
         alone_a = simulate_scheme(model, scen_a, MARKET, NO_BOND, paths)
         alone_b = simulate_scheme(model, scen_b, market_b, OPTIMAL, paths)
+        # the anchors of each G surface evaluation, one entry per surface
         calls = []
+        g_pieces_at = scheme._g_pieces_at
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
-            return g_pieces(*args, **kwargs)
+            calls.append(len(args[3]))
+            return g_pieces_at(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "g_pieces", counted)
+        monkeypatch.setattr(scheme, "_g_pieces_at", counted)
         surface = g_surface(model, scen_a, MARKET, paths)
         traj_a = simulate_scheme(model, scen_a, MARKET, NO_BOND, paths,
                                  surface=surface)
@@ -511,7 +514,7 @@ class TestCompareStrategies:
         traj_b = simulate_scheme(model, scen_b, market_b, OPTIMAL, paths,
                                  surface=surface)
         report = ComparisonReport.of(traj_a, traj_b, MARKET.r)
-        assert len(calls) == paths.grid.n_steps + 1
+        assert calls == [paths.grid.n_steps + 1]
         for got, alone in ((report.traj_a, alone_a), (report.traj_b, alone_b)):
             for name in ("wealth", "withdraw", "compensation", "stock_weight",
                          "bond_weight", "cash_weight"):

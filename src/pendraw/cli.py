@@ -27,10 +27,11 @@ from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
-from .pricing import build_coefficient_table
+from .pricing import _end_node, _tau_pass
 
 # maturities after the anchor in one ``coeffs`` file (it writes one more
-# row, s = t): bounds its size, and its time at up to one tau pass per row
+# row, s = t): bounds its size, and its time at one read of the one tau pass
+# per row
 MAX_COEFF_ROWS = 10_000
 
 
@@ -171,11 +172,13 @@ def _cmd_coeffs(args) -> int:
     if s <= end:
         raise ConfigError(f"--s-step {args.s_step} gives more than "
                           f"{MAX_COEFF_ROWS} maturities after --t")
+    # every row is the last node of the table from t to its s, read off the
+    # one tau pass that covers the table to s_max
+    tt = _tau_pass(model, args.t, s_max)
     values = [(0.0,) * (1 + model.n_factors)]
     for s in maturities[1:]:
-        # a table's last node sits at its end exactly
-        tab = build_coefficient_table(model, args.t, min(s, s_max))
-        values.append((tab.k0[-1], *tab.k[:, -1]))
+        c, k0 = _end_node(model, tt, args.t, min(s, s_max))
+        values.append((k0, *c))
     columns = [[args.t] * len(maturities), maturities, *zip(*values)]
     if model.n_factors == 1:
         columns.append("")

@@ -40,18 +40,20 @@ are the moments M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in
 {1, k_i}, surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one
 exp of the (states x nodes) exponent and one product with the
 (nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
-None of these pieces depends on phi (``g_pieces``), so one set of them gives
-G and its gradient at every phi. ``scheme.g_surface`` computes them at every
-grid node in one call of the same route (``_g_pieces_at``) and shares them
-between arms. The coefficient tables (``pricing.build_coefficient_table``)
-hold the same floats on every lattice node; they serve ``pendraw coeffs``
-and the tests' node-by-node oracles, not G.
+None of these pieces depends on phi (``_g_pieces_at``), so one set of them
+gives G and its gradient at every phi. ``g_and_gradient`` computes them at
+one anchor, and ``scheme.g_surface`` at every grid node in one call of the
+same route, sharing them between arms. The coefficient tables
+(``pricing.build_coefficient_table``) hold the same floats on every lattice
+node; they serve the tests' node-by-node oracles, not G.
 
 The optimal policy withdraws wealth/G, holds theta_s/sigma_s of wealth in the
 stock, and hedges with the rolling longevity bond through the first hazard
 factor's loading. Everything model-specific here is read off the model's
 ``factors`` (B, S, gms): the bond's sigma1 = S[0, 0] and A1 (``pricing``), the
-hazards' loading on W1 (S's first column) and the members' curve gms[-1].
+hazards' loading on W1 (S's first column) and the members' curve gms[-1];
+the kind enters only through ``mortality._diffusion``, whose scale v(lambda1)
+cancels from the bond weight and whose floor bounds the policy's hazards.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .mortality import CIR, Model, _check_finite
-from .pricing import (LATTICE_STEP, MarketParams, _lattice_nodes,
-                      _lattice_span, _tail_node, _tau_table,
+from .mortality import Model, _check_finite, _diffusion
+from .numerics import NumericalFailure
+from .pricing import (LATTICE_STEP, MarketParams, _end_node,
+                      _lattice_nodes, _lattice_span, _tau_pass,
                       rolling_bond_volatility)
 
 # A and its gradient are the trapezoid rule on every GREGORY_STRIDE-th node
@@ -295,7 +298,7 @@ def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
     wk = np.empty((1 + tt.c.shape[0], lattice.size))
     wk[0] = 1.0
     if panel and partial:
-        wk[1:, -1], k0_end = _tail_node(model, tt, t, n, t_max)
+        wk[1:, -1], k0_end = _end_node(model, tt, t, t_max)
         tt.c.take(lattice[:-1], axis=1, out=wk[1:, :-1])
         k0 = np.append(k0[:m + 1], k0_end)
         tau_end = t_max - t
@@ -310,15 +313,23 @@ def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
     return wk, k0, disc, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
 
 
+# an overflowing survival expectation leaves A non-finite, which raises below
+@np.errstate(over="ignore", invalid="ignore")
 def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
                  times, states: np.ndarray):
-    """``g_pieces`` at many anchors: ``states[i]`` is the (n_states,
-    n_factors) batch at ``times[i]``. Returns A, D and the moments M[k_f],
-    one per factor f, each as (n_states, n_anchors), and k(T) as
-    (n_factors, n_anchors).
+    """The phi-free pieces of G and its gradient at many anchors:
+    ``states[i]`` is the (n_states, n_factors) batch at ``times[i]``.
+    Returns A, D and the moments M[k_f], one per factor f, each as
+    (n_states, n_anchors), and k(T) as (n_factors, n_anchors).
+
+    A = M[1] and M[k_i] are the outer rule's moments and D = e^{-r(T-t)}
+    S(t,T) (see the module docstring). They depend on the scenario's t_max
+    but not on its phi, so one set serves every phi (``_compose_g``). An
+    anchor at or past t_max has an empty span: T = t, so D = 1 and the rest
+    is zero.
 
     The rule's nodes are read straight off the cached tau pass
-    (``pricing._tau_table``, one lookup per call). Anchors that share a
+    (``pricing._tau_pass``, one lookup per call). Anchors that share a
     largest stride (``_max_stride``) have k0 assembled on their stride nodes
     together, _BLOCK_NODES nodes at a time; the rule ends at the first of
     them with k0 < -80, or at t_max (``_rule``). A span of fewer than
@@ -326,30 +337,29 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     Each anchor then costs one product of its states with C on its nodes,
     one exp into a reused buffer and one product with the moment matrix.
     Every value is the float the anchor's coefficient table would give.
+    Raises NumericalFailure at the first anchor whose survival expectation
+    overflows on the rule's nodes.
     """
     n_anchors, n_states, n_fac = states.shape
     t_max, r, gm = scenario.t_max, market.r, model.factors[2][-1]
-    groups, tables, empty = {}, {}, []
+    groups, empty, t_min = {}, [], t_max
     for i, t in enumerate(times):
         t = _anchor(t)
         if t >= t_max:
             empty.append(i)
             continue
         n, partial = _lattice_span(t, t_max)
-        # the pass ``build_coefficient_table`` reads for this anchor
-        n_tab = max(n, int(t_max / LATTICE_STEP + 1e-9))
-        if n_tab not in tables:
-            tables[n_tab] = _tau_table(model, LATTICE_STEP, n_tab)
-        groups.setdefault((n_tab, _max_stride(gm, r, t)),
+        t_min = min(t_min, t)
+        groups.setdefault(_max_stride(gm, r, t),
                           []).append((i, (t, n, partial)))
     a, d = np.zeros((n_states, n_anchors)), np.zeros((n_states, n_anchors))
     mom_k = [np.zeros((n_states, n_anchors)) for _ in range(n_fac)]
     k_end = np.zeros((n_fac, n_anchors))
     if empty:
         d[:, empty] = 1.0   # T = t: D = 1 and the rest is zero
+    tt = _tau_pass(model, t_min, t_max) if groups else None
     buf = np.empty(0)
-    for (n_tab, stride), members in groups.items():
-        tt = tables[n_tab]
+    for stride, members in groups.items():
         n_cols = max(-(-n // stride) for _, (_, n, _) in members) + 1
         size = max(1, _BLOCK_NODES // n_cols)
         for b in range(0, len(members), size):
@@ -380,32 +390,19 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
                 d[:, i] = disc_i[-1] * surv[:, -1]
                 for f, m_f in enumerate(mom_k, 1):
                     m_f[:, i] = mom[:, f]
+    # A weighs the survival at every rule node, so it is not finite where
+    # any of them overflows
+    finite = np.isfinite(a).all(axis=0)
+    if not finite.all():
+        at = float(times[int(np.argmin(finite))])
+        raise NumericalFailure(f"G is not finite at t = {at}: its survival "
+                               f"expectation overflows", at_time=at)
     return a, d, mom_k, k_end
-
-
-def g_pieces(model: Model, scenario: SchemeScenario, market: MarketParams,
-             t: float, lam: np.ndarray):
-    """The phi-free pieces of G and its gradient for a batch of states at one
-    time: (A (n,), D (n,), M (n, n_factors), k(T) (n_factors,)).
-
-    A = M[1] and M[k_i] are the outer rule's moments and D = e^{-r(T-t)}
-    S(t,T) (see the module docstring). They depend on the scenario's t_max
-    but not on its phi, so one set serves every phi (``_compose_g``). At
-    t >= t_max the span is empty: T = t, so D = 1 and the rest is zero.
-    This is ``_g_pieces_at`` at the one anchor t, the route
-    ``scheme.g_surface`` takes for the whole grid.
-    """
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    n_fac = lam.shape[1]
-    if n_fac != model.n_factors:
-        raise ValueError(f"expected {model.n_factors} hazard component(s), got {n_fac}")
-    a, d, m, k_end = _g_pieces_at(model, scenario, market, (t,), lam[None])
-    return a[:, 0], d[:, 0], np.array([m_f[:, 0] for m_f in m]).T, k_end[:, 0]
 
 
 def _compose_g(phi: float, r: float, a, d, m, k_end):
     """G = (1 - phi r) A + phi (1 - D) and dG/dlam = phi D k(T) - (1 - phi r) M
-    from the pieces of ``g_pieces``, for any shapes that broadcast."""
+    from the pieces of ``_g_pieces_at``, for any shapes that broadcast."""
     lead = 1.0 - phi * r
     return lead * a + phi * (1.0 - d), phi * d * k_end - lead * m
 
@@ -415,10 +412,17 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
     """G and its hazard gradient for a batch of states at one time.
 
     ``lam`` has shape (n, n_factors); returns (G (n,), gradient (n, n_factors)).
+    The phi-free pieces come from ``_g_pieces_at`` at the one anchor t, the
+    route ``scheme.g_surface`` takes for the whole grid. At t >= t_max the
+    span is empty: T = t, so D = 1 and G and the gradient are zero.
     """
-    a, d, m, k_end = g_pieces(model, scenario, market, t, lam)
-    g, grad = _compose_g(scenario.phi, market.r, a[:, None], d[:, None], m,
-                         k_end)
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    if lam.shape[1] != model.n_factors:
+        raise ValueError(f"expected {model.n_factors} hazard component(s), "
+                         f"got {lam.shape[1]}")
+    a, d, m, k_end = _g_pieces_at(model, scenario, market, (t,), lam[None])
+    g, grad = _compose_g(scenario.phi, market.r, a, d, np.hstack(m),
+                         k_end[:, 0])
     return g[:, 0], grad
 
 
@@ -438,19 +442,19 @@ def annuity_G_gradient(model: Model, scenario: SchemeScenario,
     return grad[0]
 
 
-def bond_weight_arrays(model: Model, scenario: SchemeScenario,
-                       market: MarketParams, g: np.ndarray,
+def bond_weight_arrays(model: Model, market: MarketParams, g: np.ndarray,
                        grad1: np.ndarray) -> np.ndarray:
     """Bond weight for batches of (G, dG/dlambda1).
 
     Both the market price of longevity risk and the hedge term carry the same
-    sqrt(lambda1) factor as the bond volatility under CIR dynamics, so those
-    factors cancel and one expression serves both kinds:
+    diffusion scale v(lambda1) as the bond volatility (sqrt(lambda1) under
+    CIR, 1 under OU), so v(lambda1) cancels and one expression serves both
+    kinds:
 
         w_L = (theta_1 + loading * G_l1 / G) / sigma_L(lambda1 = 1),
 
-    with sigma_L(1) = -A1(T) sigma1 the bond's loading per unit
-    sqrt(lambda1) (``rolling_bond_volatility``), sigma1 = S[0, 0], and the
+    with sigma_L(1) = -A1(T) sigma1 the bond's loading per unit v(lambda1)
+    (``rolling_bond_volatility``), sigma1 = S[0, 0], and the
     loading here the hazards' total exposure to W1, the sum of S's first
     column (sigma1 [+ sigma21]).
     """
@@ -468,8 +472,9 @@ def bond_weight_arrays(model: Model, scenario: SchemeScenario,
 def _check_policy_inputs(model: Model, scenario: SchemeScenario, t: float,
                          lam, wealth: float) -> None:
     """The policy needs a finite t whose anchor (``_anchor``) is before t_max
-    (where G > 0), finite hazards, non-negative under CIR, and finite
-    positive wealth."""
+    (where G > 0), finite hazards, none below the model's floor
+    (``mortality._diffusion``: non-negative under CIR), and finite positive
+    wealth."""
     if not (math.isfinite(t) and t < scenario.t_max):
         raise ValueError(f"t must be finite and below t_max = {scenario.t_max},"
                          f" got {t}")
@@ -479,8 +484,7 @@ def _check_policy_inputs(model: Model, scenario: SchemeScenario, t: float,
                          f"{scenario.t_max}")
     if not np.isfinite(lam).all():
         raise ValueError(f"hazards must be finite, got {lam}")
-    if model.kind == CIR and (lam < 0).any():
-        raise ValueError(f"CIR hazards must be >= 0, got {lam}")
+    _diffusion(model, lam)     # rejects hazards below the model's floor
     if not 0 < wealth < math.inf:
         raise ValueError(f"wealth must be finite and > 0, got {wealth}")
 
@@ -491,7 +495,7 @@ def optimal_policy(model: Model, scenario: SchemeScenario, market: MarketParams,
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     _check_policy_inputs(model, scenario, t, lam, wealth)
     g, grad = g_and_gradient(model, scenario, market, t, lam[None, :])
-    w_bond = float(bond_weight_arrays(model, scenario, market, g, grad[:, 0])[0])
+    w_bond = float(bond_weight_arrays(model, market, g, grad[:, 0])[0])
     w_stock = market.theta_s / market.sigma_s
     g = float(g[0])
     return PolicyDecision(withdraw_rate=wealth / g,

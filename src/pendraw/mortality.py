@@ -32,6 +32,10 @@ bond's reference population first and the members last:
 with B and S lower-triangular and factor k's drift level
 drift_a(t, gms[k], B[k, k]). Each model states (B, S, gms) once, as its
 ``factors``; simulation, pricing and control read that instead of the class.
+The diffusion scale v and CIR's hazard floor 0 are the only difference
+between the kinds' dynamics (Duffie & Kan, Math. Finance 6(4), 1996),
+stated once in ``_diffusion``, which the Euler step, the bond loading, the
+wealth drift and the policy's input check all read.
 """
 
 from __future__ import annotations
@@ -171,6 +175,26 @@ class TwoPopModel:
 
 Model = Union[SinglePopModel, TwoPopModel]
 
+
+def _diffusion(model: Model, lam, out=None):
+    """(v(lam), floor): the diffusion scale at the hazards ``lam`` and the
+    hazard floor of the model's kind.
+
+    OU: v = 1 and no floor (-inf). v is the number 1.0, or ``out`` as it is
+    when given (a buffer of ones); ``lam`` is not read. CIR: v = sqrt(lam),
+    into ``out`` when given, and the floor is 0, the full-truncation Euler
+    step emitting max(x, 0) (Lord, Koekkoek & van Dijk, Quant. Finance
+    10(2), 2010); hazards below it, or NaN, raise ConfigError. Only the
+    Euler step passes ``out``, with hazards it has floored itself, so those
+    are not checked: the check would cost a tenth of a 100-path CIR step.
+    """
+    if model.kind == OU:
+        return (1.0 if out is None else out), -math.inf
+    if out is None and not (np.asarray(lam, dtype=float) >= 0.0).all():
+        raise ConfigError(f"CIR hazards must be >= 0, got {lam}")
+    return np.sqrt(lam, out=out), 0.0
+
+
 # Euler steps per time-major chunk of ``simulate_paths``. Widths 16 to 64
 # timed alike at 20 000 cir-sub paths; at 32 the chunk buffers hold about 0.4
 # of one (n_paths, n_nodes) array.
@@ -226,16 +250,19 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
     """Euler-Maruyama hazard paths on ``grid`` with keyed noise streams.
 
     Every factor starts at its baseline hazard at ``grid.t0``. One step of
-    factor f, with xp the clamped state and dw_i = sqrt(dt) xi_i:
+    factor f, with xp = max(x, floor) the emitted hazards and
+    dw_i = sqrt(dt) xi_i:
 
         x_f += (drift_a(t, gms[f], B[f, f]) - sum_{i<=f} B[f, i] xp_i) dt
                + sum_{i<=f} S[f, i] v(xp_i) dw_i,
 
-    the sums taken in the order i = 0..f. CIR dynamics use the
-    full-truncation scheme: the negative part of the state is clamped to zero
-    inside every drift and diffusion evaluation, and the emitted hazard is the
-    clamped state. Stream ``f * W2_STREAM_OFFSET + path_offset + p`` drives
-    factor f of path ``p``, so blocks of paths can be simulated independently.
+    the sums taken in the order i = 0..f, with v and the floor from
+    ``_diffusion``. Under OU there is no floor, so xp is the state. Under CIR
+    this is the full-truncation scheme: the negative part of the state is
+    clamped to zero inside every drift and diffusion evaluation, and the
+    emitted hazard is the clamped state. Stream
+    ``f * W2_STREAM_OFFSET + path_offset + p`` drives factor f of path
+    ``p``, so blocks of paths can be simulated independently.
 
     The loop runs on chunks of ``_CHUNK`` steps held time-major, one
     contiguous row of all paths per node, and copies each chunk into the
@@ -249,7 +276,6 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
     n = grid.n_steps
     dt = grid.step
     sqdt = np.sqrt(dt)
-    is_cir = model.kind == CIR
     big_b, big_s, gms = model.factors
     big_b, big_s = big_b.tolist(), big_s.tolist()
     n_f = len(gms)
@@ -265,43 +291,40 @@ def simulate_paths(model: Model, grid: TimeGrid, n_paths: int, seed: int,
     dw = np.empty((n_f, width, n_paths))
     # emitted hazards of a chunk's nodes, row 0 holding its first node
     hz = np.empty((n_f, width + 1, n_paths))
-    x = np.empty((n_f, n_paths))            # CIR states before the clamp
+    x = np.empty((n_f, n_paths))            # the states, before any floor
     x[:] = [[baseline_hazard(grid.t0, gm)] for gm in gms]
-    hz[:, 0] = x                            # >= 0, so clamped already
+    hz[:, 0] = x                            # >= 0, so above any floor
     for f in range(n_f):
         lam[f][:, 0] = x[f]
-    root = np.empty((n_f, n_paths))
+    scale = np.ones((n_f, n_paths))         # v(xp), all ones under OU
     drift = np.empty(n_paths)
     term = np.empty(n_paths)
     integral = np.zeros(n_paths)            # members' hazard to node k0
 
+    # each factor's rows, bound once: at a hundred paths a step's indexing
+    # costs about as much as its arithmetic
+    rows = list(zip(big_b, big_s, x, levels))
+    v = list(scale)
     for k0 in range(0, n, width):
         w = min(width, n - k0)
         for f in range(n_f):
             np.multiply(sqdt, xi[f][:, k0:k0 + w].T, out=dw[f, :w])
         for j in range(w):
-            xp = hz[:, j]
-            # an OU state is its hazard; a CIR state steps in place
-            old, new = (x, x) if is_cir else (xp, hz[:, j + 1])
-            if is_cir:
-                np.sqrt(xp, out=root)
-            for f, (b_row, s_row) in enumerate(zip(big_b, big_s)):
+            xp, dwj = hz[:, j], dw[:, j]
+            _, floor = _diffusion(model, xp, out=scale)
+            for f, (b_row, s_row, x_f, level) in enumerate(rows):
                 np.multiply(b_row[0], xp[0], out=drift)
-                np.subtract(levels[f][k0 + j], drift, out=drift)
+                np.subtract(level[k0 + j], drift, out=drift)
                 for i in range(1, f + 1):
                     np.multiply(b_row[i], xp[i], out=term)
                     np.subtract(drift, term, out=drift)
                 drift *= dt
-                np.add(old[f], drift, out=new[f])
+                x_f += drift
                 for i in range(f + 1):
-                    if is_cir:
-                        np.multiply(s_row[i], root[i], out=term)
-                        term *= dw[i, j]
-                    else:
-                        np.multiply(s_row[i], dw[i, j], out=term)
-                    new[f] += term
-            if is_cir:
-                np.maximum(x, 0.0, out=hz[:, j + 1])
+                    np.multiply(s_row[i], v[i], out=term)
+                    term *= dwj[i]
+                    x_f += term
+            np.maximum(x, floor, out=hz[:, j + 1])
         for f in range(n_f):
             lam[f][:, k0 + 1:k0 + w + 1] = hz[f, 1:w + 1].T
 

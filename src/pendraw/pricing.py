@@ -8,15 +8,15 @@ For an affine hazard model the conditional survival expectation is
 with coefficients solving Riccati-type ODEs in t, terminal value zero at
 t = s. Single-population models use (A0, A1); two-population models use
 (C0, C1, C2). The rolling zero-coupon longevity bond keeps a constant time to
-maturity and its volatility loading is -A1(t, t+T)*sigma1 (times
-sqrt(lambda1) under CIR dynamics; ``rolling_bond_volatility``); A1 and
-sigma1 = S[0, 0] are those of factor 1, the bond's reference population, in
-the model's ``factors`` (B, S, gms). The measure-changed hazard means E~ of the
-annuity value come from a hazard-proportional drift adjustment; they are the
-survival-forward-measure means, E~_t[lambda_members(s)] = -d/ds log S(t,s)
-(S(t,s) always with its arguments, apart from the volatility matrix S), so
-the annuity value needs S(t,s) alone (``control``) and ``tilde_mean``
-serves as their oracle.
+maturity and its volatility loading is -A1(t, t+T)*sigma1 times the
+diffusion scale v(lambda1), sqrt(lambda1) under CIR
+(``rolling_bond_volatility``); A1 and sigma1 = S[0, 0] are those of factor
+1, the bond's reference population, in the model's ``factors`` (B, S,
+gms). The measure-changed hazard means E~ of the annuity value come from a
+hazard-proportional drift adjustment; they are the survival-forward-measure
+means, E~_t[lambda_members(s)] = -d/ds log S(t,s) (S(t,s) always with its
+arguments, apart from the volatility matrix S), so the annuity value needs
+S(t,s) alone (``control``) and ``tilde_mean`` serves as their oracle.
 
 Two routes compute these. The scalar functions (``coeffs_single``,
 ``coeffs_two_pop``, ``tilde_mean``) follow the defining integrals and ODE
@@ -42,9 +42,10 @@ reference factor only when there is one, since the members' curve never
 involves it. The table at any anchor t is slices of that pass at the nodes
 t + j*step plus a Gompertz-weighted sum for K0; when t_max - t is not a whole
 number of steps, one more RK4 step resumed from C at the last node gives the
-values at t_max. The tables serve ``pendraw coeffs`` and the tests' oracles;
-the annuity evaluator (``control``) reads the pass at its own rule's nodes
-alone, with the same floats.
+values at t_max (``_end_node``, which ``pendraw coeffs`` reads for each of
+its rows). The tables serve the tests' oracles; the annuity evaluator
+(``control``) reads the pass at its own rule's nodes alone, with the same
+floats.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .mortality import (CIR, OU, Model, SinglePopModel, TwoPopModel,
-                        _check_finite, drift_a)
+                        _check_finite, _diffusion, drift_a)
 from .numerics import NumericalFailure, integrate, solve_ode
 
 # spacing in s of the coefficient tables, and the step of their tau pass
@@ -240,30 +241,23 @@ def survival_expectation(coeffs: Union[AffineCoeffs1, AffineCoeffs2],
 
 def rolling_bond_volatility(model: Model, market: MarketParams,
                             lambda1=None):
-    """Volatility loading sigma_L of the rolling bond: -A1(T)*sigma1, with an
-    extra sqrt(lambda1) under CIR dynamics, where A1 is the closed form of
-    factor 1 (the bond's reference population) with b = B[0, 0] and
-    sigma1 = S[0, 0]. Negative whenever sigma1 > 0.
+    """Volatility loading sigma_L of the rolling bond: -A1(T)*sigma1 times
+    the diffusion scale v(lambda1) (``mortality._diffusion``: 1 under OU,
+    sqrt(lambda1) under CIR), where A1 is the closed form of factor 1 (the
+    bond's reference population) with b = B[0, 0] and sigma1 = S[0, 0].
+    Negative whenever sigma1 > 0.
 
     A1 depends on the time to maturity T alone, so the loading is the same
     at every t. Under CIR ``lambda1`` may be a number or an array, and the
     loading has its shape; OU's loading is one number and ignores it. At
-    lambda1 = 1 both kinds give the loading per unit sqrt(lambda1),
+    lambda1 = 1 both kinds give the loading per unit v(lambda1),
     -A1(T)*sigma1.
     """
     big_b, big_s, _ = model.factors
     b, sigma1 = big_b[0, 0], float(big_s[0, 0])
     a1 = a1_ou(b, market.maturity) if model.kind == OU \
         else a1_cir(b, sigma1, market.maturity)
-    loading = -float(a1) * sigma1
-    if model.kind == OU:
-        return loading
-    if lambda1 is None:
-        raise ValueError("CIR bond volatility needs the current lambda1")
-    lam = np.asarray(lambda1, dtype=float)
-    if (lam < 0).any():
-        raise ValueError(f"CIR requires lambda1 >= 0, got {lambda1}")
-    return loading * np.sqrt(lam)
+    return -float(a1) * sigma1 * _diffusion(model, lambda1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +534,28 @@ def _lattice_span(t: float, t_max: float, step: float = LATTICE_STEP):
     return n, n == 0 or ratio - n > 1e-9
 
 
+def _tau_pass(model: Model, t: float, t_max: float,
+              step: float = LATTICE_STEP) -> _TauTable:
+    """The cached tau pass that anchors from t on read up to t_max. It
+    reaches tau = t_max from t = 0, or from t if that is earlier, so every
+    anchor t >= 0 of one (model, t_max) reads the same pass. The pass is
+    prefix-stable: a longer one holds the same floats at every node of a
+    shorter one, so its length changes no value."""
+    n, _ = _lattice_span(t, t_max, step)
+    return _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
+
+
 def _k0(tt: _TauTable, s, level: np.ndarray, gompertz) -> np.ndarray:
     """K0 at the values s from its curves there, in place in ``level``:
     level + sum_k e^{(s - m_k)/delta_k} gompertz_k, summed factor by factor
-    (``gompertz`` yields one array per factor)."""
+    (``gompertz`` yields one array per factor). The exponent is capped at
+    700, below exp's overflow: gompertz_k is 0 at tau = 0, where an
+    e^{(s - m_k)/delta_k} of inf would give NaN, and every exponent below
+    the cap is used as it is."""
     for m, delta, k0_gm in zip(tt.m, tt.delta, gompertz):
         x = s - m
         x /= delta
+        np.minimum(x, 700.0, out=x)
         np.exp(x, out=x)
         x *= k0_gm
         level += x
@@ -563,10 +572,15 @@ def _lattice_nodes(tt: _TauTable, t, t_max: float, end, idx,
                   (k0_gm[idx] for k0_gm in tt.k0_gompertz))
 
 
-def _tail_node(model: Model, tt: _TauTable, t: float, n: int, t_max: float,
-               step: float = LATTICE_STEP):
-    """(C, K0) at t_max for the anchor t whose span ends a partial step past
-    lattice node n: one RK4 step of the tau pass resumed from C at node n."""
+def _end_node(model: Model, tt: _TauTable, t: float, t_max: float,
+              step: float = LATTICE_STEP):
+    """(C, K0) at t_max for the anchor t, from a pass that covers its span:
+    lattice node n when t_max - t is n whole steps, else one RK4 step of the
+    tau pass resumed from C at lattice node n."""
+    n, partial = _lattice_span(t, t_max, step)
+    if not partial:
+        _, k0 = _lattice_nodes(tt, t, t_max, n, np.array([n]), step)
+        return tt.c[:, n], k0[0]
     tail = _tau_curves(model, t_max - (t + step * n), 1, n * step, tt.c[:, n])
     level = np.array([tt.k0_level[n] + tail.k0_level[1]])
     gompertz = (tt.k0_gompertz[:, n] + tail.k0_gompertz[:, 1])[:, None]
@@ -579,20 +593,19 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
     and at t_max, the last node.
 
     Every anchor reads the one cached tau pass of this step that reaches
-    tau = t_max from t = 0. When t_max - t is not a whole number n of steps,
-    the node at t_max comes from one more RK4 step of that pass, resumed at
-    lattice node n from C alone.
+    tau = t_max from t = 0 (``_tau_pass``). The node at t_max is the pass's
+    own lattice node when t_max - t is a whole number of steps, and
+    otherwise comes from one more RK4 step of that pass, resumed at the last
+    lattice node from C alone (``_end_node``).
     """
     if t_max <= t:
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")
     n, partial = _lattice_span(t, t_max, step)
-    tt = _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
-    s, k0 = _lattice_nodes(tt, t, t_max, -1 if partial else n,
-                           np.arange(n + 1), step)
-    c = tt.c[:, :n + 1]
-    if partial:
-        c_end, k0_end = _tail_node(model, tt, t, n, t_max, step)
-        c = np.hstack((c, c_end[:, None]))
-        k0 = np.append(k0, k0_end)
-        s = np.append(s, t_max)
-    return CoefficientTable(t, s, s - t, k0, c)
+    tt = _tau_pass(model, t, t_max, step)
+    # the lattice nodes before the one at t_max
+    lattice = np.arange(n + partial)
+    s, k0 = _lattice_nodes(tt, t, t_max, -1, lattice, step)
+    c_end, k0_end = _end_node(model, tt, t, t_max, step)
+    s = np.append(s, t_max)
+    return CoefficientTable(t, s, s - t, np.append(k0, k0_end),
+                            np.hstack((tt.c[:, lattice], c_end[:, None])))

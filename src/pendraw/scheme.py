@@ -9,10 +9,11 @@ compensation offset exactly, so no hazard term remains in the drift):
 
 where alpha_S, alpha_L are currency positions, sigma_L is the rolling bond's
 volatility loading (``pricing.rolling_bond_volatility``) and theta_1_eff is
-theta_1 (OU) or theta_1*sqrt(lambda1) (CIR). W_1 reuses the Brownian
-increments the mortality paths retain for factor 1, ``shocks[0]``; W_S comes
-from a dedicated stream offset, so paired comparisons see identical noise
-(common random numbers).
+theta_1 v(lambda1), with the diffusion scale v (``mortality._diffusion``) 1
+under OU and sqrt(lambda1) under CIR; both read the same v(lambda1), taken
+once over the whole grid. W_1 reuses the Brownian increments the mortality
+paths retain for factor 1, ``shocks[0]``; W_S comes from a dedicated stream
+offset, so paired comparisons see identical noise (common random numbers).
 
 Both policies, the optimal one and the one without the bond, withdraw Y/G
 and hold fixed fractions of wealth (w_S = theta_S/sigma_S in the stock, w_L
@@ -52,7 +53,7 @@ import numpy as np
 
 from .control import (MarketParams, SchemeScenario, bond_weight_arrays,
                       _check_policy_inputs, _compose_g, _g_pieces_at)
-from .mortality import CIR, ConfigError, Model, MortalityPaths
+from .mortality import ConfigError, Model, MortalityPaths, _diffusion
 from .numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from .pricing import rolling_bond_volatility
 
@@ -81,8 +82,8 @@ class SchemeTrajectory:
 
 @dataclass(frozen=True)
 class GSurface:
-    """G's phi-free pieces (``control.g_pieces``) at every (path, grid node)
-    of one set of paths.
+    """G's phi-free pieces (``control._g_pieces_at``) at every (path, grid
+    node) of one set of paths.
 
     ``key`` holds the inputs they depend on besides the paths:
     (model, t_max, r). ``at`` composes G and dG/dlambda1 at any phi with the
@@ -117,7 +118,7 @@ def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
               paths: MortalityPaths) -> GSurface:
     """G's phi-free pieces on the whole grid, from one ``control`` routine
     call over every grid node as an anchor (``control._g_pieces_at``, the
-    route ``g_pieces`` takes at one anchor).
+    route ``g_and_gradient`` takes at one anchor).
 
     The hazards are stacked node-major once, so that each node's state is
     one contiguous (n_paths, n_factors) block.
@@ -166,18 +167,17 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     stock = market.theta_s / market.sigma_s
     w_stock = np.full((n_paths, n + 1), stock)
     if policy_kind == OPTIMAL:
-        w_bond = bond_weight_arrays(model, scenario, market, g, grad1)
+        w_bond = bond_weight_arrays(model, market, g, grad1)
     else:
         w_bond = np.zeros((n_paths, n + 1))
 
     # log F_k, built in place in the log-wealth array's columns 1..n
     dt, sqdt = grid.step, np.sqrt(grid.step)
-    lam1 = paths.hazards[0][:, :n]
     vol_s = stock * market.sigma_s
-    vol_l = w_bond[:, :n] * rolling_bond_volatility(model, market, lam1)
-    # the longevity risk price carries the loading's sqrt(lambda1)
-    theta_eff = market.theta_1 * np.sqrt(lam1) if model.kind == CIR \
-        else market.theta_1
+    # the bond's loading and the longevity risk price both carry v(lambda1)
+    v1, _ = _diffusion(model, paths.hazards[0][:, :n])
+    vol_l = w_bond[:, :n] * (rolling_bond_volatility(model, market, 1.0) * v1)
+    theta_eff = market.theta_1 * v1
     wealth = np.empty((n_paths, n + 1))
     wealth[:, 0] = 0.0
     f = wealth[:, 1:]

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 import pendraw
-from pendraw import experiments, scheme
+from pendraw import cli, experiments, pricing, scheme
 from pendraw.cli import MAX_COEFF_ROWS, main
 from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
                             load_config, loads_config, with_overrides)
-from pendraw.control import annuity_G
+from pendraw.control import annuity_G, g_and_gradient
 from pendraw.experiments import format_number, run_experiment, write_csv
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, baseline_hazard,
                                simulate_paths)
-from pendraw.numerics import TimeGrid
-from pendraw.pricing import coeffs_single, coeffs_two_pop
+from pendraw.numerics import NumericalFailure, TimeGrid
+from pendraw.pricing import (build_coefficient_table, coeffs_single,
+                             coeffs_two_pop)
 
 MINIMAL = """
 [model]
@@ -792,6 +793,66 @@ class TestCli:
         assert code == 0
         values = capsys.readouterr().out.splitlines()[1].split(",")
         assert np.isfinite(float(values[4])) and float(values[4]) > 0.0
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("t", [36.0, 60.0, 119.0])
+    def test_policy_past_the_gompertz_overflow(self, tmp_path, capsys, kind,
+                                               t):
+        # at delta = 0.02, e^{(s - m)/delta} overflows for every s past
+        # m + 709.8 delta = 35.65 in population 1's curve; its k0 term is
+        # zero at tau = 0, so an exponent of inf there gave G = NaN
+        text = (shipped_text(kind).replace("r = 0.04", "r = 0")
+                .replace("nu = 0.0009944", "nu = 0", 1)
+                .replace("delta = 11.4", "delta = 0.02"))
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(text)
+        code = main(["policy", "--config", str(cfg_path), "--t", str(t),
+                     "--lambda1", "0.01"])
+        captured = capsys.readouterr()
+        cfg = load_config(cfg_path)
+        # --lambda2 defaults to the members' baseline hazard at t
+        lam = [0.01] + [float(baseline_hazard(t, gm))
+                        for gm in cfg.model.factors[2][1:]]
+        args = (cfg.model, cfg.scenario, cfg.market, t, np.array([lam]))
+        if code == 0:
+            g = float(captured.out.splitlines()[1].split(",")[4])
+            assert np.isfinite(g) and g > 0.0
+            assert np.isfinite(g_and_gradient(*args)[1]).all()
+        else:
+            # the members' survival expectation overflows
+            assert code == 2 and "numerical failure" in captured.err
+            assert captured.out == ""
+            with pytest.raises(NumericalFailure):
+                g_and_gradient(*args)
+        if cfg.model.n_factors == 1:
+            assert code == 0
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("extra", [
+        ["--t", "7.31", "--s-step", "0.37", "--s-max", "20"],
+        ["--t", "0", "--s-step", "0.05", "--s-max", "3"]])
+    def test_coeffs_reads_one_tau_pass(self, tmp_path, monkeypatch, kind,
+                                       extra):
+        # every row is the last node of the table from t to its s, read off
+        # one pass: the per-maturity tables would each miss the cache
+        cfg_path = tmp_path / "k.cfg"
+        cfg_path.write_text(shipped_text(kind))
+        written = []
+        monkeypatch.setattr(cli, "write_csv",
+                            lambda columns, *rest: written.append(columns)
+                            or write_csv(columns, *rest))
+        pricing._tau_table.cache_clear()
+        assert main(["coeffs", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "c"), *extra]) == 0
+        info = pricing._tau_table.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        model = load_config(cfg_path).model
+        (t, s, *k), = written
+        s_max = float(extra[-1])
+        for i in range(1, len(s)):
+            tab = build_coefficient_table(model, t[i], min(s[i], s_max))
+            assert [c[i] for c in k[:1 + model.n_factors]] == \
+                [tab.k0[-1], *tab.k[:, -1]]
 
     def test_sweep_leaves_numpy_ma_unloaded(self, tmp_path):
         # numpy.ma (loaded by np.unique, among others) adds about 2 MB of

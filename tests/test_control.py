@@ -610,7 +610,7 @@ class TestPolicies:
                    else pricing.a1_cir(b1, sigma1, MARKET.maturity))
         want = -(MARKET.theta_1 + float(big_s[:, 0].sum()) * grad[:, 0] / g) \
             / (a1 * float(big_s[0, 0]))
-        got = control.bond_weight_arrays(model, SCEN, MARKET, g, grad[:, 0])
+        got = control.bond_weight_arrays(model, MARKET, g, grad[:, 0])
         assert np.array_equal(got, want)
 
     def test_no_premium_no_loading_gives_zero_bond(self):

@@ -330,20 +330,23 @@ def _arrays_of(paths):
 DIST_FIELDS = ("cdf", "density", "mean_cdf", "mean_density")
 MODELS = {"ou-single": ou_single(), "cir-single": cir_single(),
           "ou-sub": ou_two(), "cir-sub": cir_two(),
-          "ou-dip": ou_single(sigma=0.02)}
+          "ou-dip": ou_single(sigma=0.02),
+          "cir-clamp": TwoPopModel("cir", POP1, POP2, B1, B21, B22, 0.2, 0.1,
+                                   0.2)}
 
 
 class TestTimeMajorChunks:
     """The chunked loop against the column loop, across chunk boundaries,
     and the death-time arrays against the floored rebuild. The 60-path
-    "ou-dip" runs of more than one step make negative OU excursions."""
+    "ou-dip" runs of more than one step make negative OU excursions, and
+    the 60-path "cir-clamp" runs clamp both factors' CIR states at zero."""
 
     @pytest.mark.parametrize("path_offset", [0, 2 ** 40])
     @pytest.mark.parametrize("n_paths", [1, 60])
     @pytest.mark.parametrize("n_steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                          350])
     @pytest.mark.parametrize("kind", ["ou-single", "cir-single", "ou-sub",
-                                      "cir-sub", "ou-dip"])
+                                      "cir-sub", "ou-dip", "cir-clamp"])
     def test_bit_identical_to_column_loop(self, kind, n_steps, n_paths,
                                           path_offset):
         model = MODELS[kind]
@@ -360,6 +363,8 @@ class TestTimeMajorChunks:
             assert a.flags.c_contiguous and a.flags.owndata, name
         if kind == "ou-dip" and n_paths == 60 and n_steps > 1:
             assert paths.hazards[0].min() < 0.0
+        if kind == "cir-clamp" and n_paths == 60:
+            assert all((lam == 0.0).any() for lam in paths.hazards)
         dist = death_time_distribution(paths)
         cdf, density = _floored_death_time(paths)
         want = (cdf, density, cdf.mean(axis=0), density.mean(axis=0))

@@ -384,6 +384,19 @@ class TestCoefficientTable:
         assert np.array_equal(tables[3].k[0], tables[0].k[0][:tables[3].s.size])
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
+    def test_pass_is_prefix_stable(self, model):
+        # a pass's length changes none of its floats at the nodes it shares
+        # with a longer one, so one pass serves anchors and ``coeffs`` rows
+        # of any span (``pricing._tau_pass``)
+        full = pricing._tau_curves(model, 0.05, 2400)
+        for n in (1, 2, 7, 40, 399, 700, 1354, 2000):
+            part = pricing._tau_curves(model, 0.05, n)
+            for name in ("c", "k0_level", "k0_gompertz"):
+                assert np.array_equal(getattr(part, name),
+                                      getattr(full, name)[..., :n + 1]), \
+                    (n, name)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     @pytest.mark.parametrize("t, t_max, nodes", [
         (12.34, 80.0, (10, 180, 700, 1300)),   # off the lattice: end node at t_max
         (2.0, 35.3, (10, 180, 400, 666)),      # t_max = horizon + 0.3

@@ -84,7 +84,7 @@ def loop_reference(model, scen, market, kind, paths):
     ``kind`` (``OPTIMAL`` or ``NO_BOND``)."""
     g, grad1 = g_surface(model, scen, market, paths).at(scen.phi)
     stock = market.theta_s / market.sigma_s
-    w_bond = (bond_weight_arrays(model, scen, market, g, grad1)
+    w_bond = (bond_weight_arrays(model, market, g, grad1)
               if kind == OPTIMAL else np.zeros_like(g))
 
     def same_policy(t, lam, wealth):
@@ -383,7 +383,7 @@ class TestObjective:
         scen = scenario(n_paths=200)
         paths = make_paths(model, scen)
         g, grad1 = g_surface(model, scen, MARKET, paths).at(scen.phi)
-        w_bond = bond_weight_arrays(model, scen, MARKET, g, grad1)
+        w_bond = bond_weight_arrays(model, MARKET, g, grad1)
         j_1 = self.pathwise_j(model, scen, paths, g, w_bond, 1.0)
         for c in (0.95, 1.05):
             gap = j_1 - self.pathwise_j(model, scen, paths, g, w_bond, c)

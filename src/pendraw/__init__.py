@@ -4,7 +4,8 @@ Layers, bottom up: ``numerics`` (quadrature, RK4, keyed Gaussian streams),
 ``mortality`` (hazard models and path simulation), ``pricing`` (affine
 survival coefficients and bond quantities), ``control`` (annuity value G and
 the optimal policy), ``scheme`` (wealth simulation and paired comparisons),
-``config``/``experiments``/``cli`` (configuration and experiment suites).
+``config``/``experiments``/``cli`` (configuration and experiment suites;
+``csvkernel`` formats their CSV fields in numpy).
 """
 
 from .config import (ExperimentConfig, build_model, default_config_path,

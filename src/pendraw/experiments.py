@@ -10,12 +10,21 @@ either an equal-length 1-D array or list, or a ``str`` constant repeated on
 every row (the blank ``lambda2`` of a single-population dump). One format
 rule, ``_code``, maps a column's numpy dtype kind to its ``%``-code: floats
 ``%.9g`` (9 significant digits), integers and bools ``%d``, strings ``%s``;
-``format_number`` applies the same rule to one value. The file's row format
-is built once, and rows are formatted and written in blocks of
-``_BLOCK_ROWS``, so memory stays bounded however long the file is. Lines end
-in LF, so identical inputs produce byte-identical outputs. The printed
-summary (seed, runtime, discounted totals and improvements) is not part
-of the CSV contract.
+``format_number`` applies it to one value, for ``policy`` and for every
+value the writer's kernel leaves to it.
+
+The writer formats numbers in numpy with the ``%.9g`` kernel of
+``csvkernel``, for float, int, uint and bool columns alike (an integer
+below 1e9 in magnitude prints the same under ``%.9g`` as under ``%d``), in
+blocks of ``_BLOCK_ROWS`` rows, so memory stays bounded however long the
+file is. The kernel certifies zero and magnitudes from 1e-299 to the
+largest double, except where the scaled mantissa lies within 1e-6 of a
+rounding half-way point, well beyond its scaling's 2.3e-7 error. A row
+holding any other value (nan, inf, magnitudes below 1e-299, integers from
+1e9 on) or a string is formatted field by field with ``format_number``, so
+every byte is that of the ``%`` rule. Lines end in LF, so identical inputs
+produce byte-identical outputs. The printed summary (seed, runtime,
+discounted totals and improvements) is not part of the CSV contract.
 """
 
 from __future__ import annotations
@@ -35,10 +44,13 @@ from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, discounted_totals,
 
 _N_SAMPLE_PATHS = 3
 
-# rows formatted per write: a block's Python floats and strings (about 0.3 MB
-# at 1 024 rows) stay small next to the arrays they are read from, so a long
-# file costs no more memory than a short one
-_BLOCK_ROWS = 1024
+# rows per block: the block's slots, masks, temporaries and compaction
+# indices (3.8 MB for a hazard dump's rows of 160 slot bytes) stay small next
+# to the arrays they are read from, so a long file costs no more memory than
+# a short one; numpy's per-call cost is spread over enough rows, and a hazard
+# dump was written no faster in blocks of 8 192 and 8% slower in 2 048
+_BLOCK_ROWS = 4096
+
 
 def _code(kind: str) -> str:
     """The ``%``-code for values of numpy dtype kind ``kind``."""
@@ -52,7 +64,8 @@ def _code(kind: str) -> str:
 
 
 def format_number(value) -> str:
-    """One value formatted as ``write_csv`` formats it in a column."""
+    """One value formatted as ``write_csv`` formats it in a column: the
+    ``%``-code of its dtype kind (``_code``), or a ``str`` verbatim."""
     if isinstance(value, str):
         return value
     return _code(np.asarray(value).dtype.kind) % value
@@ -65,20 +78,32 @@ def write_csv(columns: Sequence[Union[np.ndarray, Sequence, str]],
     ``columns[j]`` fills field ``schema[j]``: an array or list gives one value
     per row, a ``str`` is written verbatim on every row. Every array or list
     must have the same length, and at least one must be given.
+
+    A row's bytes are laid out once (``csvkernel._row_layout``): the texts
+    between fields (separators, ``str`` constants, the line end) in place,
+    and slots for every field. Each block of rows fills the slots and their
+    masks column by column (``csvkernel._g9``), and one compaction of the
+    bytes under the mask writes the block. A row holding a value that the
+    kernel does not certify, or a string, is formatted field by field with
+    ``format_number`` and spliced in its place.
     """
     if len(columns) != len(schema):
         raise ConfigError(f"{len(columns)} columns do not match schema "
                           f"of length {len(schema)}")
-    codes, arrays = [], []
-    for col in columns:
+    texts, arrays = [""], []            # texts[j] precedes field j
+    for j, col in enumerate(columns):
+        sep = "," if j else ""
         if isinstance(col, str):
-            codes.append(col.replace("%", "%%"))
+            texts[-1] += sep + col
             continue
         arr = np.asarray(col)
         if arr.ndim != 1:
             raise ConfigError(f"a column must be 1-D, got shape {arr.shape}")
-        codes.append(_code(arr.dtype.kind))
+        _code(arr.dtype.kind)
+        texts[-1] += sep
+        texts.append("")
         arrays.append(arr)
+    texts[-1] += "\n"
     if not arrays:
         raise ConfigError("at least one column must be an array or list")
     lengths = {arr.shape[0] for arr in arrays}
@@ -86,14 +111,45 @@ def write_csv(columns: Sequence[Union[np.ndarray, Sequence, str]],
         raise ConfigError(f"columns must have one common length, got "
                           f"{sorted(lengths)}")
     n_rows = lengths.pop()
-    row = ",".join(codes) + "\n"
+    from . import csvkernel     # compiled at the first write, not at import
+    block = max(1, min(n_rows, _BLOCK_ROWS))
+    out, keep, fields = csvkernel._row_layout(texts, block)
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(schema) + "\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [arr[start:start + _BLOCK_ROWS].tolist() for arr in arrays]
-            fh.write("".join(map(row.__mod__, zip(*block))))
+    with open(path, "wb") as fh:
+        fh.write((",".join(schema) + "\n").encode())
+        for start in range(0, n_rows, block):
+            n = min(block, n_rows - start)
+            ok = np.ones(n, bool)
+            for arr, (cols, tail) in zip(arrays, fields):
+                if arr.dtype.kind in "US":
+                    ok[:] = False
+                    continue
+                x = arr[start:start + n].astype(np.float64)
+                ok &= csvkernel._g9(x, out[:n, cols], keep[:n, cols], tail)
+                if arr.dtype.kind in "iu":
+                    ok &= np.abs(x) < 1e9
+            _write_block(fh, out[:n].view(np.uint8), keep[:n].view(bool), ok,
+                         texts, arrays, start)
     return path
+
+
+def _write_block(fh, out, keep, ok, texts, arrays, start) -> None:
+    """Writes the bytes of ``out`` under ``keep``, with every row not ``ok``
+    formatted by ``format_number`` in its place."""
+    if ok.all():
+        fh.write(np.compress(keep.ravel(), out.ravel()))
+        return
+    keep = keep & ok[:, None]
+    data = np.compress(keep.ravel(), out.ravel())
+    ends = np.cumsum(keep.sum(axis=1))
+    done = 0
+    for i in np.flatnonzero(~ok).tolist():
+        fields = [format_number(arr[start + i].item()) for arr in arrays]
+        text = texts[0] + "".join(map(str.__add__, fields, texts[1:]))
+        fh.write(data[done:ends[i]])
+        fh.write(text.encode())
+        done = ends[i]
+    fh.write(data[done:])
 
 
 def _column_means(a: np.ndarray) -> np.ndarray:

@@ -548,15 +548,16 @@ def _tau_pass(model: Model, t: float, t_max: float,
 def _k0(tt: _TauTable, s, level: np.ndarray, gompertz) -> np.ndarray:
     """K0 at the values s from its curves there, in place in ``level``:
     level + sum_k e^{(s - m_k)/delta_k} gompertz_k, summed factor by factor
-    (``gompertz`` yields one array per factor). The exponent is capped at
-    700, below exp's overflow: gompertz_k is 0 at tau = 0, where an
-    e^{(s - m_k)/delta_k} of inf would give NaN, and every exponent below
-    the cap is used as it is."""
+    (``gompertz`` yields one array per factor). gompertz_k is 0 at tau = 0
+    alone, where the term is 0 whatever the exponent, so the exponent is
+    zeroed there, and an e^{(s - m_k)/delta_k} of inf cannot meet it; past
+    exp's overflow elsewhere the term, and K0, take their infinite limit."""
     for m, delta, k0_gm in zip(tt.m, tt.delta, gompertz):
         x = s - m
         x /= delta
-        np.minimum(x, 700.0, out=x)
-        np.exp(x, out=x)
+        np.copyto(x, 0.0, where=k0_gm == 0.0)
+        with np.errstate(over="ignore"):
+            np.exp(x, out=x)
         x *= k0_gm
         level += x
     return level

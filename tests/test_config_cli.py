@@ -238,6 +238,48 @@ class TestLoadConfig:
         assert cfg.out_dir == "runs/100%/%(x)s"
 
 
+def _reference_csv(columns, schema) -> bytes:
+    """A CSV written one ``format_number`` call per field."""
+    n = next(len(c) for c in columns if not isinstance(c, str))
+    cols = [[c] * n if isinstance(c, str) else np.asarray(c).tolist()
+            for c in columns]
+    lines = [",".join(schema)]
+    lines += [",".join(map(format_number, row)) for row in zip(*cols)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _matches_reference(tmp_path, columns) -> bool:
+    """Whether ``write_csv`` gives ``_reference_csv``'s bytes."""
+    schema = [f"c{j}" for j in range(len(columns))]
+    path = write_csv(columns, schema, tmp_path / "k.csv")
+    return path.read_bytes() == _reference_csv(columns, schema)
+
+
+def _edge_floats() -> np.ndarray:
+    """Doubles at the kernel's edges, each with both signs."""
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               1e-310, tiny, np.nextafter(tiny, 0.0), 1e-300, 1e-299,
+               np.nextafter(1e-299, 0.0), 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 0.5, 1.5, 2.5, 1 / 3]
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    near = [np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    # 9-digit half-way values (k + 1/2) 10^j, and their neighbours
+    halves = np.array([float(f"{k}.5e{j}")
+                       for k in (100000000, 123456789, 500000000, 999999999)
+                       for j in range(-310, 300, 7)])
+    # the %g switch to exponent notation near 1e-4 and 1e9, both sides of
+    # the 9-digit rounding
+    switch = [9.9999999949e-5, 9.999999995e-5, 9.99999999e-5, 1e-4,
+              1.00000000049e-4, 999999999.0, 999999999.4999, 999999999.5,
+              1e9, 1000000000.5, 99999.99995, 0.000999999999]
+    switch += [np.nextafter(v, d) for v in switch for d in (0.0, np.inf)]
+    out = np.concatenate([special, powers, *near, halves,
+                          np.nextafter(halves, 0.0), np.nextafter(halves, np.inf),
+                          switch])
+    return np.concatenate([out, -out])
+
+
 class TestWriteCsv:
     def test_header_only(self, tmp_path):
         path = write_csv([[], []], ["a", "b"], tmp_path / "empty.csv")
@@ -299,6 +341,59 @@ class TestWriteCsv:
             write_csv(columns, [f"c{j}" for j in range(len(columns))],
                       tmp_path / "e.csv")
 
+    def test_edge_floats(self, tmp_path):
+        assert _matches_reference(tmp_path, [_edge_floats()])
+
+    @pytest.mark.parametrize("column", [
+        np.array([-2**63, 2**63 - 1, 0, -1, 1, 10**9 - 1, -(10**9 - 1),
+                  10**9, -10**9, 2**53 + 1, 123456789], dtype=np.int64),
+        np.array([2**64 - 1, 2**63, 0, 10**9 - 1, 10**9], dtype=np.uint64),
+        np.array([-2**31, 2**31 - 1, 0, 7], dtype=np.int32),
+        np.array([0, 255, 17], dtype=np.uint8),
+        np.array([True, False, True]),
+        [np.bool_(True), False, 3],
+        np.array([0.1, 3.4028235e38, 1e-45, -2.5, np.nan], dtype=np.float32),
+        np.array([0.1, 65504.0, 6e-8, -0.0], dtype=np.float16),
+        np.array([0.1, 1e-300, 2.5], dtype=np.longdouble),
+        np.zeros(5), -np.zeros(5), np.full(5, np.nan), np.full(5, -np.inf),
+        [1, 2.5, 3], [], ["a,b", "", "100%"],
+        np.array([b"x", b"yz"]),
+    ], ids=lambda c: str(np.asarray(c).dtype))
+    def test_column_kinds(self, tmp_path, column):
+        assert _matches_reference(tmp_path, [column])
+
+    def test_fallback_rows_across_blocks(self, tmp_path, monkeypatch):
+        # blocks of 7 rows, fallback rows at block starts and ends, a str
+        # constant first and between columns, and a string column
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 7)
+        n = 40
+        x = np.linspace(-3.0, 3.0, n) ** 3
+        x[[0, 6, 7, 13, 20, 39]] = [np.nan, np.inf, -np.inf, 5e-324,
+                                   float("1.0000000005"), np.nan]
+        ids = np.arange(n) * 10**8         # from 10^9 on, past the kernel
+        tags = np.array([f"é{k}" for k in range(n)])
+        for columns in ([x, ids], ["lead", x, "mid,x", ids, ""],
+                        [x, tags, ids]):
+            assert _matches_reference(tmp_path, columns)
+
+    def test_kernel_formats_ordinary_values(self, tmp_path, monkeypatch):
+        # the fallback sees the values that need it, and no others
+        seen = []
+
+        def counted(value):
+            seen.append(value)
+            return format_number(value)
+
+        monkeypatch.setattr(experiments, "format_number", counted)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(2000) * 10.0 ** rng.integers(-290, 290, 2000)
+        ids = rng.integers(-10**9 + 1, 10**9, 2000)
+        assert _matches_reference(tmp_path, [x, ids, "c"])
+        assert seen == []
+        x[5] = np.nan
+        assert _matches_reference(tmp_path, [x, ids])
+        assert len(seen) == 2 and np.isnan(seen[0]) and seen[1] == ids[5]
+
 
 def _reference_field(value) -> str:
     """The per-field rule the columnar writer must reproduce."""
@@ -317,13 +412,25 @@ def _reference_dump_rows(paths):
             yield (t, i, lam[0], lam[1], paths.survival[i, k])
 
 
+# an OU dump whose hazards dip below zero, and below 1e-4 in magnitude: the
+# members' and the bond population's volatilities raised tenfold
+OU_DIPS = ("ou-sub", {"sigma = 0.0035": "sigma = 0.035",
+                      "sigma22 = 0.0050": "sigma22 = 0.05"})
+
+
 class TestMortalityDumpBytes:
-    @pytest.mark.parametrize("kind", ["ou-single", "ou-sub"])
-    def test_dump_over_several_blocks_matches_per_field(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind, edits", [
+        ("ou-single", {}), ("ou-sub", {}), ("cir-sub", {}), OU_DIPS],
+        ids=["ou-single", "ou-sub", "cir-sub", "ou-sub-dips"])
+    def test_dump_over_several_blocks_matches_per_field(self, tmp_path, kind,
+                                                        edits):
+        text = shipped_text(kind)
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
         cfg_path = tmp_path / "kind.cfg"
-        cfg_path.write_text(default_config_path().read_text()
-                            .replace("kind = ou-single", f"kind = {kind}"))
-        n_paths = 13
+        cfg_path.write_text(text)
+        n_paths = 25
         assert main(["mortality", "--config", str(cfg_path), "--paths",
                      str(n_paths), "--seed", "5",
                      "--out", str(tmp_path / "m")]) == 0
@@ -335,8 +442,42 @@ class TestMortalityDumpBytes:
         lines += [",".join(map(_reference_field, row))
                   for row in _reference_dump_rows(paths)]
         assert len(lines) - 1 > experiments._BLOCK_ROWS
-        assert (tmp_path / "m" / "paths.csv").read_text() == \
-            "\n".join(lines) + "\n"
+        got = (tmp_path / "m" / "paths.csv").read_text().split("\n")
+        # the first line that differs, not a diff of the whole file
+        assert got[-1] == "" and len(got) - 1 == len(lines)
+        assert next(((k, g, w) for k, (g, w) in enumerate(zip(got, lines))
+                     if g != w), None) is None
+        if edits:
+            # negative hazards, and exponent notation, in real output
+            hazards = [row.split(",")[2:4] for row in lines[1:]]
+            assert any(h.startswith("-") for row in hazards for h in row)
+            assert any("e-" in h for row in hazards for h in row)
+
+
+class TestSuiteCsvBytes:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_suite_file_matches_per_field(self, tmp_path, monkeypatch,
+                                                kind):
+        written = []
+
+        def checked(columns, schema, path):
+            out = write_csv(columns, schema, path)
+            assert out.read_bytes() == _reference_csv(columns, schema)
+            written.append(out.name)
+            return out
+
+        monkeypatch.setattr(experiments, "write_csv", checked)
+        monkeypatch.setattr(cli, "write_csv", checked)
+        cfg_path = tmp_path / "k.cfg"
+        cfg_path.write_text(shipped_text(kind))
+        common = ["--config", str(cfg_path), "--paths", "6",
+                  "--out", str(tmp_path / "o")]
+        for argv in (["simulate"], ["compare"],
+                     ["sweep", "--var", "theta1", "--values=-0.0015,-0.003"],
+                     ["sweep", "--var", "phi", "--values=0.5,1"],
+                     ["coeffs", "--t", "7.31", "--s-step", "0.5"]):
+            assert main(argv + common) == 0
+        assert len(written) == 3 + 2 + 3 + 3 + 1
 
 
 def small_config(tmp_path, extra=""):
@@ -826,6 +967,27 @@ class TestCli:
                 g_and_gradient(*args)
         if cfg.model.n_factors == 1:
             assert code == 0
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_coeffs_past_the_gompertz_overflow(self, tmp_path, kind):
+        # at delta = 0.001, e^{(s - m)/delta} overflows for every s past
+        # m + 709.8 delta = 22.16 in population 1's curve: K0 reaches its
+        # infinite limit there, where a capped exponent left a plateau
+        text = (shipped_text(kind).replace("r = 0.04", "r = 0")
+                .replace("delta = 11.4", "delta = 0.001"))
+        cfg_path = tmp_path / "k.cfg"
+        cfg_path.write_text(text)
+        assert main(["coeffs", "--config", str(cfg_path), "--s-max", "40",
+                     "--out", str(tmp_path / "o")]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "o" / "coeffs.csv").read_text().splitlines()[1:]]
+        a0 = np.array([float(row[2]) for row in rows])
+        finite = a0[np.isfinite(a0)]
+        assert np.unique(finite).size == finite.size == 23
+        # one population: the survival factor falls to 0; two: population
+        # 1's term in the members' K0 grows without bound
+        limit = "-inf" if load_config(cfg_path).model.n_factors == 1 else "inf"
+        assert [row[2] for row in rows[23:]] == [limit] * (len(rows) - 23)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("extra", [

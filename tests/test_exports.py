@@ -45,9 +45,10 @@ def test_import_loads_no_third_party_module_but_numpy():
 
 
 def test_import_defers_the_oracle_and_rule_modules():
-    # the Gauss-Legendre nodes (numpy.polynomial) and the exact Gregory
-    # corrections (fractions) are loaded on first use, outside the start-up
-    # of every command
+    # the Gauss-Legendre nodes (numpy.polynomial), the exact Gregory
+    # corrections (fractions) and the CSV field kernel with its tables
+    # (pendraw.csvkernel) are loaded on first use, outside the start-up of
+    # every command
     loaded = fresh_import_modules()
-    assert sorted(m for m in loaded if m == "fractions"
+    assert sorted(m for m in loaded if m in ("fractions", "pendraw.csvkernel")
                   or m.startswith("numpy.polynomial")) == []

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import (HealthCheck, example, given, settings,  # noqa: E402
+                        strategies as st)
 
 from pendraw.control import MarketParams, SchemeScenario, g_and_gradient  # noqa: E402
 from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,  # noqa: E402
@@ -16,6 +17,7 @@ from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,  # noqa: E
 from pendraw.numerics import TimeGrid  # noqa: E402
 from pendraw.scheme import (NO_BOND, OPTIMAL, _hazard_state, g_surface,  # noqa: E402
                             simulate_scheme)
+import test_config_cli  # noqa: E402
 import test_scheme  # noqa: E402
 
 POP1 = GompertzMakehamParams(0.0009944, 11.4, 86.4515 - 65.0)
@@ -102,3 +104,23 @@ def test_product_recurrence_matches_the_step_loop(kind, arm, phi, theta1, r):
     # factors keep wealth finite and positive on every path
     assert np.all(np.isfinite(got.wealth))
     assert np.all(got.wealth > 0.0)
+
+
+# any double: by value, and by bit pattern, which spreads the exponents
+DOUBLES = st.one_of(
+    st.floats(width=64),
+    st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.array(b, np.uint64).view(np.float64))))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(DOUBLES, min_size=1, max_size=64),
+       st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
+def test_csv_fields_of_any_doubles_and_ints(tmp_path, floats, ints):
+    # write_csv's field kernel and its fallback give format_number's text
+    n = min(len(floats), len(ints))
+    x = np.array(floats[:n])
+    with np.errstate(over="ignore"):       # float32 of a large double is inf
+        x32 = x.astype(np.float32)
+    columns = [x, np.array(ints[:n], np.int64), x32]
+    assert test_config_cli._matches_reference(tmp_path, columns)

@@ -27,7 +27,7 @@ from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
-from .pricing import _end_node, _tau_pass
+from .pricing import LATTICE_STEP, _end_node, _lattice_span, _tau_table
 
 # maturities after the anchor in one ``coeffs`` file (it writes one more
 # row, s = t): bounds its size, and its time at one read of the one tau pass
@@ -173,8 +173,8 @@ def _cmd_coeffs(args) -> int:
         raise ConfigError(f"--s-step {args.s_step} gives more than "
                           f"{MAX_COEFF_ROWS} maturities after --t")
     # every row is the last node of the table from t to its s, read off the
-    # one tau pass that covers the table to s_max
-    tt = _tau_pass(model, args.t, s_max)
+    # one tau pass, grown once to the last node of the table to s_max
+    tt = _tau_table(model, LATTICE_STEP).grow(_lattice_span(args.t, s_max)[0])
     values = [(0.0,) * (1 + model.n_factors)]
     for s in maturities[1:]:
         c, k0 = _end_node(model, tt, args.t, min(s, s_max))

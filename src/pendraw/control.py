@@ -29,16 +29,20 @@ curve alone and only A and its gradient a quadrature. 1 - phi r turns
 negative once phi r > 1, yet G stays above A: phi (1 - D - r A) =
 phi int_t^T e^{-r(s-t)} (-dS/ds) ds, which is positive while S falls.
 
-The quadrature reads the one cached tau pass shared by every anchor
-(``pricing``) at its rule's nodes only: the trapezoid rule on every 10th
-node s_n = t + 0.05 n of the lattice, with Gregory end corrections that make
-it exact for polynomials of degree below 8. The rule stops at the
-survival-underflow cut, the first rule node with k0 < -80, or ends in a
-short panel at t_max; anchors with a high hazard or a short span use a
-smaller stride. On the nodes (weights w_n) A and the gradient's integrals
-are the moments M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in
-{1, k_i}, surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one
-exp of the (states x nodes) exponent and one product with the
+The quadrature reads the one cached tau pass of the model (``pricing``),
+which every anchor shares, at its rule's nodes only: the trapezoid rule on
+every 10th node s_n = t + 0.05 n of the lattice, with Gregory end
+corrections that make it exact for polynomials of degree below 8. The rule
+stops at the survival-underflow cut, the first rule node with k0 < -80, or
+ends in a short panel at t_max; anchors with a high hazard or a short span
+use a smaller stride. The pass grows only until every anchor's rule is
+closed (``_rule_nodes``): at t = 0 on the shipped parameters that is 1 440
+of the 2 401 nodes up to t_max = 120 for one population and 1 630 for the
+sub-population, fewer at later anchors. On the nodes (weights w_n) A and
+the gradient's integrals are the moments
+M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, k_i},
+surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one exp of
+the (states x nodes) exponent and one product with the
 (nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
 None of these pieces depends on phi (``_g_pieces_at``), so one set of them
 gives G and its gradient at every phi. ``g_and_gradient`` computes them at
@@ -68,7 +72,7 @@ import numpy as np
 from .mortality import Model, _check_finite, _diffusion
 from .numerics import NumericalFailure
 from .pricing import (LATTICE_STEP, MarketParams, _end_node,
-                      _lattice_nodes, _lattice_span, _tau_pass,
+                      _lattice_nodes, _lattice_span, _tau_table,
                       rolling_bond_volatility)
 
 # A and its gradient are the trapezoid rule on every GREGORY_STRIDE-th node
@@ -100,6 +104,9 @@ GRAD_REL_TOL = 2.5e-7
 GREGORY_STRIDE = 10
 GREGORY_ORDER = 8
 GREGORY_RATE_STEP = 0.06
+# the survival-underflow cut: G's rule ends at its first node where k0 falls
+# below it, the survival factor below e^-80 of its start
+_CUT_K0 = -80.0
 # stride nodes (anchors x nodes) that ``_g_pieces_at`` assembles in one set
 # of array operations, 34 anchors at stride 10 and t_max = 120: timed on
 # ``scheme.g_surface`` at the shipped config, 4 096 to 2**20 run alike and
@@ -240,10 +247,11 @@ def _anchor(t) -> float:
 def _stride_nodes(tt, t_max: float, spans, stride: int, n_cols: int):
     """(k0, tau) at the lattice nodes min(j * stride, n), j < n_cols, of the
     anchors ``spans`` = [(t, n, partial), ...], one row per anchor, as
-    ``pricing.build_coefficient_table`` gives them."""
+    ``pricing.build_coefficient_table`` gives them. A node past the last of
+    the pass ``tt`` reads that last node instead (``_rule_nodes``)."""
     t = np.array([[t] for t, _, _ in spans])
     n = np.array([[n] for _, n, _ in spans])
-    idx = np.minimum(stride * np.arange(n_cols), n)
+    idx = np.minimum(stride * np.arange(n_cols), np.minimum(n, tt.n))
     end = np.array([[-1 if partial else n] for _, n, partial in spans])
     s, k0 = _lattice_nodes(tt, t, t_max, end, idx)
     s -= t
@@ -252,33 +260,82 @@ def _stride_nodes(tt, t_max: float, spans, stride: int, n_cols: int):
 
 def _first_dead(k0: np.ndarray, n: np.ndarray, stride: int) -> np.ndarray:
     """Per row of ``_stride_nodes``' k0, the first column j with
-    j * stride <= n where k0 < -80 (the survival factor is below e^-80 of
-    its start there), or -1. The columns past n // stride repeat node n, so
-    the first dead column lies past them only when none up to them is."""
-    dead = k0 < -80.0
+    j * stride <= n where k0 < _CUT_K0 (the survival factor is below e^-80
+    of its start there), or -1. The columns past n // stride repeat node n,
+    so the first dead column lies past them only when none up to them is."""
+    dead = k0 < _CUT_K0
     first = dead.argmax(axis=1)
     return np.where(dead[np.arange(first.size), first] & (first * stride <= n),
                     first, -1)
 
 
-def _short_span(tt, t_max: float, r: float, span, stride: int):
+def _cut_guess(gm, t0: float, fall: float, stride: int) -> float:
+    """A guess of G's rule cut, in lattice nodes from t0, on the stride: one
+    stride past the node where the members' Gompertz hazard (gm, without its
+    Makeham term), integrated from t0, reaches ``fall``, which it does
+    delta log(1 + fall e^{(m - t0)/delta}) years on (inf past overflow)."""
+    v = (math.log(fall) if fall > 0 else -math.inf) + (gm.m - t0) / gm.delta
+    # log(1 + e^v), without overflow
+    log1pexp = v + math.log1p(math.exp(-v)) if v > 0 \
+        else math.log1p(math.exp(v))
+    nodes = gm.delta * log1pexp / (stride * LATTICE_STEP)
+    return stride * (math.ceil(nodes) + 1) if nodes < 1e9 else math.inf
+
+
+def _rule_nodes(tt, t_max: float, spans, stride: int, n_cols: int, gm):
+    """``_stride_nodes`` and each row's cut (``_first_dead``), growing the
+    pass ``tt`` only until every row's rule is closed: at its cut, or at the
+    last node its columns read, min(n, (n_cols - 1) * stride). A row's
+    columns past its cut may read another node; the rule reads none of them.
+
+    Each growth aims at a guessed cut (``_cut_guess``): at first the
+    earliest anchor's, for a fall of k0 by -_CUT_K0 from t, then the
+    farthest open row's, for the rest of the fall from the last stride node
+    it has read. The guesses set how many growths it takes, never a value:
+    growth resumes the pass exactly (``pricing._TauTable``). A CIR pass that
+    blows up keeps its finite nodes, and raises NumericalFailure only when
+    an open row needs a node past them.
+    """
+    t = [t for t, _, _ in spans]
+    last = np.minimum([n for _, n, _ in spans], (n_cols - 1) * stride)
+    goal = min(last.max(), _cut_guess(gm, min(t), -_CUT_K0, stride))
+    while True:
+        if goal > tt.n:
+            before = tt.n
+            try:
+                tt.grow(int(goal))
+            except NumericalFailure:
+                if tt.n == before:
+                    raise
+        k0, tau = _stride_nodes(tt, t_max, spans, stride, n_cols)
+        top = tt.n
+        cut = _first_dead(k0, np.minimum(last, top), stride)
+        rows = np.flatnonzero((cut < 0) & (last > top))
+        if not rows.size:
+            return k0, tau, cut
+        j = top // stride
+        goal = min(last[rows].max(), j * stride + max(
+            _cut_guess(gm, t[i] + tau[i, j], k0[i, j] - _CUT_K0, stride)
+            for i in rows))
+
+
+def _short_span(tt, t_max: float, r: float, span, stride: int, gm):
     """The stride of a span with fewer than GREGORY_ORDER nodes on its
     largest stride before its cut or end: the largest, at most ``stride``,
     that gives GREGORY_ORDER - 1 strides up to the first lattice node with
-    k0 < -80, or to n. Returns (stride, cut, k0, tau, disc) on the new
+    k0 < _CUT_K0, or to n. Returns (stride, cut, k0, tau, disc) on the new
     stride as the block loop of ``_g_pieces_at`` has them, or None when the
     stride stays."""
     n = span[1]
-    lattice, _ = _stride_nodes(tt, t_max, [span], 1,
-                               min(n, GREGORY_ORDER * stride) + 1)
-    dead = np.flatnonzero(lattice[0] < -80.0)
-    last = int(dead[0]) if dead.size else n
+    _, _, dead = _rule_nodes(tt, t_max, [span], 1,
+                             min(n, GREGORY_ORDER * stride) + 1, gm)
+    last = int(dead[0]) if dead[0] >= 0 else n
     short = max(1, min(stride, last // (GREGORY_ORDER - 1)))
     if short == stride:
         return None
-    k0, tau = _stride_nodes(tt, t_max, [span], short, -(-n // short) + 1)
-    cut = int(_first_dead(k0, np.array([n]), short)[0])
-    return short, cut, k0[0], tau[0], np.exp(-r * tau[0])
+    k0, tau, cut = _rule_nodes(tt, t_max, [span], short, -(-n // short) + 1,
+                               gm)
+    return short, int(cut[0]), k0[0], tau[0], np.exp(-r * tau[0])
 
 
 def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
@@ -329,10 +386,11 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     is zero.
 
     The rule's nodes are read straight off the cached tau pass
-    (``pricing._tau_pass``, one lookup per call). Anchors that share a
-    largest stride (``_max_stride``) have k0 assembled on their stride nodes
-    together, _BLOCK_NODES nodes at a time; the rule ends at the first of
-    them with k0 < -80, or at t_max (``_rule``). A span of fewer than
+    (``pricing._tau_table``, one lookup per call), grown only as far as the
+    rules read it. Anchors that share a largest stride (``_max_stride``)
+    have k0 assembled on their stride nodes together, _BLOCK_NODES nodes at
+    a time (``_rule_nodes``); the rule ends at the first of them with
+    k0 < -80, or at t_max (``_rule``). A span of fewer than
     GREGORY_ORDER such nodes may take a smaller stride (``_short_span``).
     Each anchor then costs one product of its states with C on its nodes,
     one exp into a reused buffer and one product with the moment matrix.
@@ -342,14 +400,13 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     """
     n_anchors, n_states, n_fac = states.shape
     t_max, r, gm = scenario.t_max, market.r, model.factors[2][-1]
-    groups, empty, t_min = {}, [], t_max
+    groups, empty = {}, []
     for i, t in enumerate(times):
         t = _anchor(t)
         if t >= t_max:
             empty.append(i)
             continue
         n, partial = _lattice_span(t, t_max)
-        t_min = min(t_min, t)
         groups.setdefault(_max_stride(gm, r, t),
                           []).append((i, (t, n, partial)))
     a, d = np.zeros((n_states, n_anchors)), np.zeros((n_states, n_anchors))
@@ -357,7 +414,7 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     k_end = np.zeros((n_fac, n_anchors))
     if empty:
         d[:, empty] = 1.0   # T = t: D = 1 and the rest is zero
-    tt = _tau_pass(model, t_min, t_max) if groups else None
+    tt = _tau_table(model, LATTICE_STEP) if groups else None
     buf = np.empty(0)
     for stride, members in groups.items():
         n_cols = max(-(-n // stride) for _, (_, n, _) in members) + 1
@@ -365,16 +422,15 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
         for b in range(0, len(members), size):
             block = members[b:b + size]
             spans = [span for _, span in block]
-            k0, tau = _stride_nodes(tt, t_max, spans, stride, n_cols)
-            first = _first_dead(k0, np.array([n for _, n, _ in spans]),
-                                stride)
+            k0, tau, first = _rule_nodes(tt, t_max, spans, stride, n_cols, gm)
             disc = np.exp(-r * tau)
             for row, (i, span) in enumerate(block):
                 cut = int(first[row])
                 nodes = (stride, cut, k0[row], tau[row], disc[row])
                 if 0 <= cut < GREGORY_ORDER or (
                         cut < 0 and span[1] // stride < GREGORY_ORDER - 1):
-                    nodes = _short_span(tt, t_max, r, span, stride) or nodes
+                    nodes = _short_span(tt, t_max, r, span, stride,
+                                        gm) or nodes
                 wk, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
                 k_end[:, i] = wk[1:, -1]
                 size_i = n_states * k0_i.size

@@ -137,7 +137,19 @@ class SinglePopModel:
 
 @dataclass(frozen=True)
 class TwoPopModel:
-    """Members (population 2) are a sub-population of the bond's population 1."""
+    """Members (population 2) are a sub-population of the bond's population 1.
+
+    With b21 > 0 the members' drift carries -b21 lambda1, so the members'
+    exp-affine survival expectation exp(K0 - C1 lambda1 - C2 lambda2) has
+    C1 < 0 and passes 1 where lambda1, or population 1's Gompertz drift in
+    K0, is large. The model then lies outside the admissible affine class
+    (Duffie, Filipovic & Schachermayer, Ann. Appl. Probab. 13(3), 2003):
+    under CIR the simulated paths are floored at 0 and survive with
+    probability at most 1, which the affine form exceeds. Where that
+    expectation overflows on G's rule, G raises NumericalFailure (exit 2) by
+    design (``test_policy_past_the_gompertz_overflow`` in
+    ``tests/test_config_cli.py``).
+    """
 
     kind: str
     gm1: GompertzMakehamParams

@@ -35,11 +35,13 @@ a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 only through
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
                                + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
 
-One cached RK4 pass in tau per model and t_max, at the lattice step
+One cached RK4 pass in tau per model, at the lattice step
 ``LATTICE_STEP``, gives the Riccati coefficients C and the cumulative
 Simpson integrals above; it steps the factors the model has, the bond's
 reference factor only when there is one, since the members' curve never
-involves it. The table at any anchor t is slices of that pass at the nodes
+involves it. The pass grows on demand, each growth resuming the last one
+exactly, to the last node its readers read (``_TauTable``); it is read as a
+prefix. The table at any anchor t is slices of that pass at the nodes
 t + j*step plus a Gompertz-weighted sum for K0; when t_max - t is not a whole
 number of steps, one more RK4 step resumed from C at the last node gives the
 values at t_max (``_end_node``, which ``pendraw coeffs`` reads for each of
@@ -371,37 +373,48 @@ class CoefficientTable:
     k: np.ndarray        # (n_factors, nodes)
 
 
-@dataclass(frozen=True)
-class _TauTable:
-    """Anchor-free curves on the tau-lattice j*h, j = 0..n (read-only).
-
-    ``m``/``delta`` are the factors' Gompertz parameters; ``c`` holds
-    C_k(tau), one row per factor k. An anchor t with s = t + tau reads
-
-        k0 = k0_level(tau) + sum_k e^{(s - m_k)/delta_k} k0_gompertz_k(tau).
-    """
-
-    m: np.ndarray
-    delta: np.ndarray
-    c: np.ndarray
-    k0_level: np.ndarray
-    k0_gompertz: np.ndarray
-
-
-def _cum_simpson(f_fine: np.ndarray, h: float) -> np.ndarray:
+def _cum_simpson(f_fine: np.ndarray, h: float,
+                 start: Optional[np.ndarray] = None) -> np.ndarray:
     """Cumulative Simpson integrals along axis 0 at coarse nodes from values
-    on the half-step lattice (2n+1 rows -> n+1 rows)."""
+    on the half-step lattice (2n+1 rows -> n+1 rows). ``start`` resumes the
+    integrals from their values at the first node, in cumsum's order, so a
+    pass grown in pieces sums every panel as one grown at once."""
     seg = (h / 6.0) * (f_fine[0:-2:2] + 4.0 * f_fine[1::2] + f_fine[2::2])
     out = np.empty((seg.shape[0] + 1,) + seg.shape[1:])
-    out[0] = 0.0
+    if start is not None:
+        seg[0] += start
+    out[0] = 0.0 if start is None else start
     np.cumsum(seg, axis=0, out=out[1:])
     return out
+
+
+def _ou_tau_pass(big_b: np.ndarray, h: float, size: int,
+                 y0: np.ndarray) -> np.ndarray:
+    """OU's C on ``size`` nodes of step h/2 from y0, one row per node.
+
+    C as a row obeys the affine dC = e_m - C B: an RK4 step of size h/2 is
+    the fixed map C -> C (I - hB Q) + h e_m Q with hB = h B / 2,
+    Q = I - hB/2 + (hB)^2/6 - (hB)^3/24. m steps map C_j to C_j R^m + c_m:
+    doubling m fills every row, each from the same rows at any ``size``.
+    """
+    nf = big_b.shape[0]
+    hl = 0.5 * h * big_b
+    q = np.eye(nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
+    step_map, offset = np.eye(nf) - hl @ q, 0.5 * h * np.eye(nf)[-1] @ q
+    c = np.empty((size, nf))
+    c[0] = y0
+    m = 1
+    while m < size:
+        c[m:2 * m] = c[:min(m, size - m)] @ step_map + offset
+        offset = offset @ step_map + offset
+        step_map, m = step_map @ step_map, 2 * m
+    return c
 
 
 def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
                   y0: np.ndarray) -> np.ndarray:
     """RK4 in tau, 2n steps of h/2, on Python floats: one row C per node,
-    laid out as ``y0`` (C = 0 at tau = 0).
+    laid out as ``y0``, the first row (C = 0 at tau = 0).
 
     The lower-triangular Riccati system, members as the last factor m, is
 
@@ -409,9 +422,8 @@ def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
 
     The members' C_m never involves factor 1, so it is stepped alone; a
     two-population model steps the bond factor's C_1 beside it at the same
-    four stage states. Raises NumericalFailure at the first node whose state
-    is not finite (inf and nan propagate through +, -, *, so the check runs
-    once).
+    four stage states. A state that overflows stays non-finite (inf and nan
+    propagate through +, -, *), so one check of the rows finds it.
     """
     nf = big_b.shape[0]
     two = nf == 2
@@ -455,73 +467,120 @@ def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
             c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
         c += sixth * (uc + 2.0 * vc + 2.0 * wc + zc)
         rows.extend((c1, c) if two else (c,))
-    y = np.frombuffer(rows).reshape(-1, nf)
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        at = dt * float(np.argmax(bad))
-        raise NumericalFailure(f"non-finite ODE state at tau={at}", at_time=at)
-    return y
+    return np.frombuffer(rows).reshape(-1, nf)
 
 
-def _tau_curves(model: Model, h: float, n: int, tau0: float = 0.0,
-                y0: Optional[np.ndarray] = None) -> _TauTable:
-    """RK4 in tau from tau0, 2n steps of h/2, for C, then cumulative Simpson
-    on the n panels of h.
+class _TauTable:
+    """Anchor-free curves on the tau-lattice tau0 + j*h, j = 0..n, grown on
+    demand (``grow``). Its arrays are read-only; growth replaces them with
+    longer ones, so a reader that grows the pass reads them afresh.
 
-    dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR]; OU's noise enters k0
-    additively instead, as +|S^T C|^2 / 2. No step divides by b1 - b22.
+    ``m``/``delta`` are the factors' Gompertz parameters; ``c`` holds
+    C_k(tau), one row per factor k. An anchor t with s = t + tau reads
 
-    ``y0`` = C at tau0 resumes a pass (default: the origin C = 0 at
-    tau0 = 0); the k0 curves then hold the increments from tau0. The OU pass
-    is affine, so its RK4 step is one fixed matrix map; the CIR pass is a
-    loop on Python floats over the model's own factors (``_cir_tau_pass``).
-    Neither calls ``solve_ode``, which integrates the scalar oracles only.
+        k0 = k0_level(tau) + sum_k e^{(s - m_k)/delta_k} k0_gompertz_k(tau).
+
+    The pass starts from ``y0`` = C at tau0 (default: the origin, C = 0 at
+    tau0 = 0), and its k0 curves hold the increments from tau0. Growth
+    resumes it exactly: the CIR loop from its last C, the cumulative Simpson
+    integrals from their last values (``_cum_simpson``), the decay exponent
+    at the nodes' global indices; the OU pass, a fixed map per step, is
+    recomputed at the new length, and the k0 curves are rebuilt from the
+    integrals of the whole pass. So the pass holds the same floats however
+    it grew, and a longer pass those of a shorter one at every node they
+    share (prefix-stable).
     """
-    big_b, big_s, gms = model.factors
-    nf = big_b.shape[0]
-    w = tau0 + 0.5 * h * np.arange(2 * n + 1)
-    if y0 is None:
-        y0 = np.zeros(nf)
-    if model.kind == CIR:
-        c = _cir_tau_pass(big_b, big_s, h, n, y0)
-        noise = np.zeros((w.size, 1))
-    else:
-        # C as a row obeys the affine dC = e_m - C B: an RK4 step of size
-        # h/2 is the fixed map C -> C (I - hB Q) + h e_m Q with hB = h B / 2,
-        # Q = I - hB/2 + (hB)^2/6 - (hB)^3/24
-        hl = 0.5 * h * big_b
-        q = np.eye(nf) - hl / 2 + hl @ hl / 6 - hl @ hl @ hl / 24
-        step_map, offset = np.eye(nf) - hl @ q, 0.5 * h * np.eye(nf)[-1] @ q
-        c = np.empty((w.size, nf))
-        c[0] = y0
-        # m steps map C_j to C_j R^m + c_m: doubling m fills every row
-        m = 1
-        while m < w.size:
-            c[m:2 * m] = c[:min(m, w.size - m)] @ step_map + offset
-            offset = offset @ step_map + offset
-            step_map, m = step_map @ step_map, 2 * m
-        qc = c @ big_s
-        noise = 0.5 * np.sum(qc * qc, axis=1, keepdims=True)
-    deltas = np.array([gm.delta for gm in gms])
-    decay = np.exp(-w[:, None] / deltas)
-    # one row per curve from here on, so that anchors read contiguous rows
-    cum = _cum_simpson(np.hstack((c, c * decay, noise)), h).T
-    level = np.array([big_b[k, k] * gm.nu for k, gm in enumerate(gms)])
-    gompertz = np.array([[float(drift_a(gm.m, gm, big_b[k, k])) - level[k]]
-                         for k, gm in enumerate(gms)])
-    return _TauTable(m=np.array([gm.m for gm in gms]), delta=deltas,
-                     c=np.ascontiguousarray(c[::2].T),
-                     k0_level=cum[-1] - level @ cum[:nf],
-                     k0_gompertz=-gompertz * cum[nf:2 * nf])
+
+    def __init__(self, model: Model, h: float, tau0: float = 0.0,
+                 y0: Optional[np.ndarray] = None):
+        big_b, _, gms = model.factors
+        nf = big_b.shape[0]
+        self.model, self.h, self.tau0 = model, h, tau0
+        self.m = np.array([gm.m for gm in gms])
+        self.delta = np.array([gm.delta for gm in gms])
+        self._level = np.array([big_b[k, k] * gm.nu
+                                for k, gm in enumerate(gms)])
+        self._gompertz = np.array(
+            [[float(drift_a(gm.m, gm, big_b[k, k])) - self._level[k]]
+             for k, gm in enumerate(gms)])
+        self._y0 = np.zeros(nf) if y0 is None else np.asarray(y0, dtype=float)
+        # the cumulative integrals of C, C e^{-w/delta} and the noise, one
+        # row per node
+        self._cum = np.zeros((1, 2 * nf + 1))
+        self._hold(self._y0[:, None].copy())
+
+    @property
+    def n(self) -> int:
+        """The last node."""
+        return self.c.shape[1] - 1
+
+    def _hold(self, c: np.ndarray) -> None:
+        """Keep C and the k0 curves of the integrals, all read-only."""
+        nf = c.shape[0]
+        cum = self._cum.T
+        self.c = c
+        self.k0_level = cum[-1] - self._level @ cum[:nf]
+        self.k0_gompertz = -self._gompertz * cum[nf:2 * nf]
+        for arr in (self.c, self.k0_level, self.k0_gompertz):
+            arr.setflags(write=False)
+
+    def grow(self, n: int) -> "_TauTable":
+        """Extend the pass to node n, if it ends before it, by RK4 in tau at
+        two steps of h/2 per node and cumulative Simpson on the panels of h.
+        Returns the pass.
+
+        dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR]; OU's noise enters
+        k0 additively instead, as +|S^T C|^2 / 2. No step divides by
+        b1 - b22. The OU pass is one fixed matrix map per step
+        (``_ou_tau_pass``), the CIR pass a loop on Python floats over the
+        model's own factors (``_cir_tau_pass``); neither calls
+        ``solve_ode``, which integrates the scalar oracles only. Raises
+        NumericalFailure at the first CIR state that is not finite; the pass
+        then keeps the whole nodes before it.
+        """
+        j0 = self.n
+        if n <= j0:
+            return self
+        big_b, big_s, _ = self.model.factors
+        w = self.tau0 + 0.5 * self.h * np.arange(2 * j0, 2 * n + 1)
+        failure = None
+        if self.model.kind == CIR:
+            c = _cir_tau_pass(big_b, big_s, self.h, n - j0, self.c[:, j0])
+            bad = ~np.isfinite(c).all(axis=1)
+            if bad.any():
+                first = int(np.argmax(bad))
+                at = float(w[first])
+                failure = NumericalFailure(
+                    f"non-finite ODE state at tau={at}", at_time=at)
+                n = j0 + (first - 1) // 2
+                c, w = c[:2 * (n - j0) + 1], w[:2 * (n - j0) + 1]
+            noise = np.zeros((w.size, 1))
+        else:
+            c = _ou_tau_pass(big_b, self.h, 2 * n + 1, self._y0)
+            qc = c @ big_s
+            noise = 0.5 * np.sum(qc * qc, axis=1, keepdims=True)[2 * j0:]
+            c = c[2 * j0:]
+        if n > j0:
+            decay = np.exp(-w[:, None] / self.delta)
+            cum = _cum_simpson(np.hstack((c, c * decay, noise)), self.h,
+                               self._cum[-1] if j0 else None)
+            self._cum = np.concatenate((self._cum, cum[1:]))
+            # C-contiguous rows, one per factor, as the rule's take reads
+            # them fastest (hstack with the transposed rows gives F order)
+            self._hold(np.ascontiguousarray(np.hstack((self.c, c[2::2].T))))
+        if failure is not None:
+            raise failure
+        return self
 
 
 @lru_cache(maxsize=16)
-def _tau_table(model: Model, h: float, n: int) -> _TauTable:
-    """The pass of ``_tau_curves`` from the origin, cached and read-only."""
-    tab = _tau_curves(model, h, n)
-    for arr in vars(tab).values():
-        arr.setflags(write=False)
-    return tab
+def _tau_table(model: Model, h: float) -> _TauTable:
+    """The pass of ``model`` at step h from the origin, cached. It starts
+    at node 0 and its readers grow it to the last node they read: G's rule
+    (``control``) until every anchor's rule is closed, a coefficient table,
+    ``_end_node`` and ``pendraw coeffs`` to the node before t_max. Every
+    anchor t >= 0 of one model reads this pass, whatever its t_max."""
+    return _TauTable(model, h)
 
 
 def _lattice_span(t: float, t_max: float, step: float = LATTICE_STEP):
@@ -534,32 +593,34 @@ def _lattice_span(t: float, t_max: float, step: float = LATTICE_STEP):
     return n, n == 0 or ratio - n > 1e-9
 
 
-def _tau_pass(model: Model, t: float, t_max: float,
-              step: float = LATTICE_STEP) -> _TauTable:
-    """The cached tau pass that anchors from t on read up to t_max. It
-    reaches tau = t_max from t = 0, or from t if that is earlier, so every
-    anchor t >= 0 of one (model, t_max) reads the same pass. The pass is
-    prefix-stable: a longer one holds the same floats at every node of a
-    shorter one, so its length changes no value."""
-    n, _ = _lattice_span(t, t_max, step)
-    return _tau_table(model, float(step), max(n, int(t_max / step + 1e-9)))
-
-
 def _k0(tt: _TauTable, s, level: np.ndarray, gompertz) -> np.ndarray:
     """K0 at the values s from its curves there, in place in ``level``:
     level + sum_k e^{(s - m_k)/delta_k} gompertz_k, summed factor by factor
     (``gompertz`` yields one array per factor). gompertz_k is 0 at tau = 0
     alone, where the term is 0 whatever the exponent, so the exponent is
     zeroed there, and an e^{(s - m_k)/delta_k} of inf cannot meet it; past
-    exp's overflow elsewhere the term, and K0, take their infinite limit."""
-    for m, delta, k0_gm in zip(tt.m, tt.delta, gompertz):
-        x = s - m
-        x /= delta
-        np.copyto(x, 0.0, where=k0_gm == 0.0)
-        with np.errstate(over="ignore"):
+    exp's overflow elsewhere the term, and K0, take their infinite limit.
+    Where two terms overflow with opposite signs, the limit's sign is that
+    of the term of larger log-magnitude (s - m_k)/delta_k + log|gompertz_k|,
+    the one that grows faster."""
+    gompertz = list(gompertz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, delta, k0_gm in zip(tt.m, tt.delta, gompertz):
+            x = s - m
+            x /= delta
+            np.copyto(x, 0.0, where=k0_gm == 0.0)
             np.exp(x, out=x)
-        x *= k0_gm
-        level += x
+            x *= k0_gm
+            level += x
+    # one term cannot clash with itself
+    clash = np.isnan(level) if len(gompertz) > 1 else np.False_
+    if clash.any():
+        terms = np.array([np.broadcast_to(k0_gm, level.shape)[clash]
+                          for k0_gm in gompertz])
+        at = np.broadcast_to(s, level.shape)[clash]
+        logs = (at - tt.m[:, None]) / tt.delta[:, None] + np.log(np.abs(terms))
+        lead = np.argmax(logs, axis=0)
+        level[clash] = np.copysign(np.inf, terms[lead, np.arange(lead.size)])
     return level
 
 
@@ -575,14 +636,16 @@ def _lattice_nodes(tt: _TauTable, t, t_max: float, end, idx,
 
 def _end_node(model: Model, tt: _TauTable, t: float, t_max: float,
               step: float = LATTICE_STEP):
-    """(C, K0) at t_max for the anchor t, from a pass that covers its span:
-    lattice node n when t_max - t is n whole steps, else one RK4 step of the
-    tau pass resumed from C at lattice node n."""
+    """(C, K0) at t_max for the anchor t, from the pass ``tt``, grown to the
+    span's last lattice node n: that node when t_max - t is n whole steps,
+    else one RK4 step of the tau pass resumed from C at node n."""
     n, partial = _lattice_span(t, t_max, step)
+    tt.grow(n)
     if not partial:
         _, k0 = _lattice_nodes(tt, t, t_max, n, np.array([n]), step)
         return tt.c[:, n], k0[0]
-    tail = _tau_curves(model, t_max - (t + step * n), 1, n * step, tt.c[:, n])
+    tail = _TauTable(model, t_max - (t + step * n), n * step,
+                     tt.c[:, n]).grow(1)
     level = np.array([tt.k0_level[n] + tail.k0_level[1]])
     gompertz = (tt.k0_gompertz[:, n] + tail.k0_gompertz[:, 1])[:, None]
     return tail.c[:, 1], _k0(tt, np.array([t_max]), level, gompertz)[0]
@@ -593,16 +656,16 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
     """Coefficient curves at the lattice nodes s = t + j*step in [t, t_max]
     and at t_max, the last node.
 
-    Every anchor reads the one cached tau pass of this step that reaches
-    tau = t_max from t = 0 (``_tau_pass``). The node at t_max is the pass's
-    own lattice node when t_max - t is a whole number of steps, and
-    otherwise comes from one more RK4 step of that pass, resumed at the last
-    lattice node from C alone (``_end_node``).
+    Every anchor reads the one cached tau pass of this step
+    (``_tau_table``), grown to the span's last lattice node n. The node at
+    t_max is the pass's own node n when t_max - t is a whole number of
+    steps, and otherwise comes from one more RK4 step of that pass, resumed
+    at node n from C alone (``_end_node``).
     """
     if t_max <= t:
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")
     n, partial = _lattice_span(t, t_max, step)
-    tt = _tau_pass(model, t, t_max, step)
+    tt = _tau_table(model, float(step)).grow(n)
     # the lattice nodes before the one at t_max
     lattice = np.arange(n + partial)
     s, k0 = _lattice_nodes(tt, t, t_max, -1, lattice, step)

@@ -968,13 +968,20 @@ class TestCli:
         if cfg.model.n_factors == 1:
             assert code == 0
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_coeffs_past_the_gompertz_overflow(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind, deltas", [
+        *((kind, ("11.4",)) for kind in MODEL_KINDS),
+        # both populations' terms overflow, with opposite signs, from
+        # s = 24.89: population 1's grows e^{2730} times faster there, so
+        # it sets the limit, where inf - inf gave NaN
+        ("ou-sub", ("11.4", "12.9374")), ("cir-sub", ("11.4", "12.9374"))],
+        ids=[*MODEL_KINDS, "ou-sub-both", "cir-sub-both"])
+    def test_coeffs_past_the_gompertz_overflow(self, tmp_path, kind, deltas):
         # at delta = 0.001, e^{(s - m)/delta} overflows for every s past
         # m + 709.8 delta = 22.16 in population 1's curve: K0 reaches its
         # infinite limit there, where a capped exponent left a plateau
-        text = (shipped_text(kind).replace("r = 0.04", "r = 0")
-                .replace("delta = 11.4", "delta = 0.001"))
+        text = shipped_text(kind).replace("r = 0.04", "r = 0")
+        for delta in deltas:
+            text = text.replace(f"delta = {delta}", "delta = 0.001")
         cfg_path = tmp_path / "k.cfg"
         cfg_path.write_text(text)
         assert main(["coeffs", "--config", str(cfg_path), "--s-max", "40",
@@ -982,6 +989,7 @@ class TestCli:
         rows = [row.split(",") for row in
                 (tmp_path / "o" / "coeffs.csv").read_text().splitlines()[1:]]
         a0 = np.array([float(row[2]) for row in rows])
+        assert not np.isnan(a0).any()
         finite = a0[np.isfinite(a0)]
         assert np.unique(finite).size == finite.size == 23
         # one population: the survival factor falls to 0; two: population

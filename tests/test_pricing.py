@@ -43,6 +43,8 @@ def cir_two():
 
 
 ALL_MODELS = [ou_single(), cir_single(), ou_two(), cir_two()]
+# the arrays of a tau pass (``pricing._TauTable``)
+CURVES = ("c", "k0_level", "k0_gompertz")
 
 
 def assert_ou_two_pop_matches_moment_odes(model):
@@ -387,14 +389,24 @@ class TestCoefficientTable:
     def test_pass_is_prefix_stable(self, model):
         # a pass's length changes none of its floats at the nodes it shares
         # with a longer one, so one pass serves anchors and ``coeffs`` rows
-        # of any span (``pricing._tau_pass``)
-        full = pricing._tau_curves(model, 0.05, 2400)
+        # of any span (``pricing._tau_table``)
+        full = pricing._TauTable(model, 0.05).grow(2400)
         for n in (1, 2, 7, 40, 399, 700, 1354, 2000):
-            part = pricing._tau_curves(model, 0.05, n)
-            for name in ("c", "k0_level", "k0_gompertz"):
+            part = pricing._TauTable(model, 0.05).grow(n)
+            for name in CURVES:
                 assert np.array_equal(getattr(part, name),
                                       getattr(full, name)[..., :n + 1]), \
                     (n, name)
+        # nor does growing it in pieces: the CIR loop and the cumulative
+        # integrals resume from their last floats
+        for pieces in ((1, 7, 40, 2400), (1354, 2400), (3, 4, 5, 1000, 2400)):
+            grown = pricing._TauTable(model, 0.05)
+            for n in pieces:
+                grown.grow(n)
+            assert grown.n == 2400
+            for name in CURVES:
+                assert np.array_equal(getattr(grown, name),
+                                      getattr(full, name)), (pieces, name)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     @pytest.mark.parametrize("t, t_max, nodes", [
@@ -426,8 +438,8 @@ class TestCoefficientTable:
     def test_resumed_pass_continues_the_pass(self, model):
         # the end node at t_max resumes the pass from a lattice node; from
         # node 30 of a 40-step pass, 10 more steps must retrace it
-        full = pricing._tau_curves(model, 0.05, 40)
-        tail = pricing._tau_curves(model, 0.05, 10, 30 * 0.05, full.c[:, 30])
+        full = pricing._TauTable(model, 0.05).grow(40)
+        tail = pricing._TauTable(model, 0.05, 30 * 0.05, full.c[:, 30]).grow(10)
         np.testing.assert_allclose(tail.c, full.c[:, 30:], rtol=0, atol=1e-15)
         for name in ("k0_level", "k0_gompertz"):
             whole = getattr(full, name)
@@ -549,14 +561,14 @@ class TestCirTauPass:
                              ids=["lattice", "off-lattice"])
     def test_float_kernel_matches_matrix_reference(self, model, h, n,
                                                    monkeypatch):
-        got = pricing._tau_table.__wrapped__(model, h, n)
+        got = pricing._TauTable(model, h).grow(n)
         monkeypatch.setattr(pricing, "_cir_tau_pass",
                             _c_columns(_lin_matrix_cir_pass))
-        want = pricing._tau_table.__wrapped__(model, h, n)
+        want = pricing._TauTable(model, h).grow(n)
         # C and every cumulative curve built from it
-        for name, ref in vars(want).items():
-            np.testing.assert_allclose(getattr(got, name), ref, rtol=0,
-                                       atol=1e-14, err_msg=name)
+        for name in CURVES:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0, atol=1e-14, err_msg=name)
 
     @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
     @pytest.mark.parametrize("h, n, resume", [
@@ -567,16 +579,17 @@ class TestCirTauPass:
                                                   monkeypatch):
         # stepping only the factors the model has changes no float operation
         # of the members' C, nor of factor 1's in a two-population model
-        args = (model, h, n)
+        args = (model, h)
         if resume is not None:
-            full = pricing._tau_curves(model, 0.05, 2400)
+            full = pricing._TauTable(model, 0.05).grow(2400)
             args += (resume * 0.05, full.c[:, resume])
-        got = pricing._tau_curves(*args)
+        got = pricing._TauTable(*args).grow(n)
         monkeypatch.setattr(pricing, "_cir_tau_pass",
                             _c_columns(_padded_cir_tau_pass))
-        want = pricing._tau_curves(*args)
-        for name, ref in vars(want).items():
-            assert np.array_equal(getattr(got, name), ref), name
+        want = pricing._TauTable(*args).grow(n)
+        for name in CURVES:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
 
     @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
     def test_members_c_matches_closed_form(self, model):
@@ -584,7 +597,7 @@ class TestCirTauPass:
         # equation; 1e-9 bounds RK4's global error at step 0.025
         b, sigma = ((model.b, model.sigma) if model.n_factors == 1
                     else (model.b22, model.sigma22))
-        tt = pricing._tau_table.__wrapped__(model, 0.05, 2400)
+        tt = pricing._TauTable(model, 0.05).grow(2400)
         tau = 0.05 * np.arange(2401)
         np.testing.assert_allclose(tt.c[-1], a1_cir(b, sigma, tau), rtol=0,
                                    atol=1e-9)
@@ -592,12 +605,20 @@ class TestCirTauPass:
     @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
     def test_blow_up_reports_first_non_finite_node(self, model):
         with pytest.raises(NumericalFailure) as err:
-            pricing._tau_table(model, 50.0, 40)
+            pricing._TauTable(model, 50.0).grow(40)
         assert err.value.at_time == 100.0
+        # reached by growth, the same node fails, and the pass keeps the
+        # whole nodes before it (node 2, tau = 100, is the first non-finite)
+        tt = pricing._TauTable(model, 50.0).grow(1)
+        for _ in range(2):
+            with pytest.raises(NumericalFailure) as err:
+                tt.grow(40)
+            assert err.value.at_time == 100.0
+            assert tt.n == 1 and np.isfinite(tt.c).all()
 
 
 def _former_tau_curves(model, h, n):
-    """Reference for ``pricing._tau_curves`` from the origin: the former
+    """Reference for ``pricing._TauTable`` from the origin: the former
     pass, which also stepped the members' row p of the mean transition beside
     C (OU: the doubling map of blockdiag(B, B); CIR: ``_padded_cir_tau_pass``)
     and integrated p for the shifted hazard mean. Returns (C, k0_level,
@@ -640,7 +661,7 @@ class TestFormerPass:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.kind}-{m.n_factors}")
     def test_c_and_k0_curves_are_bit_identical(self, model):
         # C's stages never read p, so dropping p changes no C or k0 float
-        tt = pricing._tau_table.__wrapped__(model, 0.05, 2400)
+        tt = pricing._TauTable(model, 0.05).grow(2400)
         want = _former_tau_curves(model, 0.05, 2400)
         for name, ref in zip(("c", "k0_level", "k0_gompertz"), want):
             assert np.array_equal(getattr(tt, name), ref), name

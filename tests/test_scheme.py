@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from pendraw.control import (MarketParams, SchemeScenario,
                              bond_weight_arrays, g_and_gradient,
                              optimal_policy)
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
-                               SinglePopModel, TwoPopModel, simulate_paths)
+                               SinglePopModel, TwoPopModel, baseline_hazard,
+                               simulate_paths)
 from pendraw.numerics import TimeGrid, WS_STREAM_OFFSET, normal_block
 from pendraw.pricing import a1_ou, rolling_bond_volatility
 from pendraw.scheme import (NO_BOND, OPTIMAL, ComparisonReport,
@@ -413,6 +415,57 @@ class TestOneTauPass:
         optimal_policy(model, scen, MARKET, 12.34, 0.05, 100.0)
         info = pricing._tau_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_MODELS))
+    def test_anchor_order_changes_no_float(self, kind):
+        # a later anchor's rule is cut earlier, so t = 30, 20, 10, 0 grows
+        # the pass at every call, each growth resuming the last one
+        model, scen = KIND_MODELS[kind](), scenario()
+        times = (0.0, 10.0, 20.0, 30.0)
+        lam = {t: np.array([float(baseline_hazard(t, gm))
+                            for gm in model.factors[2]]) for t in times}
+        runs, lengths = [], []
+        for order in (times, times[::-1]):
+            pricing._tau_table.cache_clear()
+            run = {}
+            for t in order:
+                run[t] = (optimal_policy(model, scen, MARKET, t, lam[t], 100.0),
+                          *g_and_gradient(model, scen, MARKET, t, lam[t][None]))
+                # a lookup is a hit here, never a miss
+                lengths.append(pricing._tau_table(model,
+                                                  pricing.LATTICE_STEP).n)
+            assert pricing._tau_table.cache_info().misses == 1
+            runs.append(run)
+        backward = lengths[len(times):]
+        assert backward == sorted(set(backward))
+        for t in times:
+            forward, reverse = runs[0][t], runs[1][t]
+            assert forward[0] == reverse[0], t
+            for a, b in zip(forward[1:], reverse[1:]):
+                assert np.array_equal(a, b), t
+
+    def test_emptied_caches_drop_the_pass(self, monkeypatch):
+        # emptying every functools cache in pendraw, as the benchmark does
+        # before each round, makes the next policy build the pass again
+        # from its first node: a cache kept in another form would survive
+        model, scen = KIND_MODELS["cir-sub"](), scenario()
+        grown = []
+        real = pricing._TauTable.grow
+        monkeypatch.setattr(pricing._TauTable, "grow",
+                            lambda tt, n: grown.append(tt.n) or real(tt, n))
+        optimal_policy(model, scen, MARKET, 0.0, [0.0105, 0.006], 100.0)
+        assert grown[0] == 0
+        for mod in [m for name, m in list(sys.modules.items())
+                    if name == "pendraw" or name.startswith("pendraw.")]:
+            for obj in list(vars(mod).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
+        grown.clear()
+        optimal_policy(model, scen, MARKET, 0.0, [0.0105, 0.006], 100.0)
+        info = pricing._tau_table.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        assert grown[0] == 0
 
 
 class TestDiscountedTotals:

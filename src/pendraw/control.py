@@ -288,17 +288,22 @@ def _rule_nodes(tt, t_max: float, spans, stride: int, n_cols: int, gm):
     last node its columns read, min(n, (n_cols - 1) * stride). A row's
     columns past its cut may read another node; the rule reads none of them.
 
-    Each growth aims at a guessed cut (``_cut_guess``): at first the
-    earliest anchor's, for a fall of k0 by -_CUT_K0 from t, then the
-    farthest open row's, for the rest of the fall from the last stride node
-    it has read. The guesses set how many growths it takes, never a value:
-    growth resumes the pass exactly (``pricing._TauTable``). A CIR pass that
-    blows up keeps its finite nodes, and raises NumericalFailure only when
-    an open row needs a node past them.
+    A pass of one node, as ``_tau_table`` starts it, is grown before it is
+    read, to a guessed cut (``_cut_guess``): the earliest anchor's, for a
+    fall of k0 by -_CUT_K0 from t. A pass that has grown is read as it
+    stands: grown by earlier calls, it usually closes every row already,
+    and then nothing is guessed. Each further growth aims at the farthest
+    open row's guessed cut, for the rest of the fall from the last stride
+    node it has read. The guesses set how many growths it takes, never a
+    value: growth resumes the pass exactly (``pricing._TauTable``). A CIR
+    pass that blows up keeps its finite nodes, and raises NumericalFailure
+    only when an open row needs a node past them.
     """
-    t = [t for t, _, _ in spans]
     last = np.minimum([n for _, n, _ in spans], (n_cols - 1) * stride)
-    goal = min(last.max(), _cut_guess(gm, min(t), -_CUT_K0, stride))
+    goal = 0
+    if tt.n == 0:
+        goal = min(last.max(), _cut_guess(
+            gm, min(t for t, _, _ in spans), -_CUT_K0, stride))
     while True:
         if goal > tt.n:
             before = tt.n
@@ -315,8 +320,8 @@ def _rule_nodes(tt, t_max: float, spans, stride: int, n_cols: int, gm):
             return k0, tau, cut
         j = top // stride
         goal = min(last[rows].max(), j * stride + max(
-            _cut_guess(gm, t[i] + tau[i, j], k0[i, j] - _CUT_K0, stride)
-            for i in rows))
+            _cut_guess(gm, spans[i][0] + tau[i, j], k0[i, j] - _CUT_K0,
+                       stride) for i in rows))
 
 
 def _short_span(tt, t_max: float, r: float, span, stride: int, gm):

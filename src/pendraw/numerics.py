@@ -167,12 +167,21 @@ def normal_block(seed: int, first_index: int, n_streams: int,
     re-keyed to ``(seed, stream_index)`` with its counter and buffer reset,
     the state ``gaussian_stream`` starts from, so the rows equal those
     streams' draws without building a generator per stream.
+
+    The re-key sets a state dict whose counter, key and buffer are Python
+    lists: the state setter reads them element by element, which takes 6 ms
+    per 20 000 streams from lists and 14 ms from the ndarrays
+    ``bitgen.state`` returns (2-core Xeon). The setter casts each element
+    to the same uint64 word either way, so the state, and every draw, is
+    the one the ndarray state gave.
     """
     _check_seed(seed)
     out = np.empty((n_streams, n_draws))
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     for i in range(n_streams):
         key[1] = (first_index + i) & _U64

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pendraw.mortality import (_CHUNK, ConfigError, GompertzMakehamParams,
-                               SinglePopModel, TwoPopModel, baseline_hazard,
+from pendraw.mortality import (_CHUNK, _COPY_PATHS, ConfigError,
+                               GompertzMakehamParams, SinglePopModel,
+                               TwoPopModel, baseline_hazard,
                                death_time_distribution, drift_a,
                                initial_hazard, simulate_paths)
 from pendraw.numerics import TimeGrid, W2_STREAM_OFFSET, normal_block, solve_ode
@@ -335,16 +336,25 @@ MODELS = {"ou-single": ou_single(), "cir-single": cir_single(),
                                    0.2)}
 
 
+# (n_steps, n_paths): step counts across the chunk boundaries, and path
+# counts across the noise copy's block, on more than one chunk
+CHUNK_CASES = ([(n_steps, n_paths)
+                for n_steps in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 350)
+                for n_paths in (1, 60)]
+               + [(n_steps, n_paths) for n_steps in (_CHUNK + 1, 350)
+                  for n_paths in (_COPY_PATHS - 1, _COPY_PATHS,
+                                  _COPY_PATHS + 1)])
+
+
 class TestTimeMajorChunks:
-    """The chunked loop against the column loop, across chunk boundaries,
-    and the death-time arrays against the floored rebuild. The 60-path
-    "ou-dip" runs of more than one step make negative OU excursions, and
-    the 60-path "cir-clamp" runs clamp both factors' CIR states at zero."""
+    """The chunked loop against the column loop, across chunk boundaries
+    and the noise copy's path blocks, and the death-time arrays against the
+    floored rebuild. The "ou-dip" runs of 60 paths or more and more than one
+    step make negative OU excursions, and the "cir-clamp" runs of 60 paths
+    or more clamp both factors' CIR states at zero."""
 
     @pytest.mark.parametrize("path_offset", [0, 2 ** 40])
-    @pytest.mark.parametrize("n_paths", [1, 60])
-    @pytest.mark.parametrize("n_steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                                         350])
+    @pytest.mark.parametrize("n_steps,n_paths", CHUNK_CASES)
     @pytest.mark.parametrize("kind", ["ou-single", "cir-single", "ou-sub",
                                       "cir-sub", "ou-dip", "cir-clamp"])
     def test_bit_identical_to_column_loop(self, kind, n_steps, n_paths,
@@ -361,9 +371,9 @@ class TestTimeMajorChunks:
             b = want[name]
             assert a.shape == b.shape and np.array_equal(a, b), name
             assert a.flags.c_contiguous and a.flags.owndata, name
-        if kind == "ou-dip" and n_paths == 60 and n_steps > 1:
+        if kind == "ou-dip" and n_paths >= 60 and n_steps > 1:
             assert paths.hazards[0].min() < 0.0
-        if kind == "cir-clamp" and n_paths == 60:
+        if kind == "cir-clamp" and n_paths >= 60:
             assert all((lam == 0.0).any() for lam in paths.hazards)
         dist = death_time_distribution(paths)
         cdf, density = _floored_death_time(paths)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from pendraw import pricing, scheme
+from pendraw import control, pricing, scheme
 from pendraw.control import (MarketParams, SchemeScenario,
                              bond_weight_arrays, g_and_gradient,
                              optimal_policy)
@@ -466,6 +466,29 @@ class TestOneTauPass:
         info = pricing._tau_table.cache_info()
         assert (info.misses, info.hits) == (1, 0)
         assert grown[0] == 0
+
+    @pytest.mark.parametrize("kind", ["ou-single", "cir-sub"])
+    def test_warm_pass_is_read_as_it_stands(self, kind, monkeypatch):
+        # once the pass closes an anchor's rule, a call at that anchor or a
+        # later one, whose rule is cut earlier, neither grows the pass nor
+        # guesses a cut
+        model, scen = KIND_MODELS[kind](), scenario()
+        lam = {t: np.array([[float(baseline_hazard(t, gm))
+                             for gm in model.factors[2]]]) for t in (0.0, 10.0)}
+        pricing._tau_table.cache_clear()
+        g_and_gradient(model, scen, MARKET, 0.0, lam[0.0])
+        calls = []
+        guess, grow = control._cut_guess, pricing._TauTable.grow
+        monkeypatch.setattr(control, "_cut_guess",
+                            lambda *a: calls.append("guess") or guess(*a))
+        monkeypatch.setattr(pricing._TauTable, "grow",
+                            lambda tt, n: calls.append("grow") or grow(tt, n))
+        try:
+            for t in (0.0, 10.0):
+                g_and_gradient(model, scen, MARKET, t, lam[t])
+        finally:
+            pricing._tau_table.cache_clear()
+        assert calls == []
 
 
 class TestDiscountedTotals:

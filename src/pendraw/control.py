@@ -44,6 +44,10 @@ M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, k_i},
 surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one exp of
 the (states x nodes) exponent and one product with the
 (nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
+Consecutive anchors whose rules have the same shape, the same stride and
+last node, read the same C columns and weights, so they take these steps
+together, as stacked products that make one product per anchor; k0 and
+the discount, and so the scaled moment matrix, stay per anchor.
 None of these pieces depends on phi (``_g_pieces_at``), so one set of them
 gives G and its gradient at every phi. ``g_and_gradient`` computes them at
 one anchor, and ``scheme.g_surface`` at every grid node in one call of the
@@ -112,6 +116,13 @@ _CUT_K0 = -80.0
 # ``scheme.g_surface`` at the shipped config, 4 096 to 2**20 run alike and
 # 2 048 about 5% slower; each block array takes 64 kB
 _BLOCK_NODES = 8192
+# (states x rule nodes) entries that ``_g_pieces_at`` takes through one
+# stacked product and exp, over consecutive anchors of one rule shape: timed
+# on ``scheme.g_surface`` at the shipped config and 100 paths (about 150
+# nodes per rule, so 4 anchors at a time), 65 536 to 2**20 run alike, 32 768
+# about 13% slower and 16 384, one anchor at a time, 20% slower; the buffer
+# takes 512 kB
+_BATCH_ENTRIES = 65536
 # Bernoulli numbers B_2 .. B_8 (numerator, denominator) for the Gregory
 # corrections
 _BERNOULLI = {2: (1, 6), 4: (-1, 30), 6: (1, 42), 8: (-1, 30)}
@@ -247,10 +258,13 @@ def _anchor(t) -> float:
 def _stride_nodes(tt, t_max: float, spans, stride: int, n_cols: int):
     """(k0, tau) at the lattice nodes min(j * stride, n), j < n_cols, of the
     anchors ``spans`` = [(t, n, partial), ...], one row per anchor, as
-    ``pricing.build_coefficient_table`` gives them. A node past the last of
-    the pass ``tt`` reads that last node instead (``_rule_nodes``)."""
+    ``pricing.build_coefficient_table`` gives them. Columns stop one past the
+    last stride node of the pass ``tt``: that column reads the pass's last
+    node, or a row's node n before it, and later ones could read no other
+    node (``_rule_nodes``)."""
     t = np.array([[t] for t, _, _ in spans])
     n = np.array([[n] for _, n, _ in spans])
+    n_cols = min(n_cols, tt.n // stride + 2)
     idx = np.minimum(stride * np.arange(n_cols), np.minimum(n, tt.n))
     end = np.array([[-1 if partial else n] for _, n, partial in spans])
     s, k0 = _lattice_nodes(tt, t, t_max, end, idx)
@@ -350,29 +364,74 @@ def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
     end panel delta strides long when n is not on the stride or the span
     ends in a partial step (at the RK4 tail node, t_max).
 
-    Returns (wk, k0, disc, w) on the rule's nodes: ``wk`` holds ones in row
-    0 and C in the rows below, ``w`` the weights.
+    Returns (c, k0, disc, w) on the rule's nodes: ``c`` holds C, one row per
+    factor, ``w`` the weights.
     """
     t, n, partial = span
     m = cut if cut >= 0 else n // stride
     panel = cut < 0 and (partial or n % stride > 0)
     lattice = stride * np.arange(m + 1 + panel)
-    wk = np.empty((1 + tt.c.shape[0], lattice.size))
-    wk[0] = 1.0
     if panel and partial:
-        wk[1:, -1], k0_end = _end_node(model, tt, t, t_max)
-        tt.c.take(lattice[:-1], axis=1, out=wk[1:, :-1])
+        c = np.empty((tt.c.shape[0], lattice.size))
+        c[:, -1], k0_end = _end_node(model, tt, t, t_max)
+        tt.c.take(lattice[:-1], axis=1, out=c[:, :-1])
         k0 = np.append(k0[:m + 1], k0_end)
         tau_end = t_max - t
         disc = np.append(disc[:m + 1], np.exp([-r * tau_end]))
     else:
         if panel:
             lattice[-1] = n
-        tt.c.take(lattice, axis=1, out=wk[1:])
+        c = tt.c.take(lattice, axis=1)
         k0, disc = k0[:lattice.size], disc[:lattice.size]
         tau_end = tau[lattice.size - 1]
     delta = (tau_end - tau[m]) / (stride * LATTICE_STEP) if panel else 0.0
-    return wk, k0, disc, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
+    return c, k0, disc, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
+
+
+def _shared_last(span, stride: int, cut: int):
+    """The last node m of ``_rule`` at an anchor whose rule is nodes 0..m
+    on the stride alone, with no end panel and no smaller stride
+    (``_short_span``), else None. Anchors of equal (stride, m) read the
+    same C columns and weights; their k0 and discount differ."""
+    _, n, partial = span
+    if cut >= 0:
+        return cut if cut >= GREGORY_ORDER else None
+    if partial or n % stride or n // stride < GREGORY_ORDER - 1:
+        return None
+    return n // stride
+
+
+def _moments(states: np.ndarray, c: np.ndarray, k0: np.ndarray,
+             disc: np.ndarray, w: np.ndarray, buf: np.ndarray,
+             mom: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The pieces at a run of anchors of one rule shape: ``states`` is
+    (anchors, n_states, n_factors), ``c`` C on the rule's nodes (``_rule``),
+    k0 and disc (anchors, nodes), w the weights. Writes A, M[k_1], ... into
+    ``mom`` (anchors, n_states, 1 + n_factors) and D into ``d``; returns
+    the scratch buffer ``buf``, replaced when the run needs a larger one.
+
+    Each float is the one the anchor alone gives: a stacked product makes
+    one product per anchor, and the rest is elementwise. On one factor a
+    broadcast product forms the single product per entry of a matmul.
+    """
+    runs, n_states, n_fac = states.shape
+    size = runs * n_states * w.size
+    if buf.size < size:
+        buf = np.empty(size)
+    surv = buf[:size].reshape(runs, n_states, w.size)
+    if n_fac == 1:
+        np.multiply(states, c, out=surv)
+    else:
+        np.matmul(states, c, out=surv)
+    np.subtract(k0[:, None], surv, out=surv)
+    np.exp(surv, out=surv)
+    # [1, C] scaled by the weights and the discount, per anchor
+    wk = np.empty((runs, 1 + n_fac, w.size))
+    np.multiply(w, disc, out=wk[:, 0])
+    np.multiply(c, wk[:, :1], out=wk[:, 1:])
+    np.matmul(surv, wk.transpose(0, 2, 1), out=mom)
+    np.multiply(disc[:, -1:], surv[:, :, -1], out=d)
+    return buf
 
 
 # an overflowing survival expectation leaves A non-finite, which raises below
@@ -397,9 +456,12 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     a time (``_rule_nodes``); the rule ends at the first of them with
     k0 < -80, or at t_max (``_rule``). A span of fewer than
     GREGORY_ORDER such nodes may take a smaller stride (``_short_span``).
-    Each anchor then costs one product of its states with C on its nodes,
-    one exp into a reused buffer and one product with the moment matrix.
-    Every value is the float the anchor's coefficient table would give.
+    Consecutive anchors of one rule shape (``_shared_last``) read C and
+    the weights once and go through ``_moments`` together, at most
+    _BATCH_ENTRIES (states x nodes) entries at a time, into node-major
+    buffers transposed once at the end; an end panel or a smaller stride
+    goes alone. Every value is the float the anchor's coefficient table
+    would give, and the float the anchor alone gives.
     Raises NumericalFailure at the first anchor whose survival expectation
     overflows on the rule's nodes.
     """
@@ -414,11 +476,11 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
         n, partial = _lattice_span(t, t_max)
         groups.setdefault(_max_stride(gm, r, t),
                           []).append((i, (t, n, partial)))
-    a, d = np.zeros((n_states, n_anchors)), np.zeros((n_states, n_anchors))
-    mom_k = [np.zeros((n_states, n_anchors)) for _ in range(n_fac)]
-    k_end = np.zeros((n_fac, n_anchors))
-    if empty:
-        d[:, empty] = 1.0   # T = t: D = 1 and the rest is zero
+    # node-major: A and M[k_f] side by side, D, k(T)
+    mom = np.zeros((n_anchors, n_states, 1 + n_fac))
+    d = np.zeros((n_anchors, n_states))
+    k_end = np.zeros((n_anchors, n_fac))
+    d[empty] = 1.0      # T = t: D = 1 and the rest is zero
     tt = _tau_table(model, LATTICE_STEP) if groups else None
     buf = np.empty(0)
     for stride, members in groups.items():
@@ -429,36 +491,44 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
             spans = [span for _, span in block]
             k0, tau, first = _rule_nodes(tt, t_max, spans, stride, n_cols, gm)
             disc = np.exp(-r * tau)
-            for row, (i, span) in enumerate(block):
+            row = 0
+            while row < len(block):
+                i, span = block[row]
                 cut = int(first[row])
                 nodes = (stride, cut, k0[row], tau[row], disc[row])
-                if 0 <= cut < GREGORY_ORDER or (
+                last = _shared_last(span, stride, cut)
+                end = row + 1
+                if last is not None:
+                    # the anchors after it that read the same C and weights
+                    most = _BATCH_ENTRIES // max(1, n_states * (last + 1))
+                    while (end < len(block) and end - row < most
+                           and block[end][0] == i + end - row
+                           and _shared_last(block[end][1], stride,
+                                            int(first[end])) == last):
+                        end += 1
+                elif 0 <= cut < GREGORY_ORDER or (
                         cut < 0 and span[1] // stride < GREGORY_ORDER - 1):
                     nodes = _short_span(tt, t_max, r, span, stride,
                                         gm) or nodes
-                wk, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
-                k_end[:, i] = wk[1:, -1]
-                size_i = n_states * k0_i.size
-                if buf.size < size_i:
-                    buf = np.empty(size_i)
-                surv = buf[:size_i].reshape(n_states, k0_i.size)
-                np.matmul(states[i], wk[1:], out=surv)
-                np.subtract(k0_i, surv, out=surv)
-                np.exp(surv, out=surv)
-                wk *= w * disc_i
-                mom = surv @ wk.T
-                a[:, i] = mom[:, 0]
-                d[:, i] = disc_i[-1] * surv[:, -1]
-                for f, m_f in enumerate(mom_k, 1):
-                    m_f[:, i] = mom[:, f]
+                c, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
+                if last is None:
+                    k0_i, disc_i = k0_i[None], disc_i[None]
+                else:
+                    k0_i, disc_i = k0[row:end, :w.size], disc[row:end, :w.size]
+                run = slice(i, i + end - row)
+                buf = _moments(states[run], c, k0_i, disc_i, w, buf, mom[run],
+                               d[run])
+                k_end[run] = c[:, -1]
+                row = end
     # A weighs the survival at every rule node, so it is not finite where
     # any of them overflows
-    finite = np.isfinite(a).all(axis=0)
+    finite = np.isfinite(mom[:, :, 0]).all(axis=1)
     if not finite.all():
         at = float(times[int(np.argmin(finite))])
         raise NumericalFailure(f"G is not finite at t = {at}: its survival "
                                f"expectation overflows", at_time=at)
-    return a, d, mom_k, k_end
+    a, *mom_k = (mom[:, :, f].T.copy() for f in range(1 + n_fac))
+    return a, d.T.copy(), mom_k, k_end.T.copy()
 
 
 def _compose_g(phi: float, r: float, a, d, m, k_end):

@@ -1,9 +1,10 @@
 """Experiment suites: base scenario, hedging comparison, sensitivity sweeps.
 
 The hedging comparison and both sweeps run one loop (``_reports``): one G
-surface, one reference arm simulated once, and each arm compared with it on
-the same paths, its file written before the next arm is simulated. The
-comparison is the theta1 sweep of one arm at the configured theta_1.
+surface with its one draw of the stock's noise, one reference arm simulated
+and discounted once, and each arm compared with it on the same paths, its
+file written before the next arm is simulated. The comparison is the theta1
+sweep of one arm at the configured theta_1.
 
 Every CSV is written by ``write_csv`` from columns, not rows. A column is
 either an equal-length 1-D array or list, or a ``str`` constant repeated on
@@ -203,9 +204,10 @@ def _reports(var: str, values, model, scenario, market, paths):
     """(value, arm, report against the reference arm) for each value of
     ``var``, one arm at a time.
 
-    The reference arm is simulated once: the no-bond policy (theta1) or no
-    risk sharing, phi = 0 (phi). Every arm shares one G surface, since
-    neither theta1 nor phi enters its pieces.
+    The reference arm is simulated and discounted once: the no-bond policy
+    (theta1) or no risk sharing, phi = 0 (phi). Every arm shares one G
+    surface, since neither theta1 nor phi enters its pieces, and the
+    surface's one draw of W_S.
     """
     surface = g_surface(model, scenario, market, paths)
 
@@ -214,9 +216,10 @@ def _reports(var: str, values, model, scenario, market, paths):
         return simulate_scheme(model, scen, mkt, kind, paths, surface=surface)
 
     ref = arm(market.theta_1, NO_BOND) if var == "theta1" else arm(0.0)
+    ref_totals = discounted_totals(ref, market.r)
     for value in values:
         traj = arm(value)
-        yield value, traj, ComparisonReport.of(ref, traj, market.r)
+        yield value, traj, ComparisonReport.of(ref, traj, market.r, ref_totals)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -13,7 +13,8 @@ theta_1 v(lambda1), with the diffusion scale v (``mortality._diffusion``) 1
 under OU and sqrt(lambda1) under CIR; both read the same v(lambda1), taken
 once over the whole grid. W_1 reuses the Brownian increments the mortality
 paths retain for factor 1, ``shocks[0]``; W_S comes from a dedicated stream
-offset, so paired comparisons see identical noise (common random numbers).
+offset, drawn once per G surface (``GSurface.xi_s``) and read by each of its
+arms, so paired comparisons see identical noise (common random numbers).
 
 Both policies, the optimal one and the one without the bond, withdraw Y/G
 and hold fixed fractions of wealth (w_S = theta_S/sigma_S in the stock, w_L
@@ -47,6 +48,7 @@ reference and another, and discounts both at the surface's r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -87,7 +89,9 @@ class GSurface:
 
     ``key`` holds the inputs they depend on besides the paths:
     (model, t_max, r). ``at`` composes G and dG/dlambda1 at any phi with the
-    expressions of ``g_and_gradient``, so both are bit-identical to it.
+    expressions of ``g_and_gradient``, so both are bit-identical to it. The
+    stock's noise W_S on the paths (``xi_s``), which no arm changes either,
+    is drawn once, at the first arm, and read by every arm on the surface.
     """
 
     key: tuple
@@ -96,6 +100,16 @@ class GSurface:
     d: np.ndarray               # (n_paths, n_nodes), D = e^{-r(T-t)} S(t,T)
     m1: np.ndarray              # (n_paths, n_nodes), M[k_1]
     k1_end: np.ndarray          # (n_nodes,), k_1(T)
+
+    @cached_property
+    def xi_s(self) -> np.ndarray:
+        """(n_paths, n_steps) standard normals of W_S on these paths, from
+        the stream offset ``WS_STREAM_OFFSET``; read-only."""
+        paths = self.paths
+        xi_s = normal_block(paths.seed, WS_STREAM_OFFSET + paths.path_offset,
+                            paths.n_paths, paths.grid.n_steps)
+        xi_s.setflags(write=False)
+        return xi_s
 
     def at(self, phi: float) -> Tuple[np.ndarray, np.ndarray]:
         """(G, dG/dlambda1), each (n_paths, n_nodes), at risk-sharing weight
@@ -138,7 +152,8 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
 
     G comes from ``surface`` when it is given (built by ``g_surface`` for
     this model, these paths and the same t_max and r; anything else is
-    rejected) and is computed otherwise.
+    rejected) and is computed otherwise. W_S is the surface's ``xi_s``,
+    drawn once and only read, so every arm on one surface shares one draw.
     """
     grid = paths.grid
     if abs(grid.step - scenario.dt) > 1e-12 or abs(grid.t1 - scenario.horizon) > 1e-9:
@@ -154,8 +169,6 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
 
     n = grid.n_steps
     n_paths = paths.n_paths
-    xi_s = normal_block(paths.seed, WS_STREAM_OFFSET + paths.path_offset,
-                        n_paths, n)
 
     if surface is None:
         surface = g_surface(model, scenario, market, paths)
@@ -185,9 +198,9 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     f += theta_eff * dt
     f -= (0.5 * dt) * vol_l
     f *= vol_l
-    xi_s *= vol_s * sqdt
-    f += xi_s
-    f -= np.divide(dt, g[:, :n], out=xi_s)
+    # vol_l is spent: its array holds the stock's term, then dt/G
+    f += np.multiply(surface.xi_s, vol_s * sqdt, out=vol_l)
+    f -= np.divide(dt, g[:, :n], out=vol_l)
     f += (market.r + vol_s * (market.theta_s - 0.5 * vol_s)) * dt
     # Y_k = y0 exp(log F_0 + ... + log F_{k-1})
     np.cumsum(wealth, axis=1, out=wealth)
@@ -242,15 +255,18 @@ class ComparisonReport:
     totals_b: DiscountedTotals
 
     @classmethod
-    def of(cls, traj_a: SchemeTrajectory, traj_b: SchemeTrajectory,
-           r: float) -> "ComparisonReport":
+    def of(cls, traj_a: SchemeTrajectory, traj_b: SchemeTrajectory, r: float,
+           totals_a: Optional[DiscountedTotals] = None) -> "ComparisonReport":
         """Report on two arms simulated on the same paths, both discounted
-        at the rate r their shared G surface was built for."""
+        at the rate r their shared G surface was built for. ``totals_a``,
+        when given, is ``discounted_totals(traj_a, r)``, computed once for
+        a reference arm that several reports share."""
+        if totals_a is None:
+            totals_a = discounted_totals(traj_a, r)
         return cls(times=traj_a.grid.nodes, traj_a=traj_a, traj_b=traj_b,
                    withdraw_gain=traj_b.withdraw - traj_a.withdraw,
                    compensation_gain=traj_b.compensation - traj_a.compensation,
-                   totals_a=discounted_totals(traj_a, r),
-                   totals_b=discounted_totals(traj_b, r))
+                   totals_a=totals_a, totals_b=discounted_totals(traj_b, r))
 
     @property
     def mean_withdraw_gain(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from pendraw.experiments import format_number, run_experiment, write_csv
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, baseline_hazard,
                                simulate_paths)
-from pendraw.numerics import NumericalFailure, TimeGrid
+from pendraw.numerics import NumericalFailure, TimeGrid, WS_STREAM_OFFSET
 from pendraw.pricing import (build_coefficient_table, coeffs_single,
                              coeffs_two_pop)
 
@@ -551,6 +551,23 @@ class TestRunExperiment:
         assert (no_bond[0], optimal[0]) == ("no_bond", "optimal")
         assert optimal[1:] == columns("sw/sweep_theta1_summary.csv",
                                       totals[1:])[0]
+
+    def test_sweep_draws_the_stock_noise_once(self, tmp_path, monkeypatch):
+        cfg = with_overrides(load_config(small_config(tmp_path)), n_paths=5)
+        offsets = []
+        normal_block = scheme.normal_block
+
+        def counted(seed, offset, *args):
+            offsets.append(offset)
+            return normal_block(seed, offset, *args)
+
+        monkeypatch.setattr(scheme, "normal_block", counted)
+        run_experiment(with_overrides(cfg, experiment="sweep",
+                                      sweep_var="theta1",
+                                      sweep_values=(0.0, -0.003),
+                                      out_dir=str(tmp_path / "sw")))
+        # three arms, the no-bond reference and two values, on one surface
+        assert offsets == [WS_STREAM_OFFSET]
 
     @pytest.mark.parametrize("change", [
         dict(experiment="bogus"),

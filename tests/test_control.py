@@ -362,6 +362,45 @@ class TestSurfaceRoute:
                 tab, _rule_rows(tab, MARKET.r + baseline_hazard(t, gm))[0])
         assert self.CASES[grid] <= seen
 
+    @pytest.mark.parametrize("make_model", [ou_single, cir_single, ou_two,
+                                            cir_two])
+    @pytest.mark.parametrize("grid", sorted(GRIDS) + ["shipped"])
+    def test_surface_is_the_one_anchor_route_bit_for_bit(self, make_model,
+                                                         grid, monkeypatch):
+        """Anchors of one rule shape go through one stacked product; each
+        value must still be the float ``g_and_gradient`` gives at that
+        anchor alone."""
+        model = make_model()
+        scen = SchemeScenario(phi=0.8, n_paths=4, **self.GRIDS.get(grid, {}))
+        paths = simulate_paths(model, TimeGrid(0.0, scen.horizon, scen.dt),
+                               scen.n_paths, 7)
+        runs = []
+        moments = control._moments
+
+        def counted(states, *args):
+            runs.append(states.shape[0])
+            return moments(states, *args)
+
+        monkeypatch.setattr(control, "_moments", counted)
+        surface = g_surface(model, scen, MARKET, paths)
+        g, grad1 = surface.at(scen.phi)
+        # every anchor once; the shipped grid has runs of equal shape
+        assert sum(runs) == paths.grid.nodes.size
+        if grid == "shipped":
+            assert max(runs) > 1
+        for k, t in enumerate(paths.grid.nodes):
+            lam = np.column_stack([h[:, k] for h in paths.hazards])
+            g_k, grad_k = g_and_gradient(model, scen, MARKET, t, lam)
+            assert np.array_equal(g[:, k], g_k), t
+            assert np.array_equal(grad1[:, k], grad_k[:, 0]), t
+            # D is below e^-80 at a cut, too small to show in G
+            a, d, m, k_end = control._g_pieces_at(model, scen, MARKET, (t,),
+                                                  lam[None])
+            assert np.array_equal(surface.a[:, k], a[:, 0]), t
+            assert np.array_equal(surface.d[:, k], d[:, 0]), t
+            assert np.array_equal(surface.m1[:, k], m[0][:, 0]), t
+            assert surface.k1_end[k] == k_end[0, 0], t
+
 
 def _rule_errors(model, t, phi):
     """Largest relative G error and gradient error (relative to the largest

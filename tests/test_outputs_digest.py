@@ -64,10 +64,10 @@ def shipped_outputs(work: Path) -> dict:
     return digests
 
 
-def read_digest(path: Path = DIGEST):
-    """(numpy version, {entry name: sha256}) of a digest file."""
+def read_digest():
+    """(numpy version, {entry name: sha256}) of the committed digest."""
     version, digests = None, {}
-    for line in path.read_text().splitlines():
+    for line in DIGEST.read_text().splitlines():
         if line.startswith("# numpy "):
             version = line.split()[-1]
         elif line and not line.startswith("#"):
@@ -76,9 +76,8 @@ def read_digest(path: Path = DIGEST):
     return version, digests
 
 
-def write_digest(digests: dict, path: Path = DIGEST) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"# numpy {np.__version__}\n" + "".join(
+def write_digest(digests: dict) -> None:
+    DIGEST.write_text(f"# numpy {np.__version__}\n" + "".join(
         f"{sha}  {name}\n" for name, sha in sorted(digests.items())))
 
 

@@ -108,19 +108,11 @@ def _getint(cp, section, key):
         raise ConfigError(f"invalid value for [{section}] {key}: {exc}") from exc
 
 
-def _check_seed(seed: int) -> int:
-    """The seed, if it keys the random streams (numerics): one of the 2**64
-    values of their 64-bit key word."""
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
-
-
-def _in_section(section: str, cls, **fields):
-    """``cls(**fields)``; the ValueError of a rejected value becomes a
+def _in_section(section: str, cls, *args, **fields):
+    """``cls(*args, **fields)``; the ValueError of a rejected value becomes a
     ConfigError naming the config section."""
     try:
-        return cls(**fields)
+        return cls(*args, **fields)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -195,7 +187,7 @@ def loads_config(text: str) -> ExperimentConfig:
                            horizon=val("scheme", "horizon"),
                            dt=val("scheme", "dt"),
                            n_paths=val("scheme", "n_paths", _getint),
-                           seed=_check_seed(val("scheme", "seed", _getint)),
+                           seed=val("scheme", "seed", _getint),
                            t_max=val("scheme", "t_max"))
     # the simulation grid, checked by its own rule before any command runs
     _in_section("scheme", TimeGrid, t0=0.0, t1=scenario.horizon,
@@ -249,9 +241,10 @@ def with_overrides(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """Command-line overrides applied on top of a loaded configuration."""
     scenario = cfg.scenario
     if seed is not None or n_paths is not None:
-        scenario = replace(scenario,
-                           seed=scenario.seed if seed is None else _check_seed(seed),
-                           n_paths=scenario.n_paths if n_paths is None else n_paths)
+        scenario = _in_section(
+            "scheme", replace, scenario,
+            seed=scenario.seed if seed is None else seed,
+            n_paths=scenario.n_paths if n_paths is None else n_paths)
     return replace(cfg,
                    scenario=scenario,
                    out_dir=cfg.out_dir if out_dir is None else out_dir,

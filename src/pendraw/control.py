@@ -44,10 +44,10 @@ M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, k_i},
 surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one exp of
 the (states x nodes) exponent and one product with the
 (nodes x (1 + n_factors)) moment matrix, plus the end values D and k(T).
-Consecutive anchors whose rules have the same shape, the same stride and
-last node, read the same C columns and weights, so they take these steps
+Consecutive anchors of one rule shape (``_rule_shape``: stride and last
+node) read the same C columns and weights, so they take these steps
 together, as stacked products that make one product per anchor; k0 and
-the discount, and so the scaled moment matrix, stay per anchor.
+the discount stay per anchor.
 None of these pieces depends on phi (``_g_pieces_at``), so one set of them
 gives G and its gradient at every phi. ``g_and_gradient`` computes them at
 one anchor, and ``scheme.g_surface`` at every grid node in one call of the
@@ -74,7 +74,7 @@ from typing import Tuple
 import numpy as np
 
 from .mortality import Model, _check_finite, _diffusion
-from .numerics import NumericalFailure
+from .numerics import NumericalFailure, _check_seed
 from .pricing import (LATTICE_STEP, MarketParams, _end_node,
                       _lattice_nodes, _lattice_span, _tau_table,
                       rolling_bond_volatility)
@@ -111,11 +111,6 @@ GREGORY_RATE_STEP = 0.06
 # the survival-underflow cut: G's rule ends at its first node where k0 falls
 # below it, the survival factor below e^-80 of its start
 _CUT_K0 = -80.0
-# stride nodes (anchors x nodes) that ``_g_pieces_at`` assembles in one set
-# of array operations, 34 anchors at stride 10 and t_max = 120: timed on
-# ``scheme.g_surface`` at the shipped config, 4 096 to 2**20 run alike and
-# 2 048 about 5% slower; each block array takes 64 kB
-_BLOCK_NODES = 8192
 # (states x rule nodes) entries that ``_g_pieces_at`` takes through one
 # stacked product and exp, over consecutive anchors of one rule shape: timed
 # on ``scheme.g_surface`` at the shipped config and 100 paths (about 150
@@ -155,6 +150,7 @@ class SchemeScenario:
             raise ValueError("horizon and dt must be > 0")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        _check_seed(self.seed)
         if self.t_max <= self.horizon:
             raise ValueError(f"t_max ({self.t_max}) must exceed the horizon "
                              f"({self.horizon})")
@@ -302,22 +298,17 @@ def _rule_nodes(tt, t_max: float, spans, stride: int, n_cols: int, gm):
     last node its columns read, min(n, (n_cols - 1) * stride). A row's
     columns past its cut may read another node; the rule reads none of them.
 
-    A pass of one node, as ``_tau_table`` starts it, is grown before it is
-    read, to a guessed cut (``_cut_guess``): the earliest anchor's, for a
-    fall of k0 by -_CUT_K0 from t. A pass that has grown is read as it
-    stands: grown by earlier calls, it usually closes every row already,
-    and then nothing is guessed. Each further growth aims at the farthest
-    open row's guessed cut, for the rest of the fall from the last stride
-    node it has read. The guesses set how many growths it takes, never a
-    value: growth resumes the pass exactly (``pricing._TauTable``). A CIR
-    pass that blows up keeps its finite nodes, and raises NumericalFailure
-    only when an open row needs a node past them.
+    The pass is read as it stands, and each growth aims at the farthest
+    open row's guessed cut (``_cut_guess``) for the rest of the fall from
+    the last stride node read; on a pass of one node, as ``_tau_table``
+    starts it, that is node 0, where k0 = 0. The guesses set how many
+    growths it takes, never a value: growth resumes the pass exactly
+    (``pricing._TauTable``). A CIR pass that blows up keeps its finite
+    nodes, and raises NumericalFailure only when an open row needs a node
+    past them.
     """
     last = np.minimum([n for _, n, _ in spans], (n_cols - 1) * stride)
     goal = 0
-    if tt.n == 0:
-        goal = min(last.max(), _cut_guess(
-            gm, min(t for t, _, _ in spans), -_CUT_K0, stride))
     while True:
         if goal > tt.n:
             before = tt.n
@@ -343,8 +334,7 @@ def _short_span(tt, t_max: float, r: float, span, stride: int, gm):
     largest stride before its cut or end: the largest, at most ``stride``,
     that gives GREGORY_ORDER - 1 strides up to the first lattice node with
     k0 < _CUT_K0, or to n. Returns (stride, cut, k0, tau, disc) on the new
-    stride as the block loop of ``_g_pieces_at`` has them, or None when the
-    stride stays."""
+    stride, or None when the stride stays."""
     n = span[1]
     _, _, dead = _rule_nodes(tt, t_max, [span], 1,
                              min(n, GREGORY_ORDER * stride) + 1, gm)
@@ -357,19 +347,30 @@ def _short_span(tt, t_max: float, r: float, span, stride: int, gm):
     return short, int(cut[0]), k0[0], tau[0], np.exp(-r * tau[0])
 
 
+def _rule_shape(span, stride: int, cut: int):
+    """(m, panel, short) of G's outer rule at one anchor: its nodes are
+    0..m on the stride, up to the cut or to n; ``panel`` adds an end panel
+    at n when n is not on the stride or the span ends in a partial step (at
+    the RK4 tail node, t_max); ``short`` marks a span with too few nodes for
+    the stride (``_short_span``). Anchors of one stride and m, with neither,
+    read the same C columns and weights; their k0 and discount differ."""
+    _, n, partial = span
+    if cut >= 0:
+        return cut, False, cut < GREGORY_ORDER
+    m = n // stride
+    return m, bool(partial or n % stride), m < GREGORY_ORDER - 1
+
+
 def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
           cut: int, k0: np.ndarray, tau: np.ndarray, disc: np.ndarray):
-    """G's outer rule at one anchor from k0, tau and the discount on its
-    stride nodes: nodes 0..m on the stride, up to the cut, or to n with an
-    end panel delta strides long when n is not on the stride or the span
-    ends in a partial step (at the RK4 tail node, t_max).
+    """G's outer rule (``_rule_shape``) at one anchor from k0, tau and the
+    discount on its stride nodes, with an end panel delta strides long.
 
     Returns (c, k0, disc, w) on the rule's nodes: ``c`` holds C, one row per
     factor, ``w`` the weights.
     """
     t, n, partial = span
-    m = cut if cut >= 0 else n // stride
-    panel = cut < 0 and (partial or n % stride > 0)
+    m, panel, _ = _rule_shape(span, stride, cut)
     lattice = stride * np.arange(m + 1 + panel)
     if panel and partial:
         c = np.empty((tt.c.shape[0], lattice.size))
@@ -386,19 +387,6 @@ def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
         tau_end = tau[lattice.size - 1]
     delta = (tau_end - tau[m]) / (stride * LATTICE_STEP) if panel else 0.0
     return c, k0, disc, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
-
-
-def _shared_last(span, stride: int, cut: int):
-    """The last node m of ``_rule`` at an anchor whose rule is nodes 0..m
-    on the stride alone, with no end panel and no smaller stride
-    (``_short_span``), else None. Anchors of equal (stride, m) read the
-    same C columns and weights; their k0 and discount differ."""
-    _, n, partial = span
-    if cut >= 0:
-        return cut if cut >= GREGORY_ORDER else None
-    if partial or n % stride or n // stride < GREGORY_ORDER - 1:
-        return None
-    return n // stride
 
 
 def _moments(states: np.ndarray, c: np.ndarray, k0: np.ndarray,
@@ -440,8 +428,9 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
                  times, states: np.ndarray):
     """The phi-free pieces of G and its gradient at many anchors:
     ``states[i]`` is the (n_states, n_factors) batch at ``times[i]``.
-    Returns A, D and the moments M[k_f], one per factor f, each as
-    (n_states, n_anchors), and k(T) as (n_factors, n_anchors).
+    Returns them node-major, as ``_moments`` writes them: A and the moments
+    M[k_f] side by side as (n_anchors, n_states, 1 + n_factors), D as
+    (n_anchors, n_states) and k(T) as (n_anchors, n_factors).
 
     A = M[1] and M[k_i] are the outer rule's moments and D = e^{-r(T-t)}
     S(t,T) (see the module docstring). They depend on the scenario's t_max
@@ -449,19 +438,15 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     anchor at or past t_max has an empty span: T = t, so D = 1 and the rest
     is zero.
 
-    The rule's nodes are read straight off the cached tau pass
-    (``pricing._tau_table``, one lookup per call), grown only as far as the
-    rules read it. Anchors that share a largest stride (``_max_stride``)
-    have k0 assembled on their stride nodes together, _BLOCK_NODES nodes at
-    a time (``_rule_nodes``); the rule ends at the first of them with
-    k0 < -80, or at t_max (``_rule``). A span of fewer than
-    GREGORY_ORDER such nodes may take a smaller stride (``_short_span``).
-    Consecutive anchors of one rule shape (``_shared_last``) read C and
-    the weights once and go through ``_moments`` together, at most
-    _BATCH_ENTRIES (states x nodes) entries at a time, into node-major
-    buffers transposed once at the end; an end panel or a smaller stride
-    goes alone. Every value is the float the anchor's coefficient table
-    would give, and the float the anchor alone gives.
+    Anchors that share a largest stride (``_max_stride``) read k0 on their
+    stride nodes off the cached tau pass in one ``_rule_nodes`` call, which
+    settles each one's rule shape (``_rule_shape``). A short span takes a
+    smaller stride (``_short_span``) and an end panel goes alone; runs of
+    consecutive anchors of one other shape read C and the weights once and
+    go through ``_moments`` together, at most _BATCH_ENTRIES
+    (states x nodes) entries at a time. Every value is the float the
+    anchor's coefficient table would give, and the float the anchor alone
+    gives.
     Raises NumericalFailure at the first anchor whose survival expectation
     overflows on the rule's nodes.
     """
@@ -476,7 +461,6 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
         n, partial = _lattice_span(t, t_max)
         groups.setdefault(_max_stride(gm, r, t),
                           []).append((i, (t, n, partial)))
-    # node-major: A and M[k_f] side by side, D, k(T)
     mom = np.zeros((n_anchors, n_states, 1 + n_fac))
     d = np.zeros((n_anchors, n_states))
     k_end = np.zeros((n_anchors, n_fac))
@@ -484,42 +468,37 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     tt = _tau_table(model, LATTICE_STEP) if groups else None
     buf = np.empty(0)
     for stride, members in groups.items():
-        n_cols = max(-(-n // stride) for _, (_, n, _) in members) + 1
-        size = max(1, _BLOCK_NODES // n_cols)
-        for b in range(0, len(members), size):
-            block = members[b:b + size]
-            spans = [span for _, span in block]
-            k0, tau, first = _rule_nodes(tt, t_max, spans, stride, n_cols, gm)
-            disc = np.exp(-r * tau)
-            row = 0
-            while row < len(block):
-                i, span = block[row]
-                cut = int(first[row])
-                nodes = (stride, cut, k0[row], tau[row], disc[row])
-                last = _shared_last(span, stride, cut)
-                end = row + 1
-                if last is not None:
-                    # the anchors after it that read the same C and weights
-                    most = _BATCH_ENTRIES // max(1, n_states * (last + 1))
-                    while (end < len(block) and end - row < most
-                           and block[end][0] == i + end - row
-                           and _shared_last(block[end][1], stride,
-                                            int(first[end])) == last):
-                        end += 1
-                elif 0 <= cut < GREGORY_ORDER or (
-                        cut < 0 and span[1] // stride < GREGORY_ORDER - 1):
-                    nodes = _short_span(tt, t_max, r, span, stride,
-                                        gm) or nodes
-                c, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
-                if last is None:
-                    k0_i, disc_i = k0_i[None], disc_i[None]
-                else:
-                    k0_i, disc_i = k0[row:end, :w.size], disc[row:end, :w.size]
-                run = slice(i, i + end - row)
-                buf = _moments(states[run], c, k0_i, disc_i, w, buf, mom[run],
-                               d[run])
-                k_end[run] = c[:, -1]
-                row = end
+        spans = [span for _, span in members]
+        n_cols = max(-(-n // stride) for _, n, _ in spans) + 1
+        k0, tau, first = _rule_nodes(tt, t_max, spans, stride, n_cols, gm)
+        disc = np.exp(-r * tau)
+        shapes = [_rule_shape(span, stride, int(cut))
+                  for span, cut in zip(spans, first)]
+        row = 0
+        while row < len(members):
+            i, span = members[row]
+            m, panel, short = shapes[row]
+            nodes = (stride, int(first[row]), k0[row], tau[row], disc[row])
+            end = row + 1
+            if short:
+                nodes = _short_span(tt, t_max, r, span, stride, gm) or nodes
+            elif not panel:
+                # the anchors after it that read the same C and weights
+                most = _BATCH_ENTRIES // max(1, n_states * (m + 1))
+                while (end < len(members) and end - row < most
+                       and members[end][0] == i + end - row
+                       and shapes[end] == shapes[row]):
+                    end += 1
+            c, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
+            if panel or short:
+                k0_i, disc_i = k0_i[None], disc_i[None]
+            else:
+                k0_i, disc_i = k0[row:end, :w.size], disc[row:end, :w.size]
+            run = slice(i, i + end - row)
+            buf = _moments(states[run], c, k0_i, disc_i, w, buf, mom[run],
+                           d[run])
+            k_end[run] = c[:, -1]
+            row = end
     # A weighs the survival at every rule node, so it is not finite where
     # any of them overflows
     finite = np.isfinite(mom[:, :, 0]).all(axis=1)
@@ -527,8 +506,7 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
         at = float(times[int(np.argmin(finite))])
         raise NumericalFailure(f"G is not finite at t = {at}: its survival "
                                f"expectation overflows", at_time=at)
-    a, *mom_k = (mom[:, :, f].T.copy() for f in range(1 + n_fac))
-    return a, d.T.copy(), mom_k, k_end.T.copy()
+    return mom, d, k_end
 
 
 def _compose_g(phi: float, r: float, a, d, m, k_end):
@@ -551,9 +529,9 @@ def g_and_gradient(model: Model, scenario: SchemeScenario, market: MarketParams,
     if lam.shape[1] != model.n_factors:
         raise ValueError(f"expected {model.n_factors} hazard component(s), "
                          f"got {lam.shape[1]}")
-    a, d, m, k_end = _g_pieces_at(model, scenario, market, (t,), lam[None])
-    g, grad = _compose_g(scenario.phi, market.r, a, d, np.hstack(m),
-                         k_end[:, 0])
+    mom, d, k_end = _g_pieces_at(model, scenario, market, (t,), lam[None])
+    g, grad = _compose_g(scenario.phi, market.r, mom[0, :, :1], d.T,
+                         mom[0, :, 1:], k_end[0])
     return g[:, 0], grad
 
 

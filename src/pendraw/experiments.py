@@ -153,13 +153,6 @@ def _write_block(fh, out, keep, ok, texts, arrays, start) -> None:
     fh.write(data[done:])
 
 
-def _column_means(a: np.ndarray) -> np.ndarray:
-    """``a[:, k].mean()`` for every k, bit for bit: each mean reduces one
-    contiguous row of the transpose, as the strided column would be reduced
-    (``a.mean(axis=0)`` sums in another order)."""
-    return np.ascontiguousarray(a.T).mean(axis=1)
-
-
 @dataclass
 class ExperimentResult:
     files: List[Path]
@@ -174,8 +167,8 @@ _TRAJECTORY_SCHEMA = ["time", "mean_wealth", "mean_withdraw", "mean_compensation
 
 
 def _weight_columns(traj) -> list:
-    return [_column_means(traj.stock_weight), _column_means(traj.bond_weight),
-            _column_means(traj.cash_weight)]
+    return [traj.stock_weight.mean(axis=0), traj.bond_weight.mean(axis=0),
+            traj.cash_weight.mean(axis=0)]
 
 
 def _check_inputs(cfg: ExperimentConfig) -> None:
@@ -246,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         blanks = [""] * (_N_SAMPLE_PATHS - n_sample)
         files.append(write_csv(
             [grid.nodes, *paths.survival[:n_sample], *blanks,
-             _column_means(paths.survival), dist.mean_cdf, dist.mean_density],
+             paths.survival.mean(axis=0), dist.mean_cdf, dist.mean_density],
             _MORTALITY_SCHEMA, out / "mortality.csv"))
         traj = simulate_scheme(model, scenario, market, OPTIMAL, paths)
         weights = _weight_columns(traj)
@@ -254,9 +247,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                ["time", "w_stock", "w_bond", "w_cash"],
                                out / "weights.csv"))
         files.append(write_csv(
-            [grid.nodes, _column_means(traj.wealth),
-             _column_means(traj.withdraw), _column_means(traj.compensation),
-             *weights, _column_means(traj.survival)],
+            [grid.nodes, traj.wealth.mean(axis=0),
+             traj.withdraw.mean(axis=0), traj.compensation.mean(axis=0),
+             *weights, traj.survival.mean(axis=0)],
             _TRAJECTORY_SCHEMA, out / "trajectory.csv"))
         totals = discounted_totals(traj, market.r)
         lines.append(f"mean discounted benefit: {totals.mean_benefit:.6g}")

@@ -134,14 +134,16 @@ def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
     call over every grid node as an anchor (``control._g_pieces_at``, the
     route ``g_and_gradient`` takes at one anchor).
 
-    The hazards are stacked node-major once, so that each node's state is
-    one contiguous (n_paths, n_factors) block.
+    The hazards are stacked node-major, so that each node's state is one
+    contiguous (n_paths, n_factors) block; of the node-major pieces, only
+    the ones the surface keeps are transposed to (n_paths, n_nodes).
     """
     states = np.stack([lam.T for lam in paths.hazards], axis=-1)
-    a, d, m, k_end = _g_pieces_at(model, scenario, market, paths.grid.nodes,
-                                  states)
-    return GSurface(_surface_key(model, scenario, market), paths, a, d, m[0],
-                    k_end[0])
+    mom, d, k_end = _g_pieces_at(model, scenario, market, paths.grid.nodes,
+                                 states)
+    return GSurface(_surface_key(model, scenario, market), paths,
+                    mom[:, :, 0].T.copy(), d.T.copy(), mom[:, :, 1].T.copy(),
+                    k_end[:, 0])
 
 
 def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,

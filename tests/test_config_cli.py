@@ -222,6 +222,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="seed"):
             with_overrides(loads_config(MINIMAL), seed=seed)
 
+    @pytest.mark.parametrize("override", [dict(n_paths=0), dict(seed=-1)])
+    def test_rejected_override_names_its_section(self, override):
+        with pytest.raises(ConfigError) as err:
+            with_overrides(loads_config(MINIMAL), **override)
+        assert str(err.value).startswith("[scheme]")
+
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     def test_seed_key_range_ends_accepted(self, seed):
         cfg = loads_config(MINIMAL.replace("phi = 0.8", f"phi = 0.8\nseed = {seed}"))

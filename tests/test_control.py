@@ -394,12 +394,31 @@ class TestSurfaceRoute:
             assert np.array_equal(g[:, k], g_k), t
             assert np.array_equal(grad1[:, k], grad_k[:, 0]), t
             # D is below e^-80 at a cut, too small to show in G
-            a, d, m, k_end = control._g_pieces_at(model, scen, MARKET, (t,),
-                                                  lam[None])
-            assert np.array_equal(surface.a[:, k], a[:, 0]), t
-            assert np.array_equal(surface.d[:, k], d[:, 0]), t
-            assert np.array_equal(surface.m1[:, k], m[0][:, 0]), t
+            mom, d, k_end = control._g_pieces_at(model, scen, MARKET, (t,),
+                                                 lam[None])
+            assert np.array_equal(surface.a[:, k], mom[0, :, 0]), t
+            assert np.array_equal(surface.d[:, k], d[0]), t
+            assert np.array_equal(surface.m1[:, k], mom[0, :, 1]), t
             assert surface.k1_end[k] == k_end[0, 0], t
+
+    @pytest.mark.parametrize("make_model", [ou_single, cir_two])
+    def test_run_of_one_shape_needs_consecutive_anchors(self, make_model):
+        """The two anchors at t = 5 that come first in their stride group
+        share a rule shape but sit at indices 0 and 2, with an empty anchor
+        past t_max between them: each must still get its own pieces."""
+        model = make_model()
+        gms = model.factors[2]
+        times = (5.0, 130.0, 5.0, 7.0, 5.0)
+        states = np.array([[[baseline_hazard(t, gm) * (1 + 0.1 * i + 0.3 * j)
+                             for gm in gms] for j in range(3)]
+                           for i, t in enumerate(times)])
+        mom, d, k_end = control._g_pieces_at(model, SCEN, MARKET, times,
+                                             states)
+        for i, t in enumerate(times):
+            one = control._g_pieces_at(model, SCEN, MARKET, (t,),
+                                       states[i:i + 1])
+            for piece, alone in zip((mom, d, k_end), one):
+                assert np.array_equal(piece[i], alone[0]), (i, t)
 
 
 def _rule_errors(model, t, phi):
@@ -716,6 +735,11 @@ class TestPolicies:
             SchemeScenario(phi=-0.1)
         with pytest.raises(ValueError):
             SchemeScenario(phi=0.5, t_max=30.0)  # below the horizon
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64])
+    def test_scenario_rejects_seed_outside_key_range(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            SchemeScenario(phi=0.5, seed=seed)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("base, field", [

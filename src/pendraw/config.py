@@ -36,19 +36,6 @@ _REQUIRED = (
 )
 _REQUIRED_POP2 = ("nu", "delta", "m", "b21", "b22", "sigma21", "sigma22")
 
-_DEFAULTS = {
-    ("market", "maturity"): 20.0,
-    ("scheme", "pi"): 1.0,
-    ("scheme", "y0"): 100.0,
-    ("scheme", "retirement_age"): 65.0,
-    ("scheme", "horizon"): 35.0,
-    ("scheme", "dt"): 0.1,
-    ("scheme", "n_paths"): 100,
-    ("scheme", "seed"): 42,
-    ("scheme", "t_max"): 120.0,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_kind: str
@@ -142,18 +129,19 @@ def loads_config(text: str) -> ExperimentConfig:
         if missing2:
             raise ConfigError("missing required keys: " + ", ".join(missing2))
 
-    def val(section, key, cast=_getfloat):
-        if cp.has_option(section, key):
-            return cast(cp, section, key)
-        return _DEFAULTS[(section, key)]
+    def given(section, *keys, cast=_getfloat):
+        """The values of those of ``keys`` the file sets; the classes built
+        from them state every other key's default."""
+        return {key: cast(cp, section, key) for key in keys
+                if cp.has_option(section, key)}
 
     # the optimal policy is derived for pi = 1 only: the departing members'
     # balances are compensated in full
-    pi = val("scheme", "pi")
+    pi = given("scheme", "pi").get("pi", 1.0)
     if pi != 1.0:
         raise ConfigError(f"[scheme] pi must be 1 (full compensation), got {pi}")
 
-    shift = val("scheme", "retirement_age")
+    shift = given("scheme", "retirement_age").get("retirement_age", 65.0)
 
     def gompertz(section):
         return _in_section(section, GompertzMakehamParams,
@@ -175,20 +163,12 @@ def loads_config(text: str) -> ExperimentConfig:
                                b=b1, sigma=sigma1)
 
     market = _in_section("market", MarketParams,
-                         r=_getfloat(cp, "market", "r"),
-                         theta_s=_getfloat(cp, "market", "theta_s"),
-                         sigma_s=_getfloat(cp, "market", "sigma_s"),
-                         theta_1=_getfloat(cp, "market", "theta_1"),
-                         maturity=val("market", "maturity"))
-
+                         **given("market", "r", "theta_s", "sigma_s",
+                                 "theta_1", "maturity"))
     scenario = _in_section("scheme", SchemeScenario,
-                           phi=_getfloat(cp, "scheme", "phi"),
-                           y0=val("scheme", "y0"),
-                           horizon=val("scheme", "horizon"),
-                           dt=val("scheme", "dt"),
-                           n_paths=val("scheme", "n_paths", _getint),
-                           seed=val("scheme", "seed", _getint),
-                           t_max=val("scheme", "t_max"))
+                           **given("scheme", "phi", "y0", "horizon", "dt"),
+                           **given("scheme", "n_paths", "seed", cast=_getint),
+                           **given("scheme", "t_max"))
     # the simulation grid, checked by its own rule before any command runs
     _in_section("scheme", TimeGrid, t0=0.0, t1=scenario.horizon,
                 step=scenario.dt)

@@ -2,9 +2,9 @@
 
 The hedging comparison and both sweeps run one loop (``_reports``): one G
 surface with its one draw of the stock's noise, one reference arm simulated
-and discounted once, and each arm compared with it on the same paths, its
-file written before the next arm is simulated. The comparison is the theta1
-sweep of one arm at the configured theta_1.
+and discounted once, and each arm on the same surface compared with it, its
+file written and its trajectory released before the next arm is simulated.
+The comparison is the theta1 sweep of one arm at the configured theta_1.
 
 Every CSV is written by ``write_csv`` from columns, not rows. A column is
 either an equal-length 1-D array or list, or a ``str`` constant repeated on
@@ -40,8 +40,8 @@ import numpy as np
 from .config import EXPERIMENT_KINDS, SWEEP_VARS, ExperimentConfig
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
-from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, discounted_totals,
-                     g_surface, simulate_scheme)
+from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, g_surface,
+                     simulate_scheme)
 
 _N_SAMPLE_PATHS = 3
 
@@ -125,7 +125,7 @@ def write_csv(columns: Sequence[Union[np.ndarray, Sequence, str]],
                 if arr.dtype.kind in "US":
                     ok[:] = False
                     continue
-                x = arr[start:start + n].astype(np.float64)
+                x = arr[start:start + n].astype(np.float64, copy=False)
                 ok &= csvkernel._g9(x, out[:n, cols], keep[:n, cols], tail)
                 if arr.dtype.kind in "iu":
                     ok &= np.abs(x) < 1e9
@@ -194,25 +194,24 @@ def _arm_inputs(var: str, value, scenario, market):
 
 
 def _reports(var: str, values, model, scenario, market, paths):
-    """(value, arm, report against the reference arm) for each value of
-    ``var``, one arm at a time.
+    """(value, report of its arm against the reference arm) for each value
+    of ``var``, one arm at a time; the arm is the report's ``traj_b``, and
+    the generator keeps no reference to it once yielded.
 
     The reference arm is simulated and discounted once: the no-bond policy
-    (theta1) or no risk sharing, phi = 0 (phi). Every arm shares one G
-    surface, since neither theta1 nor phi enters its pieces, and the
+    (theta1) or no risk sharing, phi = 0 (phi). Every arm runs on one G
+    surface, since neither theta1 nor phi enters its pieces, and reads the
     surface's one draw of W_S.
     """
     surface = g_surface(model, scenario, market, paths)
 
     def arm(value, kind=OPTIMAL):
         scen, mkt = _arm_inputs(var, value, scenario, market)
-        return simulate_scheme(model, scen, mkt, kind, paths, surface=surface)
+        return simulate_scheme(surface, scen, mkt, kind)
 
     ref = arm(market.theta_1, NO_BOND) if var == "theta1" else arm(0.0)
-    ref_totals = discounted_totals(ref, market.r)
     for value in values:
-        traj = arm(value)
-        yield value, traj, ComparisonReport.of(ref, traj, market.r, ref_totals)
+        yield value, ComparisonReport.of(ref, arm(value))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -241,7 +240,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             [grid.nodes, *paths.survival[:n_sample], *blanks,
              paths.survival.mean(axis=0), dist.mean_cdf, dist.mean_density],
             _MORTALITY_SCHEMA, out / "mortality.csv"))
-        traj = simulate_scheme(model, scenario, market, OPTIMAL, paths)
+        traj = simulate_scheme(g_surface(model, scenario, market, paths),
+                               scenario, market, OPTIMAL)
         weights = _weight_columns(traj)
         files.append(write_csv([grid.nodes, *weights],
                                ["time", "w_stock", "w_bond", "w_cash"],
@@ -251,13 +251,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
              traj.withdraw.mean(axis=0), traj.compensation.mean(axis=0),
              *weights, traj.survival.mean(axis=0)],
             _TRAJECTORY_SCHEMA, out / "trajectory.csv"))
-        totals = discounted_totals(traj, market.r)
-        lines.append(f"mean discounted benefit: {totals.mean_benefit:.6g}")
-        lines.append(f"mean discounted compensation: {totals.mean_compensation:.6g}")
+        lines.append(f"mean discounted benefit: {traj.totals.mean_benefit:.6g}")
+        lines.append(f"mean discounted compensation: "
+                     f"{traj.totals.mean_compensation:.6g}")
 
     elif cfg.experiment == "compare":
-        [(_, _, report)] = _reports("theta1", [market.theta_1], model,
-                                    scenario, market, paths)
+        [(_, report)] = _reports("theta1", [market.theta_1], model,
+                                 scenario, market, paths)
         n_sample = min(_N_SAMPLE_PATHS, scenario.n_paths)
         schema = (["time"]
                   + [f"withdraw_gain_path{i+1}" for i in range(n_sample)]
@@ -281,16 +281,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     else:
         summary_rows = []
-        # each arm's file is written before the next arm is simulated
-        for i, (value, traj, report) in enumerate(_reports(
-                cfg.sweep_var, cfg.sweep_values, model, scenario, market,
-                paths)):
+        # each arm's file is written before the next arm is simulated; no
+        # enumerate, whose recycled result tuple would keep the last arm
+        for value, report in _reports(cfg.sweep_var, cfg.sweep_values, model,
+                                      scenario, market, paths):
             files.append(write_csv(
-                [report.times, format_number(value), *_weight_columns(traj),
+                [report.times, format_number(value),
+                 *_weight_columns(report.traj_b),
                  report.mean_withdraw_gain, report.mean_compensation_gain],
                 ["time", "value", "w_stock", "w_bond", "w_cash",
                  "mean_withdraw_gain", "mean_compensation_gain"],
-                out / f"sweep_{cfg.sweep_var}_{i}.csv"))
+                out / f"sweep_{cfg.sweep_var}_{len(summary_rows)}.csv"))
             summary_rows.append((value, report.totals_b.mean_benefit,
                                  report.totals_b.mean_compensation,
                                  report.benefit_improvement,
@@ -298,6 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             lines.append(f"{cfg.sweep_var} = {value:g}: benefit improvement "
                          f"{report.benefit_improvement:+.4%}, compensation "
                          f"improvement {report.compensation_improvement:+.4%}")
+            del report      # the arm goes before the next one is simulated
         files.append(write_csv(
             list(zip(*summary_rows)),
             ["value", "mean_discounted_benefit", "mean_discounted_compensation",

@@ -74,14 +74,15 @@ class MarketParams:
 
     ``r``: risk-free rate; ``theta_s``: stock market price of risk;
     ``sigma_s``: stock volatility; ``theta_1``: market price of longevity
-    risk; ``maturity``: constant time to maturity of the rolling bond (years).
+    risk; ``maturity``: constant time to maturity of the rolling bond (years,
+    20 by default).
     """
 
     r: float
     theta_s: float
     sigma_s: float
     theta_1: float
-    maturity: float
+    maturity: float = 20.0
 
     def __post_init__(self):
         _check_finite(self, [f.name for f in fields(self)])

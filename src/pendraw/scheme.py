@@ -39,10 +39,11 @@ G depends on the hazard paths and on (model, phi, t_max, r) only, not on
 wealth, theta_1 or the policy kind, and it is affine in phi:
 G = (1 - phi r) A + phi (1 - D) (``control``). ``g_surface`` computes the
 phi-free pieces on the whole grid once, keyed on (model, t_max, r), and each
-arm composes its own G and dG/dlambda1 from them. So every arm on the same
-paths that agrees on t_max and r shares one surface, whatever its phi,
-theta_1 or policy kind. ``ComparisonReport`` pairs two such arms, a
-reference and another, and discounts both at the surface's r.
+arm composes its own G and dG/dlambda1 from them. An arm is a surface, a
+scenario, a market and a policy kind: it reads the model and the paths off
+its surface, and every arm that agrees on t_max and r shares one, whatever
+its phi, theta_1 or policy kind. ``ComparisonReport`` pairs two arms run on
+the same paths with equal surface keys, and discounts both at that key's r.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ NO_BOND = "no_bond"
 
 @dataclass
 class SchemeTrajectory:
-    """Per-path wealth, withdrawals, compensation, weights and survival."""
+    """Per-path wealth, withdrawals, compensation, weights and survival, and
+    the G surface the arm ran on (``None`` on a trajectory built by hand)."""
 
     grid: TimeGrid
     policy_kind: str
@@ -76,10 +78,18 @@ class SchemeTrajectory:
     bond_weight: np.ndarray     # (n_paths, n_nodes)
     cash_weight: np.ndarray     # (n_paths, n_nodes)
     survival: np.ndarray        # (n_paths, n_nodes)
+    surface: Optional[GSurface] = None
 
     @property
     def n_paths(self) -> int:
         return self.wealth.shape[0]
+
+    @cached_property
+    def totals(self) -> DiscountedTotals:
+        """``discounted_totals`` at the rate r of the arm's surface, computed
+        once."""
+        _, _, r = self.surface.key
+        return discounted_totals(self, r)
 
 
 @dataclass(frozen=True)
@@ -118,11 +128,6 @@ class GSurface:
         return _compose_g(phi, r, self.a, self.d, self.m1, self.k1_end)
 
 
-def _surface_key(model: Model, scenario: SchemeScenario,
-                 market: MarketParams) -> tuple:
-    return (model, scenario.t_max, market.r)
-
-
 def _hazard_state(paths: MortalityPaths, k: int) -> np.ndarray:
     """(n_paths, n_factors) hazards at grid node k, the policy's state."""
     return np.column_stack([lam[:, k] for lam in paths.hazards])
@@ -141,22 +146,24 @@ def g_surface(model: Model, scenario: SchemeScenario, market: MarketParams,
     states = np.stack([lam.T for lam in paths.hazards], axis=-1)
     mom, d, k_end = _g_pieces_at(model, scenario, market, paths.grid.nodes,
                                  states)
-    return GSurface(_surface_key(model, scenario, market), paths,
+    return GSurface((model, scenario.t_max, market.r), paths,
                     mom[:, :, 0].T.copy(), d.T.copy(), mom[:, :, 1].T.copy(),
                     k_end[:, 0])
 
 
-def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams,
-                    policy_kind: str, paths: MortalityPaths,
-                    surface: Optional[GSurface] = None) -> SchemeTrajectory:
-    """Wealth paths under the policy ``OPTIMAL`` or ``NO_BOND``, stepped by
-    the exact log step of frozen coefficients (module docstring).
+def simulate_scheme(surface: GSurface, scenario: SchemeScenario,
+                    market: MarketParams, policy_kind: str) -> SchemeTrajectory:
+    """Wealth paths under the policy ``OPTIMAL`` or ``NO_BOND`` on the model
+    and paths of ``surface``, stepped by the exact log step of frozen
+    coefficients (module docstring).
 
-    G comes from ``surface`` when it is given (built by ``g_surface`` for
-    this model, these paths and the same t_max and r; anything else is
-    rejected) and is computed otherwise. W_S is the surface's ``xi_s``,
-    drawn once and only read, so every arm on one surface shares one draw.
+    The surface must be built for the arm's t_max and r; anything else is
+    rejected. G is composed from it at the arm's phi, and W_S is its
+    ``xi_s``, drawn once and only read, so every arm on one surface shares
+    one draw.
     """
+    model, t_max, r = surface.key
+    paths = surface.paths
     grid = paths.grid
     if abs(grid.step - scenario.dt) > 1e-12 or abs(grid.t1 - scenario.horizon) > 1e-9:
         raise ConfigError("mortality paths were generated on a different grid "
@@ -172,12 +179,8 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
     n = grid.n_steps
     n_paths = paths.n_paths
 
-    if surface is None:
-        surface = g_surface(model, scenario, market, paths)
-    elif (surface.paths is not paths
-          or surface.key != _surface_key(model, scenario, market)):
-        raise ConfigError("G surface was built for other paths or another "
-                          "(model, t_max, r)")
+    if (t_max, r) != (scenario.t_max, market.r):
+        raise ConfigError("G surface was built for another (t_max, r)")
     g, grad1 = surface.at(scenario.phi)
     stock = market.theta_s / market.sigma_s
     w_stock = np.full((n_paths, n + 1), stock)
@@ -217,7 +220,7 @@ def simulate_scheme(model: Model, scenario: SchemeScenario, market: MarketParams
                             withdraw=withdraw, compensation=compensation,
                             stock_weight=w_stock, bond_weight=w_bond,
                             cash_weight=1.0 - (w_stock + w_bond),
-                            survival=paths.survival)
+                            survival=paths.survival, surface=surface)
 
 
 @dataclass
@@ -257,18 +260,19 @@ class ComparisonReport:
     totals_b: DiscountedTotals
 
     @classmethod
-    def of(cls, traj_a: SchemeTrajectory, traj_b: SchemeTrajectory, r: float,
-           totals_a: Optional[DiscountedTotals] = None) -> "ComparisonReport":
-        """Report on two arms simulated on the same paths, both discounted
-        at the rate r their shared G surface was built for. ``totals_a``,
-        when given, is ``discounted_totals(traj_a, r)``, computed once for
-        a reference arm that several reports share."""
-        if totals_a is None:
-            totals_a = discounted_totals(traj_a, r)
+    def of(cls, traj_a: SchemeTrajectory,
+           traj_b: SchemeTrajectory) -> "ComparisonReport":
+        """Report on two arms run on the same paths with equal surface keys
+        (model, t_max, r), each discounted once at that r
+        (``SchemeTrajectory.totals``); any other pair is rejected."""
+        a, b = traj_a.surface, traj_b.surface
+        if a is None or b is None or a.paths is not b.paths or a.key != b.key:
+            raise ConfigError("a report pairs arms run on the same paths and "
+                              "equal G surface keys (model, t_max, r)")
         return cls(times=traj_a.grid.nodes, traj_a=traj_a, traj_b=traj_b,
                    withdraw_gain=traj_b.withdraw - traj_a.withdraw,
                    compensation_gain=traj_b.compensation - traj_a.compensation,
-                   totals_a=totals_a, totals_b=discounted_totals(traj_b, r))
+                   totals_a=traj_a.totals, totals_b=traj_b.totals)
 
     @property
     def mean_withdraw_gain(self) -> np.ndarray:

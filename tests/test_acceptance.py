@@ -266,11 +266,12 @@ def test_criterion_08_figure_reproduction():
     scen, market = cfg.scenario, cfg.market
     grid = TimeGrid(0.0, scen.horizon, scen.dt)
     paths = simulate_paths(model, grid, scen.n_paths, scen.seed)
-    traj = simulate_scheme(model, scen, market, OPTIMAL, paths)
+    surface = g_surface(model, scen, market, paths)
+    traj = simulate_scheme(surface, scen, market, OPTIMAL)
 
     # (a) bond weight decreasing, > 40% at t=0 even without a risk premium
-    traj0 = simulate_scheme(model, scen, replace(market, theta_1=0.0),
-                            OPTIMAL, paths)
+    traj0 = simulate_scheme(surface, scen, replace(market, theta_1=0.0),
+                            OPTIMAL)
     for arm in (traj, traj0):
         annual_bond = _annual(arm.bond_weight.mean(axis=0))
         assert np.all(np.diff(annual_bond) < 0.0), "bond weight not decreasing"
@@ -308,10 +309,10 @@ def test_criterion_09_phi_sweep_reproduction():
                            sc.n_paths, sc.seed)
     # the phi = 0 and phi = 1 arms on one G surface, as the phi sweep runs them
     surface = g_surface(model, sc, cfg.market, paths)
-    arm0, arm1 = (simulate_scheme(model, replace(sc, phi=phi), cfg.market,
-                                  OPTIMAL, paths, surface=surface)
+    arm0, arm1 = (simulate_scheme(surface, replace(sc, phi=phi), cfg.market,
+                                  OPTIMAL)
                   for phi in (0.0, 1.0))
-    report = ComparisonReport.of(arm0, arm1, cfg.market.r)
+    report = ComparisonReport.of(arm0, arm1)
     benefit = report.benefit_improvement
     comp = report.compensation_improvement
     print(f"criterion 09 measured: discounted benefit improvement "

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from pendraw import cli, experiments, pricing, scheme
 from pendraw.cli import MAX_COEFF_ROWS, main
 from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
                             load_config, loads_config, with_overrides)
-from pendraw.control import annuity_G, g_and_gradient
+from pendraw.control import (MarketParams, SchemeScenario, annuity_G,
+                             g_and_gradient)
 from pendraw.experiments import format_number, run_experiment, write_csv
 from pendraw.mortality import (ConfigError, GompertzMakehamParams,
                                SinglePopModel, TwoPopModel, baseline_hazard,
@@ -88,6 +90,14 @@ class TestLoadConfig:
         assert cfg.scenario.t_max == 120.0
         assert cfg.scenario.n_paths == 100
         assert cfg.scenario.seed == 42
+
+    def test_unset_keys_take_the_classes_defaults(self):
+        # the loader passes only the keys a file sets, so an unset key gets
+        # the default its class states
+        cfg = loads_config(MINIMAL)
+        assert cfg.scenario == SchemeScenario(phi=0.8)
+        assert cfg.market == MarketParams(r=0.04, theta_s=0.05, sigma_s=0.15,
+                                          theta_1=-0.0005)
 
     def test_empty_config_lists_required_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -367,6 +377,17 @@ class TestWriteCsv:
     ], ids=lambda c: str(np.asarray(c).dtype))
     def test_column_kinds(self, tmp_path, column):
         assert _matches_reference(tmp_path, [column])
+
+    def test_kernel_leaves_its_input_unchanged(self):
+        # ``write_csv`` hands the kernel a float64 column's own block, not a
+        # copy of it
+        from pendraw import csvkernel
+        x = np.concatenate([_edge_floats(), [1.0 / 3.0, -2.5, 0.0, -0.0]])
+        before = x.tobytes()
+        words, masks, [(cols, tail)] = csvkernel._row_layout(["", "\n"],
+                                                             x.size)
+        csvkernel._g9(x, words[:, cols], masks[:, cols], tail)
+        assert x.tobytes() == before
 
     def test_fallback_rows_across_blocks(self, tmp_path, monkeypatch):
         # blocks of 7 rows, fallback rows at block starts and ends, a str
@@ -667,6 +688,45 @@ class TestRunExperiment:
         assert g_calls == [n_nodes]
 
     @pytest.mark.parametrize("var", ["theta1", "phi"])
+    def test_sweep_discounts_each_arm_once(self, tmp_path, monkeypatch, var):
+        values = (0.0, -0.003, -0.006) if var == "theta1" else (0.5, 1.0)
+        cfg = with_overrides(load_config(small_config(tmp_path)),
+                             experiment="sweep", sweep_var=var,
+                             sweep_values=values, n_paths=3,
+                             out_dir=str(tmp_path / "sw"))
+        discounted = []
+        totals = scheme.discounted_totals
+        monkeypatch.setattr(scheme, "discounted_totals",
+                            lambda traj, r: discounted.append(traj)
+                            or totals(traj, r))
+        run_experiment(cfg)
+        # the reference arm once, for every report, and each arm once
+        assert len(discounted) == len(values) + 1
+        assert len({id(traj) for traj in discounted}) == len(values) + 1
+
+    def test_sweep_releases_each_arm_before_the_next(self, tmp_path,
+                                                     monkeypatch):
+        cfg = with_overrides(load_config(small_config(tmp_path)),
+                             experiment="sweep", sweep_var="theta1",
+                             sweep_values=(0.0, -0.003), n_paths=3,
+                             out_dir=str(tmp_path / "sw"))
+        arms, alive = [], []
+        simulate_scheme = experiments.simulate_scheme
+
+        def watched_arm(*args, **kwargs):
+            # calls: the reference arm, the first arm, the second arm
+            alive.extend(arm() is not None for arm in arms[1:])
+            traj = simulate_scheme(*args, **kwargs)
+            arms.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(experiments, "simulate_scheme", watched_arm)
+        run_experiment(cfg)
+        assert len(arms) == 3
+        # the first arm is gone when the second is simulated
+        assert alive == [False]
+
+    @pytest.mark.parametrize("var", ["theta1", "phi"])
     def test_sweep_matches_independent_arms(self, tmp_path, var):
         values = (0.0, -0.003) if var == "theta1" else (0.5, 1.0)
         cfg = with_overrides(load_config(small_config(tmp_path)),
@@ -677,20 +737,25 @@ class TestRunExperiment:
         model, sc, market = build_model(cfg), cfg.scenario, cfg.market
         paths = simulate_paths(model, TimeGrid(0.0, sc.horizon, sc.dt),
                                sc.n_paths, sc.seed)
+        # each arm on its own surface: equal keys on the same paths
         if var == "theta1":
-            ref = scheme.simulate_scheme(model, sc, market, scheme.NO_BOND,
-                                         paths)
+            ref = scheme.simulate_scheme(
+                scheme.g_surface(model, sc, market, paths), sc, market,
+                scheme.NO_BOND)
         else:
-            ref = scheme.simulate_scheme(model, replace(sc, phi=0.0), market,
-                                         scheme.OPTIMAL, paths)
+            ref_sc = replace(sc, phi=0.0)
+            ref = scheme.simulate_scheme(
+                scheme.g_surface(model, ref_sc, market, paths), ref_sc,
+                market, scheme.OPTIMAL)
         summary = []
         for i, value in enumerate(values):
             if var == "theta1":
                 arm = (sc, replace(market, theta_1=value))
             else:
                 arm = (replace(sc, phi=value), market)
-            traj = scheme.simulate_scheme(model, *arm, scheme.OPTIMAL, paths)
-            report = scheme.ComparisonReport.of(ref, traj, market.r)
+            traj = scheme.simulate_scheme(
+                scheme.g_surface(model, *arm, paths), *arm, scheme.OPTIMAL)
+            report = scheme.ComparisonReport.of(ref, traj)
             columns = [paths.grid.nodes, [value] * paths.grid.nodes.size,
                        traj.stock_weight.mean(axis=0),
                        traj.bond_weight.mean(axis=0),

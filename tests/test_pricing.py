@@ -9,7 +9,7 @@ from pendraw.mortality import (GompertzMakehamParams, SinglePopModel,
 from pendraw.control import SchemeScenario, g_and_gradient
 from pendraw.numerics import NumericalFailure, TimeGrid, integrate, solve_ode
 from pendraw import numerics, pricing
-from pendraw.scheme import OPTIMAL, simulate_scheme
+from pendraw.scheme import OPTIMAL, g_surface, simulate_scheme
 from pendraw.pricing import (AffineCoeffs1, AffineCoeffs2, MarketParams,
                              a1_cir, a1_ou, build_coefficient_table, c1_ou,
                              coeffs_single, coeffs_two_pop,
@@ -467,7 +467,8 @@ class TestCoefficientTable:
         scen = SchemeScenario(phi=0.8, horizon=2.0, dt=0.25, n_paths=3)
         grid = TimeGrid(0.0, scen.horizon, scen.dt)
         paths = simulate_paths(model, grid, scen.n_paths, seed=7)
-        traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        traj = simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                               MARKET, OPTIMAL)
         assert np.all(np.isfinite(traj.wealth))
         lam = np.array([0.016, 0.014])[: model.n_factors] \
             * np.array([[0.5], [1.0], [1.5]])

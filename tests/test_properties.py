@@ -75,8 +75,7 @@ def test_shared_surface_is_g_and_gradient_at_every_phi(kind, phi, r, theta1,
         assert np.array_equal(g[:, k], g_k)
         assert np.array_equal(grad1[:, k], grad_k[:, 0])
 
-    traj = simulate_scheme(model, scen, market, OPTIMAL, paths,
-                           surface=surface)
+    traj = simulate_scheme(surface, scen, market, OPTIMAL)
     risky = traj.stock_weight + traj.bond_weight
     total = risky + traj.cash_weight
     # cash = 1 - risky closes the sum exactly while risky >= 0; below 0,
@@ -97,7 +96,8 @@ def test_product_recurrence_matches_the_step_loop(kind, arm, phi, theta1, r):
     market = MarketParams(r=r, theta_s=0.05, sigma_s=0.15, theta_1=theta1,
                           maturity=20.0)
     scen = dataclasses.replace(SCENARIO, phi=phi, n_paths=LOOP_PATHS)
-    got = simulate_scheme(model, scen, market, arm, paths)
+    got = simulate_scheme(g_surface(model, scen, market, paths), scen, market,
+                          arm)
     test_scheme.TestProductRecurrence.assert_matches(
         got, test_scheme.loop_reference(model, scen, market, arm, paths))
     # theta_1 = -2 makes the OU bond weight about 320, yet the log step's

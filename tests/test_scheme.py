@@ -124,7 +124,8 @@ class TestSimulateScheme:
         market = dataclasses.replace(MARKET, theta_s=0.0)
         scen = scenario(n_paths=3)
         paths = make_paths(model, scen)
-        traj = simulate_scheme(model, scen, market, NO_BOND, paths)
+        traj = simulate_scheme(g_surface(model, scen, market, paths), scen,
+                               market, NO_BOND)
         g = np.column_stack([
             g_and_gradient(model, scen, market, t, lam[:, None])[0]
             for t, lam in zip(paths.grid.nodes, paths.hazards[0].T)])
@@ -138,7 +139,8 @@ class TestSimulateScheme:
         model = ou_model()
         scen = scenario(n_paths=5)
         paths = make_paths(model, scen)
-        traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        traj = simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                               MARKET, OPTIMAL)
         for k in (0, 100, 350):
             lam = paths.hazards[0][:, k][:, None]
             g, _ = g_and_gradient(model, scen, MARKET, paths.grid.nodes[k], lam)
@@ -147,8 +149,9 @@ class TestSimulateScheme:
     def test_weights_sum_to_one(self):
         model = ou_model()
         scen = scenario(n_paths=5)
-        traj = simulate_scheme(model, scen, MARKET, OPTIMAL,
-                               make_paths(model, scen))
+        traj = simulate_scheme(
+            g_surface(model, scen, MARKET, make_paths(model, scen)), scen,
+            MARKET, OPTIMAL)
         total = traj.stock_weight + traj.bond_weight + traj.cash_weight
         assert np.all(total == 1.0)
 
@@ -173,7 +176,8 @@ class TestSimulateScheme:
         model = ou_model()
         scen = scenario(n_paths=4, horizon=5.0)
         paths = make_paths(model, scen)
-        traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        traj = simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                               MARKET, OPTIMAL)
         xi_s = normal_block(paths.seed, WS_STREAM_OFFSET, scen.n_paths,
                             paths.grid.n_steps)
         dt = scen.dt
@@ -190,8 +194,10 @@ class TestSimulateScheme:
         scen1 = scenario(n_paths=5)
         scen2 = scenario(n_paths=5, y0=200.0)
         paths = make_paths(model, scen1)
-        t1 = simulate_scheme(model, scen1, MARKET, OPTIMAL, paths)
-        t2 = simulate_scheme(model, scen2, MARKET, OPTIMAL, paths)
+        t1 = simulate_scheme(g_surface(model, scen1, MARKET, paths), scen1,
+                             MARKET, OPTIMAL)
+        t2 = simulate_scheme(g_surface(model, scen2, MARKET, paths), scen2,
+                             MARKET, OPTIMAL)
         assert np.array_equal(t2.wealth, 2.0 * t1.wealth)
         assert np.array_equal(t2.withdraw, 2.0 * t1.withdraw)
         assert np.array_equal(t2.compensation, 2.0 * t1.compensation)
@@ -200,8 +206,9 @@ class TestSimulateScheme:
     def test_determinism(self):
         model = ou_model()
         scen = scenario(n_paths=6, horizon=5.0)
-        a = simulate_scheme(model, scen, MARKET, OPTIMAL, make_paths(model, scen))
-        b = simulate_scheme(model, scen, MARKET, OPTIMAL, make_paths(model, scen))
+        a, b = (simulate_scheme(g_surface(model, scen, MARKET,
+                                          make_paths(model, scen)),
+                                scen, MARKET, OPTIMAL) for _ in range(2))
         assert np.array_equal(a.wealth, b.wealth)
 
     @pytest.mark.parametrize("change", [
@@ -209,24 +216,24 @@ class TestSimulateScheme:
         dict(scenario=scenario(n_paths=3, horizon=2.0, phi=1.5), shares=True),
         dict(scenario=scenario(n_paths=3, horizon=2.0, t_max=150.0)),
         dict(market=dataclasses.replace(MARKET, r=0.03)),
-        dict(model=ou_model(sigma=0.004)),
-        dict(paths=make_paths(ou_model(), scenario(n_paths=3, horizon=2.0))),
     ])
     def test_surface_for_other_inputs_rejected(self, change):
+        # the surface fixes the model and the paths; another model or other
+        # paths make another surface, which a report will not pair with this
+        # one (TestCompareStrategies)
         model = ou_model()
         scen = scenario(n_paths=3, horizon=2.0)
         paths = make_paths(model, scen)
         surface = g_surface(model, scen, MARKET, paths)
-        args = dict(model=model, scenario=scen, market=MARKET, paths=paths)
+        args = dict(scenario=scen, market=MARKET)
         args.update(change)
-        arm = (args["model"], args["scenario"], args["market"], OPTIMAL,
-               args["paths"])
+        arm = (args["scenario"], args["market"], OPTIMAL)
         if not args.get("shares"):
             with pytest.raises(ConfigError):
-                simulate_scheme(*arm, surface=surface)
+                simulate_scheme(surface, *arm)
             return
-        shared = simulate_scheme(*arm, surface=surface)
-        alone = simulate_scheme(*arm)
+        shared = simulate_scheme(surface, *arm)
+        alone = simulate_scheme(g_surface(model, *arm[:2], paths), *arm)
         for name in ("wealth", "withdraw", "compensation", "bond_weight",
                      "cash_weight"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
@@ -250,24 +257,27 @@ class TestSimulateScheme:
     def test_grid_mismatch_rejected(self):
         model = ou_model()
         paths = make_paths(model, scenario(n_paths=2, horizon=10.0))
+        scen = scenario(n_paths=2, horizon=35.0)
         with pytest.raises(ConfigError):
-            simulate_scheme(model, scenario(n_paths=2, horizon=35.0), MARKET,
-                            OPTIMAL, paths)
+            simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                            MARKET, OPTIMAL)
 
     def test_missing_shocks_rejected(self):
         model = ou_model()
         scen = scenario(n_paths=2, horizon=2.0)
         grid = TimeGrid(0.0, 2.0, 0.1)
         paths = simulate_paths(model, grid, 2, scen.seed, keep_shocks=False)
+        surface = g_surface(model, scen, MARKET, paths)
         with pytest.raises(ConfigError):
-            simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+            simulate_scheme(surface, scen, MARKET, OPTIMAL)
 
     def test_two_pop_compensation_uses_members(self):
         model = TwoPopModel("ou", POP1, POP2, 0.561, 0.0028, 0.65, 0.0035,
                             0.004, 0.005)
         scen = scenario(n_paths=3, horizon=2.0)
         paths = make_paths(model, scen)
-        traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        traj = simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                               MARKET, OPTIMAL)
         assert np.array_equal(traj.compensation,
                               paths.hazards[1] * traj.wealth)
 
@@ -279,7 +289,8 @@ class TestSimulateScheme:
         model = SinglePopModel("cir", POP1, 0.561, 0.0035)
         scen = scenario(n_paths=4, horizon=3.0)
         paths = make_paths(model, scen)
-        traj = simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        traj = simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                               MARKET, OPTIMAL)
         xi_s = normal_block(paths.seed, WS_STREAM_OFFSET, scen.n_paths,
                             paths.grid.n_steps)
         dt = scen.dt
@@ -326,7 +337,8 @@ class TestProductRecurrence:
     def check(self, model, market, kind):
         scen = scenario(n_paths=20)
         paths = make_paths(model, scen)
-        got = simulate_scheme(model, scen, market, kind, paths)
+        got = simulate_scheme(g_surface(model, scen, market, paths), scen,
+                              market, kind)
         self.assert_matches(got, loop_reference(model, scen, market, kind,
                                                 paths))
         assert np.all(np.isfinite(got.wealth))
@@ -402,7 +414,8 @@ class TestOneTauPass:
         scen = scenario(n_paths=20, dt=0.25)
         paths = make_paths(model, scen)
         pricing._tau_table.cache_clear()
-        simulate_scheme(model, scen, MARKET, OPTIMAL, paths)
+        simulate_scheme(g_surface(model, scen, MARKET, paths), scen, MARKET,
+                        OPTIMAL)
         info = pricing._tau_table.cache_info()
         # one G surface over all 141 anchors: one lookup, a miss
         assert (info.misses, info.hits) == (1, 0)
@@ -530,9 +543,9 @@ class TestCompareStrategies:
         the paths of ``scen``."""
         paths = make_paths(model, scen)
         surface = g_surface(model, scen, MARKET, paths)
-        traj_a, traj_b = (simulate_scheme(model, *arm, paths, surface=surface)
+        traj_a, traj_b = (simulate_scheme(surface, *arm)
                           for arm in (arm_a, arm_b))
-        return ComparisonReport.of(traj_a, traj_b, MARKET.r)
+        return ComparisonReport.of(traj_a, traj_b)
 
     def test_identical_arms_zero_gain(self):
         model = ou_model()
@@ -568,8 +581,10 @@ class TestCompareStrategies:
         model = ou_model()
         scen_a = scenario(n_paths=4, horizon=3.0)
         paths = make_paths(model, scen_a)
-        alone_a = simulate_scheme(model, scen_a, MARKET, NO_BOND, paths)
-        alone_b = simulate_scheme(model, scen_b, market_b, OPTIMAL, paths)
+        alone_a = simulate_scheme(g_surface(model, scen_a, MARKET, paths),
+                                  scen_a, MARKET, NO_BOND)
+        alone_b = simulate_scheme(g_surface(model, scen_b, market_b, paths),
+                                  scen_b, market_b, OPTIMAL)
         # the anchors of each G surface evaluation, one entry per surface
         calls = []
         g_pieces_at = scheme._g_pieces_at
@@ -580,16 +595,13 @@ class TestCompareStrategies:
 
         monkeypatch.setattr(scheme, "_g_pieces_at", counted)
         surface = g_surface(model, scen_a, MARKET, paths)
-        traj_a = simulate_scheme(model, scen_a, MARKET, NO_BOND, paths,
-                                 surface=surface)
+        traj_a = simulate_scheme(surface, scen_a, MARKET, NO_BOND)
         if not shared:
             with pytest.raises(ConfigError):
-                simulate_scheme(model, scen_b, market_b, OPTIMAL, paths,
-                                surface=surface)
+                simulate_scheme(surface, scen_b, market_b, OPTIMAL)
             return
-        traj_b = simulate_scheme(model, scen_b, market_b, OPTIMAL, paths,
-                                 surface=surface)
-        report = ComparisonReport.of(traj_a, traj_b, MARKET.r)
+        traj_b = simulate_scheme(surface, scen_b, market_b, OPTIMAL)
+        report = ComparisonReport.of(traj_a, traj_b)
         assert calls == [paths.grid.n_steps + 1]
         for got, alone in ((report.traj_a, alone_a), (report.traj_b, alone_b)):
             for name in ("wealth", "withdraw", "compensation", "stock_weight",
@@ -597,6 +609,36 @@ class TestCompareStrategies:
                 assert np.array_equal(getattr(got, name), getattr(alone, name))
         assert report.totals_b.mean_benefit == \
             discounted_totals(alone_b, market_b.r).mean_benefit
+
+    @pytest.mark.parametrize("other", [
+        dict(accepted=True),            # a second surface of equal key
+        dict(model=ou_model(sigma=0.004)),
+        dict(paths=True),               # equal floats, another object
+        dict(scenario=scenario(n_paths=3, horizon=2.0, t_max=150.0)),
+        dict(market=dataclasses.replace(MARKET, r=0.03)),
+        dict(by_hand=True),
+    ])
+    def test_report_pairs_arms_of_one_paths_object_and_key(self, other):
+        model = ou_model()
+        scen = scenario(n_paths=3, horizon=2.0)
+        paths = make_paths(model, scen)
+        traj_a = simulate_scheme(g_surface(model, scen, MARKET, paths), scen,
+                                 MARKET, NO_BOND)
+        model_b = other.get("model", model)
+        scen_b = other.get("scenario", scen)
+        market_b = other.get("market", MARKET)
+        paths_b = make_paths(model, scen) if "paths" in other else paths
+        traj_b = simulate_scheme(g_surface(model_b, scen_b, market_b, paths_b),
+                                 scen_b, market_b, OPTIMAL)
+        if "by_hand" in other:
+            traj_b = dataclasses.replace(traj_b, surface=None)
+        if not other.get("accepted"):
+            with pytest.raises(ConfigError):
+                ComparisonReport.of(traj_a, traj_b)
+            return
+        report = ComparisonReport.of(traj_a, traj_b)
+        assert report.totals_b.mean_benefit == \
+            discounted_totals(traj_b, MARKET.r).mean_benefit
 
     def test_phi_comparison_raises_compensation(self):
         model = ou_model()

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import (ExperimentConfig, default_config_path, load_config,
-                     parse_sweep_values, with_overrides)
+from .config import (SWEEP_VARS, ExperimentConfig, default_config_path,
+                     load_config, parse_sweep_values, with_overrides)
 from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
@@ -30,8 +30,9 @@ from .numerics import NumericalFailure, TimeGrid
 from .pricing import LATTICE_STEP, _end_node, _lattice_span, _tau_table
 
 # maturities after the anchor in one ``coeffs`` file (it writes one more
-# row, s = t): bounds its size, and its time at one read of the one tau pass
-# per row
+# row, s = t): bounds its size and its rows' reads of the tau pass; the pass
+# itself, (s_max - t) / LATTICE_STEP nodes, is bounded by the config's t_max,
+# the longest span that ``coeffs`` accepts
 MAX_COEFF_ROWS = 10_000
 
 
@@ -77,7 +78,8 @@ def _add_command(sub, name: str) -> None:
         p.add_argument("--t", type=float, default=0.0,
                        help="anchor time (years)")
         p.add_argument("--s-max", type=float, default=None,
-                       help="last maturity (default: horizon)")
+                       help="last maturity (default: horizon), at most "
+                            "t_max after --t")
         p.add_argument("--s-step", type=float, default=1.0,
                        help="maturity spacing (years); at most "
                             f"{MAX_COEFF_ROWS} maturities after --t")
@@ -90,7 +92,7 @@ def _add_command(sub, name: str) -> None:
         p.add_argument("--wealth", type=float, default=None,
                        help="current wealth (default: scenario y0)")
     elif name == "sweep":
-        p.add_argument("--var", choices=("theta1", "phi"), default=None)
+        p.add_argument("--var", choices=SWEEP_VARS, default=None)
         p.add_argument("--values", type=str, default=None,
                        help="comma-separated sweep values")
 
@@ -154,6 +156,9 @@ def _cmd_coeffs(args) -> int:
     s_max = args.s_max if args.s_max is not None else cfg.scenario.horizon
     if not args.t <= s_max:
         raise ConfigError(f"--s-max ({s_max}) must be >= --t ({args.t})")
+    if s_max - args.t > cfg.scenario.t_max:
+        raise ConfigError(f"--s-max - --t ({s_max - args.t}) must be at most "
+                          f"t_max ({cfg.scenario.t_max})")
     if not args.s_step > 0:
         raise ConfigError(f"--s-step must be > 0, got {args.s_step}")
     # the printed s is the repeated sum, rounding and all; the row s = t is

@@ -47,6 +47,19 @@ class ExperimentConfig:
     sweep_var: Optional[str] = None
     sweep_values: Tuple[float, ...] = ()
 
+    def __post_init__(self):
+        # the values come from a file's [experiment] keys or from flags
+        if self.experiment not in EXPERIMENT_KINDS:
+            raise ConfigError(f"[experiment] kind must be one of "
+                              f"{EXPERIMENT_KINDS}, got {self.experiment!r}")
+        if self.sweep_var not in (None, *SWEEP_VARS):
+            raise ConfigError(f"[experiment] sweep_var must be one of "
+                              f"{SWEEP_VARS}, got {self.sweep_var!r}")
+        if self.experiment == "sweep" and not (self.sweep_var
+                                               and self.sweep_values):
+            raise ConfigError("a sweep needs --var and --values, or "
+                              "[experiment] sweep_var and sweep_values")
+
     @property
     def b1(self) -> float:
         """Mean-reversion speed of factor 1, the bond's reference population."""
@@ -173,31 +186,20 @@ def loads_config(text: str) -> ExperimentConfig:
     _in_section("scheme", TimeGrid, t0=0.0, t1=scenario.horizon,
                 step=scenario.dt)
 
-    experiment = "base"
-    out_dir = "out"
-    sweep_var = None
-    sweep_values: Tuple[float, ...] = ()
-    if cp.has_section("experiment"):
-        experiment = cp.get("experiment", "kind", fallback="base").strip().lower()
-        out_dir = cp.get("experiment", "out_dir", fallback="out").strip()
-        if cp.has_option("experiment", "sweep_var"):
-            sweep_var = cp.get("experiment", "sweep_var").strip().lower()
-        if cp.has_option("experiment", "sweep_values"):
-            sweep_values = parse_sweep_values(
-                cp.get("experiment", "sweep_values"), "[experiment] sweep_values")
-    if experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(f"[experiment] kind must be one of {EXPERIMENT_KINDS}, "
-                          f"got {experiment!r}")
-    if sweep_var is not None and sweep_var not in SWEEP_VARS:
-        raise ConfigError(f"[experiment] sweep_var must be one of {SWEEP_VARS}, "
-                          f"got {sweep_var!r}")
-    if experiment == "sweep" and not sweep_values:
-        raise ConfigError("[experiment] sweep_values must be non-empty for a sweep")
+    def word(cp, section, key):
+        return cp.get(section, key).strip().lower()
 
+    def values(cp, section, key):
+        return parse_sweep_values(cp.get(section, key), f"[{section}] {key}")
+
+    experiment = {**given("experiment", "kind", "sweep_var", cast=word),
+                  **given("experiment", "out_dir", cast=lambda cp, section,
+                          key: cp.get(section, key).strip()),
+                  **given("experiment", "sweep_values", cast=values)}
+    if "kind" in experiment:
+        experiment["experiment"] = experiment.pop("kind")
     return ExperimentConfig(model_kind=kind, model=model, market=market,
-                            scenario=scenario, experiment=experiment,
-                            out_dir=out_dir, sweep_var=sweep_var,
-                            sweep_values=sweep_values)
+                            scenario=scenario, **experiment)
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:

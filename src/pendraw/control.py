@@ -34,12 +34,13 @@ which every anchor shares, at its rule's nodes only: the trapezoid rule on
 every 10th node s_n = t + 0.05 n of the lattice, with Gregory end
 corrections that make it exact for polynomials of degree below 8. The rule
 stops at the survival-underflow cut, the first rule node with k0 < -80, or
-ends in a short panel at t_max; anchors with a high hazard or a short span
-use a smaller stride. The pass grows only until every anchor's rule is
-closed (``_rule_nodes``): at t = 0 on the shipped parameters that is 1 440
-of the 2 401 nodes up to t_max = 120 for one population and 1 630 for the
-sub-population, fewer at later anchors. On the nodes (weights w_n) A and
-the gradient's integrals are the moments
+ends in a short panel at t_max, whose node ``pricing._end_node`` reads;
+anchors with a high hazard or a short span use a smaller stride. The pass
+grows only until every anchor's rule is closed (``_rule_nodes``): at t = 0
+on the shipped parameters that is 1 440 of the 2 401 nodes up to
+t_max = 120 for one population and 1 630 for the sub-population, fewer at
+later anchors. On the nodes (weights w_n) A and the gradient's integrals
+are the moments
 M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, k_i},
 surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one exp of
 the (states x nodes) exponent and one product with the
@@ -334,7 +335,8 @@ def _short_span(tt, t_max: float, r: float, span, stride: int, gm):
     largest stride before its cut or end: the largest, at most ``stride``,
     that gives GREGORY_ORDER - 1 strides up to the first lattice node with
     k0 < _CUT_K0, or to n. Returns (stride, cut, k0, tau, disc) on the new
-    stride, or None when the stride stays."""
+    stride, the rows one row long as ``_rule_nodes`` gives them, or None
+    when the stride stays."""
     n = span[1]
     _, _, dead = _rule_nodes(tt, t_max, [span], 1,
                              min(n, GREGORY_ORDER * stride) + 1, gm)
@@ -344,48 +346,43 @@ def _short_span(tt, t_max: float, r: float, span, stride: int, gm):
         return None
     k0, tau, cut = _rule_nodes(tt, t_max, [span], short, -(-n // short) + 1,
                                gm)
-    return short, int(cut[0]), k0[0], tau[0], np.exp(-r * tau[0])
+    return short, int(cut[0]), k0, tau, np.exp(-r * tau)
 
 
 def _rule_shape(span, stride: int, cut: int):
     """(m, panel, short) of G's outer rule at one anchor: its nodes are
     0..m on the stride, up to the cut or to n; ``panel`` adds an end panel
-    at n when n is not on the stride or the span ends in a partial step (at
-    the RK4 tail node, t_max); ``short`` marks a span with too few nodes for
-    the stride (``_short_span``). Anchors of one stride and m, with neither,
-    read the same C columns and weights; their k0 and discount differ."""
+    at t_max when n is not on the stride or the span ends in a partial step;
+    ``short`` marks a span with too few nodes for a stride above 1
+    (``_short_span``). Anchors of one stride and m, with neither, read the
+    same C columns and weights; their k0 and discount differ."""
     _, n, partial = span
     if cut >= 0:
-        return cut, False, cut < GREGORY_ORDER
+        return cut, False, 1 < stride and cut < GREGORY_ORDER
     m = n // stride
-    return m, bool(partial or n % stride), m < GREGORY_ORDER - 1
+    return m, bool(partial or n % stride), 1 < stride and m < GREGORY_ORDER - 1
 
 
 def _rule(model: Model, tt, t_max: float, r: float, span, stride: int,
           cut: int, k0: np.ndarray, tau: np.ndarray, disc: np.ndarray):
-    """G's outer rule (``_rule_shape``) at one anchor from k0, tau and the
-    discount on its stride nodes, with an end panel delta strides long.
+    """G's outer rule (``_rule_shape``) at a run of anchors of one shape,
+    ``span`` the first's, from their k0, tau and discount rows on the stride
+    nodes. An end panel, which only a run of one anchor has, ends delta
+    strides past node m at t_max, whose node ``pricing._end_node`` reads.
 
     Returns (c, k0, disc, w) on the rule's nodes: ``c`` holds C, one row per
-    factor, ``w`` the weights.
+    factor, k0 and disc one row per anchor, ``w`` the weights.
     """
-    t, n, partial = span
+    t = span[0]
     m, panel, _ = _rule_shape(span, stride, cut)
-    lattice = stride * np.arange(m + 1 + panel)
-    if panel and partial:
-        c = np.empty((tt.c.shape[0], lattice.size))
-        c[:, -1], k0_end = _end_node(model, tt, t, t_max)
-        tt.c.take(lattice[:-1], axis=1, out=c[:, :-1])
-        k0 = np.append(k0[:m + 1], k0_end)
-        tau_end = t_max - t
-        disc = np.append(disc[:m + 1], np.exp([-r * tau_end]))
-    else:
-        if panel:
-            lattice[-1] = n
-        c = tt.c.take(lattice, axis=1)
-        k0, disc = k0[:lattice.size], disc[:lattice.size]
-        tau_end = tau[lattice.size - 1]
-    delta = (tau_end - tau[m]) / (stride * LATTICE_STEP) if panel else 0.0
+    c = tt.c.take(stride * np.arange(m + 1), axis=1)
+    k0, disc, delta = k0[:, :m + 1], disc[:, :m + 1], 0.0
+    if panel:
+        c_end, k0_end = _end_node(model, tt, t, t_max)
+        c = np.column_stack((c, c_end))
+        k0 = np.append(k0, [[k0_end]], axis=1)
+        disc = np.append(disc, np.exp([[-r * (t_max - t)]]), axis=1)
+        delta = (t_max - t - tau[0, m]) / (stride * LATTICE_STEP)
     return c, k0, disc, _gregory_weights(m, delta) * (stride * LATTICE_STEP)
 
 
@@ -441,10 +438,10 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
     Anchors that share a largest stride (``_max_stride``) read k0 on their
     stride nodes off the cached tau pass in one ``_rule_nodes`` call, which
     settles each one's rule shape (``_rule_shape``). A short span takes a
-    smaller stride (``_short_span``) and an end panel goes alone; runs of
-    consecutive anchors of one other shape read C and the weights once and
-    go through ``_moments`` together, at most _BATCH_ENTRIES
-    (states x nodes) entries at a time. Every value is the float the
+    smaller stride (``_short_span``). Every anchor goes through ``_moments``
+    in a run: consecutive anchors of one shape, which read C and the weights
+    once, at most _BATCH_ENTRIES (states x nodes) entries at a time; an end
+    panel or a short span is a run of one. Every value is the float the
     anchor's coefficient table would give, and the float the anchor alone
     gives.
     Raises NumericalFailure at the first anchor whose survival expectation
@@ -478,22 +475,19 @@ def _g_pieces_at(model: Model, scenario: SchemeScenario, market: MarketParams,
         while row < len(members):
             i, span = members[row]
             m, panel, short = shapes[row]
-            nodes = (stride, int(first[row]), k0[row], tau[row], disc[row])
             end = row + 1
-            if short:
-                nodes = _short_span(tt, t_max, r, span, stride, gm) or nodes
-            elif not panel:
+            if not (panel or short):
                 # the anchors after it that read the same C and weights
                 most = _BATCH_ENTRIES // max(1, n_states * (m + 1))
                 while (end < len(members) and end - row < most
                        and members[end][0] == i + end - row
                        and shapes[end] == shapes[row]):
                     end += 1
+            nodes = (stride, int(first[row]), k0[row:end], tau[row:end],
+                     disc[row:end])
+            if short:
+                nodes = _short_span(tt, t_max, r, span, stride, gm) or nodes
             c, k0_i, disc_i, w = _rule(model, tt, t_max, r, span, *nodes)
-            if panel or short:
-                k0_i, disc_i = k0_i[None], disc_i[None]
-            else:
-                k0_i, disc_i = k0[row:end, :w.size], disc[row:end, :w.size]
             run = slice(i, i + end - row)
             buf = _moments(states[run], c, k0_i, disc_i, w, buf, mom[run],
                            d[run])

@@ -37,7 +37,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .config import EXPERIMENT_KINDS, SWEEP_VARS, ExperimentConfig
+from .config import ExperimentConfig
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
 from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, g_surface,
@@ -171,20 +171,6 @@ def _weight_columns(traj) -> list:
             traj.cash_weight.mean(axis=0)]
 
 
-def _check_inputs(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment kind must be one of {EXPERIMENT_KINDS}, "
-                          f"got {cfg.experiment!r}")
-    if cfg.experiment == "sweep" and (cfg.sweep_var not in SWEEP_VARS
-                                      or not cfg.sweep_values):
-        raise ConfigError(f"a sweep needs --var and --values, or [experiment] "
-                          f"sweep_var and sweep_values (sweep_var one of "
-                          f"{SWEEP_VARS})")
-    if cfg.experiment == "sweep":
-        for value in cfg.sweep_values:
-            _arm_inputs(cfg.sweep_var, value, cfg.scenario, cfg.market)
-
-
 def _arm_inputs(var: str, value, scenario, market):
     """(scenario, market) of the arm at ``value`` of ``var``; building them
     runs the classes' own checks of the value."""
@@ -216,8 +202,11 @@ def _reports(var: str, values, model, scenario, market, paths):
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured suite; returns written files and a text summary.
-    The experiment's inputs are checked before any output is made."""
-    _check_inputs(cfg)
+    Each sweep value is checked before any output is made; the experiment's
+    other inputs are checked by ``ExperimentConfig``."""
+    if cfg.experiment == "sweep":
+        for value in cfg.sweep_values:
+            _arm_inputs(cfg.sweep_var, value, cfg.scenario, cfg.market)
     t_start = time.perf_counter()
     model = cfg.model
     scenario = cfg.scenario

@@ -603,10 +603,9 @@ class TestRunExperiment:
         dict(experiment="sweep", sweep_var="phi", sweep_values=()),
     ], ids=["kind", "no-var", "unknown-var", "no-values"])
     def test_bad_experiment_rejected_before_any_output(self, tmp_path, change):
-        cfg = replace(load_config(small_config(tmp_path)),
-                      out_dir=str(tmp_path / "never"), **change)
         with pytest.raises(ConfigError, match="experiment"):
-            run_experiment(cfg)
+            run_experiment(replace(load_config(small_config(tmp_path)),
+                                   out_dir=str(tmp_path / "never"), **change))
         assert not (tmp_path / "never").exists()
 
     def test_theta1_sweep_monotone_bond_weight(self, tmp_path):
@@ -830,6 +829,20 @@ class TestCli:
         assert code == 1
         assert "--s-step" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_coeffs_rejects_a_span_past_t_max(self, tmp_path, capsys):
+        # 10 maturities, but a tau pass of 2e7 nodes; a span of t_max is
+        # the longest that passes
+        out = tmp_path / "c"
+        code = main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--s-max", "1e6", "--s-step", "1e5"])
+        assert code == 1
+        assert "--s-max" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["coeffs", "--config", str(small_config(tmp_path)),
+                     "--out", str(out), "--t", "0.5", "--s-max", "120.5",
+                     "--s-step", "40"]) == 0
+        assert len((out / "coeffs.csv").read_text().splitlines()) == 5
 
     def test_coeffs_bound_counts_the_rows_written(self, tmp_path, capsys):
         # (s_max - t) / s_step = 1000, but at t = 30 a step of 1e-15 is

@@ -498,6 +498,49 @@ class TestOuterRule:
         assert rows.tolist() == list(range(0, 25, 3)) + [26]
         assert w.sum() == pytest.approx(1.3, rel=1e-14)
 
+    @staticmethod
+    def short_spans(monkeypatch):
+        """Record (largest stride, result) of every ``_short_span`` call."""
+        calls = []
+        short_span = control._short_span
+
+        def recorded(tt, t_max, r, span, stride, gm):
+            calls.append((stride, short_span(tt, t_max, r, span, stride, gm)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(control, "_short_span", recorded)
+        return calls
+
+    @pytest.mark.parametrize("t, stride, short", [(18.0, 10, 9),
+                                                  (18.5, 10, 8),
+                                                  (19.0, 7, 6)])
+    def test_stride_shrinks_before_an_early_cut(self, t, stride, short,
+                                                monkeypatch):
+        # a Gompertz curve of delta = 0.3 years cuts the span within 4 years,
+        # at fewer than ORDER nodes of the largest stride
+        gm = GompertzMakehamParams(0.0, 0.3, 20.0)
+        model = SinglePopModel("ou", gm, 0.561, 0.0035)
+        scen = SchemeScenario(phi=0.8, t_max=40.0)
+        calls = self.short_spans(monkeypatch)
+        lam = np.array([[baseline_hazard(t, gm) * f] for f in (0.5, 1.0, 1.5)])
+        g, grad = g_and_gradient(model, scen, MARKET, t, lam)
+        assert control._max_stride(gm, MARKET.r, t) == stride
+        [(largest, (new, cut, *_))] = calls
+        assert (largest, new) == (stride, short) and cut >= 0
+        g_ref, grad_ref = reference_g_and_gradient(model, scen, MARKET, t, lam)
+        assert g == pytest.approx(g_ref, rel=1e-13)
+        assert grad.ravel() == pytest.approx(grad_ref.ravel(), rel=1e-12)
+
+    def test_no_short_span_at_stride_1(self, monkeypatch):
+        # at t = 187.5 the cut leaves 2 or 3 nodes on stride 1, which no
+        # smaller stride can lengthen
+        calls = self.short_spans(monkeypatch)
+        scen = SchemeScenario(phi=0.8, t_max=190.0)
+        g, _ = g_and_gradient(ou_single(), scen, MARKET, 187.5,
+                              np.array([[0.5]]))
+        assert control._max_stride(POP1, MARKET.r, 187.5) == 1
+        assert calls == [] and g[0] > 0.0
+
 
 class TestEndPanel:
     """Anchors whose G integral reaches t_max: the table's last node sits at

@@ -8,6 +8,13 @@ curves), ``policy`` (one policy decision), ``simulate`` (base scenario),
 given ``argv[0]``); with no subcommand, an unknown one or ``-h`` first it
 builds all six. Both parse, print help and report usage errors alike.
 
+Each command loads the config once, with its own ``[experiment] kind`` and
+the values of ``--seed``, ``--paths``, ``--out``, ``--var`` and ``--values``
+in place of the file's keys (``config.load_config``): ``simulate`` runs as
+``base``, ``compare`` and ``sweep`` as themselves, and ``policy``,
+``mortality`` and ``coeffs`` load as ``base``, so a file's sweep keys matter
+to a sweep only.
+
 Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
 failure.
 """
@@ -22,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (SWEEP_VARS, ExperimentConfig, default_config_path,
-                     load_config, parse_sweep_values, with_overrides)
+                     load_config, parse_sweep_values)
 from .control import optimal_policy
 from .experiments import run_experiment, write_csv
 from .mortality import ConfigError, simulate_paths
@@ -55,7 +62,7 @@ def _join_values(argv: list) -> list:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None,
+    p.add_argument("--config", type=Path, default=default_config_path(),
                    help="experiment config file (default: shipped table1.cfg)")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="random seed override")
@@ -121,11 +128,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    path = args.config if args.config is not None else default_config_path()
-    cfg = load_config(path)
-    return with_overrides(cfg, out_dir=args.out, seed=args.seed,
-                          n_paths=args.paths)
+def _load(args, kind: str = "base") -> ExperimentConfig:
+    """The config of a command of experiment kind ``kind``, each flag given
+    in place of its key (an unset flag is None, which leaves the key)."""
+    values = getattr(args, "values", None)
+    flags = {"scheme": {"seed": args.seed, "n_paths": args.paths},
+             "experiment": {"kind": kind, "out_dir": args.out,
+                            "sweep_var": getattr(args, "var", None),
+                            "sweep_values": None if values is None else
+                            parse_sweep_values(values, "--values")}}
+    return load_config(args.config, flags)
 
 
 def _cmd_mortality(args) -> int:
@@ -220,15 +232,7 @@ def _cmd_policy(args) -> int:
 
 
 def _cmd_experiment(args, kind: str) -> int:
-    cfg = _load(args)
-    sweep_var = getattr(args, "var", None)
-    sweep_values = None
-    if getattr(args, "values", None) is not None:
-        sweep_values = parse_sweep_values(args.values, "--values")
-    cfg = with_overrides(cfg, experiment=kind, sweep_var=sweep_var,
-                         sweep_values=sweep_values)
-    result = run_experiment(cfg)
-    print(result.summary)
+    print(run_experiment(_load(args, kind)).summary)
     return 0
 
 

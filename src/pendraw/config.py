@@ -6,6 +6,13 @@ population sections are calendar ages (as usually tabulated);
 model time runs in years since retirement. Setting ``retirement_age = 0``
 keeps the values as-is. A single-population kind reads ``[population1]``
 only; the ``-sub`` kinds read ``[population2]`` too.
+
+The loader takes the command line's values as one optional mapping of
+section to ``{key: value}``. Each value replaces the file's key before any
+class is built, so every check runs once, on the values the run uses, and a
+file value that is replaced is never parsed. The ``[experiment]`` sweep keys
+are read for a sweep only. ``arm_inputs`` states what a sweep variable
+changes, for the config's check of each sweep value and for the sweep itself.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .control import SchemeScenario
 from .mortality import (ConfigError, GompertzMakehamParams, Model,
@@ -36,6 +43,16 @@ _REQUIRED = (
 )
 _REQUIRED_POP2 = ("nu", "delta", "m", "b21", "b22", "sigma21", "sigma22")
 
+
+def arm_inputs(var: str, value, scenario, market):
+    """(scenario, market) of a sweep's arm at ``value`` of ``var``: theta1
+    sets the market's theta_1, phi the scenario's phi. Building them runs the
+    classes' own checks of the value."""
+    if var == "theta1":
+        return scenario, replace(market, theta_1=value)
+    return replace(scenario, phi=value), market
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_kind: str
@@ -55,10 +72,15 @@ class ExperimentConfig:
         if self.sweep_var not in (None, *SWEEP_VARS):
             raise ConfigError(f"[experiment] sweep_var must be one of "
                               f"{SWEEP_VARS}, got {self.sweep_var!r}")
-        if self.experiment == "sweep" and not (self.sweep_var
-                                               and self.sweep_values):
+        if self.experiment != "sweep":
+            return
+        if not (self.sweep_var and self.sweep_values):
             raise ConfigError("a sweep needs --var and --values, or "
                               "[experiment] sweep_var and sweep_values")
+        # every arm is checked before any output is made
+        for value in self.sweep_values:
+            _in_section("experiment", arm_inputs, self.sweep_var, value,
+                        self.scenario, self.market)
 
     @property
     def b1(self) -> float:
@@ -117,7 +139,8 @@ def _in_section(section: str, cls, *args, **fields):
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def loads_config(text: str) -> ExperimentConfig:
+def loads_config(text: str,
+                 overrides: Optional[Mapping] = None) -> ExperimentConfig:
     """Parse configuration text (see ``load_config``)."""
     # values are verbatim: no % interpolation
     cp = configparser.ConfigParser(interpolation=None,
@@ -143,10 +166,13 @@ def loads_config(text: str) -> ExperimentConfig:
             raise ConfigError("missing required keys: " + ", ".join(missing2))
 
     def given(section, *keys, cast=_getfloat):
-        """The values of those of ``keys`` the file sets; the classes built
-        from them state every other key's default."""
-        return {key: cast(cp, section, key) for key in keys
-                if cp.has_option(section, key)}
+        """The values of those of ``keys`` that ``overrides`` or the file
+        sets, an override in place of the file's; the classes built from them
+        state every other key's default."""
+        over = (overrides or {}).get(section, {})
+        return {key: cast(cp, section, key) if over.get(key) is None
+                else over[key] for key in keys
+                if over.get(key) is not None or cp.has_option(section, key)}
 
     # the optimal policy is derived for pi = 1 only: the departing members'
     # balances are compensated in full
@@ -192,44 +218,34 @@ def loads_config(text: str) -> ExperimentConfig:
     def values(cp, section, key):
         return parse_sweep_values(cp.get(section, key), f"[{section}] {key}")
 
-    experiment = {**given("experiment", "kind", "sweep_var", cast=word),
+    experiment = {**given("experiment", "kind", cast=word),
                   **given("experiment", "out_dir", cast=lambda cp, section,
-                          key: cp.get(section, key).strip()),
-                  **given("experiment", "sweep_values", cast=values)}
+                          key: cp.get(section, key).strip())}
+    if experiment.get("kind") == "sweep":
+        experiment.update(given("experiment", "sweep_var", cast=word),
+                          **given("experiment", "sweep_values", cast=values))
     if "kind" in experiment:
         experiment["experiment"] = experiment.pop("kind")
     return ExperimentConfig(model_kind=kind, model=model, market=market,
                             scenario=scenario, **experiment)
 
 
-def load_config(path: Union[str, Path]) -> ExperimentConfig:
-    """Load and validate an experiment configuration file."""
+def load_config(path: Union[str, Path],
+                overrides: Optional[Mapping] = None) -> ExperimentConfig:
+    """Load and validate an experiment configuration file.
+
+    ``overrides`` maps a section to ``{key: value}``, each value typed as its
+    class takes it (``{"scheme": {"seed": 7}}``), in place of the file's key
+    before any class is built; a value of None leaves the file's key. Any
+    key of ``[market]``, ``[scheme]`` and ``[experiment]`` can be replaced;
+    a required key must still be in the file.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return loads_config(path.read_text())
+    return loads_config(path.read_text(), overrides)
 
 
 def build_model(cfg: ExperimentConfig) -> Model:
     """The configured model, modal ages shifted to years since retirement."""
     return cfg.model
-
-
-def with_overrides(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                   seed: Optional[int] = None, n_paths: Optional[int] = None,
-                   experiment: Optional[str] = None,
-                   sweep_var: Optional[str] = None,
-                   sweep_values: Optional[Tuple[float, ...]] = None) -> ExperimentConfig:
-    """Command-line overrides applied on top of a loaded configuration."""
-    scenario = cfg.scenario
-    if seed is not None or n_paths is not None:
-        scenario = _in_section(
-            "scheme", replace, scenario,
-            seed=scenario.seed if seed is None else seed,
-            n_paths=scenario.n_paths if n_paths is None else n_paths)
-    return replace(cfg,
-                   scenario=scenario,
-                   out_dir=cfg.out_dir if out_dir is None else out_dir,
-                   experiment=cfg.experiment if experiment is None else experiment,
-                   sweep_var=cfg.sweep_var if sweep_var is None else sweep_var,
-                   sweep_values=cfg.sweep_values if sweep_values is None else sweep_values)

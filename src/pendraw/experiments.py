@@ -31,13 +31,13 @@ discounted totals and improvements) is not part of the CSV contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Union
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, arm_inputs
 from .mortality import ConfigError, death_time_distribution, simulate_paths
 from .numerics import TimeGrid
 from .scheme import (NO_BOND, OPTIMAL, ComparisonReport, g_surface,
@@ -171,14 +171,6 @@ def _weight_columns(traj) -> list:
             traj.cash_weight.mean(axis=0)]
 
 
-def _arm_inputs(var: str, value, scenario, market):
-    """(scenario, market) of the arm at ``value`` of ``var``; building them
-    runs the classes' own checks of the value."""
-    if var == "theta1":
-        return scenario, replace(market, theta_1=value)
-    return replace(scenario, phi=value), market
-
-
 def _reports(var: str, values, model, scenario, market, paths):
     """(value, report of its arm against the reference arm) for each value
     of ``var``, one arm at a time; the arm is the report's ``traj_b``, and
@@ -192,8 +184,8 @@ def _reports(var: str, values, model, scenario, market, paths):
     surface = g_surface(model, scenario, market, paths)
 
     def arm(value, kind=OPTIMAL):
-        scen, mkt = _arm_inputs(var, value, scenario, market)
-        return simulate_scheme(surface, scen, mkt, kind)
+        return simulate_scheme(surface, *arm_inputs(var, value, scenario,
+                                                      market), kind)
 
     ref = arm(market.theta_1, NO_BOND) if var == "theta1" else arm(0.0)
     for value in values:
@@ -202,11 +194,8 @@ def _reports(var: str, values, model, scenario, market, paths):
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured suite; returns written files and a text summary.
-    Each sweep value is checked before any output is made; the experiment's
-    other inputs are checked by ``ExperimentConfig``."""
-    if cfg.experiment == "sweep":
-        for value in cfg.sweep_values:
-            _arm_inputs(cfg.sweep_var, value, cfg.scenario, cfg.market)
+    Its inputs, each sweep value included, are checked by
+    ``ExperimentConfig`` before any output is made."""
     t_start = time.perf_counter()
     model = cfg.model
     scenario = cfg.scenario

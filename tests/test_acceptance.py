@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pendraw.config import build_model, default_config_path, load_config, \
-    with_overrides
+from pendraw.config import build_model, default_config_path, load_config
 from pendraw.control import (SchemeScenario, annuity_G, annuity_G_gradient,
                              optimal_policy)
 from pendraw.experiments import run_experiment
@@ -328,8 +327,8 @@ def test_criterion_09_phi_sweep_reproduction():
 
 def test_criterion_10_determinism(tmp_path):
     cfg = load_config(default_config_path())
-    run_a = run_experiment(with_overrides(cfg, out_dir=str(tmp_path / "a")))
-    run_b = run_experiment(with_overrides(cfg, out_dir=str(tmp_path / "b")))
+    run_a = run_experiment(replace(cfg, out_dir=str(tmp_path / "a")))
+    run_b = run_experiment(replace(cfg, out_dir=str(tmp_path / "b")))
     names = sorted(p.name for p in run_a.files)
     assert names == sorted(p.name for p in run_b.files)
     for name in names:

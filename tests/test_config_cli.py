@@ -15,7 +15,7 @@ import pendraw
 from pendraw import cli, experiments, pricing, scheme
 from pendraw.cli import MAX_COEFF_ROWS, main
 from pendraw.config import (MODEL_KINDS, build_model, default_config_path,
-                            load_config, loads_config, with_overrides)
+                            load_config, loads_config)
 from pendraw.control import (MarketParams, SchemeScenario, annuity_G,
                              g_and_gradient)
 from pendraw.experiments import format_number, run_experiment, write_csv
@@ -217,7 +217,9 @@ class TestLoadConfig:
 
     def test_overrides(self):
         cfg = load_config(default_config_path())
-        cfg2 = with_overrides(cfg, out_dir="elsewhere", seed=7, n_paths=12)
+        cfg2 = load_config(default_config_path(),
+                           {"scheme": {"seed": 7, "n_paths": 12},
+                            "experiment": {"out_dir": "elsewhere"}})
         assert cfg2.out_dir == "elsewhere"
         assert cfg2.scenario.seed == 7
         assert cfg2.scenario.n_paths == 12
@@ -230,19 +232,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="seed"):
             loads_config(MINIMAL.replace("phi = 0.8", f"phi = 0.8\nseed = {seed}"))
         with pytest.raises(ConfigError, match="seed"):
-            with_overrides(loads_config(MINIMAL), seed=seed)
+            loads_config(MINIMAL, {"scheme": {"seed": seed}})
 
     @pytest.mark.parametrize("override", [dict(n_paths=0), dict(seed=-1)])
     def test_rejected_override_names_its_section(self, override):
         with pytest.raises(ConfigError) as err:
-            with_overrides(loads_config(MINIMAL), **override)
+            loads_config(MINIMAL, {"scheme": override})
         assert str(err.value).startswith("[scheme]")
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     def test_seed_key_range_ends_accepted(self, seed):
         cfg = loads_config(MINIMAL.replace("phi = 0.8", f"phi = 0.8\nseed = {seed}"))
         assert cfg.scenario.seed == seed
-        assert with_overrides(loads_config(MINIMAL), seed=seed).scenario.seed == seed
+        assert loads_config(MINIMAL, {"scheme": {"seed": seed}}) \
+            .scenario.seed == seed
 
     def test_percent_in_number_is_an_invalid_value(self):
         with pytest.raises(ConfigError, match=r"\[population1\] nu"):
@@ -252,6 +255,38 @@ class TestLoadConfig:
         text = MINIMAL + "\n[experiment]\nout_dir = runs/100%/%(x)s\n"
         cfg = loads_config(text)
         assert cfg.out_dir == "runs/100%/%(x)s"
+
+    def test_sweep_keys_read_for_a_sweep_only(self):
+        sweep = ("\n[experiment]\nkind = {}\nsweep_var = kappa\n"
+                 "sweep_values = x\n")
+        cfg = loads_config(MINIMAL + sweep.format("base"))
+        assert (cfg.sweep_var, cfg.sweep_values) == (None, ())
+        with pytest.raises(ConfigError, match=r"\[experiment\] sweep_values"):
+            loads_config(MINIMAL + sweep.format("sweep"))
+
+    def test_override_replaces_an_unparsed_file_value(self):
+        text = MINIMAL.replace("phi = 0.8", "phi = 0.8\nseed = banana")
+        with pytest.raises(ConfigError, match=r"\[scheme\] seed"):
+            loads_config(text)
+        assert loads_config(text, {"scheme": {"seed": 7}}).scenario.seed == 7
+        # None leaves the file's key, as an unset flag does
+        five = MINIMAL.replace("phi = 0.8", "phi = 0.8\nn_paths = 5")
+        assert loads_config(MINIMAL, {"scheme": {"seed": None, "n_paths": 5},
+                                      "experiment": {"out_dir": None}}) \
+            == loads_config(five)
+
+    def test_each_sweep_value_checked_by_the_config(self):
+        # for library callers too, not only by run_experiment
+        cfg = loads_config(MINIMAL)
+        with pytest.raises(ValueError, match="phi must be >= 0"):
+            replace(cfg, experiment="sweep", sweep_var="phi",
+                    sweep_values=(0.5, -1.0))
+        with pytest.raises(ValueError, match="theta_1 must be finite"):
+            replace(cfg, experiment="sweep", sweep_var="theta1",
+                    sweep_values=(0.0, float("nan")))
+        # the values matter to a sweep only
+        base = replace(cfg, sweep_var="phi", sweep_values=(-1.0,))
+        assert base.sweep_values == (-1.0,)
 
 
 def _reference_csv(columns, schema) -> bytes:
@@ -518,12 +553,12 @@ def small_config(tmp_path, extra=""):
 
 class TestRunExperiment:
     def test_base_outputs_and_determinism(self, tmp_path):
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             out_dir=str(tmp_path / "run1"))
+        cfg = load_config(small_config(tmp_path),
+                          {"experiment": {"out_dir": str(tmp_path / "run1")}})
         result = run_experiment(cfg)
         names = sorted(p.name for p in result.files)
         assert names == ["mortality.csv", "trajectory.csv", "weights.csv"]
-        cfg2 = with_overrides(cfg, out_dir=str(tmp_path / "run2"))
+        cfg2 = replace(cfg, out_dir=str(tmp_path / "run2"))
         run_experiment(cfg2)
         for name in names:
             assert (tmp_path / "run1" / name).read_bytes() == \
@@ -535,15 +570,15 @@ class TestRunExperiment:
         assert {row.split(",")[1] for row in weight_rows} == {"0.333333333"}
 
     def test_compare_outputs(self, tmp_path):
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="compare",
-                             out_dir=str(tmp_path / "cmp"))
+        cfg = load_config(small_config(tmp_path),
+                          {"experiment": {"kind": "compare",
+                                          "out_dir": str(tmp_path / "cmp")}})
         result = run_experiment(cfg)
         names = sorted(p.name for p in result.files)
         assert names == ["comparison.csv", "totals.csv"]
 
     def test_compare_is_the_one_arm_theta1_sweep(self, tmp_path, monkeypatch):
-        cfg = with_overrides(load_config(small_config(tmp_path)), n_paths=5)
+        cfg = load_config(small_config(tmp_path), {"scheme": {"n_paths": 5}})
         # the anchors of each G surface evaluation, one entry per surface
         g_calls = []
         g_pieces_at = scheme._g_pieces_at
@@ -554,14 +589,13 @@ class TestRunExperiment:
 
         monkeypatch.setattr(scheme, "_g_pieces_at", counted_g)
         n_nodes = round(cfg.scenario.horizon / cfg.scenario.dt) + 1
-        run_experiment(with_overrides(cfg, experiment="compare",
-                                      out_dir=str(tmp_path / "cmp")))
+        run_experiment(replace(cfg, experiment="compare",
+                               out_dir=str(tmp_path / "cmp")))
         # both arms, no-bond and optimal, share one G surface over every node
         assert g_calls == [n_nodes]
-        run_experiment(with_overrides(cfg, experiment="sweep",
-                                      sweep_var="theta1",
-                                      sweep_values=(cfg.market.theta_1,),
-                                      out_dir=str(tmp_path / "sw")))
+        run_experiment(replace(cfg, experiment="sweep", sweep_var="theta1",
+                               sweep_values=(cfg.market.theta_1,),
+                               out_dir=str(tmp_path / "sw")))
         assert g_calls == [n_nodes, n_nodes]
 
         def columns(name, fields):
@@ -580,7 +614,7 @@ class TestRunExperiment:
                                       totals[1:])[0]
 
     def test_sweep_draws_the_stock_noise_once(self, tmp_path, monkeypatch):
-        cfg = with_overrides(load_config(small_config(tmp_path)), n_paths=5)
+        cfg = load_config(small_config(tmp_path), {"scheme": {"n_paths": 5}})
         offsets = []
         normal_block = scheme.normal_block
 
@@ -589,10 +623,9 @@ class TestRunExperiment:
             return normal_block(seed, offset, *args)
 
         monkeypatch.setattr(scheme, "normal_block", counted)
-        run_experiment(with_overrides(cfg, experiment="sweep",
-                                      sweep_var="theta1",
-                                      sweep_values=(0.0, -0.003),
-                                      out_dir=str(tmp_path / "sw")))
+        run_experiment(replace(cfg, experiment="sweep", sweep_var="theta1",
+                               sweep_values=(0.0, -0.003),
+                               out_dir=str(tmp_path / "sw")))
         # three arms, the no-bond reference and two values, on one surface
         assert offsets == [WS_STREAM_OFFSET]
 
@@ -609,10 +642,10 @@ class TestRunExperiment:
         assert not (tmp_path / "never").exists()
 
     def test_theta1_sweep_monotone_bond_weight(self, tmp_path):
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var="theta1",
-                             sweep_values=(0.0, -0.0015, -0.003),
-                             out_dir=str(tmp_path / "sw"))
+        cfg = load_config(small_config(tmp_path), {
+            "experiment": {"kind": "sweep", "sweep_var": "theta1",
+                           "sweep_values": (0.0, -0.0015, -0.003),
+                           "out_dir": str(tmp_path / "sw")}})
         result = run_experiment(cfg)
         first_weights = []
         for i in range(3):
@@ -628,27 +661,29 @@ class TestRunExperiment:
                 .replace("n_paths = 100", "n_paths = 6"))
         cfg_path = tmp_path / "sub.cfg"
         cfg_path.write_text(text)
-        cfg = with_overrides(load_config(cfg_path), out_dir=str(tmp_path / "sub"))
+        cfg = load_config(cfg_path,
+                          {"experiment": {"out_dir": str(tmp_path / "sub")}})
         run_experiment(cfg)
         lines = (tmp_path / "sub" / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 352  # header + 351 grid nodes
 
     def test_sweep_determinism(self, tmp_path):
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var="theta1",
-                             sweep_values=(0.0, -0.003), n_paths=6)
-        run_experiment(with_overrides(cfg, out_dir=str(tmp_path / "x")))
-        run_experiment(with_overrides(cfg, out_dir=str(tmp_path / "y")))
+        cfg = load_config(small_config(tmp_path), {
+            "scheme": {"n_paths": 6},
+            "experiment": {"kind": "sweep", "sweep_var": "theta1",
+                           "sweep_values": (0.0, -0.003)}})
+        run_experiment(replace(cfg, out_dir=str(tmp_path / "x")))
+        run_experiment(replace(cfg, out_dir=str(tmp_path / "y")))
         for name in ("sweep_theta1_0.csv", "sweep_theta1_1.csv",
                      "sweep_theta1_summary.csv"):
             assert (tmp_path / "x" / name).read_bytes() == \
                 (tmp_path / "y" / name).read_bytes()
 
     def test_phi_sweep_monotone_compensation(self, tmp_path):
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var="phi",
-                             sweep_values=(0.0, 0.5, 1.0),
-                             out_dir=str(tmp_path / "swp"))
+        cfg = load_config(small_config(tmp_path), {
+            "experiment": {"kind": "sweep", "sweep_var": "phi",
+                           "sweep_values": (0.0, 0.5, 1.0),
+                           "out_dir": str(tmp_path / "swp")}})
         run_experiment(cfg)
         rows = (tmp_path / "swp" / "sweep_phi_summary.csv").read_text() \
             .splitlines()[1:]
@@ -660,10 +695,11 @@ class TestRunExperiment:
     def test_sweep_simulates_reference_arm_once(self, tmp_path, monkeypatch,
                                                 var):
         values = (0.0, -0.003) if var == "theta1" else (0.5, 1.0)
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var=var,
-                             sweep_values=values, n_paths=3,
-                             out_dir=str(tmp_path / "sw"))
+        cfg = load_config(small_config(tmp_path), {
+            "scheme": {"n_paths": 3},
+            "experiment": {"kind": "sweep", "sweep_var": var,
+                           "sweep_values": values,
+                           "out_dir": str(tmp_path / "sw")}})
         g_calls, arms = [], []
         g_pieces_at = scheme._g_pieces_at
         simulate_scheme = experiments.simulate_scheme
@@ -689,10 +725,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("var", ["theta1", "phi"])
     def test_sweep_discounts_each_arm_once(self, tmp_path, monkeypatch, var):
         values = (0.0, -0.003, -0.006) if var == "theta1" else (0.5, 1.0)
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var=var,
-                             sweep_values=values, n_paths=3,
-                             out_dir=str(tmp_path / "sw"))
+        cfg = load_config(small_config(tmp_path), {
+            "scheme": {"n_paths": 3},
+            "experiment": {"kind": "sweep", "sweep_var": var,
+                           "sweep_values": values,
+                           "out_dir": str(tmp_path / "sw")}})
         discounted = []
         totals = scheme.discounted_totals
         monkeypatch.setattr(scheme, "discounted_totals",
@@ -705,10 +742,11 @@ class TestRunExperiment:
 
     def test_sweep_releases_each_arm_before_the_next(self, tmp_path,
                                                      monkeypatch):
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var="theta1",
-                             sweep_values=(0.0, -0.003), n_paths=3,
-                             out_dir=str(tmp_path / "sw"))
+        cfg = load_config(small_config(tmp_path), {
+            "scheme": {"n_paths": 3},
+            "experiment": {"kind": "sweep", "sweep_var": "theta1",
+                           "sweep_values": (0.0, -0.003),
+                           "out_dir": str(tmp_path / "sw")}})
         arms, alive = [], []
         simulate_scheme = experiments.simulate_scheme
 
@@ -728,10 +766,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("var", ["theta1", "phi"])
     def test_sweep_matches_independent_arms(self, tmp_path, var):
         values = (0.0, -0.003) if var == "theta1" else (0.5, 1.0)
-        cfg = with_overrides(load_config(small_config(tmp_path)),
-                             experiment="sweep", sweep_var=var,
-                             sweep_values=values, n_paths=3,
-                             out_dir=str(tmp_path / "sw"))
+        cfg = load_config(small_config(tmp_path), {
+            "scheme": {"n_paths": 3},
+            "experiment": {"kind": "sweep", "sweep_var": var,
+                           "sweep_values": values,
+                           "out_dir": str(tmp_path / "sw")}})
         run_experiment(cfg)
         model, sc, market = build_model(cfg), cfg.scenario, cfg.market
         paths = simulate_paths(model, TimeGrid(0.0, sc.horizon, sc.dt),
@@ -1211,6 +1250,58 @@ class TestCli:
             assert main(["sweep", "--config", str(small_config(tmp_path)),
                          "--var", "theta1", *values]) == 0
         assert seen == [(-0.0015, -0.003)] * 2
+
+    def test_each_flag_replaces_its_key(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg)
+                            or type("Result", (), {"summary": ""}))
+        cfg_path = tmp_path / "keys.cfg"
+        cfg_path.write_text(
+            MINIMAL.replace("phi = 0.8", "phi = 0.8\nn_paths = 8\nseed = 3")
+            + f"\n[experiment]\nkind = sweep\nout_dir = {tmp_path / 'file'}\n"
+            "sweep_var = theta1\nsweep_values = 0, -0.003\n")
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--seed", "7",
+                     "--paths", "5", "--out", str(tmp_path / "flag"),
+                     "--var", "phi", "--values", "0.5,1"]) == 0
+        file, flags = [(c.scenario.seed, c.scenario.n_paths, c.out_dir,
+                        c.sweep_var, c.sweep_values) for c in seen]
+        assert file == (3, 8, str(tmp_path / "file"), "theta1", (0.0, -0.003))
+        assert flags == (7, 5, str(tmp_path / "flag"), "phi", (0.5, 1.0))
+
+    @pytest.mark.parametrize("seed", ["-1", "banana"])
+    def test_file_value_a_flag_replaces_is_never_parsed(self, tmp_path,
+                                                        monkeypatch, seed):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg)
+                            or type("Result", (), {"summary": ""}))
+        cfg_path = small_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "n_paths = 8", f"n_paths = 8\nseed = {seed}"))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--seed", "7"]) == 0
+        assert [cfg.scenario.seed for cfg in seen] == [7]
+        # without the flag, the file's own value is read and rejected
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert len(seen) == 1
+
+    def test_file_sweep_kind_binds_only_a_sweep(self, tmp_path, capsys):
+        # a file whose [experiment] kind is sweep but that sets no sweep key:
+        # each command sets its own kind, so only a sweep needs the keys
+        text = default_config_path().read_text()
+        assert "kind = base" in text and "sweep_" not in text
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(text.replace("kind = base", "kind = sweep"))
+        common = ["--config", str(cfg_path), "--paths", "3"]
+        for argv in (["policy"], ["mortality"], ["coeffs"], ["simulate"],
+                     ["compare"], ["sweep", "--var", "phi", "--values=0,1"]):
+            assert main(argv + common + ["--out", str(tmp_path / "o")]) == 0, \
+                argv
+        capsys.readouterr()
+        assert main(["sweep", *common, "--out", str(tmp_path / "never")]) == 1
+        err = capsys.readouterr().err
+        assert "--var" in err and "[experiment] sweep_var" in err
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("kind", ["ou-single", "cir-sub"])
     def test_policy_evaluates_g_once(self, tmp_path, capsys, monkeypatch,

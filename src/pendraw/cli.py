@@ -4,9 +4,12 @@ Subcommands: ``mortality`` (hazard path dump), ``coeffs`` (affine coefficient
 curves), ``policy`` (one policy decision), ``simulate`` (base scenario),
 ``compare`` (hedged vs unhedged), ``sweep`` (sensitivity in theta1 or phi).
 
-``main`` builds the parser of the invoked subcommand only (``build_parser``
-given ``argv[0]``); with no subcommand, an unknown one or ``-h`` first it
-builds all six. Both parse, print help and report usage errors alike.
+``main`` parses a known subcommand first with that subcommand's own parser,
+``pendraw <command>``, alone, built without the parser above it, which would
+hand it everything after the subcommand anyway. An argument it leaves over,
+and any other command line, goes to ``build_parser`` given ``argv[0]``, which
+reports it; with no subcommand, an unknown one or ``-h`` first that parser
+has all six. All of them parse, print help and report usage errors alike.
 
 Each command loads the config once, with its own ``[experiment] kind`` and
 the values of ``--seed``, ``--paths``, ``--out``, ``--var`` and ``--values``
@@ -31,8 +34,8 @@ import numpy as np
 from .config import (SWEEP_VARS, ExperimentConfig, default_config_path,
                      load_config, parse_sweep_values)
 from .control import optimal_policy
-from .experiments import run_experiment, write_csv
-from .mortality import ConfigError, simulate_paths
+from .experiments import format_number, run_experiment, write_csv
+from .mortality import ConfigError, baseline_hazard, simulate_paths
 from .numerics import NumericalFailure, TimeGrid
 from .pricing import LATTICE_STEP, _end_node, _lattice_span, _tau_table
 
@@ -78,8 +81,8 @@ _COMMANDS = {"mortality": "simulate hazard paths and dump CSV",
              "sweep": "sensitivity sweep CSVs"}
 
 
-def _add_command(sub, name: str) -> None:
-    p = sub.add_parser(name, help=_COMMANDS[name])
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of subcommand ``name``, added to its parser ``p``."""
     _add_common(p)
     if name == "coeffs":
         p.add_argument("--t", type=float, default=0.0,
@@ -120,12 +123,28 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if command in _COMMANDS:
         sub = parser.add_subparsers(dest="command", required=True,
                                     metavar="{" + ",".join(_COMMANDS) + "}")
-        _add_command(sub, command)
+        _add_command(sub.add_parser(command, help=_COMMANDS[command]),
+                     command)
     else:
         sub = parser.add_subparsers(dest="command", required=True)
         for name in _COMMANDS:
-            _add_command(sub, name)
+            _add_command(sub.add_parser(name, help=_COMMANDS[name]), name)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed: a known subcommand first by its own parser alone, to
+    which ``build_parser``'s would hand everything after it; an argument
+    left over, and any other ``argv``, by ``build_parser``'s, which parses
+    it or reports it."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"pendraw {argv[0]}")
+        _add_command(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser(argv[0] if argv else None).parse_args(argv)
 
 
 def _load(args, kind: str = "base") -> ExperimentConfig:
@@ -208,8 +227,6 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_policy(args) -> int:
-    from .mortality import baseline_hazard
-
     cfg = _load(args)
     model = cfg.model
     if args.lambda2 is not None and model.n_factors == 1:
@@ -221,7 +238,7 @@ def _cmd_policy(args) -> int:
     wealth = args.wealth if args.wealth is not None else cfg.scenario.y0
     decision = optimal_policy(model, cfg.scenario, cfg.market, args.t,
                               np.array(lam), wealth)
-    from .experiments import format_number as f
+    f = format_number
     print("t,lambda1,lambda2,wealth,G,withdraw_rate,stock_weight,bond_weight,"
           "cash_weight")
     lam2 = f(lam[1]) if len(lam) > 1 else ""
@@ -239,8 +256,7 @@ def _cmd_experiment(args, kind: str) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(argv[0] if argv else None) \
-            .parse_args(_join_values(argv))
+        args = _parse(_join_values(argv))
         if args.command == "mortality":
             return _cmd_mortality(args)
         if args.command == "coeffs":

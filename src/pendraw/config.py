@@ -105,9 +105,9 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _getfloat(cp, section, key):
+def _getfloat(ini, section, key):
     try:
-        value = cp.getfloat(section, key)
+        value = float(ini[section][key])
     except ValueError as exc:
         raise ConfigError(f"invalid value for [{section}] {key}: {exc}") from exc
     return _finite(value, f"[{section}] {key}")
@@ -123,9 +123,9 @@ def parse_sweep_values(raw: str, source: str) -> Tuple[float, ...]:
     return tuple(_finite(v, f"{source} value") for v in values)
 
 
-def _getint(cp, section, key):
+def _getint(ini, section, key):
     try:
-        return cp.getint(section, key)
+        return int(ini[section][key])
     except ValueError as exc:
         raise ConfigError(f"invalid value for [{section}] {key}: {exc}") from exc
 
@@ -143,25 +143,30 @@ def loads_config(text: str,
                  overrides: Optional[Mapping] = None) -> ExperimentConfig:
     """Parse configuration text (see ``load_config``)."""
     # values are verbatim: no % interpolation
-    cp = configparser.ConfigParser(interpolation=None,
-                                   inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
     try:
-        cp.read_string(text)
+        parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
+    # each section's values as a plain dict, [DEFAULT]'s among them, as
+    # configparser gives them: one lookup through it costs more than the
+    # float read off it
+    ini = {section: dict(parser.items(section, raw=True))
+           for section in parser.sections()}
 
     missing = [f"[{sec}] {key}" for sec, key in _REQUIRED
-               if not cp.has_option(sec, key)]
+               if key not in ini.get(sec, {})]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    kind = cp.get("model", "kind").strip().lower()
+    kind = ini["model"]["kind"].strip().lower()
     if kind not in MODEL_KINDS:
         raise ConfigError(f"[model] kind must be one of {MODEL_KINDS}, got {kind!r}")
 
     if kind.endswith("-sub"):
         missing2 = [f"[population2] {k}" for k in _REQUIRED_POP2
-                    if not cp.has_option("population2", k)]
+                    if k not in ini.get("population2", {})]
         if missing2:
             raise ConfigError("missing required keys: " + ", ".join(missing2))
 
@@ -170,9 +175,10 @@ def loads_config(text: str,
         sets, an override in place of the file's; the classes built from them
         state every other key's default."""
         over = (overrides or {}).get(section, {})
-        return {key: cast(cp, section, key) if over.get(key) is None
+        file = ini.get(section, {})
+        return {key: cast(ini, section, key) if over.get(key) is None
                 else over[key] for key in keys
-                if over.get(key) is not None or cp.has_option(section, key)}
+                if over.get(key) is not None or key in file}
 
     # the optimal policy is derived for pi = 1 only: the departing members'
     # balances are compensated in full
@@ -184,18 +190,18 @@ def loads_config(text: str,
 
     def gompertz(section):
         return _in_section(section, GompertzMakehamParams,
-                           nu=_getfloat(cp, section, "nu"),
-                           delta=_getfloat(cp, section, "delta"),
-                           m=_getfloat(cp, section, "m") - shift)
+                           nu=_getfloat(ini, section, "nu"),
+                           delta=_getfloat(ini, section, "delta"),
+                           m=_getfloat(ini, section, "m") - shift)
 
     factor_kind = "ou" if kind.startswith("ou") else "cir"
-    b1 = _getfloat(cp, "population1", "b")
-    sigma1 = _getfloat(cp, "population1", "sigma")
+    b1 = _getfloat(ini, "population1", "b")
+    sigma1 = _getfloat(ini, "population1", "sigma")
     if kind.endswith("-sub"):
         model = TwoPopModel(
             kind=factor_kind, gm1=gompertz("population1"),
             gm2=gompertz("population2"), b1=b1, sigma1=sigma1,
-            **{k: _getfloat(cp, "population2", k)
+            **{k: _getfloat(ini, "population2", k)
                for k in ("b21", "b22", "sigma21", "sigma22")})
     else:
         model = SinglePopModel(kind=factor_kind, gm=gompertz("population1"),
@@ -212,15 +218,15 @@ def loads_config(text: str,
     _in_section("scheme", TimeGrid, t0=0.0, t1=scenario.horizon,
                 step=scenario.dt)
 
-    def word(cp, section, key):
-        return cp.get(section, key).strip().lower()
+    def word(ini, section, key):
+        return ini[section][key].strip().lower()
 
-    def values(cp, section, key):
-        return parse_sweep_values(cp.get(section, key), f"[{section}] {key}")
+    def values(ini, section, key):
+        return parse_sweep_values(ini[section][key], f"[{section}] {key}")
 
     experiment = {**given("experiment", "kind", cast=word),
-                  **given("experiment", "out_dir", cast=lambda cp, section,
-                          key: cp.get(section, key).strip())}
+                  **given("experiment", "out_dir", cast=lambda ini, section,
+                          key: ini[section][key].strip())}
     if experiment.get("kind") == "sweep":
         experiment.update(given("experiment", "sweep_var", cast=word),
                           **given("experiment", "sweep_values", cast=values))
@@ -247,5 +253,8 @@ def load_config(path: Union[str, Path],
 
 
 def build_model(cfg: ExperimentConfig) -> Model:
-    """The configured model, modal ages shifted to years since retirement."""
+    """The config's model, as loaded: the loader has already shifted the
+    modal ages to years since retirement, so this only returns
+    ``cfg.model``. It is kept for perfbench's callers until the ``[benchmark]``
+    change of ROADMAP item 1."""
     return cfg.model

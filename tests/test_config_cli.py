@@ -82,6 +82,16 @@ class TestLoadConfig:
         assert cfg.scenario.t_max == 120.0
         assert (cfg.experiment, cfg.out_dir) == ("base", "out")
 
+    def test_values_read_as_configparser_gives_them(self):
+        # a [DEFAULT] key is in every section, also a required one; keys are
+        # case-blind, and an inline comment is cut
+        text = "[DEFAULT]\ny0 = 50\ntheta_1 = -0.001\n" + MINIMAL \
+            .replace("theta_1 = -0.0005\n", "") \
+            .replace("phi = 0.8", "PHI = 0.5  # half")
+        cfg = loads_config(text)
+        assert (cfg.scenario.phi, cfg.scenario.y0) == (0.5, 50.0)
+        assert cfg.market.theta_1 == -0.001
+
     def test_defaults_applied(self):
         cfg = loads_config(MINIMAL)
         assert cfg.scenario.horizon == 35.0
@@ -1330,7 +1340,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["-h"], [], ["bogus"], ["--config", "x", "policy"], ["-h", "policy"],
-        ["policy", "--bogus"], ["policy", "--t", "soon"],
+        ["policy", "--bogus"], ["policy", "--t", "soon"], ["policy", "extra"],
+        ["policy", "--he"], ["coeffs", "--", "--t", "1"],
         ["sweep", "--var", "kappa"],
         ["sweep", "--values", "-0.0015,-0.003", "--config", "missing.cfg"],
         *([name, "-h"] for name in ("mortality", "coeffs", "policy",
@@ -1349,7 +1360,9 @@ class TestCli:
 
         got = run()
         full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        # every argv through the full parser alone
+        monkeypatch.setattr(cli, "_parse",
+                            lambda argv: full().parse_args(argv))
         assert got == run()
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

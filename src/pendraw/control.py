@@ -33,13 +33,13 @@ The quadrature reads the one cached tau pass of the model (``pricing``),
 which every anchor shares, at its rule's nodes only: the trapezoid rule on
 every 10th node s_n = t + 0.05 n of the lattice, with Gregory end
 corrections that make it exact for polynomials of degree below 8. The rule
-stops at the survival-underflow cut, the first rule node with k0 < -80, or
-ends in a short panel at t_max, whose node ``pricing._end_node`` reads;
-anchors with a high hazard or a short span use a smaller stride. The pass
-grows only until every anchor's rule is closed (``_rule_nodes``): at t = 0
-on the shipped parameters that is 1 440 of the 2 401 nodes up to
-t_max = 120 for one population and 1 630 for the sub-population, fewer at
-later anchors. On the nodes (weights w_n) A and the gradient's integrals
+stops at the survival-underflow cut, the first rule node with k0 < -50
+(``_CUT_K0``), or ends in a short panel at t_max, whose node
+``pricing._end_node`` reads; anchors with a high hazard or a short span use
+a smaller stride. The pass grows only until every anchor's rule is closed
+(``_rule_nodes``): at t = 0 on the shipped parameters that is 1 340 of the
+2 401 nodes up to t_max = 120 for one population and 1 510 for the
+sub-population, fewer at later anchors. On the nodes (weights w_n) A and the gradient's integrals
 are the moments
 M[x] = sum_n w_n e^{-r(s_n - t)} surv_n x_n of x in {1, k_i},
 surv = exp(k0 - sum_i lam_i k_i). A batch of states then costs one exp of
@@ -93,14 +93,16 @@ from .pricing import (LATTICE_STEP, MarketParams, _end_node,
 # step.
 # The order costs nothing, so it is the highest whose weights are all
 # positive (order 9 has a negative one). The stride sets the cost: 10 is the
-# largest that meets both tolerances (at stride 10 the worst case measures
-# 4.6e-9 and 2.2e-7, on cir-single at t = 17.3 and phi = 0; stride 11 gives
-# 9.2e-9 there).
+# largest that meets both tolerances (at stride 10 the worst cases measure
+# 4.6e-9 on ou-single and 2.2e-7 on cir-sub, both at t = 17.3 and phi = 0;
+# stride 11 gives 9.2e-9 on cir-single there).
 # Later anchors have a higher hazard, so a faster-decaying integrand: the
 # stride also keeps (r + members' baseline hazard at t) * spacing at most
-# GREGORY_RATE_STEP, the largest such product, in steps of 0.01, that kept
-# the strides it picks within both tolerances at t = 34, 35, ..., 54 (0.07
-# lets stride 6 through on cir-sub at t = 35: 5.008e-9). At t = 55 even
+# GREGORY_RATE_STEP, the largest such product, in steps of 0.01, whose
+# strides keep both errors at t = 34, 35, ..., 54 within RATE_STEP_MARGIN of
+# their tolerances. 0.06 gives at most 4.17e-9 (cir-single, t = 54) and
+# 3.3e-8 (cir-sub, t = 36); 0.07 gives 4.995e-9 on ou-sub at t = 35, inside
+# G_REL_TOL by 0.1% only, and 0.08 misses it (1.52e-8). At t = 55 even
 # stride 1 gives 5.6e-9 on the single-population kinds, and it misses more
 # past t = 60, but up to t = 80 the rule stays ahead of Simpson on every
 # node (tests/test_control.py).
@@ -109,9 +111,15 @@ GRAD_REL_TOL = 2.5e-7
 GREGORY_STRIDE = 10
 GREGORY_ORDER = 8
 GREGORY_RATE_STEP = 0.06
+RATE_STEP_MARGIN = 0.9
 # the survival-underflow cut: G's rule ends at its first node where k0 falls
-# below it, the survival factor below e^-80 of its start
-_CUT_K0 = -80.0
+# below it. The survival factor there is below e^-50 = 1.9e-22 of its start,
+# and the hazard grows along the span, so the integrand past it falls at
+# least about as fast as before: the tail the rule drops is of order e^-50 of
+# A and of each moment, a millionth of the half ulp (1.1e-16) at which they
+# round. Cuts at -50 and -80 give bit-identical G and gradients on all four
+# kinds (t = 0, 0.5, ..., 60, hazards 0.5 to 2 times the baseline).
+_CUT_K0 = -50.0
 # (states x rule nodes) entries that ``_g_pieces_at`` takes through one
 # stacked product and exp, over consecutive anchors of one rule shape: timed
 # on ``scheme.g_surface`` at the shipped config and 100 paths (about 150
@@ -271,7 +279,7 @@ def _stride_nodes(tt, t_max: float, spans, stride: int, n_cols: int):
 
 def _first_dead(k0: np.ndarray, n: np.ndarray, stride: int) -> np.ndarray:
     """Per row of ``_stride_nodes``' k0, the first column j with
-    j * stride <= n where k0 < _CUT_K0 (the survival factor is below e^-80
+    j * stride <= n where k0 < _CUT_K0 (the survival factor is below e^-50
     of its start there), or -1. The columns past n // stride repeat node n,
     so the first dead column lies past them only when none up to them is."""
     dead = k0 < _CUT_K0

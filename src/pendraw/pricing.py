@@ -35,19 +35,23 @@ a_k(u) = level_k + g_k exp((u - m_k)/delta_k) enters K0 only through
     int_t^s a_k(u) f(s-u) du = level_k int_0^tau f(w) dw
                                + g_k e^{(s - m_k)/delta_k} int_0^tau f(w) e^{-w/delta_k} dw.
 
-One cached RK4 pass in tau per model, at the lattice step
-``LATTICE_STEP``, gives the Riccati coefficients C and the cumulative
-Simpson integrals above; it steps the factors the model has, the bond's
-reference factor only when there is one, since the members' curve never
-involves it. The pass grows on demand, each growth resuming the last one
-exactly, to the last node its readers read (``_TauTable``); it is read as a
-prefix. The table at any anchor t is slices of that pass at the nodes
-t + j*step plus a Gompertz-weighted sum for K0; when t_max - t is not a whole
-number of steps, one more RK4 step resumed from C at the last node gives the
-values at t_max (``_end_node``, which ``pendraw coeffs`` reads for each of
-its rows). The tables serve the tests' oracles; the annuity evaluator
-(``control``) reads the pass at its own rule's nodes alone, with the same
-floats.
+One cached pass in tau per model, at the lattice step ``LATTICE_STEP``,
+gives the Riccati coefficients C and the cumulative Simpson integrals above
+on the half-step lattice. Under OU it is RK4, one fixed affine map per step.
+Under CIR the members' curve C_m solves dC = 1 - b C - (s C)^2 / 2, with b
+and s constant, which never involves factor 1: it is the closed form
+``a1_cir`` at each tau (Cox, Ingersoll & Ross, 1985), exact, so a
+one-population pass steps nothing, and a two-population pass steps only
+the bond's reference factor C_1 by RK4, reading the exact C_m at its stage
+taus (``_cir_tau_pass``). The pass grows on demand, each growth resuming
+the last one exactly, to the last node its readers read (``_TauTable``); it
+is read as a prefix. The table at any anchor t is slices of that pass at
+the nodes t + j*step plus a Gompertz-weighted sum for K0; when t_max - t is
+not a whole number of steps, one more step of the pass resumed from C at
+the last node gives the values at t_max (``_end_node``, which
+``pendraw coeffs`` reads for each of its rows). The tables serve the tests'
+oracles; the annuity evaluator (``control``) reads the pass at its own
+rule's nodes alone, with the same floats.
 """
 
 from __future__ import annotations
@@ -123,10 +127,14 @@ def a1_ou(b: float, tau):
 
 
 def a1_cir(b: float, sigma: float, tau):
-    """Riccati solution 2(e^{eta*tau}-1) / ((b+eta)(e^{eta*tau}-1) + 2*eta)."""
+    """Riccati solution 2(e^{eta*tau}-1) / ((b+eta)(e^{eta*tau}-1) + 2*eta),
+    eta = sqrt(b^2 + 2 sigma^2) (Cox, Ingersoll & Ross, Econometrica 53(2),
+    1985), taken over e^{-eta*tau} as 2x / ((b - eta) x + 2 eta) with
+    x = 1 - e^{-eta*tau}: no exponential grows, and the denominator is at
+    least b + eta, so it is finite for every b > 0, sigma >= 0, tau >= 0."""
     eta = np.sqrt(b * b + 2.0 * sigma * sigma)
-    e = np.expm1(eta * np.asarray(tau, dtype=float))
-    return 2.0 * e / ((b + eta) * e + 2.0 * eta)
+    x = -np.expm1(-eta * np.asarray(tau, dtype=float))
+    return 2.0 * x / ((b - eta) * x + 2.0 * eta)
 
 
 def _ou_kernel(b1: float, b22: float, tau):
@@ -412,63 +420,42 @@ def _ou_tau_pass(big_b: np.ndarray, h: float, size: int,
     return c
 
 
-def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float, n: int,
-                  y0: np.ndarray) -> np.ndarray:
-    """RK4 in tau, 2n steps of h/2, on Python floats: one row C per node,
-    laid out as ``y0``, the first row (C = 0 at tau = 0).
+def _cir_tau_pass(big_b: np.ndarray, big_s: np.ndarray, h: float,
+                  cm: np.ndarray, c1: float) -> np.ndarray:
+    """Factor 1's C_1 of a two-population CIR pass: RK4 in tau on Python
+    floats, steps of h/2 from c1. Returns c1, then C_1 at each step's end.
 
-    The lower-triangular Riccati system, members as the last factor m, is
+    In the lower-triangular Riccati system the bond factor's row
 
-        dC = e_m - B^T C - (S^T C)^2 / 2.
+        dC_1 = -b1 C_1 - b21 C_m - (s1 C_1 + s21 C_m)^2 / 2
 
-    The members' C_m never involves factor 1, so it is stepped alone; a
-    two-population model steps the bond factor's C_1 beside it at the same
-    four stage states. A state that overflows stays non-finite (inf and nan
-    propagate through +, -, *), so one check of the rows finds it.
+    reads the members' C_m, which never involves factor 1 and is exact
+    (``a1_cir``). So the stages read ``cm``, C_m at every quarter step from
+    the first: tau, tau + h/4 (twice) and tau + h/2 per step. A state that
+    overflows stays non-finite (inf and nan propagate through +, -, *), so
+    one check of the values finds it.
     """
-    nf = big_b.shape[0]
-    two = nf == 2
-    # the members' entries, and factor 1's column of B and S (with one
-    # factor the same entries again, unused)
-    bm, sm = float(big_b[-1, -1]), float(big_s[-1, -1])
-    (b1, b21), (s1, s21) = big_b[[0, -1], 0].tolist(), big_s[[0, -1], 0].tolist()
+    (b1, b21), (s1, s21) = big_b[:, 0].tolist(), big_s[:, 0].tolist()
     dt = 0.5 * h
     half, sixth = 0.5 * dt, dt / 6.0
-    y = y0.tolist()
-    c1, c = y[0], y[-1]
-    # the rows, flat, as C doubles: a list of row tuples of float objects
-    # would take 6 to 8 times the memory
-    rows = array("d", y)
-    for _ in range(2 * n):
-        # the members' stage slopes u, v, w, z of C_m
-        q = sm * c
-        uc = 1.0 - bm * c - 0.5 * q * q
-        cv = c + half * uc
-        q = sm * cv
-        vc = 1.0 - bm * cv - 0.5 * q * q
-        cw = c + half * vc
-        q = sm * cw
-        wc = 1.0 - bm * cw - 0.5 * q * q
-        cz = c + dt * wc
-        q = sm * cz
-        zc = 1.0 - bm * cz - 0.5 * q * q
-        if two:
-            # factor 1's slopes of C_1
-            q = s1 * c1 + s21 * c
-            u1 = -(b1 * c1 + b21 * c) - 0.5 * q * q
-            cs = c1 + half * u1
-            q = s1 * cs + s21 * cv
-            v1 = -(b1 * cs + b21 * cv) - 0.5 * q * q
-            cs = c1 + half * v1
-            q = s1 * cs + s21 * cw
-            w1 = -(b1 * cs + b21 * cw) - 0.5 * q * q
-            cs = c1 + dt * w1
-            q = s1 * cs + s21 * cz
-            z1 = -(b1 * cs + b21 * cz) - 0.5 * q * q
-            c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
-        c += sixth * (uc + 2.0 * vc + 2.0 * wc + zc)
-        rows.extend((c1, c) if two else (c,))
-    return np.frombuffer(rows).reshape(-1, nf)
+    cm = cm.tolist()
+    # C doubles: a list of float objects would take four times the memory
+    out = array("d", (c1,))
+    for cu, cv, cz in zip(cm[0:-1:2], cm[1::2], cm[2::2]):
+        q = s1 * c1 + s21 * cu
+        u1 = -(b1 * c1 + b21 * cu) - 0.5 * q * q
+        cs = c1 + half * u1
+        q = s1 * cs + s21 * cv
+        v1 = -(b1 * cs + b21 * cv) - 0.5 * q * q
+        cs = c1 + half * v1
+        q = s1 * cs + s21 * cv
+        w1 = -(b1 * cs + b21 * cv) - 0.5 * q * q
+        cs = c1 + dt * w1
+        q = s1 * cs + s21 * cz
+        z1 = -(b1 * cs + b21 * cz) - 0.5 * q * q
+        c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
+        out.append(c1)
+    return np.frombuffer(out)
 
 
 class _TauTable:
@@ -482,14 +469,16 @@ class _TauTable:
         k0 = k0_level(tau) + sum_k e^{(s - m_k)/delta_k} k0_gompertz_k(tau).
 
     The pass starts from ``y0`` = C at tau0 (default: the origin, C = 0 at
-    tau0 = 0), and its k0 curves hold the increments from tau0. Growth
-    resumes it exactly: the CIR loop from its last C, the cumulative Simpson
-    integrals from their last values (``_cum_simpson``), the decay exponent
-    at the nodes' global indices; the OU pass, a fixed map per step, is
-    recomputed at the new length, and the k0 curves are rebuilt from the
-    integrals of the whole pass. So the pass holds the same floats however
-    it grew, and a longer pass those of a shorter one at every node they
-    share (prefix-stable).
+    tau0 = 0), and its k0 curves hold the increments from tau0; under CIR
+    the members' C_m is the closed form at tau0 + j*h, so y0's last entry
+    must be that value, as a node of another pass is. Growth resumes it
+    exactly: CIR's C_m and the decay exponent at the nodes' global indices,
+    CIR's factor-1 loop from its last float, the cumulative Simpson
+    integrals from their last values (``_cum_simpson``); the OU pass, a
+    fixed map per step, is recomputed at the new length, and the k0 curves
+    are rebuilt from the integrals of the whole pass. So the pass holds the
+    same floats however it grew, and a longer pass those of a shorter one at
+    every node they share (prefix-stable).
     """
 
     def __init__(self, model: Model, h: float, tau0: float = 0.0,
@@ -526,18 +515,20 @@ class _TauTable:
             arr.setflags(write=False)
 
     def grow(self, n: int) -> "_TauTable":
-        """Extend the pass to node n, if it ends before it, by RK4 in tau at
-        two steps of h/2 per node and cumulative Simpson on the panels of h.
-        Returns the pass.
+        """Extend the pass to node n, if it ends before it, with C at the
+        half steps w = tau0 + j*h/2 and cumulative Simpson on the panels of
+        h. Returns the pass.
 
         dC/dtau = e_m - B^T C [- (S^T C)^2 / 2 under CIR]; OU's noise enters
         k0 additively instead, as +|S^T C|^2 / 2. No step divides by
-        b1 - b22. The OU pass is one fixed matrix map per step
-        (``_ou_tau_pass``), the CIR pass a loop on Python floats over the
-        model's own factors (``_cir_tau_pass``); neither calls
-        ``solve_ode``, which integrates the scalar oracles only. Raises
-        NumericalFailure at the first CIR state that is not finite; the pass
-        then keeps the whole nodes before it.
+        b1 - b22. The OU pass is RK4 at h/2, one fixed matrix map per step
+        (``_ou_tau_pass``). The CIR pass reads the members' C_m from
+        ``a1_cir`` at the quarter steps, w among them, and steps factor 1, if
+        the model has it, by RK4 at h/2 on Python floats
+        (``_cir_tau_pass``); neither calls ``solve_ode``, which integrates
+        the scalar oracles only. Raises NumericalFailure at the first CIR
+        state that is not finite, which only factor 1's loop can reach; the
+        pass then keeps the whole nodes before it.
         """
         j0 = self.n
         if n <= j0:
@@ -546,7 +537,15 @@ class _TauTable:
         w = self.tau0 + 0.5 * self.h * np.arange(2 * j0, 2 * n + 1)
         failure = None
         if self.model.kind == CIR:
-            c = _cir_tau_pass(big_b, big_s, self.h, n - j0, self.c[:, j0])
+            # C_m, exact, at every quarter step: its even entries are at w
+            # (0.25h * 4j and 0.5h * 2j round alike), and factor 1's RK4
+            # stages read them all
+            cm = a1_cir(big_b[-1, -1], big_s[-1, -1], self.tau0 + 0.25
+                        * self.h * np.arange(4 * j0, 4 * n + 1))
+            c = cm[::2, None]
+            if big_b.shape[0] == 2:
+                c = np.column_stack((_cir_tau_pass(
+                    big_b, big_s, self.h, cm, float(self.c[0, j0])), c))
             bad = ~np.isfinite(c).all(axis=1)
             if bad.any():
                 first = int(np.argmax(bad))
@@ -639,7 +638,8 @@ def _end_node(model: Model, tt: _TauTable, t: float, t_max: float,
               step: float = LATTICE_STEP):
     """(C, K0) at t_max for the anchor t, from the pass ``tt``, grown to the
     span's last lattice node n: that node when t_max - t is n whole steps,
-    else one RK4 step of the tau pass resumed from C at node n."""
+    else one short step of a tau pass resumed from C at node n, whose C_m
+    under CIR is the closed form at its own global taus."""
     n, partial = _lattice_span(t, t_max, step)
     tt.grow(n)
     if not partial:
@@ -660,8 +660,8 @@ def build_coefficient_table(model: Model, t: float, t_max: float,
     Every anchor reads the one cached tau pass of this step
     (``_tau_table``), grown to the span's last lattice node n. The node at
     t_max is the pass's own node n when t_max - t is a whole number of
-    steps, and otherwise comes from one more RK4 step of that pass, resumed
-    at node n from C alone (``_end_node``).
+    steps, and otherwise comes from one more step of that pass, resumed at
+    node n from C alone (``_end_node``).
     """
     if t_max <= t:
         raise ValueError(f"need t < t_max, got t={t}, t_max={t_max}")

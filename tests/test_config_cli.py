@@ -1085,6 +1085,27 @@ class TestCli:
         values = capsys.readouterr().out.splitlines()[1].split(",")
         assert np.isfinite(float(values[4])) and float(values[4]) > 0.0
 
+    @pytest.mark.parametrize("kind", ["cir-single", "cir-sub"])
+    def test_policy_at_a_fast_cir_reversion(self, tmp_path, capsys, kind):
+        # b = 40 puts eta T = 800 into the bond's A1(T), past exp's overflow
+        # at 709.8: the growing form of ``a1_cir`` printed a bond weight of
+        # nan and exited 0. A1(T) is now the fixed point 2 / (b + eta).
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(shipped_text(kind).replace("b = 0.561", "b = 40"))
+        assert main(["policy", "--config", str(cfg_path), "--t", "10"]) == 0
+        values = capsys.readouterr().out.splitlines()[1].split(",")
+        cfg = load_config(cfg_path)
+        lam = [float(v) for v in values[1:3] if v]
+        g, grad = g_and_gradient(cfg.model, cfg.scenario, cfg.market, 10.0,
+                                 np.array([lam]))
+        big_s = cfg.model.factors[1]
+        eta = np.hypot(40.0, np.sqrt(2.0) * big_s[0, 0])
+        a1 = 2.0 / (40.0 + eta)
+        want = (cfg.market.theta_1 + big_s[:, 0].sum() * grad[0, 0] / g[0]) \
+            / (-a1 * big_s[0, 0])
+        assert float(values[7]) == pytest.approx(want, rel=1e-8)
+        assert np.isfinite(float(values[8]))
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("t", [36.0, 60.0, 119.0])
     def test_policy_past_the_gompertz_overflow(self, tmp_path, capsys, kind,

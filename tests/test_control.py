@@ -205,13 +205,13 @@ def _rule_weights(m, delta):
 def _rule_rows(tab, rate=MARKET.r):
     """Rows and weights of G's outer rule on a coefficient table: every
     stride-th lattice node (at most STRIDE) up to the first one past the
-    k0 < -80 cut, or to t_max with a short end panel. The stride keeps
+    k0 < _CUT_K0 cut, or to t_max with a short end panel. The stride keeps
     rate * spacing <= 0.06 and gives at least ORDER - 1 strides where it
     can."""
     h = LATTICE_STEP
     partial = abs(tab.tau[-1] - (tab.s.size - 1) * h) > 1e-9
     n = tab.s.size - 1 - partial
-    dead = np.nonzero(tab.k0[:n + 1] < -80.0)[0]
+    dead = np.nonzero(tab.k0[:n + 1] < control._CUT_K0)[0]
     last = int(dead[0]) if dead.size else n
     stride = STRIDE
     while stride > 1 and (stride * h * rate > 0.06
@@ -279,10 +279,10 @@ class TestMomentForm:
         gms = ([model.gm] if model.n_factors == 1 else [model.gm1, model.gm2])
         cases = [(120.0, t) for t in (0.0, 17.3, 119.85)]
         # at t_max = 190, t = 187.5 the underflow cut keeps the 2 or 3 of 51
-        # nodes up to the first one with k0 < -80
+        # nodes up to the first one with k0 < _CUT_K0
         cases.append((190.0, 187.5))
         tab = build_coefficient_table(model, 187.5, 190.0, LATTICE_STEP)
-        dead = int(np.nonzero(tab.k0 < -80.0)[0][0])
+        dead = int(np.nonzero(tab.k0 < control._CUT_K0)[0][0])
         assert dead <= 2 and tab.s.size == 51
         assert _rule_rows(tab)[0].tolist() == list(range(dead + 1))
         # end panels: 1.3 years at stride 3 end 2 steps past the last
@@ -330,7 +330,7 @@ class TestSurfaceRoute:
         step = rows[1] - rows[0]
         partial = abs(tab.tau[-1] - (tab.s.size - 1) * LATTICE_STEP) > 1e-9
         cases = {"stride 10" if step == STRIDE else "stride < 10"}
-        if tab.k0[rows[-1]] < -80.0:
+        if tab.k0[rows[-1]] < control._CUT_K0:
             cases.add("cut")
         elif rows[-1] - rows[-2] != step:
             cases.add("tail" if partial else "panel")
@@ -393,7 +393,7 @@ class TestSurfaceRoute:
             g_k, grad_k = g_and_gradient(model, scen, MARKET, t, lam)
             assert np.array_equal(g[:, k], g_k), t
             assert np.array_equal(grad1[:, k], grad_k[:, 0]), t
-            # D is below e^-80 at a cut, too small to show in G
+            # D is below e^-50 at a cut, too small to show in G
             mom, d, k_end = control._g_pieces_at(model, scen, MARKET, (t,),
                                                  lam[None])
             assert np.array_equal(surface.a[:, k], mom[0, :, 0]), t
@@ -452,16 +452,32 @@ class TestOuterRule:
                 assert g_err <= control.G_REL_TOL, (t, phi, g_err)
                 assert grad_err <= control.GRAD_REL_TOL, (t, phi, grad_err)
 
-    @pytest.mark.parametrize("name, value, make_model, t", [
-        ("GREGORY_STRIDE", 11, cir_single, 17.3),
-        ("GREGORY_RATE_STEP", 0.07, cir_two, 35.0)])
+    @pytest.mark.parametrize("name, value, make_model, t, margin", [
+        ("GREGORY_STRIDE", 11, cir_single, 17.3, 1.0),
+        ("GREGORY_RATE_STEP", 0.07, ou_two, 35.0, control.RATE_STEP_MARGIN)])
     def test_coarser_strides_miss_the_tolerance(self, name, value, make_model,
-                                                t, monkeypatch):
+                                                t, margin, monkeypatch):
+        # the stride must meet both tolerances, the rate step both within
+        # its margin (``control``)
         monkeypatch.setattr(control, name, value)
         errors = np.array([_rule_errors(make_model(), t, phi)
                            for phi in (0.0, 0.8, 5.0)])
-        assert (errors[:, 0].max() > control.G_REL_TOL
-                or errors[:, 1].max() > control.GRAD_REL_TOL)
+        assert (errors[:, 0].max() > margin * control.G_REL_TOL
+                or errors[:, 1].max() > margin * control.GRAD_REL_TOL)
+
+    @pytest.mark.parametrize("make_model, t", [
+        (cir_single, 54.0),    # the largest G error at 0.06
+        (cir_two, 36.0),       # the largest gradient error at 0.06
+        (ou_two, 35.0)])       # the largest G error at 0.07
+    def test_rate_step_keeps_its_margin(self, make_model, t):
+        # GREGORY_RATE_STEP's rule at the worst anchors of t = 34..54: a
+        # coarser constant would fail here
+        errors = np.array([_rule_errors(make_model(), t, phi)
+                           for phi in (0.0, 0.8, 5.0)])
+        assert errors[:, 0].max() <= control.RATE_STEP_MARGIN \
+            * control.G_REL_TOL
+        assert errors[:, 1].max() <= control.RATE_STEP_MARGIN \
+            * control.GRAD_REL_TOL
 
     @pytest.mark.parametrize("make_model", [ou_single, ou_two])
     @pytest.mark.parametrize("t", [45.0, 60.0])
@@ -512,7 +528,7 @@ class TestOuterRule:
         return calls
 
     @pytest.mark.parametrize("t, stride, short", [(18.0, 10, 9),
-                                                  (18.5, 10, 8),
+                                                  (18.5, 10, 7),
                                                   (19.0, 7, 6)])
     def test_stride_shrinks_before_an_early_cut(self, t, stride, short,
                                                 monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ class TestClosedForms:
         _, ys = solve_ode(lambda t, y: b * y + 0.5 * sig * sig * y * y - 1.0,
                           2.0, 0.0, [0.0], step=0.001)
         assert float(a1_cir(b, sig, 2.0)) == pytest.approx(ys[-1, 0], abs=1e-9)
+
+    @pytest.mark.parametrize("b, sigma", [(40.0, 0.0035), (40.0, 2.0),
+                                          (0.561, 40.0), (1.0, 0.0)])
+    def test_a1_cir_past_the_exp_overflow(self, b, sigma):
+        # eta * tau runs to 800, past 709.8 where e^{eta tau} overflows;
+        # against RK4 of dA1/dtau = 1 - b A1 - sigma^2 A1^2 / 2 at
+        # eta * step = 0.05, whose error is at most 5.3e-8 of the value
+        def rhs(_tau, y):
+            return 1.0 - b * y - 0.5 * sigma * sigma * y * y
+
+        eta = math.sqrt(b * b + 2.0 * sigma * sigma)
+        taus, ys = solve_ode(rhs, 0.0, 800.0 / eta, [0.0], step=0.05 / eta)
+        got = a1_cir(b, sigma, taus)
+        np.testing.assert_allclose(got, ys[:, 0], rtol=1e-7, atol=0)
+        assert got[-1] == pytest.approx(2.0 / (b + eta), rel=1e-15)
+        # and the growing form where that is finite, to rounding
+        tau = np.linspace(0.0, 700.0 / eta, 201)
+        e = np.expm1(eta * tau)
+        np.testing.assert_allclose(a1_cir(b, sigma, tau),
+                                   2.0 * e / ((b + eta) * e + 2.0 * eta),
+                                   rtol=1e-14, atol=0)
 
     def test_c2_value(self):
         assert coeffs_two_pop(ou_two(), 0.0, 1.0).c2 == \
@@ -484,153 +506,191 @@ class TestCoefficientTable:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _lin_matrix_cir_pass(big_b, big_s, h, n, start):
-    """Reference for ``pricing._cir_tau_pass``: the (C, p) row under the
-    matrix right-hand side dy = (e_m, 0) - y L - (1/2, 1) z (S^T C, S^T C),
-    z = (S^T C, S^T p), stepped by ``solve_ode`` from ``start``."""
-    nf = big_b.shape[0]
-    e_m = np.eye(nf)[-1]
-    base = np.concatenate((e_m, np.zeros(nf)))
-    lin = np.hstack((np.kron(np.eye(2), big_b), np.kron(np.eye(2), big_s),
-                     np.kron([[1.0, 1.0], [0.0, 0.0]], big_s)))
-    weight = np.repeat([0.5, 1.0], nf)
-    nn = 2 * nf
-
-    def rhs(_tau, y):
-        r = y @ lin
-        return base - r[:nn] - weight * r[nn:2 * nn] * r[2 * nn:]
-
-    _, y = solve_ode(rhs, 0.0, n * h, start, step=0.5 * h)
-    return y
+def _quarter_cm(model, h, n, tau0=0.0):
+    """The members' exact C_m (``a1_cir``) at the quarter steps
+    tau0 + (h/4) k, k = 0..4n, of an n-node pass."""
+    big_b, big_s, _ = model.factors
+    return a1_cir(big_b[-1, -1], big_s[-1, -1],
+                  tau0 + 0.25 * h * np.arange(4 * n + 1))
 
 
-def _padded_cir_tau_pass(big_b, big_s, h, n, start):
-    """Reference for ``pricing._cir_tau_pass`` float for float: the former
-    pass, which stepped (C1, C2, p1, p2) with a single population padded to
-    factor 2 behind a zero factor 1, with the stage slopes from ``rhs``."""
-    nf = big_b.shape[0]
-    pad = 2 - nf
-    (b1, _), (b21, b22) = np.pad(big_b, (pad, 0)).tolist()
-    (s1, _), (s21, s22) = np.pad(big_s, (pad, 0)).tolist()
+def _factor1_loop(big_b, big_s, h, cm, c1):
+    """Reference for ``pricing._cir_tau_pass`` float for float: RK4 on
+    factor 1's row dC_1 = -b1 C_1 - b21 C_m - (s1 C_1 + s21 C_m)^2 / 2, steps
+    of h/2 from c1, written stage by stage, with C_m at the stage taus from
+    ``cm`` (quarter steps: tau, tau + h/4, tau + h/4, tau + h/2)."""
+    (b1, _), (b21, _) = big_b.tolist()
+    (s1, _), (s21, _) = big_s.tolist()
 
-    def rhs(c1, c2, p1, p2):
-        q1, q2 = s1 * c1 + s21 * c2, s22 * c2
-        return (-(b1 * c1 + b21 * c2) - 0.5 * q1 * q1,
-                1.0 - b22 * c2 - 0.5 * q2 * q2,
-                -(b1 * p1 + b21 * p2) - (s1 * p1 + s21 * p2) * q1,
-                -b22 * p2 - s22 * p2 * q2)
+    def slope(c, m):
+        q = s1 * c + s21 * m
+        return -(b1 * c + b21 * m) - 0.5 * q * q
 
     dt = 0.5 * h
-    half, sixth = 0.5 * dt, dt / 6.0
-    y = np.empty((2 * n + 1, 4))
-    padded = np.zeros(4)
-    padded[2 - nf:2], padded[4 - nf:] = start[:nf], start[nf:]
-    c1, c2, p1, p2 = map(float, padded)
-    y[0] = c1, c2, p1, p2
-    for k in range(1, 2 * n + 1):
-        u1, u2, u3, u4 = rhs(c1, c2, p1, p2)
-        v1, v2, v3, v4 = rhs(c1 + half * u1, c2 + half * u2,
-                             p1 + half * u3, p2 + half * u4)
-        w1, w2, w3, w4 = rhs(c1 + half * v1, c2 + half * v2,
-                             p1 + half * v3, p2 + half * v4)
-        z1, z2, z3, z4 = rhs(c1 + dt * w1, c2 + dt * w2,
-                             p1 + dt * w3, p2 + dt * w4)
-        c1 += sixth * (u1 + 2.0 * v1 + 2.0 * w1 + z1)
-        c2 += sixth * (u2 + 2.0 * v2 + 2.0 * w2 + z2)
-        p1 += sixth * (u3 + 2.0 * v3 + 2.0 * w3 + z3)
-        p2 += sixth * (u4 + 2.0 * v4 + 2.0 * w4 + z4)
-        y[k] = c1, c2, p1, p2
-    return np.hstack((y[:, 2 - nf:2], y[:, 4 - nf:]))
+    out, cm = [c1], cm.tolist()
+    for j in range(0, len(cm) - 1, 2):
+        u = slope(c1, cm[j])
+        v = slope(c1 + 0.5 * dt * u, cm[j + 1])
+        w = slope(c1 + 0.5 * dt * v, cm[j + 1])
+        z = slope(c1 + dt * w, cm[j + 2])
+        c1 += dt / 6.0 * (u + 2.0 * v + 2.0 * w + z)
+        out.append(c1)
+    return np.array(out, dtype=float)
 
 
-def _c_columns(reference):
-    """A (C, p) reference pass as a C-only one: started with p = e_m, which
-    C's stages never read, and cut to its C columns."""
-    def tau_pass(big_b, big_s, h, n, y0):
-        nf = big_b.shape[0]
-        y = reference(big_b, big_s, h, n, np.concatenate((y0, np.eye(nf)[-1])))
-        return y[:, :nf]
-    return tau_pass
+def _factor1_solve_ode(big_b, big_s, h, cm, c1):
+    """Reference for ``pricing._cir_tau_pass`` from tau = 0: factor 1's row
+    stepped by ``solve_ode`` at h/2, its C_m from ``a1_cir`` at the stage
+    times ``solve_ode`` forms (``cm`` only sets the number of steps)."""
+    (b1, _), (b21, b22) = big_b.tolist()
+    (s1, _), (s21, s22) = big_s.tolist()
+
+    def rhs(tau, y):
+        m = float(a1_cir(b22, s22, tau))
+        q = s1 * y[0] + s21 * m
+        return np.array([-(b1 * y[0] + b21 * m) - 0.5 * q * q])
+
+    _, y = solve_ode(rhs, 0.0, (cm.size - 1) // 4 * h, [c1], step=0.5 * h)
+    return y[:, 0]
 
 
 CIR_MODELS = [cir_single(), cir_two()]
 
 
 class TestCirTauPass:
-    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
-    @pytest.mark.parametrize("h, n", [(0.05, 2400), (67.66 / 1354, 1354)],
-                             ids=["lattice", "off-lattice"])
-    def test_float_kernel_matches_matrix_reference(self, model, h, n,
-                                                   monkeypatch):
-        got = pricing._TauTable(model, h).grow(n)
-        monkeypatch.setattr(pricing, "_cir_tau_pass",
-                            _c_columns(_lin_matrix_cir_pass))
-        want = pricing._TauTable(model, h).grow(n)
-        # C and every cumulative curve built from it
-        for name in CURVES:
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=0, atol=1e-14, err_msg=name)
+    """The members' C_m is the closed form at the pass's taus; a
+    two-population pass steps factor 1 alone."""
 
     @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
     @pytest.mark.parametrize("h, n, resume", [
         (0.05, 2400, None), (67.66 / 1354, 1354, None),
         (0.0123, 1, 1354)],   # a short last step resumed at node 1354
         ids=["lattice", "off-lattice", "resumed"])
-    def test_pass_is_bit_identical_to_padded_pass(self, model, h, n, resume,
-                                                  monkeypatch):
-        # stepping only the factors the model has changes no float operation
-        # of the members' C, nor of factor 1's in a two-population model
+    def test_members_c_is_the_closed_form(self, model, h, n, resume):
+        # at the nodes tau0 + j h, bit for bit, however the pass starts
+        args, tau0 = (model, h), 0.0
+        if resume is not None:
+            tau0 = resume * 0.05
+            args += (tau0, pricing._TauTable(model, 0.05).grow(2400)
+                     .c[:, resume])
+        tt = pricing._TauTable(*args).grow(n)
+        assert np.array_equal(tt.c[-1], _quarter_cm(model, h, n, tau0)[::4])
+
+    @pytest.mark.parametrize("h, n", [(0.05, 2400), (67.66 / 1354, 1354)],
+                             ids=["lattice", "off-lattice"])
+    def test_factor1_loop_matches_solve_ode(self, h, n, monkeypatch):
+        got = pricing._TauTable(cir_two(), h).grow(n)
+        monkeypatch.setattr(pricing, "_cir_tau_pass", _factor1_solve_ode)
+        want = pricing._TauTable(cir_two(), h).grow(n)
+        # C and every cumulative curve built from it
+        for name in CURVES:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("h, n, resume", [
+        (0.05, 2400, None), (67.66 / 1354, 1354, None),
+        (0.0123, 1, 1354)],   # a short last step resumed at node 1354
+        ids=["lattice", "off-lattice", "resumed"])
+    def test_factor1_loop_is_bit_identical_to_reference(self, h, n, resume,
+                                                        monkeypatch):
+        model = cir_two()
         args = (model, h)
         if resume is not None:
             full = pricing._TauTable(model, 0.05).grow(2400)
             args += (resume * 0.05, full.c[:, resume])
         got = pricing._TauTable(*args).grow(n)
-        monkeypatch.setattr(pricing, "_cir_tau_pass",
-                            _c_columns(_padded_cir_tau_pass))
+        monkeypatch.setattr(pricing, "_cir_tau_pass", _factor1_loop)
         want = pricing._TauTable(*args).grow(n)
         for name in CURVES:
             assert np.array_equal(getattr(got, name), getattr(want, name)), \
                 name
 
-    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
-    def test_members_c_matches_closed_form(self, model):
-        # C (single) and C2 (two-population) solve the one-factor Riccati
-        # equation; 1e-9 bounds RK4's global error at step 0.025
-        b, sigma = ((model.b, model.sigma) if model.n_factors == 1
-                    else (model.b22, model.sigma22))
-        tt = pricing._TauTable(model, 0.05).grow(2400)
-        tau = 0.05 * np.arange(2401)
-        np.testing.assert_allclose(tt.c[-1], a1_cir(b, sigma, tau), rtol=0,
-                                   atol=1e-9)
+    def test_one_population_runs_no_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-population pass steps nothing")
 
-    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
-    def test_blow_up_reports_first_non_finite_node(self, model):
+        want = pricing._TauTable(cir_single(), 0.05).grow(2400)
+        monkeypatch.setattr(pricing, "_cir_tau_pass", refuse)
+        got = pricing._TauTable(cir_single(), 0.05).grow(2400)
+        for name in CURVES:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+
+    def test_one_population_stays_finite_at_any_step(self):
+        # no step to blow up: at h = 50 every node holds the closed form,
+        # the fixed point 2 / (b + eta) from node 2, tau = 100, on
+        model = cir_single()
+        tt = pricing._TauTable(model, 50.0).grow(40)
+        eta = np.hypot(model.b, np.sqrt(2.0) * model.sigma)
+        assert np.isfinite(tt.k0_level).all() and np.isfinite(tt.c).all()
+        assert tt.c[0, 2:] == pytest.approx(2.0 / (model.b + eta), rel=1e-15)
+
+    def test_blow_up_reports_first_non_finite_node(self):
+        # RK4 on factor 1 at h/2 = 25 is unstable (b1 h/2 = 14); the first
+        # non-finite half step of the reference loop is where it fails
+        model = cir_two()
+        big_b, big_s, _ = model.factors
+        ref = _factor1_loop(big_b, big_s, 50.0, _quarter_cm(model, 50.0, 40),
+                            0.0)
+        at = 25.0 * int(np.argmin(np.isfinite(ref)))
+        assert at == 125.0
         with pytest.raises(NumericalFailure) as err:
             pricing._TauTable(model, 50.0).grow(40)
-        assert err.value.at_time == 100.0
+        assert err.value.at_time == at
         # reached by growth, the same node fails, and the pass keeps the
-        # whole nodes before it (node 2, tau = 100, is the first non-finite)
+        # whole nodes before it (node 2, tau = 100)
         tt = pricing._TauTable(model, 50.0).grow(1)
         for _ in range(2):
             with pytest.raises(NumericalFailure) as err:
                 tt.grow(40)
-            assert err.value.at_time == 100.0
-            assert tt.n == 1 and np.isfinite(tt.c).all()
+            assert err.value.at_time == at
+            assert tt.n == 2 and np.isfinite(tt.c).all()
+
+
+class TestRiccatiResidual:
+    """The production CIR pass against its own Riccati system
+    dC = e_m - B^T C - (S^T C)^2 / 2, by five-point central differences of
+    its nodes at a step h of 0.01. The differences err by h^4 / 30 times
+    C's fifth derivative, which for C_m is b^4 - 11 sigma^2 b^2 + 4 sigma^4
+    at tau = 0, at most eta^4 = (b^2 + 2 sigma^2)^2, and falls from there
+    like e^{-eta tau}; factor 1's is a b21-weighted share of it. Rounding
+    adds 1.5 eps max|C| / h."""
+
+    @pytest.mark.parametrize("model", CIR_MODELS, ids=["cir-single", "cir-sub"])
+    def test_pass_solves_its_riccati_system(self, model):
+        h = 0.01
+        big_b, big_s, _ = model.factors
+        c = pricing._TauTable(model, h).grow(6000).c
+        diff = (c[:, :-4] - 8.0 * c[:, 1:-3] + 8.0 * c[:, 3:-1]
+                - c[:, 4:]) / (12.0 * h)
+        mid = c[:, 2:-2]
+        q = big_s.T @ mid
+        rhs = np.eye(model.n_factors)[-1][:, None] - big_b.T @ mid \
+            - 0.5 * q * q
+        eta2 = big_b[-1, -1] ** 2 + 2.0 * big_s[-1, -1] ** 2
+        bound = h ** 4 / 30.0 * eta2 ** 2 \
+            + 1.5 * np.finfo(float).eps * np.abs(c).max() / h
+        assert np.abs(diff - rhs).max() <= bound
 
 
 def _former_tau_curves(model, h, n):
     """Reference for ``pricing._TauTable`` from the origin: the former
     pass, which also stepped the members' row p of the mean transition beside
-    C (OU: the doubling map of blockdiag(B, B); CIR: ``_padded_cir_tau_pass``)
-    and integrated p for the shifted hazard mean. Returns (C, k0_level,
-    k0_gompertz)."""
+    C and integrated p for the shifted hazard mean. OU steps both by the
+    doubling map of blockdiag(B, B). CIR's C is the members' closed form
+    (``_quarter_cm``) with factor 1 from ``_factor1_loop``; its p, which no
+    k0 curve reads, is left zero. Returns (C, k0_level, k0_gompertz)."""
     big_b, big_s, gms = model.factors
     nf = big_b.shape[0]
     w = 0.5 * h * np.arange(2 * n + 1)
     e_m, zero = np.eye(nf)[-1], np.zeros(nf)
     y0 = np.concatenate((zero, e_m))
     if model.kind == "cir":
-        y = _padded_cir_tau_pass(big_b, big_s, h, n, y0)
+        cm = _quarter_cm(model, h, n)
+        y = np.zeros((w.size, 2 * nf))
+        y[:, nf - 1] = cm[::2]
+        if nf == 2:
+            y[:, 0] = _factor1_loop(big_b, big_s, h, cm, 0.0)
         noise = np.zeros((w.size, 2))
     else:
         base = np.concatenate((e_m, zero))
